@@ -202,10 +202,9 @@ func Fig7(opt Options) error {
 
 	fmt.Fprintf(opt.Out, "# Figure 7: secure-path growth per round (N=%d)\n", g.N())
 	fmt.Fprintf(opt.Out, "round  secure-paths  frac      longest\n")
-	for r, secure := range states {
-		frac, longest := securePathLengths(g, secure, cfg)
+	for r, sp := range metrics.ComputeSecurePathsStates(g, states, cfg.StubsBreakTies, cfg.Tiebreaker) {
 		fmt.Fprintf(opt.Out, "%5d  %12.0f  %.4f  %7d\n",
-			r, frac*float64(g.N())*float64(g.N()-1), frac, longest)
+			r, sp.Fraction*float64(g.N())*float64(g.N()-1), sp.Fraction, sp.Longest)
 	}
 	return nil
 }
@@ -240,29 +239,6 @@ func statesPerRound(g *asgraph.Graph, cfg sim.Config, res *sim.Result) [][]bool 
 		states = append(states, append([]bool(nil), secure...))
 	}
 	return states
-}
-
-// securePathLengths resolves all routing trees in a state and returns
-// the secure fraction and the longest fully-secure path.
-func securePathLengths(g *asgraph.Graph, secure []bool, cfg sim.Config) (frac float64, longest int32) {
-	breaks := sim.DeriveBreaks(g, secure, cfg.StubsBreakTies)
-	w := routing.NewWorkspace(g)
-	var tree routing.Tree
-	var cnt int64
-	for d := int32(0); d < int32(g.N()); d++ {
-		s := w.ComputeStatic(d)
-		tree.Clear(g.N())
-		w.ResolveInto(&tree, s, secure, breaks, nil, nil, cfg.Tiebreaker)
-		for _, i := range s.Order() {
-			if tree.Secure[i] {
-				cnt++
-				if s.Len[i] > longest {
-					longest = s.Len[i]
-				}
-			}
-		}
-	}
-	return float64(cnt) / (float64(g.N()) * float64(g.N()-1)), longest
 }
 
 // Fig8 sweeps the deployment threshold θ for each early-adopter set and
@@ -302,7 +278,8 @@ func Fig9(opt Options) error {
 	tb := routing.HashTiebreaker{Seed: uint64(opt.Seed)}
 	fmt.Fprintf(opt.Out, "# Figure 9: fraction of secure src-dst paths vs θ (adopters=5cps+top5)\n")
 	fmt.Fprintf(opt.Out, "%-6s %-12s %-8s %-8s %s\n", "theta", "secure-paths", "f", "f^2", "paths/f^2")
-	for _, th := range thetas {
+	finals := make([][]bool, len(thetas))
+	for k, th := range thetas {
 		cfg := sim.Config{
 			Model:          sim.Outgoing,
 			Theta:          th,
@@ -311,8 +288,10 @@ func Fig9(opt Options) error {
 			Tiebreaker:     tb,
 			Workers:        opt.Workers,
 		}
-		res := runOnce(opt, g, cfg)
-		sp := metrics.ComputeSecurePaths(g, res.FinalSecure, true, tb)
+		finals[k] = runOnce(opt, g, cfg).FinalSecure
+	}
+	for k, sp := range metrics.ComputeSecurePathsStates(g, finals, true, tb) {
+		th := thetas[k]
 		f2 := sp.SecureASFraction * sp.SecureASFraction
 		ratio := math.NaN()
 		if f2 > 0 {

@@ -143,7 +143,11 @@ func Sec73(opt Options) error {
 	fmt.Fprintf(opt.Out, "# Section 7.3: turn-off incentives in the final state (incoming utility)\n")
 	fmt.Fprintf(opt.Out, "deployment: %s ASes secure after %d rounds (oscillated=%v)\n",
 		fmtPct(res.SecureFractionASes()), res.NumRounds(), res.Oscillated)
+	// The scan stripes destinations over cfg.Workers goroutines: claim
+	// them from the store's budget, as a simulation does.
+	cfg.Workers = opt.store.acquireWorkers(cfg.Workers)
 	rep, err := metrics.ScanTurnOff(g, res.FinalSecure, cfg)
+	opt.store.budget.release(cfg.Workers)
 	if err != nil {
 		return err
 	}

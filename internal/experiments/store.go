@@ -372,11 +372,7 @@ func (s *Store) computeSim(key string, g *asgraph.Graph, cfg sim.Config) (res *s
 	// destination-parallel pool of cfg.Workers goroutines (or worker
 	// processes), so without this gate P concurrent experiments would
 	// run P×Workers busy goroutines.
-	claim := cfg.Workers
-	if claim <= 0 || claim > s.workers {
-		claim = s.workers
-	}
-	s.budget.acquire(claim)
+	claim := s.acquireWorkers(cfg.Workers)
 	start := time.Now()
 	res, err = sm.RunE()
 	wall = time.Since(start)
@@ -391,6 +387,18 @@ func (s *Store) computeSim(key string, g *asgraph.Graph, cfg sim.Config) (res *s
 		}
 	}
 	return res, false, wall, nil
+}
+
+// acquireWorkers blocks until want slots of the worker budget are free
+// (the whole budget when want is unset or exceeds it), takes them, and
+// returns the number taken; the caller hands them back with
+// budget.release.
+func (s *Store) acquireWorkers(want int) int {
+	if want <= 0 || want > s.workers {
+		want = s.workers
+	}
+	s.budget.acquire(want)
+	return want
 }
 
 // graphFingerprint memoizes asgraph.Fingerprint per graph instance (the

@@ -57,34 +57,39 @@ func Table3(opt Options) error {
 	aug := augGraph(opt)
 	fmt.Fprintf(opt.Out, "# Table 3: mean CP path length to all destinations\n")
 	fmt.Fprintf(opt.Out, "%-10s %-10s %s\n", "CP", "base", "augmented")
-	for k, cp := range g.Nodes(asgraph.ContentProvider) {
-		pb := meanPathFrom(g, cp)
-		pa := meanPathFrom(aug, aug.Nodes(asgraph.ContentProvider)[k])
-		fmt.Fprintf(opt.Out, "AS%-8d %-10.2f %.2f\n", g.ASN(cp), pb, pa)
+	cps := g.Nodes(asgraph.ContentProvider)
+	pb := meanPathsFrom(g, cps)
+	pa := meanPathsFrom(aug, aug.Nodes(asgraph.ContentProvider))
+	for k, cp := range cps {
+		fmt.Fprintf(opt.Out, "AS%-8d %-10.2f %.2f\n", g.ASN(cp), pb[k], pa[k])
 	}
 	return nil
 }
 
-// meanPathFrom computes the mean routing path length from src to every
-// reachable destination. Paths from src are read off the per-destination
-// static info (src's best-route length toward each destination).
-func meanPathFrom(g *asgraph.Graph, src int32) float64 {
+// meanPathsFrom computes, for each source, the mean routing path length
+// to every reachable destination, in one sweep over the destinations:
+// paths from a source are read off the per-destination static info (the
+// source's best-route length toward that destination).
+func meanPathsFrom(g *asgraph.Graph, srcs []int32) []float64 {
 	w := routing.NewWorkspace(g)
-	var sum, cnt float64
+	sum := make([]float64, len(srcs))
+	cnt := make([]float64, len(srcs))
 	for d := int32(0); d < int32(g.N()); d++ {
-		if d == src {
-			continue
-		}
 		s := w.ComputeStatic(d)
-		if s.Type[src] != routing.NoRoute {
-			sum += float64(s.Len[src])
-			cnt++
+		for k, src := range srcs {
+			if d != src && s.Type[src] != routing.NoRoute {
+				sum[k] += float64(s.Len[src])
+				cnt[k]++
+			}
 		}
 	}
-	if cnt == 0 {
-		return 0
+	mean := make([]float64, len(srcs))
+	for k := range srcs {
+		if cnt[k] > 0 {
+			mean[k] = sum[k] / cnt[k]
+		}
 	}
-	return sum / cnt
+	return mean
 }
 
 // Table4 compares content-provider degrees to the top Tier-1 degrees on

@@ -6,6 +6,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -23,35 +24,58 @@ type SecurePaths struct {
 	// SecureASFraction is f, the share of ASes that are secure; the
 	// paper observes Fraction lands slightly below f².
 	SecureASFraction float64
+	// Longest is the hop count of the longest fully-secure chosen path
+	// (Fig. 7); 0 when no path is secure.
+	Longest int32
 }
 
 // ComputeSecurePaths resolves every destination's routing tree in the
 // given state and counts fully-secure source-destination paths.
 func ComputeSecurePaths(g *asgraph.Graph, secure []bool, stubsBreakTies bool, tb routing.Tiebreaker) SecurePaths {
-	breaks := sim.DeriveBreaks(g, secure, stubsBreakTies)
+	return ComputeSecurePathsStates(g, [][]bool{secure}, stubsBreakTies, tb)[0]
+}
+
+// ComputeSecurePathsStates is ComputeSecurePaths for several deployment
+// states of one graph at once (a run's per-round states, a θ sweep's
+// final states). The static routing information is state-independent
+// (Observation C.1), so each destination's BFS is paid once and only
+// the resolution is repeated per state.
+func ComputeSecurePathsStates(g *asgraph.Graph, states [][]bool, stubsBreakTies bool, tb routing.Tiebreaker) []SecurePaths {
 	n := g.N()
+	breaks := make([][]bool, len(states))
+	for k, secure := range states {
+		breaks[k] = sim.DeriveBreaks(g, secure, stubsBreakTies)
+	}
+	out := make([]SecurePaths, len(states))
+	securePairs := make([]int64, len(states))
 	w := routing.NewWorkspace(g)
 	var tree routing.Tree
-	var securePairs, totalSecure int64
 	for d := int32(0); d < int32(n); d++ {
 		s := w.ComputeStatic(d)
 		tree.Clear(n)
-		w.ResolveInto(&tree, s, secure, breaks, nil, nil, tb)
-		for _, i := range s.Order() {
-			if tree.Secure[i] {
-				securePairs++
+		for k, secure := range states {
+			w.ResolveInto(&tree, s, secure, breaks[k], nil, nil, tb)
+			for _, i := range s.Order() {
+				if tree.Secure[i] {
+					securePairs[k]++
+					if s.Len[i] > out[k].Longest {
+						out[k].Longest = s.Len[i]
+					}
+				}
 			}
 		}
 	}
-	for _, s := range secure {
-		if s {
-			totalSecure++
+	for k, secure := range states {
+		var totalSecure int64
+		for _, s := range secure {
+			if s {
+				totalSecure++
+			}
 		}
+		out[k].Fraction = float64(securePairs[k]) / float64(int64(n)*int64(n-1))
+		out[k].SecureASFraction = float64(totalSecure) / float64(n)
 	}
-	return SecurePaths{
-		Fraction:         float64(securePairs) / float64(int64(n)*int64(n-1)),
-		SecureASFraction: float64(totalSecure) / float64(n),
-	}
+	return out
 }
 
 // TiebreakDist is the distribution of tiebreak-set sizes over all
@@ -335,31 +359,44 @@ type TurnOffReport struct {
 }
 
 // ScanTurnOff evaluates every secure ISP's incentive to disable S*BGP in
-// the given state under the incoming utility model.
+// the given state under cfg's utility model (Section 7.3 runs it under
+// Incoming; Theorem 6.2 predicts no whole-network gain under Outgoing).
+// The scan is destination-major (sim.ScanFlips) and the per-ISP totals
+// are summed in ascending destination order, so the report is the same
+// at any cfg.Workers.
 func ScanTurnOff(g *asgraph.Graph, secure []bool, cfg sim.Config) (TurnOffReport, error) {
 	var rep TurnOffReport
-	for i := int32(0); i < int32(g.N()); i++ {
-		if !g.IsISP(i) || !secure[i] {
-			continue
+	if len(secure) != g.N() {
+		return rep, fmt.Errorf("metrics: secure bitmap has %d entries for %d ASes", len(secure), g.N())
+	}
+	var nodes []int32
+	for _, i := range g.ISPs() {
+		if secure[i] {
+			nodes = append(nodes, i)
 		}
-		rep.SecureISPs++
-		base, proj, err := sim.EvaluateFlipPerDest(g, secure, cfg, i)
-		if err != nil {
-			return rep, err
-		}
-		var tb, tp float64
-		perDest := false
-		for d := range base {
-			tb += base[d]
-			tp += proj[d]
-			if proj[d] > base[d]+1e-9 {
-				perDest = true
+	}
+	rep.SecureISPs = len(nodes)
+	// Indexed by node id; only the scanned ISPs' entries are touched.
+	tb := make([]float64, g.N())
+	tp := make([]float64, g.N())
+	perDest := make([]bool, g.N())
+	err := sim.ScanFlips(g, secure, cfg, nodes, func(_ int32, rows []sim.FlipRow) {
+		for _, r := range rows {
+			tb[r.Node] += r.Base
+			tp[r.Node] += r.Proj
+			if r.Proj > r.Base+1e-9 {
+				perDest[r.Node] = true
 			}
 		}
-		if perDest {
+	})
+	if err != nil {
+		return rep, err
+	}
+	for _, i := range nodes {
+		if perDest[i] {
 			rep.PerDestination++
 		}
-		if tp > tb+1e-9 {
+		if tp[i] > tb[i]+1e-9 {
 			rep.WholeNetwork++
 		}
 	}

@@ -1,10 +1,12 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"sbgp/internal/asgraph"
+	"sbgp/internal/gadgets"
 	"sbgp/internal/routing"
 	"sbgp/internal/sim"
 	"sbgp/internal/topogen"
@@ -60,6 +62,30 @@ func TestSecurePathsBelowFSquared(t *testing.T) {
 	}
 	if sp.Fraction < 0.5*f2 {
 		t.Errorf("secure paths %v far below f²=%v; paper reports only ~4%% below", sp.Fraction, f2)
+	}
+}
+
+// TestComputeSecurePathsStatesIndependent: resolving several states off
+// one static per destination must not leak one state's tree into the
+// next — each entry equals the one-state computation, in any order.
+func TestComputeSecurePathsStatesIndependent(t *testing.T) {
+	g, cfg, final := caseStudyFinal(t, 300, sim.Outgoing)
+	initial := make([]bool, g.N())
+	for _, a := range cfg.EarlyAdopters {
+		initial[a] = true
+	}
+	states := [][]bool{final, make([]bool, g.N()), initial, final}
+	got := ComputeSecurePathsStates(g, states, true, cfg.Tiebreaker)
+	for k, secure := range states {
+		if want := ComputeSecurePaths(g, secure, true, cfg.Tiebreaker); got[k] != want {
+			t.Errorf("state %d: %+v in the batch, %+v alone", k, got[k], want)
+		}
+	}
+	if got[0].Longest < 2 {
+		t.Errorf("final state's longest secure path = %d hops, want at least 2", got[0].Longest)
+	}
+	if got[1] != (SecurePaths{}) {
+		t.Errorf("all-insecure state: %+v", got[1])
 	}
 }
 
@@ -230,6 +256,97 @@ func TestScanTurnOffOutgoingFindsNothing(t *testing.T) {
 	}
 	if rep.SecureISPs != 3 {
 		t.Errorf("secure ISPs = %d, want 3", rep.SecureISPs)
+	}
+}
+
+// caseStudyFinal plays the Section 5 case-study game (five CPs plus the
+// top five ISPs seeded, θ=5%, stubs breaking ties) on an n-node
+// synthetic graph under the given model and returns its final state.
+func caseStudyFinal(tb testing.TB, n int, model sim.UtilityModel) (*asgraph.Graph, sim.Config, []bool) {
+	tb.Helper()
+	g := topogen.MustGenerate(topogen.Default(n, 42))
+	g.SetCPTrafficFraction(0.10)
+	cfg := sim.Config{
+		Model:          model,
+		Theta:          0.05,
+		EarlyAdopters:  append(g.CPs(), asgraph.TopByDegree(g, 5, asgraph.ISP)...),
+		StubsBreakTies: true,
+		Tiebreaker:     routing.HashTiebreaker{Seed: 42},
+	}
+	return g, cfg, sim.MustNew(g, cfg).Run().FinalSecure
+}
+
+// TestScanTurnOffSameAtAnyWorkerCount: the per-ISP totals are folded in
+// ascending destination order whatever the striping, so the report —
+// whose counts compare float sums against a 1e-9 margin — cannot depend
+// on cfg.Workers.
+func TestScanTurnOffSameAtAnyWorkerCount(t *testing.T) {
+	g, cfg, final := caseStudyFinal(t, 400, sim.Incoming)
+	cfg.Workers = 1
+	one, err := ScanTurnOff(g, final, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.SecureISPs == 0 {
+		t.Fatal("no secure ISP in the final state: nothing was scanned")
+	}
+	cfg.Workers = 5
+	five, err := ScanTurnOff(g, final, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one != five {
+		t.Errorf("report differs across worker counts: workers=1 %+v, workers=5 %+v", one, five)
+	}
+}
+
+// TestScanTurnOffBuyersRemorse drives Fig. 13's gadget, configuration
+// and state through the scan: under incoming utility ISP N gains by
+// turning S*BGP off, overall and per destination; under outgoing
+// utility nobody does (Theorem 6.2).
+func TestScanTurnOffBuyersRemorse(t *testing.T) {
+	br := gadgets.NewBuyersRemorse(24, 821)
+	cfg := sim.Config{Model: sim.Incoming, StubsBreakTies: false, Tiebreaker: routing.LowestIndex{}}
+	rep, err := ScanTurnOff(br.Graph, br.SecureBitmap(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.WholeNetwork < 1 || rep.PerDestination < 1 {
+		t.Errorf("incoming utility: N's buyer's remorse not found: %+v", rep)
+	}
+	cfg.Model = sim.Outgoing
+	rep, err = ScanTurnOff(br.Graph, br.SecureBitmap(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.WholeNetwork != 0 {
+		t.Errorf("outgoing utility: whole-network turn-off incentive contradicts Theorem 6.2: %+v", rep)
+	}
+}
+
+func TestScanTurnOffRejectsWrongLengthBitmap(t *testing.T) {
+	g := diamond(t)
+	for _, n := range []int{0, g.N() - 1, g.N() + 1} {
+		if _, err := ScanTurnOff(g, make([]bool, n), sim.Config{}); err == nil {
+			t.Errorf("%d-entry bitmap accepted for %d ASes", n, g.N())
+		}
+	}
+}
+
+// BenchmarkScanTurnOff times the Section 7.3 scan as sec73 runs it: the
+// N=1200 case-study final state under incoming utility. The two worker
+// counts show what the destination striping buys.
+func BenchmarkScanTurnOff(b *testing.B) {
+	g, cfg, final := caseStudyFinal(b, 1200, sim.Incoming)
+	for _, workers := range []int{1, 2} {
+		cfg.Workers = workers
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := ScanTurnOff(g, final, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

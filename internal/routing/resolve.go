@@ -167,83 +167,13 @@ func (w *Workspace) ResolveInto(t *Tree, s *Static, secure, breaks []bool, flipp
 	}
 	t.Parent[s.Dest] = -1
 	t.Secure[s.Dest] = dSec
-	w.resolveRange(t, nil, s, secure, breaks, flipped, flipBreaks, tb, 0)
-}
-
-// ResolveSuffixInto resolves the projected tree for a flip set by reusing
-// an already-resolved base tree. Node decisions in the static
-// ascending-length order depend only on the node's own state and on the
-// secure flags of strictly shorter nodes, so no decision strictly before
-// the flip set's earliest order position can differ from the base tree:
-// that prefix is copied verbatim and only the suffix is re-resolved,
-// producing a tree bit-identical to a full ResolveInto with the same
-// arguments (and hence identical downstream float summation).
-//
-// base must have been resolved with ResolveInto(base, s, secure, breaks,
-// nil, nil, tb) against the same static info and state. flipList must
-// list exactly the nodes marked in flipped.
-//
-// It returns the number of order positions copied from the base tree
-// (0 when the destination itself flips, len(s.Order()) when no
-// reachable node flips), and whether any parent differs from the base
-// tree. When sameParents is true the two trees route identically —
-// every traffic accumulation over them is bit-equal — even though
-// Secure flags may differ.
-func (w *Workspace) ResolveSuffixInto(t, base *Tree, s *Static, secure, breaks []bool, flipped, flipBreaks []bool, flipList []int32, tb Tiebreaker) (copied int, sameParents bool) {
-	start := len(s.order)
-	for _, f := range flipList {
-		if f == s.Dest {
-			start = 0
-			break
-		}
-		if p := s.pos[f]; p >= 0 && int(p) < start {
-			start = int(p)
-		}
-	}
-	t.Dest = s.Dest
-	if len(t.Parent) < w.g.N() {
-		t.Clear(w.g.N())
-	}
-	dSec := secure[s.Dest]
-	if flipped != nil && flipped[s.Dest] {
-		dSec = !dSec
-	}
-	t.Parent[s.Dest] = -1
-	t.Secure[s.Dest] = dSec
-	order := s.order
-	for k := 0; k < start; k++ {
-		i := order[k]
-		t.Parent[i] = base.Parent[i]
-		t.Secure[i] = base.Secure[i]
-	}
-	changed := w.resolveRange(t, base, s, secure, breaks, flipped, flipBreaks, tb, start)
-	return start, !changed
-}
-
-// resolveRange runs the per-node resolution loop of the fast routing
-// tree algorithm over order positions [from, len(order)). Both
-// ResolveInto (from 0, no base) and ResolveSuffixInto (from the flip
-// set's earliest position) funnel through it, keeping the decision
-// logic — and therefore bit-identical results — in one place.
-//
-// When base is non-nil, it reports whether any written parent differs
-// from base.Parent.
-func (w *Workspace) resolveRange(t, base *Tree, s *Static, secure, breaks []bool, flipped, flipBreaks []bool, tb Tiebreaker, from int) (parentsChanged bool) {
-	order := s.order
-	for k := from; k < len(order); k++ {
-		i := order[k]
+	for k, i := range s.order {
 		cands := s.tbAdj[s.tbOff[k]:s.tbOff[k+1]]
-		p, sec, ok := decideNode(t, s, cands, secure, breaks, flipped, flipBreaks, tb, i)
-		if !ok {
-			continue
-		}
-		t.Parent[i] = p
-		t.Secure[i] = sec
-		if base != nil && base.Parent[i] != p {
-			parentsChanged = true
+		if p, sc, ok := decideNode(t, s, cands, secure, breaks, flipped, flipBreaks, tb, i); ok {
+			t.Parent[i] = p
+			t.Secure[i] = sc
 		}
 	}
-	return parentsChanged
 }
 
 // decideNode runs the SecP and TB selection steps for node i against a
@@ -251,9 +181,9 @@ func (w *Workspace) resolveRange(t, base *Tree, s *Static, secure, breaks []bool
 // must be node i's tiebreak set (the CSR is position-indexed, and every
 // caller already knows i's order position, so the row is passed in
 // rather than re-located through pos). It is the single decision
-// procedure shared by resolveRange (full and suffix resolution) and
-// ApplyFlips (change propagation), which is what makes the incremental
-// strategies bit-identical to a full resolution by construction. ok is
+// procedure shared by ResolveInto (full resolution) and ApplyFlips
+// (change propagation), which is what makes the incremental strategy
+// bit-identical to a full resolution by construction. ok is
 // false for nodes with an empty tiebreak set (defensive: static
 // construction guarantees non-empty sets for reachable non-destination
 // nodes).

@@ -83,9 +83,8 @@ type Static struct {
 	// order for Resolve.
 	order []int32
 	// pos[i] is node i's index in order (-1 for the destination and
-	// unreachable nodes), used by ResolveSuffixInto to locate the
-	// earliest position a flip set can influence and by Tiebreak to find
-	// a node's CSR row.
+	// unreachable nodes), used by change propagation to schedule
+	// re-decisions in order and by Tiebreak to find a node's CSR row.
 	pos []int32
 	// win, when non-nil, holds the state-independent tiebreak winner of
 	// every reachable node's tiebreak set (filled by PrepareDest).

@@ -262,7 +262,7 @@ type Config struct {
 
 	// RecordStats, when true, attaches a RoundStats to every Round:
 	// wall time, resolutions performed versus skipped by each Appendix
-	// C.4 rule, suffix-copy savings, and cache activity. The counters
+	// C.4 rule, change-propagation savings, and cache activity. The counters
 	// themselves are always maintained; this flag only adds the
 	// per-round record.
 	RecordStats bool
@@ -286,6 +286,27 @@ func (c Config) withDefaults() Config {
 		c.MaxRounds = 250
 	}
 	return c
+}
+
+// validate checks the configuration against an n-node graph: the
+// checks New applies before building an engine, shared with the
+// analyses that read a Config without one (ScanFlips).
+func (c Config) validate(n int) error {
+	if c.Theta < 0 {
+		return fmt.Errorf("sim: negative threshold θ=%v", c.Theta)
+	}
+	if c.ThetaJitter < 0 || c.ThetaJitter > 1 {
+		return fmt.Errorf("sim: threshold jitter %v outside [0,1]", c.ThetaJitter)
+	}
+	if c.ThetaByNode != nil && len(c.ThetaByNode) != n {
+		return fmt.Errorf("sim: ThetaByNode has %d entries for %d ASes", len(c.ThetaByNode), n)
+	}
+	for _, a := range c.EarlyAdopters {
+		if a < 0 || int(a) >= n {
+			return fmt.Errorf("sim: early adopter index %d out of range [0,%d)", a, n)
+		}
+	}
+	return nil
 }
 
 // Shards returns the logical destination shard count S a simulation on

@@ -43,19 +43,8 @@ type Sim struct {
 // simulation ready to Run.
 func New(g *asgraph.Graph, cfg Config) (*Sim, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Theta < 0 {
-		return nil, fmt.Errorf("sim: negative threshold θ=%v", cfg.Theta)
-	}
-	if cfg.ThetaJitter < 0 || cfg.ThetaJitter > 1 {
-		return nil, fmt.Errorf("sim: threshold jitter %v outside [0,1]", cfg.ThetaJitter)
-	}
-	if cfg.ThetaByNode != nil && len(cfg.ThetaByNode) != g.N() {
-		return nil, fmt.Errorf("sim: ThetaByNode has %d entries for %d ASes", len(cfg.ThetaByNode), g.N())
-	}
-	for _, a := range cfg.EarlyAdopters {
-		if a < 0 || int(a) >= g.N() {
-			return nil, fmt.Errorf("sim: early adopter index %d out of range [0,%d)", a, g.N())
-		}
+	if err := cfg.validate(g.N()); err != nil {
+		return nil, err
 	}
 	s := &Sim{g: g, cfg: cfg}
 	s.theta = s.nodeThetas()

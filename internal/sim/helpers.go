@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"sbgp/internal/asgraph"
+	"sbgp/internal/routing"
 )
 
 // DeriveBreaks derives the SecP tie-break flags from a secure bitmap the
@@ -32,17 +33,35 @@ func stateFrom(g *asgraph.Graph, secure []bool, stubsBreakTies bool) *deployStat
 	return st
 }
 
+// checkBitmap rejects a secure bitmap that does not cover g's nodes. The
+// helpers below run it (and checkNode) before anything indexes the
+// bitmap or builds an engine.
+func checkBitmap(g *asgraph.Graph, secure []bool) error {
+	if len(secure) != g.N() {
+		return fmt.Errorf("sim: secure bitmap has %d entries for %d ASes", len(secure), g.N())
+	}
+	return nil
+}
+
+// checkNode rejects a node index outside g.
+func checkNode(g *asgraph.Graph, n int32) error {
+	if n < 0 || int(n) >= g.N() {
+		return fmt.Errorf("sim: node %d out of range", n)
+	}
+	return nil
+}
+
 // Utilities computes every ISP's utility in an arbitrary deployment
 // state under cfg's utility model. Entries for non-ISPs are zero.
 // It is exported for analyses outside the round loop (gadget studies,
 // turn-off scans, figure harnesses).
 func Utilities(g *asgraph.Graph, secure []bool, cfg Config) ([]float64, error) {
+	if err := checkBitmap(g, secure); err != nil {
+		return nil, err
+	}
 	s, err := New(g, cfg)
 	if err != nil {
 		return nil, err
-	}
-	if len(secure) != g.N() {
-		return nil, fmt.Errorf("sim: secure bitmap has %d entries for %d ASes", len(secure), g.N())
 	}
 	st := stateFrom(g, secure, s.cfg.StubsBreakTies)
 	uBase, _, _, err := s.computeRound(st, nil)
@@ -62,8 +81,8 @@ func Utilities(g *asgraph.Graph, secure []bool, cfg Config) ([]float64, error) {
 // round computation; like all Sim methods it must not be called
 // concurrently.
 func (s *Sim) RoundUtilities(secure []bool, projected bool) (uBase, uProj []float64, stats *RoundStats, err error) {
-	if len(secure) != s.g.N() {
-		return nil, nil, nil, fmt.Errorf("sim: secure bitmap has %d entries for %d ASes", len(secure), s.g.N())
+	if err := checkBitmap(s.g, secure); err != nil {
+		return nil, nil, nil, err
 	}
 	if s.scratch == nil {
 		s.scratch = newDeployState(s.g.N())
@@ -87,15 +106,15 @@ func (s *Sim) RoundUtilities(secure []bool, projected bool) (uBase, uProj []floa
 // projected utility in the state where n alone flips its deployment
 // action — the two sides of update rule (3).
 func EvaluateFlip(g *asgraph.Graph, secure []bool, cfg Config, n int32) (base, proj float64, err error) {
+	if err := checkBitmap(g, secure); err != nil {
+		return 0, 0, err
+	}
+	if err := checkNode(g, n); err != nil {
+		return 0, 0, err
+	}
 	s, err := New(g, cfg)
 	if err != nil {
 		return 0, 0, err
-	}
-	if len(secure) != g.N() {
-		return 0, 0, fmt.Errorf("sim: secure bitmap has %d entries for %d ASes", len(secure), g.N())
-	}
-	if n < 0 || int(n) >= g.N() {
-		return 0, 0, fmt.Errorf("sim: node %d out of range", n)
 	}
 	st := stateFrom(g, secure, s.cfg.StubsBreakTies)
 	cand := make([]bool, g.N())
@@ -109,55 +128,170 @@ func EvaluateFlip(g *asgraph.Graph, secure []bool, cfg Config, n int32) (base, p
 
 // EvaluateFlipPerDest decomposes EvaluateFlip by destination: it returns
 // node n's per-destination utility contributions in the current state
-// and in the flipped state. This powers the Section 7.3 analysis of ISPs
-// that would profit from turning S*BGP off for specific destinations.
+// and in the flipped state — the one-node case of ScanFlips.
 func EvaluateFlipPerDest(g *asgraph.Graph, secure []bool, cfg Config, n int32) (base, proj []float64, err error) {
-	s, err := New(g, cfg)
+	base = make([]float64, g.N())
+	proj = make([]float64, g.N())
+	err = ScanFlips(g, secure, cfg, []int32{n}, func(d int32, rows []FlipRow) {
+		for _, r := range rows {
+			base[d], proj[d] = r.Base, r.Proj
+		}
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(secure) != g.N() {
-		return nil, nil, fmt.Errorf("sim: secure bitmap has %d entries for %d ASes", len(secure), g.N())
+	return base, proj, nil
+}
+
+// FlipRow is one scanned node's utility contribution toward one
+// destination: Base in the scanned state, Proj in the state where Node
+// alone flips its deployment action (with its insecure stub customers
+// under ProjectStubUpgrades, as flipSetFor bundles them).
+type FlipRow struct {
+	Node       int32
+	Base, Proj float64
+}
+
+// scanAhead is how many finished destinations a scan worker may queue
+// before the fold catches up.
+const scanAhead = 4
+
+// ScanFlips evaluates, for every node in nodes and every destination,
+// the two sides of update rule (3) decomposed by destination — the
+// Section 7.3 turn-off analysis, and any other per-state all-pairs flip
+// study. It is destination-major (Appendix C.3): each destination's
+// static routing information, base resolution and base accumulation are
+// paid once and every scanned node is read off them, with the engine's
+// per-candidate pruning (see scanDest) deciding which pairs need a
+// projected tree at all.
+//
+// fold is called once per destination, in ascending destination order,
+// on the calling goroutine, with that destination's rows in nodes
+// order; rows is reused after fold returns. Pairs whose contribution is
+// identically zero in every deployment state (the engine's zero-utility
+// rule) are omitted — both sides are +0.0, and adding +0.0 to a sum that
+// never holds -0.0 is the identity, so a caller summing rows gets the
+// same float as one summing all pairs. Destinations are striped over
+// cfg.Workers goroutines (d ≡ w mod W, as the engine does); because
+// fold's call order is fixed, whatever it accumulates is bit-identical
+// at any worker count.
+func ScanFlips(g *asgraph.Graph, secure []bool, cfg Config, nodes []int32, fold func(d int32, rows []FlipRow)) error {
+	if err := checkBitmap(g, secure); err != nil {
+		return err
 	}
-	if n < 0 || int(n) >= g.N() {
-		return nil, nil, fmt.Errorf("sim: node %d out of range", n)
+	for _, c := range nodes {
+		if err := checkNode(g, c); err != nil {
+			return err
+		}
 	}
-	cfg = s.cfg
+	n := g.N()
+	cfg = cfg.withDefaults()
+	if err := cfg.validate(n); err != nil {
+		return err
+	}
 	st := stateFrom(g, secure, cfg.StubsBreakTies)
-	nn := g.N()
-	base = make([]float64, nn)
-	proj = make([]float64, nn)
-	weights := make([]float64, nn)
-	for i := int32(0); i < int32(nn); i++ {
+	weights := make([]float64, n)
+	for i := int32(0); i < int32(n); i++ {
 		weights[i] = g.Weight(i)
 	}
-	wk := newWorker(g, nn)
-	for d := int32(0); d < int32(nn); d++ {
-		stc := wk.ws.PrepareDest(d, cfg.Tiebreaker)
-		wk.baseTree.Clear(nn)
-		wk.projTree.Clear(nn)
-		wk.ws.ResolveInto(&wk.baseTree, stc, st.secure, st.breaks, nil, nil, cfg.Tiebreaker)
-		accumulate(stc, &wk.baseTree, weights, wk.accBase, wk.incBase)
-		base[d] = wk.contribution(cfg.Model, stc, wk.accBase, wk.incBase, weights, n)
 
-		anySecure := false
-		for _, i := range stc.Order() {
-			if wk.baseTree.Secure[i] {
-				anySecure = true
-				break
+	nw := cfg.Shards(n)
+	outs := make([]chan []FlipRow, nw)
+	free := make(chan []FlipRow, nw*(scanAhead+2))
+	for w := range outs {
+		outs[w] = make(chan []FlipRow, scanAhead)
+		go func(w int) {
+			wk := newWorker(g, n)
+			for d := int32(w); d < int32(n); d += int32(nw) {
+				var rows []FlipRow
+				select {
+				case rows = <-free:
+				default:
+				}
+				outs[w] <- wk.scanDest(d, st, &cfg, weights, nodes, rows[:0])
 			}
+		}(w)
+	}
+	for d := int32(0); d < int32(n); d++ {
+		rows := <-outs[int(d)%nw]
+		fold(d, rows)
+		select {
+		case free <- rows:
+		default:
 		}
-		flips := wk.flipSetFor(st, &cfg, n)
-		if !wk.flipCanChangeTree(stc, &wk.baseTree, st, &cfg, n, d, flips, anySecure) {
-			wk.clearFlips(flips)
-			proj[d] = base[d]
+	}
+	return nil
+}
+
+// scanDest appends to rows one FlipRow per scanned node for destination
+// d. The base side is one PrepareDest, one ResolveInto and one
+// accumulate for the whole destination. The projected side runs
+// processDest's per-candidate ladder: the zero-utility skip, the
+// Appendix C.4 rules (flipCanChangeTree), the batched move predictor
+// (FlipChangesTree) and ApplyFlips change propagation — and only a
+// projection that actually moves a parent pays accumulateAt over the
+// node's own subtree; every other pair has proj == base, because an
+// identically-routed tree accumulates to the same bits. Unlike
+// processDest's deltaAt, accumulateAt is bit-identical to a full
+// accumulate + contribution over the projected tree, so every row
+// equals what resolving the explicitly flipped state would give.
+func (wk *worker) scanDest(d int32, st *deployState, cfg *Config, weights []float64, nodes []int32, rows []FlipRow) []FlipRow {
+	n := wk.ws.Graph().N()
+	stc := wk.ws.PrepareDest(d, cfg.Tiebreaker)
+	tree := &wk.baseTree
+	wk.ws.ResolveInto(tree, stc, st.secure, st.breaks, nil, nil, cfg.Tiebreaker)
+	accumulate(stc, tree, weights, wk.accBase, wk.incBase)
+
+	anySecurePath := false
+	for _, i := range stc.Order() {
+		if tree.Secure[i] {
+			anySecurePath = true
+			break
+		}
+	}
+
+	// Built lazily, as in processDest: the dependents index and move
+	// predictor when some node survives the skip rules, the projection
+	// tree and child index when one also needs change propagation.
+	predReady := false
+	projReady := false
+	for _, c := range nodes {
+		if cfg.Model == Outgoing {
+			if stc.Type[c] != routing.CustomerRoute {
+				continue
+			}
+		} else if !stc.IsProviderParent(c) {
 			continue
 		}
-		wk.ws.ResolveSuffixInto(&wk.projTree, &wk.baseTree, stc,
-			st.secure, st.breaks, wk.flipMark, wk.flipBreaks, flips, cfg.Tiebreaker)
+		base := wk.contribution(cfg.Model, stc, wk.accBase, wk.incBase, weights, c)
+		proj := base
+		flips := wk.flipSetFor(st, cfg, c)
+		if wk.flipCanChangeTree(stc, tree, st, cfg, c, d, flips, anySecurePath) {
+			if !predReady {
+				wk.ws.PrepareDelta(stc)
+				wk.ws.PrepareFlipEffects(stc, tree, st.secure, st.breaks, cfg.Tiebreaker)
+				predReady = true
+			}
+			// FlipChangesTree assumes a node that turns on breaks ties;
+			// a stub under !StubsBreakTies does not, and propagates.
+			predictable := len(flips) == 1 && c != d && (st.secure[c] || wk.flipBreaks[c])
+			if !predictable || wk.ws.FlipChangesTree(stc, tree, st.secure, st.breaks, cfg.Tiebreaker, c) {
+				if !projReady {
+					wk.projTree.CopyFrom(tree)
+					wk.buildChildIndex(stc, tree, n)
+					projReady = true
+				}
+				parentsChanged, _ := wk.ws.ApplyFlips(&wk.projTree, stc,
+					st.secure, st.breaks, wk.flipMark, wk.flipBreaks, flips, cfg.Tiebreaker)
+				if parentsChanged {
+					wk.movedBuf = wk.ws.ParentMoves(&wk.projTree, wk.movedBuf[:0])
+					proj = wk.accumulateAt(cfg.Model, stc, &wk.projTree, weights, c, wk.movedBuf)
+				}
+				wk.ws.RevertFlips(&wk.projTree)
+			}
+		}
 		wk.clearFlips(flips)
-		accumulate(stc, &wk.projTree, weights, wk.accProj, wk.incProj)
-		proj[d] = wk.contribution(cfg.Model, stc, wk.accProj, wk.incProj, weights, n)
+		rows = append(rows, FlipRow{Node: c, Base: base, Proj: proj})
 	}
-	return base, proj, nil
+	return rows
 }

@@ -23,20 +23,20 @@ type undoEntry struct {
 }
 
 // PrepareDelta builds the dependents index for the given static info —
-// the transpose of the tiebreak adjacency — plus the propagation
-// scratch. Call it after ComputeStatic or PrepareDest and before the
-// first ApplyFlips. The index is stored on the Static itself (it is as
-// state-independent as the rest of it); repeated calls on a Static that
-// already carries the index — a cached snapshot resolved round after
-// round — are O(1) no-ops.
+// the transpose of the tiebreak adjacency. The index is optional:
+// ApplyFlips uses it when present and otherwise derives each dependents
+// row from the graph adjacency (see enqueueDependents), so building it
+// pays only for a static that will run many propagations. It is stored
+// on the Static itself (it is as state-independent as the rest of it);
+// repeated calls on a Static that already carries the index — a cached
+// snapshot resolved round after round — are O(1) no-ops.
 func (w *Workspace) PrepareDelta(s *Static) {
+	if s.deltaReady {
+		return
+	}
 	n := w.g.N()
 	if len(w.revCur) < n {
 		w.revCur = make([]int32, n)
-		w.pend = make([]uint64, (n+63)/64)
-	}
-	if s.deltaReady {
-		return
 	}
 	if cap(s.revOff) < n+1 {
 		s.revOff = make([]int32, n+1)
@@ -62,20 +62,58 @@ func (w *Workspace) PrepareDelta(s *Static) {
 			w.revCur[b]++
 		}
 	}
-	// Descending order positions whose node has at least one dependent —
-	// the only rows a flip-effects pass (PrepareFlipEffects) visits.
-	// Leaves (most of the graph) are nobody's tiebreak candidate, so the
-	// filtered list is a fraction of the order.
-	if cap(s.depPos) < len(s.order) {
-		s.depPos = make([]int32, 0, len(s.order))
+	s.deltaReady = true
+}
+
+// setPending sets order position p's bit in the pending bitset and
+// returns 1 if it was clear, 0 if it was already set.
+func setPending(pend []uint64, p int32) int {
+	word, bit := p>>6, uint64(1)<<uint(p&63)
+	if pend[word]&bit != 0 {
+		return 0
 	}
-	s.depPos = s.depPos[:0]
-	for k := len(s.order) - 1; k >= 0; k-- {
-		if b := s.order[k]; s.revOff[b+1] > s.revOff[b] {
-			s.depPos = append(s.depPos, int32(k))
+	pend[word] |= bit
+	return 1
+}
+
+// enqueueDependents sets the pending bit of every dependent of node i —
+// the nodes listing i in their tiebreak set — and returns how many bits
+// were newly set. With the dependents index present that is one revAdj
+// row. Without it the row is derived from the graph: computeStatic puts
+// b in node x's set iff x is b's neighbor of the class matching x's
+// route type and Len[x] == Len[b]+1 (customer and peer rows additionally
+// require b to hold a customer or self route), so the transpose is i's
+// providers with a customer route, i's peers with a peer route — both
+// only when i itself holds a customer or self route — and i's customers
+// with a provider route, each one hop longer than i. Same set either
+// way, and the bitset makes the enumeration order irrelevant.
+func (w *Workspace) enqueueDependents(s *Static, i int32, pend []uint64) (added int) {
+	if s.deltaReady {
+		for _, j := range s.revAdj[s.revOff[i]:s.revOff[i+1]] {
+			added += setPending(pend, s.pos[j])
+		}
+		return added
+	}
+	g := w.g
+	l := s.Len[i] + 1
+	if ti := s.Type[i]; ti == CustomerRoute || ti == SelfRoute {
+		for _, x := range g.Providers(i) {
+			if s.Len[x] == l && s.Type[x] == CustomerRoute {
+				added += setPending(pend, s.pos[x])
+			}
+		}
+		for _, x := range g.Peers(i) {
+			if s.Len[x] == l && s.Type[x] == PeerRoute {
+				added += setPending(pend, s.pos[x])
+			}
 		}
 	}
-	s.deltaReady = true
+	for _, x := range g.Customers(i) {
+		if s.Len[x] == l && s.Type[x] == ProviderRoute {
+			added += setPending(pend, s.pos[x])
+		}
+	}
+	return added
 }
 
 // ApplyFlips mutates t — which must currently equal the tree resolved
@@ -92,7 +130,8 @@ func (w *Workspace) PrepareDelta(s *Static) {
 // positions, so pops are monotonically increasing and the cursor never
 // backs up — push and pop are O(1) amortized, versus O(log k) for the
 // binary heap this replaces, and the pop sequence (ascending unique
-// positions) is identical.
+// positions) is identical. The cursor starts at the lowest seeded word:
+// a lone flip deep in the order does not scan the empty words before it.
 //
 // It returns whether any parent differs from the base tree — when false
 // the projected tree routes identically, so every traffic accumulation
@@ -100,20 +139,18 @@ func (w *Workspace) PrepareDelta(s *Static) {
 // re-decided (the propagation work). RevertFlips restores t; a caller
 // that instead wants to keep the projected tree (committing a realized
 // state change rather than probing a hypothetical one) simply skips the
-// Revert — the next ApplyFlips resets the undo log. PrepareDelta must
-// have been called for s.
+// Revert — the next ApplyFlips resets the undo log. It needs no
+// preparation: the pending bitset is sized here, and the dependents
+// index (PrepareDelta) is used when s carries one.
 func (w *Workspace) ApplyFlips(t *Tree, s *Static, secure, breaks []bool, flipped, flipBreaks []bool, flipList []int32, tb Tiebreaker) (changed bool, touched int) {
 	w.undo = w.undo[:0]
 	w.touched = w.touched[:0]
+	if nw := (w.g.N() + 63) / 64; len(w.pend) < nw {
+		w.pend = make([]uint64, nw)
+	}
 	pend := w.pend
 	pending := 0
-	push := func(p int32) {
-		word, bit := p>>6, uint64(1)<<uint(p&63)
-		if pend[word]&bit == 0 {
-			pend[word] |= bit
-			pending++
-		}
-	}
+	word := len(pend) // lowest seeded word; only read once something is pending
 	for _, f := range flipList {
 		if f == s.Dest {
 			// The destination's entry is Parent -1, Secure = its own
@@ -123,17 +160,19 @@ func (w *Workspace) ApplyFlips(t *Tree, s *Static, secure, breaks []bool, flippe
 			if t.Secure[f] != dSec {
 				w.undo = append(w.undo, undoEntry{f, t.Parent[f], t.Secure[f]})
 				t.Secure[f] = dSec
-				for _, j := range s.revAdj[s.revOff[f]:s.revOff[f+1]] {
-					push(s.pos[j])
-				}
+				pending += w.enqueueDependents(s, f, pend)
+				word = 0 // its dependents open the order
 			}
 			continue
 		}
 		if p := s.pos[f]; p >= 0 {
-			push(p)
+			pending += setPending(pend, p)
+			if wd := int(p >> 6); wd < word {
+				word = wd
+			}
 		}
 	}
-	for word := 0; pending > 0; {
+	for pending > 0 {
 		for pend[word] == 0 {
 			word++
 		}
@@ -171,9 +210,7 @@ func (w *Workspace) ApplyFlips(t *Tree, s *Static, secure, breaks []bool, flippe
 		t.Parent[i] = p
 		t.Secure[i] = sec
 		if secChanged {
-			for _, j := range s.revAdj[s.revOff[i]:s.revOff[i+1]] {
-				push(s.pos[j])
-			}
+			pending += w.enqueueDependents(s, i, pend)
 		}
 	}
 	return changed, touched

@@ -169,7 +169,9 @@ func TestQuickFlipPrediction(t *testing.T) {
 			s := w.PrepareDest(d, tb)
 			base.Clear(n)
 			w.ResolveInto(&base, s, sec, brk, nil, nil, tb)
-			w.PrepareDelta(s)
+			if d%2 == 0 {
+				w.PrepareDelta(s) // optional: neither the predictor nor ApplyFlips needs it
+			}
 			w.PrepareFlipEffects(s, &base, sec, brk, tb)
 			proj.CopyFrom(&base)
 			for _, c := range s.Order() {

@@ -89,17 +89,15 @@ type Static struct {
 	// win, when non-nil, holds the state-independent tiebreak winner of
 	// every reachable node's tiebreak set (filled by PrepareDest).
 	win []int32
-	// Delta-resolution dependents index (PrepareDelta): the transpose of
-	// the tiebreak adjacency, revAdj[revOff[b]:revOff[b+1]] listing the
-	// nodes whose tiebreak set contains b. Like everything else in a
-	// Static it depends only on (graph, destination), so it lives here —
-	// not in the Workspace — and snapshots carry it across rounds.
-	revOff []int32
-	revAdj []int32
-	// depPos lists, in descending order, the order positions of nodes
-	// with at least one dependent (built with the index above): the only
-	// rows a flip-effects pass visits.
-	depPos     []int32
+	// Delta-resolution dependents index, present once deltaReady
+	// (PrepareDelta): the transpose of the tiebreak adjacency,
+	// revAdj[revOff[b]:revOff[b+1]] listing the nodes whose tiebreak set
+	// contains b. Optional — ApplyFlips derives the rows from the graph
+	// without it. Like everything else in a Static it depends only on
+	// (graph, destination), so it lives here — not in the Workspace — and
+	// snapshots carry it across rounds.
+	revOff     []int32
+	revAdj     []int32
 	deltaReady bool
 	// provParents, when provReady, memoizes ProviderParents; provBits is
 	// the same set as a node-indexed bitset (built with the list).
@@ -289,8 +287,10 @@ type Workspace struct {
 	touched []int32
 
 	// scratch for the batched projection predictor (PrepareFlipEffects):
-	// order-position-indexed move bitset.
+	// order-position-indexed move bitset, and the positions of the rows
+	// wider than one candidate.
 	effBits []uint64
+	widePos []int32
 }
 
 // NewWorkspace returns a Workspace sized for graph g.

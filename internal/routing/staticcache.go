@@ -28,17 +28,23 @@ import (
 // fits the budget never pay the decode — and repacks every entry in
 // place the first time an admission or a lazy growth would overflow the
 // budget, then admits packed from there on: the 3–9x density buys
-// paper-scale graphs cache residency instead of admission stops.
+// paper-scale graphs cache residency instead of admission stops. A
+// cache told how many destinations to expect (Expect) skips the
+// unpacked phase outright when its first snapshot shows the full set
+// cannot fit, rather than copying a budget's worth of snapshots only to
+// re-encode them all.
 
 // DefaultStaticCacheBytes is the default static-cache budget: 1 GiB.
 // An unpacked snapshot costs ≈26 bytes per node at admission (Type,
 // Len, pos, winners, order and the tiebreak CSR; the delta-dependents
-// index adds ≈12 B/node more when a round materializes it), so N
-// destinations of N nodes need ≈26·N²–38·N² bytes: the full unpacked
-// set fits up to N≈5000. Beyond that a packed cache (see above)
-// repacks to ≈3–5 B/node and stays resident to N≈15000; larger graphs
-// cache a pinned prefix of destinations and recompute the rest each
-// round.
+// index adds ≈9 B/node more, only on snapshots something built it on —
+// a destination that ran several propagations in one round, or an
+// explicit PrepareDelta), so N destinations of N nodes need
+// ≈26·N²–35·N² bytes: the full unpacked set fits up to N≈5000. Beyond
+// that a packed cache (see above) stores ≈3–5 B/node — packed from the
+// first entry when the shard's expected count says so — and stays
+// resident to N≈15000; larger graphs cache a pinned prefix of
+// destinations and recompute the rest each round.
 const DefaultStaticCacheBytes = int64(1) << 30
 
 // MemBytes returns the heap footprint of s, counting exactly what is
@@ -65,7 +71,7 @@ func (s *Static) MemBytes() int64 {
 		b += 4 * n
 	}
 	if s.deltaReady {
-		b += 4 * int64(len(s.revOff)+len(s.revAdj)+len(s.depPos))
+		b += 4 * int64(len(s.revOff)+len(s.revAdj))
 	}
 	if s.provReady {
 		b += 4*int64(len(s.provParents)) + 8*int64(len(s.provBits))
@@ -101,7 +107,6 @@ func (s *Static) Snapshot() *Static {
 	if s.deltaReady {
 		c.revOff = append([]int32(nil), s.revOff...)
 		c.revAdj = append([]int32(nil), s.revAdj...)
-		c.depPos = append([]int32(nil), s.depPos...)
 	}
 	if s.provReady {
 		c.provReady = true
@@ -188,6 +193,7 @@ type StaticCache struct {
 	packed   bool // packed storage enabled: repack on overflow
 	repacked bool // first overflow happened; admissions encode from here on
 	g        *asgraph.Graph
+	expected int64 // destinations this cache will be offered (Expect); 0 = unknown
 	entries  map[int32]cacheEntry
 	seq      []int32 // admission order: deterministic repack/eviction order
 
@@ -229,6 +235,17 @@ func NewStaticCacheFor(g *asgraph.Graph, budget int64, packed bool) *StaticCache
 		panic("routing: packed StaticCache needs a graph")
 	}
 	return &StaticCache{budget: budget, packed: packed, g: g, entries: make(map[int32]cacheEntry)}
+}
+
+// Expect tells the cache how many destinations it will be offered in
+// all — the shard's stripe. A packed cache uses it once, at its first
+// snapshot admission: if that many snapshots of that size cannot fit
+// the budget the unpacked phase is skipped and every entry goes in
+// packed (see add). A nil cache ignores it.
+func (c *StaticCache) Expect(dests int) {
+	if c != nil {
+		c.expected = int64(dests)
+	}
 }
 
 // Has reports whether destination d is cached, without decoding.
@@ -365,51 +382,38 @@ func (c *StaticCache) repackAll() {
 // the entry went in packed (the caller keeps resolving against s; hits
 // on later rounds decode). s must carry winners when the cache is
 // packed.
-func (c *StaticCache) Add(s *Static) *Static {
-	if c == nil {
-		return nil
-	}
-	if c.repacked {
-		c.addPacked(s)
-		return nil
-	}
-	sz := s.MemBytes()
-	if c.bytes+sz > c.budget {
-		if c.packed {
-			c.repackAll()
-			c.addPacked(s)
-			return nil
-		}
-		c.full = true
-		return nil
-	}
-	snap := s.Snapshot()
-	c.insert(s.Dest, cacheEntry{snap: snap, charged: sz})
-	return snap
-}
+func (c *StaticCache) Add(s *Static) *Static { return c.add(s, false) }
 
 // AddOwned admits s itself — which must already be a self-contained
 // Snapshot the caller relinquishes — without the deep copy Add performs.
 // This is the admission path for prefetched snapshots, which arrive
 // already copied out of the prefetch workspace. Returns s when admitted
 // unpacked, nil otherwise (the caller may still use s).
-func (c *StaticCache) AddOwned(s *Static) *Static {
+func (c *StaticCache) AddOwned(s *Static) *Static { return c.add(s, true) }
+
+func (c *StaticCache) add(s *Static, owned bool) *Static {
 	if c == nil {
 		return nil
+	}
+	sz := s.MemBytes()
+	if c.packed && !c.repacked &&
+		(c.bytes+sz > c.budget || len(c.entries) == 0 && c.expected*sz > c.budget) {
+		// This snapshot overflows the budget — or it is the first and
+		// the destinations still to come, at its size, will: switch to
+		// packed storage now (a no-op pass over an empty cache) instead
+		// of snapshotting up to the budget and repacking it all.
+		c.repackAll()
 	}
 	if c.repacked {
 		c.addPacked(s)
 		return nil
 	}
-	sz := s.MemBytes()
 	if c.bytes+sz > c.budget {
-		if c.packed {
-			c.repackAll()
-			c.addPacked(s)
-			return nil
-		}
 		c.full = true
 		return nil
+	}
+	if !owned {
+		s = s.Snapshot()
 	}
 	c.insert(s.Dest, cacheEntry{snap: s, charged: sz})
 	return s
@@ -662,7 +666,8 @@ func (c *StaticCache) ArenaBytes() int64 {
 //
 // Unpacked entries are fully materialized before insertion (tiebreak
 // winners, delta dependents index, provider parents), so the *Static a
-// reader receives is immutable: every lazy accessor is already a no-op
+// reader receives is immutable: every lazy accessor — the engine's
+// build-the-index-on-demand PrepareDelta included — is already a no-op
 // and any goroutine may resolve against it without synchronization —
 // and, because nothing can grow, Get never needs to re-charge under
 // its read lock. Packed entries (the store repacks on overflow exactly
@@ -702,6 +707,7 @@ func (sc *SharedStaticCache) Bind(g *asgraph.Graph, tb Tiebreaker) error {
 		sc.tb = fp
 		sc.c.g = g
 		sc.c.packed = true
+		sc.c.Expect(g.N())
 		return nil
 	}
 	if sc.g != g {

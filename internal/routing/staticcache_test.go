@@ -202,7 +202,7 @@ func TestSnapshotMemBytes(t *testing.T) {
 	}
 	w.PrepareDelta(s)
 	withDelta := s.MemBytes()
-	wantDelta := 4 * int64(len(s.revOff)+len(s.revAdj)+len(s.depPos))
+	wantDelta := 4 * int64(len(s.revOff)+len(s.revAdj))
 	if withDelta-base != wantDelta {
 		t.Errorf("delta index grew MemBytes by %d, measured arrays occupy %d", withDelta-base, wantDelta)
 	}
@@ -324,6 +324,70 @@ func TestStaticCachePackedRepack(t *testing.T) {
 	}
 }
 
+// TestStaticCacheStartsPackedWhenSetCannotFit: a packed cache told how
+// many destinations to expect skips the unpacked phase when its first
+// snapshot shows that many cannot fit — packed from the first Add, the
+// budget never exceeded on the way, nothing snapshotted only to be
+// re-encoded — and behaves exactly as an untold cache when they can.
+func TestStaticCacheStartsPackedWhenSetCannotFit(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	g := asgraphtest.Random(rng, 40, 0.15, 0.1, 0.25)
+	n := int32(g.N())
+	tb := HashTiebreaker{Seed: 41}
+	w := NewWorkspace(g)
+	wRef := NewWorkspace(g)
+	var unpackedTotal int64
+	for d := int32(0); d < n; d++ {
+		unpackedTotal += w.PrepareDest(d, tb).MemBytes()
+	}
+	first := w.PrepareDest(0, tb).MemBytes()
+
+	// Below expected × size: packed after the very first Add.
+	budget := int64(n)*first - 1
+	c := NewStaticCacheFor(g, budget, true)
+	c.Expect(int(n))
+	for d := int32(0); d < n; d++ {
+		if got := c.Add(w.PrepareDest(d, tb)); got != nil {
+			t.Fatalf("dest %d admitted as a snapshot by a cache that cannot hold the set", d)
+		}
+		if !c.Repacked() {
+			t.Fatalf("not packed after Add %d", d)
+		}
+		if c.Bytes() > budget {
+			t.Fatalf("Bytes() = %d exceeds budget %d after Add %d", c.Bytes(), budget, d)
+		}
+	}
+	if c.Entries() != int(n) || c.PackedEntries() != int64(n) || c.Evictions() != 0 {
+		t.Fatalf("%d entries, %d packed, %d evictions; want all %d packed, none evicted",
+			c.Entries(), c.PackedEntries(), c.Evictions(), n)
+	}
+	for d := int32(0); d < n; d++ {
+		if got := c.Get(d, w); got == nil || !staticsEqual(t, wRef.PrepareDest(d, tb), got, n) {
+			t.Fatalf("dest %d lost or decoded differently", d)
+		}
+	}
+
+	// At or above: the unpacked phase, exactly as without the hint —
+	// same budget, told and untold, entry for entry — whether the set
+	// really fits (roomy) or only the first snapshot's estimate said so.
+	roomy := unpackedTotal + int64(n)*first
+	for _, budget := range []int64{roomy, int64(n) * first} {
+		told := NewStaticCacheFor(g, budget, true)
+		told.Expect(int(n))
+		untold := NewStaticCacheFor(g, budget, true)
+		for d := int32(0); d < n; d++ {
+			a, b := told.Add(w.PrepareDest(d, tb)), untold.Add(w.PrepareDest(d, tb))
+			if (a == nil) != (b == nil) || told.Repacked() != untold.Repacked() || told.Bytes() != untold.Bytes() {
+				t.Fatalf("budget %d, Add %d: told cache (snap %v, repacked %v, %d B) diverges from untold (snap %v, repacked %v, %d B)",
+					budget, d, a != nil, told.Repacked(), told.Bytes(), b != nil, untold.Repacked(), untold.Bytes())
+			}
+		}
+		if budget == roomy && (told.Repacked() || told.PackedEntries() != 0) {
+			t.Fatal("cache with room for the whole unpacked set went packed")
+		}
+	}
+}
+
 // TestStaticCacheEvictOnMaterialize: lazy materialization (the delta
 // index built on a cached snapshot) is charged at the next lookup of
 // that destination. An unpacked cache over budget evicts newest-first,
@@ -384,5 +448,33 @@ func TestStaticCacheEvictOnMaterialize(t *testing.T) {
 	}
 	if got := cp.Get(1, w); got == nil || !staticsEqual(t, wRef.PrepareDest(1, tb), got, n) {
 		t.Fatal("packed cache lost the other destination across the repack")
+	}
+}
+
+// TestSharedStaticCachePublishesIndexed: the engine builds the
+// dependents index on demand, in the middle of a candidate loop, on
+// whatever static it resolved against — which may be a snapshot every
+// other worker is reading. A published snapshot must therefore already
+// carry the index, so that build is a no-op that writes nothing.
+func TestSharedStaticCachePublishesIndexed(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	g := asgraphtest.Random(rng, 24, 0.15, 0.1, 0.25)
+	tb := HashTiebreaker{Seed: 43}
+	sc := NewSharedStaticCache(0)
+	if err := sc.Bind(g, tb); err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorkspace(g)
+	snap := sc.Add(w, w.PrepareDest(3, tb))
+	if snap == nil {
+		t.Fatal("roomy store did not publish an unpacked snapshot")
+	}
+	if !snap.deltaReady {
+		t.Fatal("published snapshot carries no dependents index")
+	}
+	size, revAdj := snap.MemBytes(), &snap.revAdj[0]
+	NewWorkspace(g).PrepareDelta(snap)
+	if snap.MemBytes() != size || &snap.revAdj[0] != revAdj {
+		t.Fatal("PrepareDelta rebuilt the index of a published snapshot")
 	}
 }

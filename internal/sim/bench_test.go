@@ -155,6 +155,19 @@ func BenchmarkRunBaseOnly10000(b *testing.B) {
 	benchRun(b, 10000, Outgoing, 0, false, false)
 }
 
+// BenchmarkRunOutgoing10000Cold is the full paper-preset game — seeded,
+// every round until convergence, no static store — at N=10000: what
+// sbgpbench's game-outgoing-10000-cold plays, where BaseOnly10000 above
+// stops after the pristine sweep. Secure destinations, dynamic records
+// and the packed static cache are all live in it. Skipped under -short;
+// CI's bench smoke runs it once.
+func BenchmarkRunOutgoing10000Cold(b *testing.B) {
+	if testing.Short() {
+		b.Skip("paper-scale run skipped in short mode")
+	}
+	benchRun(b, 10000, Outgoing, 0, false, true)
+}
+
 // BenchmarkRunBaseOnlyPaper is the full paper-scale measurement: the
 // pristine base sweep plus one decision round over an all-insecure
 // graph at the paper's N=36,964 (its Cyclops AS-graph snapshot). No

@@ -7,7 +7,10 @@ import "sbgp/internal/routing"
 // convergence, the realized flip set (deployments, disablements, new
 // simplex stubs) is a handful of ASes whose influence on most
 // destinations' routing trees is provably nil. Each worker therefore
-// keeps, for the destinations it owns (d ≡ w mod nw), a destRecord:
+// keeps, for the destinations it owns (d ≡ w mod nw) whose tree can
+// matter (worker.wantRecord: secure, or flippable by a candidate — an
+// insecure destination's tree never changes, and its contributions are
+// replayed from a pristine sidecar instead), a destRecord:
 // the destination's base routing tree kept current across rounds by
 // change propagation (routing.ApplyFlips over the realized flips,
 // committed instead of reverted), the memoized per-ISP base utility
@@ -39,9 +42,13 @@ import "sbgp/internal/routing"
 
 // DefaultDynamicCacheBytes is the default dynamic-cache budget: 1 GiB.
 // A record costs ≈5 bytes per node for the tree plus 16 bytes per
-// nonzero contribution, so N destinations of N nodes need ≈5·N² bytes
-// (~320 MB at N=8000). Larger graphs keep a pinned prefix of
-// destinations and recompute the rest each round.
+// nonzero contribution, and only destinations whose tree can matter
+// hold one (processDest's wantRecord: secure destinations and those a
+// candidate can flip — insecure untouchable ones are sidecar-replayed
+// instead), so R such destinations of N nodes need ≈5·N·R bytes
+// (~225 MB for the 4,400 of the N=10,000 outgoing game; ≈5·N² when
+// every destination qualifies). Larger graphs keep a pinned prefix of
+// them and recompute the rest each round.
 const DefaultDynamicCacheBytes = int64(1) << 30
 
 // contribEntry memoizes one node's utility contribution for one

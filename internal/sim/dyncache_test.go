@@ -253,7 +253,8 @@ func TestDynCacheQuickDifferential(t *testing.T) {
 }
 
 // TestDynCacheRepeatedRoundReplay: re-evaluating the same state must
-// replay every destination — the second identical round does no
+// replay every destination — from its record, or from its sidecar where
+// it holds none — so the second identical round does no
 // resolution work at all and reproduces the first's floats bit for bit.
 func TestDynCacheRepeatedRoundReplay(t *testing.T) {
 	g := topogen.MustGenerate(topogen.Default(250, 11))
@@ -283,9 +284,15 @@ func TestDynCacheRepeatedRoundReplay(t *testing.T) {
 	if !utilsBitIdentical(b1, uBase2) || !utilsBitIdentical(p1, uProj2) {
 		t.Error("replayed round diverges from the computed one")
 	}
-	if stats.CleanDests != g.N() || stats.DirtyDests != 0 {
-		t.Errorf("second identical round: %d clean, %d dirty, want all %d clean",
-			stats.CleanDests, stats.DirtyDests, g.N())
+	// Recorded destinations replay clean; insecure destinations no
+	// candidate can flip hold no record and replay their sidecar.
+	if served := int64(stats.CleanDests) + stats.PristineReplays; served != int64(g.N()) || stats.DirtyDests != 0 {
+		t.Errorf("second identical round: %d clean + %d replayed, %d dirty, want all %d served and none dirty",
+			stats.CleanDests, stats.PristineReplays, stats.DirtyDests, g.N())
+	}
+	if stats.CleanDests == 0 || stats.PristineReplays == 0 {
+		t.Errorf("second identical round: %d clean, %d replayed, want both tiers exercised",
+			stats.CleanDests, stats.PristineReplays)
 	}
 	if stats.BaseResolutions != 0 || stats.ProjResolutions != 0 {
 		t.Errorf("second identical round resolved %d base, %d projected trees, want none",

@@ -736,12 +736,14 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 				rec.dirtyStreak++
 			}
 		}
-	} else if wk.dyn != nil {
+	} else if wk.wantRecord(d, rc) {
+		// Admission is by need, not by arrival: the pristine pass and
+		// every insecure untouchable destination stay record-less.
 		if rec = wk.dyn.admit(d, n); rec != nil {
 			tree = &rec.tree
 		}
 	}
-	if wk.dyn != nil {
+	if rec != nil {
 		wk.stats.dynDirty++
 	}
 
@@ -842,12 +844,16 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 	// witness, which must cover everything that can make its delta
 	// nonzero later.
 	useBatch := !cfg.NoProjectionBatch && !recDeltas
-	// The dependents index (plus predictor) and the base-tree copy that
-	// change propagation works on are built lazily: the former when some
-	// candidate survives the skip rules, the latter only when one also
-	// needs an actual propagation.
+	// The predictor and the base-tree copy that change propagation works
+	// on are built lazily: the former when some candidate survives the
+	// skip rules, the latter only when one also needs an actual
+	// propagation. The dependents index waits longer still — until the
+	// destination has run indexAfterPropagations of them this round:
+	// ApplyFlips derives the few rows it needs from the graph without
+	// it, and half the destinations that propagate at all do so once.
 	predReady := false
 	projReady := false
+	propagations := 0
 	for _, c := range rc.candList {
 		// Zero-utility skip: a candidate whose utility contribution for
 		// this destination is identically zero in every deployment state
@@ -871,11 +877,8 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 			wk.clearFlips(flips)
 			continue
 		}
-		if !predReady {
-			wk.ws.PrepareDelta(stc)
-			if useBatch {
-				wk.ws.PrepareFlipEffects(stc, tree, st.secure, st.breaks, cfg.Tiebreaker)
-			}
+		if useBatch && !predReady {
+			wk.ws.PrepareFlipEffects(stc, tree, st.secure, st.breaks, cfg.Tiebreaker)
 			predReady = true
 		}
 		if useBatch && len(flips) == 1 && c != d {
@@ -892,6 +895,10 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 			wk.buildChildIndex(stc, tree, n)
 			projReady = true
 		}
+		if propagations == indexAfterPropagations {
+			wk.ws.PrepareDelta(stc)
+		}
+		propagations++
 		parentsChanged, touched := wk.ws.ApplyFlips(&wk.projTree, stc,
 			st.secure, st.breaks, wk.flipMark, wk.flipBreaks, flips, cfg.Tiebreaker)
 		wk.clearFlips(flips)
@@ -1063,6 +1070,33 @@ func (wk *worker) fetchStatic(d int32, rc *roundCtx) *routing.Static {
 	return stc
 }
 
+// indexAfterPropagations is how many change propagations a destination
+// runs in a round on graph-derived dependents before processDest builds
+// the dependents index for the rest: the transpose costs about as much
+// as forty propagations, so a destination with a handful never recoups
+// it and one with a hundred (a projection-heavy incoming round) does.
+const indexAfterPropagations = 3
+
+// wantRecord reports whether record-less destination d should be
+// admitted to the dynamic cache this round: only when no streaming tier
+// can serve it instead. A record exists to keep a tree current, and an
+// insecure destination's tree is the static winner tree in every state
+// — all it ever needs is its pristine contributions, which a sidecar
+// replays without a tree, a static or 5·N bytes. So: secure
+// destinations; insecure ones some candidate's projection can flip
+// (they need projection scratch this round); and everything when the
+// streaming tiers are off or have nowhere to hold a sidecar, where the
+// record's replay is the only cross-round memo left.
+func (wk *worker) wantRecord(d int32, rc *roundCtx) bool {
+	if wk.dyn == nil {
+		return false
+	}
+	if rc.st.secure[d] || rc.cfg.NoStreamResolve || !wk.hasSidecarTier() {
+		return true
+	}
+	return len(rc.candList) > 0 && !wk.destUntouchable(d, rc)
+}
+
 // destUntouchable reports whether, in a candidate round, every
 // candidate is provably skipped for destination d without reading its
 // resolved tree, so the destination needs only its base contributions —
@@ -1087,12 +1121,18 @@ func (wk *worker) destUntouchable(d int32, rc *roundCtx) bool {
 	return true
 }
 
+// hasSidecarTier reports whether any tier — private cache, shared
+// store, disk store — exists to hold a pristine-contribution sidecar.
+func (wk *worker) hasSidecarTier() bool {
+	return wk.cache != nil || wk.shared != nil || wk.disk != nil
+}
+
 // sidecarWanted reports whether (kind, d)'s pristine-contribution
 // sidecar is absent from every tier that could serve it — the signal
 // for the normal path to record one — and false when there is nowhere
 // to store it.
 func (wk *worker) sidecarWanted(kind uint8, d int32) bool {
-	if wk.cache == nil && wk.shared == nil && wk.disk == nil {
+	if !wk.hasSidecarTier() {
 		return false
 	}
 	if wk.cache.SidecarGet(kind, d) != nil || wk.shared.SidecarGet(kind, d) != nil {
@@ -1270,7 +1310,7 @@ func (wk *worker) streamResolve(d int32, rc *roundCtx, record bool) bool {
 		}
 	}
 	kind := uint8(cfg.Model)
-	record = record && (wk.cache != nil || wk.shared != nil || wk.disk != nil)
+	record = record && wk.hasSidecarTier()
 	if record {
 		wk.scEntries = wk.scEntries[:0]
 	}
@@ -1332,7 +1372,10 @@ func (wk *worker) storeSidecar(kind uint8, d int32, n int) {
 // state to the current one by change propagation over the realized flip
 // set — bit-identical to a fresh resolution, by ApplyFlips' contract,
 // and the undo log is deliberately abandoned (the change is real, not a
-// projection). It reports what survives: parentsChanged invalidates the
+// projection). It is one propagation per destination per round, so it
+// never builds the dependents index (ApplyFlips uses one the candidate
+// loop left on a cached snapshot, and the graph otherwise). It reports
+// what survives: parentsChanged invalidates the
 // memoized base contributions (they read only parents), treeChanged
 // (any entry at all, Secure flags included) or a witness hit — the
 // destination itself or a witness node flipping — invalidates the
@@ -1361,9 +1404,7 @@ func (wk *worker) advanceRecord(rec *destRecord, getStatic func() *routing.Stati
 		}
 		return false, false, hit
 	}
-	stc := getStatic()
-	wk.ws.PrepareDelta(stc)
-	parentsChanged, _ = wk.ws.ApplyFlips(&rec.tree, stc,
+	parentsChanged, _ = wk.ws.ApplyFlips(&rec.tree, getStatic(),
 		rc.prevSecure, rc.prevBreaks, rc.flipMark, rc.flipBreaks, rc.flipList, rc.cfg.Tiebreaker)
 	treeChanged = wk.ws.UndoSize() > 0
 	if rc.flipMark[rec.dest] {

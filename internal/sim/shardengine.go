@@ -174,6 +174,8 @@ func (e *ShardEngine) AddShards(ids []int) error {
 				wk.shared = e.cfg.SharedStatics
 			} else if e.staticBudget > 0 {
 				wk.cache = routing.NewStaticCacheFor(e.g, e.staticBudget, !e.cfg.NoPackedStatics)
+				// The shard's stripe: d ≡ s (mod total), at most ceil(N/total).
+				wk.cache.Expect((e.g.N() + e.total - 1) / e.total)
 			}
 			wk.disk = e.disk
 			if wk.cache != nil && e.disk != nil {

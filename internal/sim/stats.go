@@ -71,13 +71,17 @@ type RoundStats struct {
 	// projected resolutions.
 	NodesReused     int64
 	NodesRecomputed int64
-	// DirtyDests and CleanDests split the destinations by cross-round
-	// dynamic-cache outcome: clean destinations replayed their memoized
-	// contributions (the realized flip set provably could not change
-	// them), dirty ones were recomputed — because a flip reached them,
-	// their record was missing or evicted, or their memos were stale.
-	// Both stay zero when the cache is disabled
-	// (Config.DynamicCacheBytes < 0).
+	// DirtyDests and CleanDests split the *recorded* destinations by
+	// cross-round dynamic-cache outcome: clean destinations replayed
+	// their memoized contributions (the realized flip set provably could
+	// not change them), dirty ones were recomputed into their record —
+	// because a flip reached them, their memos were stale, or the record
+	// was admitted this round. Clean + dirty counts recorded
+	// destinations only, so it is below Destinations whenever some hold
+	// no record: insecure destinations no candidate can flip are never
+	// admitted (PristineReplays and StreamResolves serve them), nor is
+	// anything once the budget is spent. Both stay zero when the cache
+	// is disabled (Config.DynamicCacheBytes < 0).
 	DirtyDests int
 	CleanDests int
 	// DynCacheBytes and DynCacheEntries snapshot the dynamic cache's

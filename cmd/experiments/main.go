@@ -54,10 +54,7 @@ func run() int {
 
 		staticCache = flag.Int64("static-cache", 0, "per-simulation static routing cache budget in bytes (0 = engine default, negative = disable)")
 		dynCache    = flag.Int64("dyn-cache", 0, "per-simulation dynamic contribution cache budget in bytes (0 = engine default, negative = disable)")
-		prefetch    = flag.Int("prefetch", 0, "per-shard static prefetch pipeline depth (0 = off; bit-identical results)")
 		staticStore = flag.String("static-store", "", "persistent packed-static disk tier directory (default <out>/cache/statics with -out; 'off' disables; bit-identical results)")
-		packedStat  = flag.Bool("packed-statics", true, "pack overflowing static caches 3-5x denser (bit-identical results)")
-		streamRes   = flag.Bool("stream-resolve", true, "fuse decode+resolve over packed statics and replay pristine contributions (bit-identical results)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		traceFile   = flag.String("trace", "", "write a runtime execution trace to this file (view with go tool trace)")
@@ -99,7 +96,7 @@ func run() int {
 	// a post-hoc rewrite of zero values).
 	var mu sync.Mutex
 	batch := experiments.BatchOptions{
-		Options:  experiments.Options{N: *n, Seed: *seed, X: *x, Workers: *workers, DistWorkers: *distWork, Rebalance: *rebalance, StaticCacheBytes: *staticCache, DynamicCacheBytes: *dynCache, StaticPrefetch: *prefetch, StaticStoreDir: *staticStore, NoPackedStatics: !*packedStat, NoStreamResolve: !*streamRes},
+		Options:  experiments.Options{N: *n, Seed: *seed, X: *x, Workers: *workers, DistWorkers: *distWork, Rebalance: *rebalance, StaticCacheBytes: *staticCache, DynamicCacheBytes: *dynCache, StaticStoreDir: *staticStore},
 		IDs:      ids,
 		Parallel: *parallel,
 		OutDir:   *outDir,

@@ -62,7 +62,6 @@ func run() int {
 		workers     = flag.Int("workers", 0, "logical shard count (0 = GOMAXPROCS; pin for cross-machine reproducibility)")
 		maxRounds   = flag.Int("max-rounds", 0, "round cap (0 = default)")
 		staticCache = flag.Int64("static-cache", 0, "static routing cache budget in bytes (0 = default, negative = disable)")
-		prefetch    = flag.Int("prefetch", 0, "static prefetch pipeline depth per shard (0 = off; bit-identical results)")
 		staticStore = flag.String("static-store", "", "persist packed static snapshots under this directory so reruns skip the static BFS (bit-identical results)")
 		dynCache    = flag.Int64("dyn-cache", 0, "dynamic contribution cache budget in bytes (0 = default, negative = disable)")
 		stats       = flag.Bool("stats", false, "print per-round engine statistics")
@@ -74,9 +73,6 @@ func run() int {
 		distListen  = flag.String("dist-listen", "", "run as a TCP worker listening on this address (serves coordinators forever)")
 		rebalance   = flag.Bool("rebalance", false, "with -dist-workers/-dist-connect: migrate shards off straggling workers between rounds (bit-identical results)")
 		rebRatio    = flag.Float64("rebalance-ratio", 0, "load imbalance triggering a migration (0 = default 1.25)")
-		noBatchProj = flag.Bool("no-batch-proj", false, "disable the batched projection predictor (measurement knob; bit-identical results)")
-		packedStat  = flag.Bool("packed-statics", true, "pack overflowing static caches 3-5x denser (measurement knob; bit-identical results)")
-		streamRes   = flag.Bool("stream-resolve", true, "fuse decode+resolve over packed statics and replay pristine contributions (measurement knob; bit-identical results)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		traceFile   = flag.String("trace", "", "write a runtime execution trace to this file (view with go tool trace)")
@@ -157,14 +153,10 @@ func run() int {
 		MaxRounds:           *maxRounds,
 		StaticCacheBytes:    *staticCache,
 		DynamicCacheBytes:   *dynCache,
-		StaticPrefetch:      *prefetch,
 		StaticStoreDir:      *staticStore,
 		RecordStats:         *stats,
 		RecordMemStats:      *memStats,
 		RecordUtilities:     *resultJSON != "",
-		NoProjectionBatch:   *noBatchProj,
-		NoPackedStatics:     !*packedStat,
-		NoStreamResolve:     !*streamRes,
 	}
 	switch *model {
 	case "outgoing":

@@ -8,10 +8,9 @@ import (
 )
 
 // Config wire codec. A worker's ShardEngine reads exactly these Config
-// fields: Model, StubsBreakTies, ProjectStubUpgrades, NoProjectionBatch,
-// NoPackedStatics, NoStreamResolve, Tiebreaker, the two cache budgets,
-// the static prefetch depth and the static disk-store root — so exactly
-// these travel. Decision-side fields (Theta*, EarlyAdopters, MaxRounds) stay
+// fields: Model, StubsBreakTies, ProjectStubUpgrades, Tiebreaker, the
+// two cache budgets and the static disk-store root — so exactly these
+// travel. Decision-side fields (Theta*, EarlyAdopters, MaxRounds) stay
 // with the coordinator, which is the only party applying update rule
 // (3); Workers is superseded by the explicit shard assignment in the
 // hello frame; and SharedStatics/Executor cannot cross a process
@@ -28,7 +27,7 @@ import (
 // produce identical bits, since the disk tier is validated-or-recompute
 // by construction.
 
-const configWireVersion = 6
+const configWireVersion = 7
 
 // encodeConfig renders the engine-relevant Config fields.
 func encodeConfig(cfg sim.Config) ([]byte, error) {
@@ -50,19 +49,9 @@ func encodeConfig(cfg sim.Config) ([]byte, error) {
 	if cfg.ProjectStubUpgrades {
 		flags |= 2
 	}
-	if cfg.NoProjectionBatch {
-		flags |= 4
-	}
-	if cfg.NoPackedStatics {
-		flags |= 8
-	}
-	if cfg.NoStreamResolve {
-		flags |= 16
-	}
 	e.u8(flags)
 	e.i64(cfg.StaticCacheBytes)
 	e.i64(cfg.DynamicCacheBytes)
-	e.i64(int64(cfg.StaticPrefetch))
 	e.bytes([]byte(cfg.StaticStoreDir))
 	e.bytes(tbw)
 	return e.b, nil
@@ -79,12 +68,8 @@ func decodeConfig(p []byte) (sim.Config, error) {
 	flags := d.u8()
 	cfg.StubsBreakTies = flags&1 != 0
 	cfg.ProjectStubUpgrades = flags&2 != 0
-	cfg.NoProjectionBatch = flags&4 != 0
-	cfg.NoPackedStatics = flags&8 != 0
-	cfg.NoStreamResolve = flags&16 != 0
 	cfg.StaticCacheBytes = d.i64()
 	cfg.DynamicCacheBytes = d.i64()
-	cfg.StaticPrefetch = int(d.i64())
 	cfg.StaticStoreDir = string(d.bytes())
 	tbw := d.bytes()
 	if err := d.done(); err != nil {

@@ -37,15 +37,18 @@ import (
 )
 
 // protoVersion guards both sides against frame-format drift; bump on
-// any wire change. v2 added the drop frame (shard rebalancing) and the
-// NoProjectionBatch config flag. v3 added the shard-statics frame
-// (packed warm-handoff payload for migrations — workers answer every
-// drop with one), two packed-cache stats fields, and the
-// NoPackedStatics config flag. v4 added the StaticStoreDir config
-// field and three disk-tier stats fields. v5 added the
-// pristine-contribution sidecar list to the shard-statics frame, three
-// streaming-tier stats fields, and the NoStreamResolve config flag.
-const protoVersion = 5
+// any wire change. v2 added the drop frame (shard rebalancing) and a
+// config flag switching the batched projection predictor off. v3 added
+// the shard-statics frame (packed warm-handoff payload for migrations —
+// workers answer every drop with one), two packed-cache stats fields,
+// and a config flag switching packed storage off. v4 added the
+// StaticStoreDir config field and three disk-tier stats fields. v5
+// added the pristine-contribution sidecar list to the shard-statics
+// frame, three streaming-tier stats fields, and a config flag switching
+// the streaming tiers off. v6 removed the two prefetch stats fields
+// and, with the options behind them, those three config flags and the
+// prefetch depth (config wire v7).
+const protoVersion = 6
 
 // Frame types. Direction is fixed per type: the coordinator sends
 // hello/snapshot/round/assign/recompute/drop/bye, workers send
@@ -563,7 +566,7 @@ func decodeRecompute(p []byte, into *recomputeMsg) error {
 }
 
 // statsWireFields is the fixed field count of a ShardStats block.
-const statsWireFields = 30
+const statsWireFields = 28
 
 func encodeStats(e *enc, s *sim.ShardStats) {
 	e.i64(s.WallNS)
@@ -586,8 +589,6 @@ func encodeStats(e *enc, s *sim.ShardStats) {
 	e.i64(s.DynCacheBytes)
 	e.i64(s.DynCacheEntries)
 	e.i64(s.DynCacheEvictions)
-	e.i64(s.PrefetchHits)
-	e.i64(s.PrefetchWasted)
 	e.i64(s.StaticPackedBytes)
 	e.i64(s.StaticPackedEntries)
 	e.i64(s.StaticDiskHits)
@@ -619,8 +620,6 @@ func decodeStats(d *dec, s *sim.ShardStats) {
 	s.DynCacheBytes = d.i64()
 	s.DynCacheEntries = d.i64()
 	s.DynCacheEvictions = d.i64()
-	s.PrefetchHits = d.i64()
-	s.PrefetchWasted = d.i64()
 	s.StaticPackedBytes = d.i64()
 	s.StaticPackedEntries = d.i64()
 	s.StaticDiskHits = d.i64()

@@ -184,7 +184,7 @@ func TestPartialsRoundTrip(t *testing.T) {
 				Shard:  2,
 				UBase:  mk(1.5, math.NaN(), math.Inf(1), math.Copysign(0, -1)),
 				UDelta: mk(0, -2.25, 1e-308, 3),
-				Stats:  sim.ShardStats{WallNS: 123, StaticHits: 1, StaticMisses: 2, StaticCacheBytes: 3, StaticCacheEntries: 4, BaseResolutions: 5, ProjResolutions: 6, ProjUnchanged: 7, SkipZeroUtil: 8, SkipInsecureDest: 9, SkipDestFlip: 10, SkipTurnOff: 11, SkipTurnOn: 12, NodesReused: 13, NodesRecomputed: 14, DirtyDests: 15, CleanDests: 16, DynCacheBytes: 17, DynCacheEntries: 18, DynCacheEvictions: 19, PrefetchHits: 20, PrefetchWasted: 21, StaticPackedBytes: 22, StaticPackedEntries: 23, StaticDiskHits: 24, StaticDiskBytesRead: 25, StaticDiskWrites: 26, PristineReplays: 27, PristineRecords: 28, StreamResolves: 29},
+				Stats:  sim.ShardStats{WallNS: 123, StaticHits: 1, StaticMisses: 2, StaticCacheBytes: 3, StaticCacheEntries: 4, BaseResolutions: 5, ProjResolutions: 6, ProjUnchanged: 7, SkipZeroUtil: 8, SkipInsecureDest: 9, SkipDestFlip: 10, SkipTurnOff: 11, SkipTurnOn: 12, NodesReused: 13, NodesRecomputed: 14, DirtyDests: 15, CleanDests: 16, DynCacheBytes: 17, DynCacheEntries: 18, DynCacheEvictions: 19, StaticPackedBytes: 22, StaticPackedEntries: 23, StaticDiskHits: 24, StaticDiskBytesRead: 25, StaticDiskWrites: 26, PristineReplays: 27, PristineRecords: 28, StreamResolves: 29},
 			},
 			{
 				Shard:  5,
@@ -244,11 +244,8 @@ func TestErrorRoundTrip(t *testing.T) {
 func TestConfigRoundTrip(t *testing.T) {
 	cfgs := []sim.Config{
 		{},
-		{Model: sim.Incoming, StubsBreakTies: true, StaticCacheBytes: -1},
-		{NoProjectionBatch: true, DynamicCacheBytes: -1},
-		{NoPackedStatics: true, StaticCacheBytes: 1 << 22},
+		{Model: sim.Incoming, StubsBreakTies: true, StaticCacheBytes: -1, DynamicCacheBytes: -1},
 		{ProjectStubUpgrades: true, StaticCacheBytes: 1 << 20, DynamicCacheBytes: 1 << 21, Tiebreaker: routing.HashTiebreaker{Seed: 99}},
-		{StaticPrefetch: 4, Tiebreaker: routing.HashTiebreaker{}},
 		{Tiebreaker: routing.LowestIndex{}},
 		{Tiebreaker: routing.PreferenceOrder{Rank: map[int32]map[int32]int{4: {1: 2, 3: 0}}}},
 	}

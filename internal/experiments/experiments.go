@@ -47,19 +47,6 @@ type Options struct {
 	// convention: 0 default, positive cap, negative off. Performance
 	// knob only — results are bit-identical for every setting.
 	DynamicCacheBytes int64
-	// NoPackedStatics disables the packed static cache storage
-	// (sim.Config.NoPackedStatics). Performance only; results are
-	// bit-identical either way.
-	NoPackedStatics bool
-	// NoStreamResolve disables the fused streaming resolver and the
-	// pristine-contribution replay tier (sim.Config.NoStreamResolve).
-	// Performance only; results are bit-identical either way.
-	NoStreamResolve bool
-
-	// StaticPrefetch sets each simulation's per-shard static prefetch
-	// pipeline depth (sim.Config.StaticPrefetch; 0 = off). Performance
-	// knob only — results are bit-identical for every depth.
-	StaticPrefetch int
 	// StaticStoreDir, when non-empty, persists packed static snapshots
 	// under this directory (sim.Config.StaticStoreDir) so reruns skip
 	// the per-destination static BFS entirely. Performance knob only —
@@ -110,10 +97,7 @@ func (o Options) withDefaults() Options {
 		o.store, _ = NewStore("", o.Workers)
 		o.store.StaticCacheBytes = o.StaticCacheBytes
 		o.store.DynamicCacheBytes = o.DynamicCacheBytes
-		o.store.StaticPrefetch = o.StaticPrefetch
 		o.store.StaticStoreDir = o.StaticStoreDir
-		o.store.NoPackedStatics = o.NoPackedStatics
-		o.store.NoStreamResolve = o.NoStreamResolve
 		o.store.DistWorkers = o.DistWorkers
 		o.store.Rebalance = o.Rebalance
 	}

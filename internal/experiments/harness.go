@@ -128,7 +128,6 @@ func RunBatch(b BatchOptions) ([]RunStatus, error) {
 	}
 	store.StaticCacheBytes = opt.StaticCacheBytes
 	store.DynamicCacheBytes = opt.DynamicCacheBytes
-	store.StaticPrefetch = opt.StaticPrefetch
 	// Persistent disk tier for packed statics: defaults to a directory
 	// inside the batch cache, so a rerun (or resumed crash) skips every
 	// static BFS the previous run already paid. "off" opts out; an
@@ -141,8 +140,6 @@ func RunBatch(b BatchOptions) ([]RunStatus, error) {
 	default:
 		store.StaticStoreDir = opt.StaticStoreDir
 	}
-	store.NoPackedStatics = opt.NoPackedStatics
-	store.NoStreamResolve = opt.NoStreamResolve
 	store.DistWorkers = opt.DistWorkers
 	store.Rebalance = opt.Rebalance
 	opt.store = store

@@ -48,22 +48,6 @@ type Store struct {
 	// contribution cache (sim.Config.DynamicCacheBytes) — also excluded
 	// from Config.Fingerprint, also bit-identical at any setting.
 	DynamicCacheBytes int64
-	// NoPackedStatics disables the packed static cache storage
-	// (sim.Config.NoPackedStatics) in every simulation executed through
-	// the store. Performance only; results — and therefore cache keys —
-	// are unaffected.
-	NoPackedStatics bool
-	// NoStreamResolve disables the fused streaming resolver and the
-	// pristine-contribution replay tier (sim.Config.NoStreamResolve) in
-	// every simulation executed through the store. Performance only;
-	// results — and therefore cache keys — are unaffected.
-	NoStreamResolve bool
-
-	// StaticPrefetch sets the per-shard static prefetch pipeline depth
-	// (sim.Config.StaticPrefetch) of every simulation executed through
-	// the store; 0 leaves prefetching off. Also excluded from
-	// Config.Fingerprint, also bit-identical at any depth.
-	StaticPrefetch int
 	// StaticStoreDir, when non-empty, gives every simulation executed
 	// through the store a persistent on-disk static snapshot tier
 	// (sim.Config.StaticStoreDir): each distinct (graph, tiebreaker)
@@ -289,17 +273,8 @@ func (s *Store) Sim(g *asgraph.Graph, cfg sim.Config) (*sim.Result, SimRun, erro
 	if s.DynamicCacheBytes != 0 {
 		cfg.DynamicCacheBytes = s.DynamicCacheBytes
 	}
-	if s.StaticPrefetch > 0 {
-		cfg.StaticPrefetch = s.StaticPrefetch
-	}
 	if s.StaticStoreDir != "" {
 		cfg.StaticStoreDir = s.StaticStoreDir
-	}
-	if s.NoPackedStatics {
-		cfg.NoPackedStatics = true
-	}
-	if s.NoStreamResolve {
-		cfg.NoStreamResolve = true
 	}
 	// Serve statics from a per-graph shared store unless static caching
 	// is disabled outright (negative budget).

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -100,6 +101,34 @@ func FuzzStreamResolve(f *testing.F) {
 			if sr.Secure(i) != tree.Secure[i] {
 				t.Fatalf("node %d: stream secure %v, reference %v", i, sr.Secure(i), tree.Secure[i])
 			}
+		}
+	})
+}
+
+// FuzzDecodeSidecar: sidecar payloads arrive over the dist wire and
+// from foreign disk records, and the replay loop indexes by the decoded
+// nodes unchecked — so whatever DecodeSidecar accepts must hold strictly
+// ascending nodes in [0,n), and must be the one encoding AppendSidecar
+// writes for those entries.
+func FuzzDecodeSidecar(f *testing.F) {
+	const n, dest, kind = 64, 9, 1
+	f.Add(AppendSidecar(nil, dest, n, kind, nil))
+	f.Add(AppendSidecar(nil, dest, n, kind, []SidecarEntry{{Node: 2, Bits: 1}, {Node: 40, Bits: 1 << 63}, {Node: 63, Bits: 7}}))
+	f.Add([]byte{sidecarMagic, sidecarVersion, kind, dest, n, 1, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0, 0, 0, 0, 0xf8, 0x3f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		entries, ok := DecodeSidecar(data, dest, n, kind, nil)
+		if !ok {
+			return
+		}
+		prev := int32(-1)
+		for _, e := range entries {
+			if e.Node <= prev || e.Node >= n {
+				t.Fatalf("node %d after %d, n=%d", e.Node, prev, n)
+			}
+			prev = e.Node
+		}
+		if again := AppendSidecar(nil, dest, n, kind, entries); !bytes.Equal(again, data) {
+			t.Fatalf("accepted %x, which re-encodes to %x", data, again)
 		}
 	})
 }

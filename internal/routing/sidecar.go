@@ -83,20 +83,30 @@ func SidecarDest(blob []byte) (dest int32, kind uint8, ok bool) {
 	return int32(d), blob[2], true
 }
 
+// scUv is pkUv that also rejects a zero-padded (non-minimal) uvarint,
+// so every accepted payload is the one AppendSidecar would write.
+func scUv(b []byte, off int) (uint64, int) {
+	v, end := pkUv(b, off)
+	if end > off+1 && b[end-1] == 0 {
+		return 0, -1
+	}
+	return v, end
+}
+
 // DecodeSidecar decodes blob into buf (reused when capacity allows) and
 // returns the entries. The blob is fully validated against the expected
-// (dest, n, kind): magic, version, strictly ascending in-range nodes,
-// and exact payload length. Any mismatch returns ok=false — callers
-// treat that as a missing sidecar and recompute.
+// (dest, n, kind): magic, version, minimal varints, strictly ascending
+// in-range nodes, and exact payload length. Any mismatch returns
+// ok=false — callers treat that as a missing sidecar and recompute.
 func DecodeSidecar(blob []byte, dest int32, n int, kind uint8, buf []SidecarEntry) (entries []SidecarEntry, ok bool) {
 	if len(blob) < 6 || blob[0] != sidecarMagic || blob[1] != sidecarVersion || blob[2] != kind {
 		return nil, false
 	}
 	off := 3
 	var hd, hn, cnt uint64
-	hd, off = pkUv(blob, off)
-	hn, off = pkUv(blob, off)
-	cnt, off = pkUv(blob, off)
+	hd, off = scUv(blob, off)
+	hn, off = scUv(blob, off)
+	cnt, off = scUv(blob, off)
 	if off < 0 || hd != uint64(dest) || hn != uint64(n) || cnt > uint64(n) {
 		return nil, false
 	}
@@ -107,9 +117,11 @@ func DecodeSidecar(blob []byte, dest int32, n int, kind uint8, buf []SidecarEntr
 		if uint(off) < uint(len(blob)) && blob[off] < 0x80 {
 			gap, off = uint64(blob[off]), off+1
 		} else {
-			gap, off = pkUv(blob, off)
+			gap, off = scUv(blob, off)
 		}
-		if off < 0 || gap == 0 || off+8 > len(blob) {
+		// gap is attacker-controlled and 64 bits wide: bound it before
+		// the int32 conversion, which would wrap a huge gap negative.
+		if off < 0 || gap == 0 || gap > uint64(n) || off+8 > len(blob) {
 			return nil, false
 		}
 		node := prev + int32(gap)

@@ -23,10 +23,10 @@ import (
 // cached copy and are memoized across rounds. Packed entries are the
 // blob form of packed.go at ≈3–5 B/node instead of ≈26: resolution
 // decodes them into the calling worker's Workspace on every hit, which
-// costs O(reachable) but stays far below the BFS it replaces. A packed
-// cache starts in unpacked mode — small graphs whose full snapshot set
-// fits the budget never pay the decode — and repacks every entry in
-// place the first time an admission or a lazy growth would overflow the
+// costs O(reachable) but stays far below the BFS it replaces. A cache
+// starts in unpacked mode — small graphs whose full snapshot set fits
+// the budget never pay the decode — and repacks every entry in place
+// the first time an admission or a lazy growth would overflow the
 // budget, then admits packed from there on: the 3–9x density buys
 // paper-scale graphs cache residency instead of admission stops. A
 // cache told how many destinations to expect (Expect) skips the
@@ -41,7 +41,7 @@ import (
 // a destination that ran several propagations in one round, or an
 // explicit PrepareDelta), so N destinations of N nodes need
 // ≈26·N²–35·N² bytes: the full unpacked set fits up to N≈5000. Beyond
-// that a packed cache (see above) stores ≈3–5 B/node — packed from the
+// that the cache (see above) stores ≈3–5 B/node — packed from the
 // first entry when the shard's expected count says so — and stays
 // resident to N≈15000; larger graphs cache a pinned prefix of
 // destinations and recompute the rest each round.
@@ -181,16 +181,15 @@ const entryOverhead = 64
 // Admission is first-fit: every destination is looked up exactly once
 // per round, so all entries have identical reuse and the first
 // snapshots admitted are as valuable as any other — pinning them
-// avoids churn and keeps behavior deterministic. Eviction exists only
-// as the overflow response to lazy growth of already-admitted entries
-// (newest admissions evict first; see Get). A packed cache (see the
-// package comment above) additionally responds to its first overflow
-// by repacking every entry instead of stopping admission.
+// avoids churn and keeps behavior deterministic. The first overflow —
+// an admission, or lazy growth of already-admitted entries (see Get) —
+// repacks every entry (see the package comment above) instead of
+// stopping admission; eviction exists only for a repack that still does
+// not fit (newest admissions evict first).
 type StaticCache struct {
 	budget   int64
 	bytes    int64
 	full     bool
-	packed   bool // packed storage enabled: repack on overflow
 	repacked bool // first overflow happened; admissions encode from here on
 	g        *asgraph.Graph
 	expected int64 // destinations this cache will be offered (Expect); 0 = unknown
@@ -220,25 +219,16 @@ type StaticCache struct {
 	spill func(d int32, blob []byte, snap *Static)
 }
 
-// NewStaticCache returns an unpacked-only cache that admits snapshots
-// until adding one would exceed budget bytes.
-func NewStaticCache(budget int64) *StaticCache {
-	return NewStaticCacheFor(nil, budget, false)
-}
-
-// NewStaticCacheFor returns a cache for graph g. With packed set, the
-// cache repacks itself into the ≈3–5 B/node blob format on its first
-// budget overflow and keeps admitting packed entries from then on; g
-// must be non-nil in that case (encoding is graph-relative).
-func NewStaticCacheFor(g *asgraph.Graph, budget int64, packed bool) *StaticCache {
-	if packed && g == nil {
-		panic("routing: packed StaticCache needs a graph")
-	}
-	return &StaticCache{budget: budget, packed: packed, g: g, entries: make(map[int32]cacheEntry)}
+// NewStaticCache returns a cache for graph g (encoding is
+// graph-relative) that admits snapshots until one would exceed budget
+// bytes, then repacks itself into the ≈3–5 B/node blob format and keeps
+// admitting packed entries until those overflow too.
+func NewStaticCache(g *asgraph.Graph, budget int64) *StaticCache {
+	return &StaticCache{budget: budget, g: g, entries: make(map[int32]cacheEntry)}
 }
 
 // Expect tells the cache how many destinations it will be offered in
-// all — the shard's stripe. A packed cache uses it once, at its first
+// all — the shard's stripe. The cache uses it once, at its first
 // snapshot admission: if that many snapshots of that size cannot fit
 // the budget the unpacked phase is skipped and every entry goes in
 // packed (see add). A nil cache ignores it.
@@ -266,9 +256,7 @@ func (c *StaticCache) Has(d int32) bool {
 // Get is also where lazy materialization is charged: if the entry's
 // snapshot grew since admission (PrepareDelta and friends land on the
 // cached copy), the growth is added to the accounted bytes now, and an
-// overflow triggers the packed repack — or, unpacked, evicts the
-// newest-admitted entries until the budget holds again
-// (eviction-on-materialize; d itself is spared, it is in use).
+// overflow triggers the repack.
 func (c *StaticCache) Get(d int32, w *Workspace) *Static {
 	if c == nil {
 		return nil
@@ -295,36 +283,28 @@ func (c *StaticCache) Get(d int32, w *Workspace) *Static {
 		e.charged = sz
 		c.entries[d] = e
 		if c.bytes > c.budget {
-			if c.packed {
-				c.repackAll()
-				if e := c.entries[d]; e.blob != nil {
-					s, err := w.DecodePackedTrusted(e.blob)
-					if err != nil {
-						return nil
-					}
-					return s
+			c.repackAll()
+			if e := c.entries[d]; e.blob != nil {
+				s, err := w.DecodePackedTrusted(e.blob)
+				if err != nil {
+					return nil
 				}
-				return nil
+				return s
 			}
-			c.evictNewest(d)
+			return nil
 		}
 	}
 	return e.snap
 }
 
 // evictNewest removes the newest-admitted entries until the budget
-// holds, sparing keep (the entry whose growth triggered the overflow —
-// it is in use by the caller). Evicting from the newest end preserves
-// the first-fit philosophy: the oldest entries stay pinned.
-func (c *StaticCache) evictNewest(keep int32) {
+// holds. Evicting from the newest end preserves the first-fit
+// philosophy: the oldest entries stay pinned.
+func (c *StaticCache) evictNewest() {
 	c.full = true
 	for i := len(c.seq) - 1; i >= 0 && c.bytes > c.budget; i-- {
-		d := c.seq[i]
-		if d == keep {
-			continue
-		}
-		c.dropEntry(d)
-		c.seq = append(c.seq[:i], c.seq[i+1:]...)
+		c.dropEntry(c.seq[i])
+		c.seq = c.seq[:i]
 		c.evictions++
 	}
 }
@@ -353,8 +333,8 @@ func (c *StaticCache) dropEntry(d int32) {
 
 // repackAll converts every unpacked entry to its packed blob in
 // admission order, rebasing the accounted bytes on the packed sizes.
-// This runs once, on the first overflow of a packed cache; from then
-// on admissions encode directly (repacked).
+// This runs once, on the cache's first overflow; from then on
+// admissions encode directly (repacked).
 func (c *StaticCache) repackAll() {
 	c.repacked = true
 	var bytes int64
@@ -371,7 +351,7 @@ func (c *StaticCache) repackAll() {
 	}
 	c.bytes = bytes
 	if c.bytes > c.budget {
-		c.evictNewest(-1)
+		c.evictNewest()
 	}
 }
 
@@ -380,23 +360,13 @@ func (c *StaticCache) repackAll() {
 // materialized additions (PrepareDelta) land on the cached copy — or
 // nil when nothing directly usable was stored: budget exhausted, or
 // the entry went in packed (the caller keeps resolving against s; hits
-// on later rounds decode). s must carry winners when the cache is
-// packed.
-func (c *StaticCache) Add(s *Static) *Static { return c.add(s, false) }
-
-// AddOwned admits s itself — which must already be a self-contained
-// Snapshot the caller relinquishes — without the deep copy Add performs.
-// This is the admission path for prefetched snapshots, which arrive
-// already copied out of the prefetch workspace. Returns s when admitted
-// unpacked, nil otherwise (the caller may still use s).
-func (c *StaticCache) AddOwned(s *Static) *Static { return c.add(s, true) }
-
-func (c *StaticCache) add(s *Static, owned bool) *Static {
+// on later rounds decode). s must carry winners.
+func (c *StaticCache) Add(s *Static) *Static {
 	if c == nil {
 		return nil
 	}
 	sz := s.MemBytes()
-	if c.packed && !c.repacked &&
+	if !c.repacked &&
 		(c.bytes+sz > c.budget || len(c.entries) == 0 && c.expected*sz > c.budget) {
 		// This snapshot overflows the budget — or it is the first and
 		// the destinations still to come, at its size, will: switch to
@@ -408,13 +378,7 @@ func (c *StaticCache) add(s *Static, owned bool) *Static {
 		c.addPacked(s)
 		return nil
 	}
-	if c.bytes+sz > c.budget {
-		c.full = true
-		return nil
-	}
-	if !owned {
-		s = s.Snapshot()
-	}
+	s = s.Snapshot()
 	c.insert(s.Dest, cacheEntry{snap: s, charged: sz})
 	return s
 }
@@ -433,18 +397,20 @@ func (c *StaticCache) addPacked(s *Static) {
 	c.addBlobBytes(s.Dest, c.scratch)
 }
 
-// AddBlob admits an already-encoded packed blob (a prefetched,
-// disk-read or wire-imported static) for destination d, copying it
-// into the arena. Only packed caches accept blobs. Returns whether the
-// blob was admitted; the caller keeps ownership of blob either way.
+// AddBlob admits an already-encoded packed blob (a disk-read or
+// wire-imported static) for destination d, copying it into the arena —
+// before or after the repack, which lets a caller holding the encoded
+// bytes skip both the snapshot deep copy and that entry's share of the
+// eventual repack. Returns whether the blob was admitted; the caller
+// keeps ownership of blob either way.
 //
 // The blob must be a valid encoding for this cache's graph: either
 // produced by AppendPacked in this process, or vetted by a successful
 // DecodePacked — Get relies on that invariant to decode cached blobs
-// on the trusted path. Every current import site (engine disk/prefetch
+// on the trusted path. Every current import site (engine disk
 // admission, dist warm handoff) decodes the bytes before calling this.
 func (c *StaticCache) AddBlob(d int32, blob []byte) bool {
-	if c == nil || !c.packed {
+	if c == nil {
 		return false
 	}
 	return c.addBlobBytes(d, blob)
@@ -573,11 +539,11 @@ func (c *StaticCache) ExportSidecars() (kinds []uint8, dests []int32, payloads [
 
 // ExportPacked returns every cached entry as a packed blob, in
 // admission order: the warm-handoff payload for dist shard migration.
-// Unpacked entries are encoded on demand (requires a graph-bound
-// cache); already-packed entries alias the arena — callers must treat
-// the returned blobs as read-only and short-lived.
+// Unpacked entries are encoded on demand; already-packed entries alias
+// the arena — callers must treat the returned blobs as read-only and
+// short-lived.
 func (c *StaticCache) ExportPacked() [][]byte {
-	if c == nil || c.g == nil {
+	if c == nil {
 		return nil
 	}
 	out := make([][]byte, 0, len(c.seq))
@@ -612,15 +578,8 @@ func (c *StaticCache) Entries() int {
 func (c *StaticCache) Full() bool { return c != nil && c.full }
 
 // Repacked reports whether the cache has switched to packed storage
-// (first overflow of a packed cache happened).
+// (its first overflow happened).
 func (c *StaticCache) Repacked() bool { return c != nil && c.repacked }
-
-// Packed reports whether the cache stores packed blobs at all — before
-// or after the repack. A packed-capable cache accepts AddBlob from the
-// start, which lets callers holding an already-encoded blob (a disk-tier
-// read) skip both the snapshot deep copy and that entry's share of the
-// eventual repack.
-func (c *StaticCache) Packed() bool { return c != nil && c.packed }
 
 // Evictions returns how many entries lazy-growth overflows evicted.
 func (c *StaticCache) Evictions() int64 {
@@ -692,7 +651,7 @@ func NewSharedStaticCache(budget int64) *SharedStaticCache {
 	if budget == 0 {
 		budget = DefaultStaticCacheBytes
 	}
-	return &SharedStaticCache{c: NewStaticCache(budget)}
+	return &SharedStaticCache{c: NewStaticCache(nil, budget)}
 }
 
 // Bind checks the store against the (graph, tiebreaker) pair a caller
@@ -706,7 +665,6 @@ func (sc *SharedStaticCache) Bind(g *asgraph.Graph, tb Tiebreaker) error {
 		sc.g = g
 		sc.tb = fp
 		sc.c.g = g
-		sc.c.packed = true
 		sc.c.Expect(g.N())
 		return nil
 	}
@@ -717,16 +675,6 @@ func (sc *SharedStaticCache) Bind(g *asgraph.Graph, tb Tiebreaker) error {
 		return fmt.Errorf("shared static cache bound to tiebreaker %s, got %s", sc.tb, fp)
 	}
 	return nil
-}
-
-// Has reports whether destination d is published, without decoding.
-func (sc *SharedStaticCache) Has(d int32) bool {
-	if sc == nil {
-		return false
-	}
-	sc.mu.RLock()
-	defer sc.mu.RUnlock()
-	return sc.c.Has(d)
 }
 
 // Get returns the published static for destination d, or nil. A nil

@@ -22,7 +22,7 @@ func TestQuickSnapshotResolutionIdentical(t *testing.T) {
 		tb := HashTiebreaker{Seed: uint64(seed)}
 		wCold := NewWorkspace(g)
 		wWarm := NewWorkspace(g)
-		cache := NewStaticCache(DefaultStaticCacheBytes)
+		cache := NewStaticCache(g, DefaultStaticCacheBytes)
 		// Round 1: fill the cache; every admission must return the stored
 		// snapshot.
 		for d := int32(0); d < int32(n); d++ {
@@ -121,8 +121,9 @@ func TestSnapshotSurvivesWorkspaceReuse(t *testing.T) {
 }
 
 // TestStaticCacheBudget: admission is first-fit under the byte budget —
-// entries already admitted are pinned, later ones are rejected, and the
-// accounted size never exceeds the budget.
+// the first overflow repacks, packed admissions continue until one is
+// rejected, entries already admitted are pinned, later ones are
+// rejected, and the accounted size never exceeds the budget.
 func TestStaticCacheBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := asgraphtest.Random(rng, 20, 0.15, 0.1, 0.25)
@@ -130,38 +131,41 @@ func TestStaticCacheBudget(t *testing.T) {
 	tb := HashTiebreaker{Seed: 11}
 	w := NewWorkspace(g)
 
-	per := w.PrepareDest(0, tb).MemBytes()
-	budget := 2*per + per/2 // room for exactly two snapshots
-	c := NewStaticCache(budget)
+	// Room for about four packed entries: the first snapshot already
+	// overflows, so everything goes in packed.
+	var budget int64
+	for d := int32(0); d < 4; d++ {
+		budget += int64(len(AppendPacked(nil, w.PrepareDest(d, tb), g))) + entryOverhead
+	}
+	c := NewStaticCache(g, budget)
 
-	admitted := 0
 	for d := int32(0); d < n; d++ {
-		if c.Add(w.PrepareDest(d, tb)) != nil {
-			admitted++
+		c.Add(w.PrepareDest(d, tb))
+		if c.Bytes() > budget {
+			t.Fatalf("Bytes() = %d exceeds budget %d after Add %d", c.Bytes(), budget, d)
 		}
 	}
+	admitted := c.Entries()
 	if admitted == 0 || admitted == int(n) {
-		t.Fatalf("admitted %d of %d, want a strict subset under budget %d (per-entry ~%d)", admitted, n, budget, per)
+		t.Fatalf("admitted %d of %d, want a strict subset under budget %d", admitted, n, budget)
 	}
-	if c.Entries() != admitted {
-		t.Errorf("Entries() = %d, want %d", c.Entries(), admitted)
-	}
-	if c.Bytes() > budget {
-		t.Errorf("Bytes() = %d exceeds budget %d", c.Bytes(), budget)
+	if !c.Repacked() || c.PackedEntries() != int64(admitted) {
+		t.Errorf("repacked %v with %d of %d entries packed", c.Repacked(), c.PackedEntries(), admitted)
 	}
 	if !c.Full() {
 		t.Error("Full() = false after rejected admissions")
 	}
 	// First-fit pinning: the first destinations stay, later ones miss.
-	if c.Get(0, w) == nil {
+	if c.Get(0, w) == nil || c.Evictions() != 0 {
 		t.Error("first admitted entry evicted")
 	}
 	if c.Get(n-1, w) != nil {
 		t.Error("rejected destination unexpectedly cached")
 	}
 	// Re-adding a rejected destination still fails: the budget is spoken
-	// for and entries are never evicted.
-	if c.Add(w.PrepareDest(n-1, tb)) != nil {
+	// for and packed entries are never evicted.
+	c.Add(w.PrepareDest(n-1, tb))
+	if c.Has(n-1) || c.Entries() != admitted {
 		t.Error("admission succeeded after budget exhaustion")
 	}
 }
@@ -221,8 +225,8 @@ func TestSnapshotMemBytes(t *testing.T) {
 	}
 }
 
-// TestStaticCachePackedRepack: a packed cache starts unpacked, repacks
-// on its first overflow keeping everything resident when the packed
+// TestStaticCachePackedRepack: a cache starts unpacked, repacks on its
+// first overflow keeping everything resident when the packed
 // set fits, serves bit-exact statics from blobs, and round-trips its
 // contents through ExportPacked/AddBlob (the migration payload path).
 func TestStaticCachePackedRepack(t *testing.T) {
@@ -246,7 +250,7 @@ func TestStaticCachePackedRepack(t *testing.T) {
 	if budget >= unpackedTotal {
 		t.Fatalf("graph too small to force repack: packed budget %d >= unpacked %d", budget, unpackedTotal)
 	}
-	c := NewStaticCacheFor(g, budget, true)
+	c := NewStaticCache(g, budget)
 	for d := int32(0); d < n; d++ {
 		c.Add(w.PrepareDest(d, tb))
 	}
@@ -281,7 +285,7 @@ func TestStaticCachePackedRepack(t *testing.T) {
 	if len(blobs) != int(n) {
 		t.Fatalf("ExportPacked returned %d blobs, want %d", len(blobs), n)
 	}
-	c2 := NewStaticCacheFor(g, budget, true)
+	c2 := NewStaticCache(g, budget)
 	for _, bb := range blobs {
 		d, ok := PackedDest(bb)
 		if !ok {
@@ -300,7 +304,7 @@ func TestStaticCachePackedRepack(t *testing.T) {
 
 	// A budget below the packed set forces newest-first eviction, and
 	// the survivors still decode bit-exact.
-	c3 := NewStaticCacheFor(g, budget/6, true)
+	c3 := NewStaticCache(g, budget/6)
 	for d := int32(0); d < n; d++ {
 		c3.Add(w.PrepareDest(d, tb))
 	}
@@ -324,8 +328,8 @@ func TestStaticCachePackedRepack(t *testing.T) {
 	}
 }
 
-// TestStaticCacheStartsPackedWhenSetCannotFit: a packed cache told how
-// many destinations to expect skips the unpacked phase when its first
+// TestStaticCacheStartsPackedWhenSetCannotFit: a cache told how many
+// destinations to expect skips the unpacked phase when its first
 // snapshot shows that many cannot fit — packed from the first Add, the
 // budget never exceeded on the way, nothing snapshotted only to be
 // re-encoded — and behaves exactly as an untold cache when they can.
@@ -344,7 +348,7 @@ func TestStaticCacheStartsPackedWhenSetCannotFit(t *testing.T) {
 
 	// Below expected × size: packed after the very first Add.
 	budget := int64(n)*first - 1
-	c := NewStaticCacheFor(g, budget, true)
+	c := NewStaticCache(g, budget)
 	c.Expect(int(n))
 	for d := int32(0); d < n; d++ {
 		if got := c.Add(w.PrepareDest(d, tb)); got != nil {
@@ -372,9 +376,9 @@ func TestStaticCacheStartsPackedWhenSetCannotFit(t *testing.T) {
 	// really fits (roomy) or only the first snapshot's estimate said so.
 	roomy := unpackedTotal + int64(n)*first
 	for _, budget := range []int64{roomy, int64(n) * first} {
-		told := NewStaticCacheFor(g, budget, true)
+		told := NewStaticCache(g, budget)
 		told.Expect(int(n))
-		untold := NewStaticCacheFor(g, budget, true)
+		untold := NewStaticCache(g, budget)
 		for d := int32(0); d < n; d++ {
 			a, b := told.Add(w.PrepareDest(d, tb)), untold.Add(w.PrepareDest(d, tb))
 			if (a == nil) != (b == nil) || told.Repacked() != untold.Repacked() || told.Bytes() != untold.Bytes() {
@@ -390,9 +394,8 @@ func TestStaticCacheStartsPackedWhenSetCannotFit(t *testing.T) {
 
 // TestStaticCacheEvictOnMaterialize: lazy materialization (the delta
 // index built on a cached snapshot) is charged at the next lookup of
-// that destination. An unpacked cache over budget evicts newest-first,
-// sparing the entry being served; a packed cache repacks instead and
-// keeps everything.
+// that destination. A cache pushed over budget by it repacks and keeps
+// everything, the destination being served included.
 func TestStaticCacheEvictOnMaterialize(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	g := asgraphtest.Random(rng, 24, 0.15, 0.1, 0.25)
@@ -405,49 +408,26 @@ func TestStaticCacheEvictOnMaterialize(t *testing.T) {
 	// Room for both base snapshots but not for a delta index on top.
 	budget := per0 + per1 + 2*entryOverhead + 32
 
-	c := NewStaticCache(budget)
-	s0 := c.Add(w.PrepareDest(0, tb))
-	s1 := c.Add(w.PrepareDest(1, tb))
-	if s0 == nil || s1 == nil {
-		t.Fatal("admissions rejected under a budget sized for both")
-	}
-	w.PrepareDelta(s0)
-	got := c.Get(0, w)
-	if got == nil {
-		t.Fatal("in-use destination evicted by its own growth")
-	}
-	if c.Evictions() == 0 {
-		t.Fatal("materialization growth over budget evicted nothing")
-	}
-	if c.Get(1, w) != nil {
-		t.Fatal("newest entry survived the overflow")
-	}
-	if c.Bytes() > budget {
-		t.Fatalf("Bytes() = %d exceeds budget %d after eviction", c.Bytes(), budget)
-	}
-	if !staticsEqual(t, wRef.PrepareDest(0, tb), got, n) {
-		t.Fatal("survivor differs from a cold build after eviction")
-	}
-
-	// Packed: the same overflow repacks instead, and both destinations
-	// stay resident (the packed set fits with room to spare).
-	cp := NewStaticCacheFor(g, budget, true)
+	cp := NewStaticCache(g, budget)
 	p0 := cp.Add(w.PrepareDest(0, tb))
 	if cp.Add(w.PrepareDest(1, tb)) == nil || p0 == nil {
-		t.Fatal("packed cache rejected base admissions")
+		t.Fatal("admissions rejected under a budget sized for both")
 	}
 	w.PrepareDelta(p0)
 	if got := cp.Get(0, w); got == nil || !staticsEqual(t, wRef.PrepareDest(0, tb), got, n) {
-		t.Fatal("packed cache lost or corrupted the growing destination")
+		t.Fatal("cache lost or corrupted the growing destination")
 	}
 	if !cp.Repacked() {
-		t.Fatal("packed cache evaded the overflow without repacking")
+		t.Fatal("cache evaded the overflow without repacking")
+	}
+	if cp.Bytes() > budget {
+		t.Fatalf("Bytes() = %d exceeds budget %d after the repack", cp.Bytes(), budget)
 	}
 	if cp.Evictions() != 0 {
-		t.Fatalf("packed cache evicted %d entries despite the packed set fitting", cp.Evictions())
+		t.Fatalf("cache evicted %d entries despite the packed set fitting", cp.Evictions())
 	}
 	if got := cp.Get(1, w); got == nil || !staticsEqual(t, wRef.PrepareDest(1, tb), got, n) {
-		t.Fatal("packed cache lost the other destination across the repack")
+		t.Fatal("cache lost the other destination across the repack")
 	}
 }
 

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"os"
@@ -269,6 +270,30 @@ func TestSidecarDecodeStructural(t *testing.T) {
 		}
 		if _, _, ok := SidecarDest(m); ok {
 			t.Fatalf("SidecarDest accepted bad %s", mut.what)
+		}
+	}
+}
+
+// TestSidecarDecodeHostileGap: a node gap is a 64-bit varint under the
+// sender's control. One that wraps the int32 node negative (the replay
+// loop would index uBase[-2]), one that wraps back into range, and a
+// zero-padded varint for an otherwise valid gap must all be rejected.
+func TestSidecarDecodeHostileGap(t *testing.T) {
+	const n, dest, kind = 64, 9, 1
+	for _, tc := range []struct {
+		what string
+		gap  []byte
+	}{
+		{"gap 0xFFFFFFFF (node -2)", binary.AppendUvarint(nil, 0xFFFFFFFF)},
+		{"gap 1<<32+3 (wraps to 3)", binary.AppendUvarint(nil, 1<<32+3)},
+		{"zero-padded gap 3", []byte{0x83, 0x00}},
+	} {
+		blob := AppendSidecar(nil, dest, n, kind, nil)
+		blob[len(blob)-1] = 1 // count
+		blob = append(blob, tc.gap...)
+		blob = binary.LittleEndian.AppendUint64(blob, math.Float64bits(1.5))
+		if entries, ok := DecodeSidecar(blob, dest, n, kind, nil); ok {
+			t.Errorf("%s accepted: %+v", tc.what, entries)
 		}
 	}
 }

@@ -128,15 +128,14 @@ func checkAdmissionTrajectory(t *testing.T, label string, g *asgraph.Graph, cfg 
 }
 
 // TestDynAdmissionDemandDriven: a cold game across Model ×
-// StubsBreakTies × ProjectStubUpgrades × NoStreamResolve × static cache
-// on/off. Every Result equals the golden. With the streaming tiers
-// available the pristine pass admits no record, every round replays
-// exactly the insecure untouchable destinations from their sidecars,
-// and the recorded set is exactly the destinations that were secure or
-// touchable in some round so far — so one that turns secure mid-game is
-// admitted that round. With streaming off, or no tier to hold a
-// sidecar, every destination is recorded in the pristine pass, as
-// before.
+// StubsBreakTies × ProjectStubUpgrades × static cache on/off. Every
+// Result equals the golden. With a tier to hold sidecars the pristine
+// pass admits no record, every round replays exactly the insecure
+// untouchable destinations from their sidecars, and the recorded set is
+// exactly the destinations that were secure or touchable in some round
+// so far — so one that turns secure mid-game is admitted that round.
+// With no tier to hold a sidecar, every destination is recorded in the
+// pristine pass, as before.
 func TestDynAdmissionDemandDriven(t *testing.T) {
 	g := topogen.MustGenerate(topogen.Default(400, 21))
 	g.SetCPTrafficFraction(0.10)
@@ -149,38 +148,35 @@ func TestDynAdmissionDemandDriven(t *testing.T) {
 		for _, sbt := range []bool{true, false} {
 			for _, psu := range []bool{false, true} {
 				key := fmt.Sprintf("%s/sbt=%v/psu=%v", model, sbt, psu)
-				for _, noStream := range []bool{false, true} {
-					for _, staticBudget := range []int64{0, -1} {
-						cfg := Config{
-							Model:               model,
-							Theta:               0.05,
-							EarlyAdopters:       adopters,
-							StubsBreakTies:      sbt,
-							ProjectStubUpgrades: psu,
-							NoStreamResolve:     noStream,
-							StaticCacheBytes:    staticBudget,
-							Workers:             2,
-							RecordUtilities:     true,
-							RecordStats:         true,
+				for _, staticBudget := range []int64{0, -1} {
+					cfg := Config{
+						Model:               model,
+						Theta:               0.05,
+						EarlyAdopters:       adopters,
+						StubsBreakTies:      sbt,
+						ProjectStubUpgrades: psu,
+						StaticCacheBytes:    staticBudget,
+						Workers:             2,
+						RecordUtilities:     true,
+						RecordStats:         true,
+					}
+					label := fmt.Sprintf("%s/static=%d", key, staticBudget)
+					res := MustNew(g, cfg).Run()
+					if got := resultDigest(t, res); got != admissionGolden[key] {
+						t.Errorf("%s: result digest %s, golden %s", label, got, admissionGolden[key])
+						continue
+					}
+					if staticBudget < 0 {
+						if got := res.PristineStats.DynCacheEntries; got != n {
+							t.Errorf("%s: pristine pass recorded %d destinations, want all %d", label, got, n)
 						}
-						label := fmt.Sprintf("%s/nostream=%v/static=%d", key, noStream, staticBudget)
-						res := MustNew(g, cfg).Run()
-						if got := resultDigest(t, res); got != admissionGolden[key] {
-							t.Errorf("%s: result digest %s, golden %s", label, got, admissionGolden[key])
-							continue
-						}
-						if noStream || staticBudget < 0 {
-							if got := res.PristineStats.DynCacheEntries; got != n {
-								t.Errorf("%s: pristine pass recorded %d destinations, want all %d", label, got, n)
-							}
-							continue
-						}
-						if got := res.PristineStats.DynCacheEntries; got != 0 {
-							t.Errorf("%s: pristine pass admitted %d records, want none", label, got)
-						}
-						if checkAdmissionTrajectory(t, label, g, &cfg, res) {
-							grewMidGame = true
-						}
+						continue
+					}
+					if got := res.PristineStats.DynCacheEntries; got != 0 {
+						t.Errorf("%s: pristine pass admitted %d records, want none", label, got)
+					}
+					if checkAdmissionTrajectory(t, label, g, &cfg, res) {
+						grewMidGame = true
 					}
 				}
 			}

@@ -145,22 +145,6 @@ type Config struct {
 	// from Fingerprint.
 	DynamicCacheBytes int64
 
-	// StaticPrefetch sets the depth of the per-shard static prefetch
-	// pipeline: while a shard's worker computes utilities for one
-	// destination, a pipeline goroutine runs PrepareDest for up to this
-	// many upcoming destinations of the shard's stripe, so cold static
-	// misses are overlapped with utility computation instead of
-	// serialized behind it. 0 (the default) or negative disables
-	// prefetching. Snapshots are handed to the shard's own cache layer by
-	// the shard's own worker in stripe order, and statics depend only on
-	// (graph, destination, tiebreaker) — never on the deployment state —
-	// so prefetched bytes are identical to inline computation.
-	//
-	// Purely a performance knob: every Result is bit-equal at any depth
-	// (see TestPrefetchResultInvariant), so the field is excluded from
-	// Fingerprint.
-	StaticPrefetch int
-
 	// StaticStoreDir, when non-empty, roots the persistent L2 static
 	// tier (routing.StaticDiskStore): packed static snapshots are
 	// written through to an append-only, checksummed, mmap-read on-disk
@@ -210,50 +194,6 @@ type Config struct {
 	//
 	// Purely an execution-placement knob, excluded from Fingerprint.
 	Executor Executor
-
-	// NoProjectionBatch disables the batched projection predictor: the
-	// per-destination move-predictor pass (routing.PrepareFlipEffects)
-	// that lets single-node candidate projections provably moving no
-	// parent skip change propagation entirely. With it set, every
-	// surviving candidate runs full ApplyFlips change propagation, as
-	// before.
-	//
-	// Purely a performance knob: a predicted-unchanged projection has a
-	// utility delta of exactly zero — the same zero the propagation path
-	// would add — so every Result is bit-equal at either setting and the
-	// field is excluded from Fingerprint.
-	NoProjectionBatch bool
-
-	// NoPackedStatics disables the packed static cache storage: caches
-	// stay on full unpacked snapshots, overflowing budgets reject
-	// admissions instead of repacking (pre-packing behavior), the
-	// prefetch pipeline always hands over snapshots, and dist shard
-	// migrations ship no warm statics. The zero value — packed on — is
-	// what paper-scale runs want: a repacked cache holds 3–5x more
-	// destinations per byte of budget.
-	//
-	// Purely a performance knob: a decoded packed blob reproduces
-	// PrepareDest's output bit for bit (see routing/packed.go), so
-	// every Result is identical at either setting and the field is
-	// excluded from Fingerprint.
-	NoPackedStatics bool
-
-	// NoStreamResolve disables the fused streaming tiers over warm
-	// static data: the pristine-contribution sidecar replay (no sidecars
-	// are recorded or replayed) and the streaming resolver that walks
-	// packed blobs without materializing a workspace decode. With it set
-	// every destination takes the decode → resolve → accumulate path, as
-	// before. The zero value — streaming on — is what warm paper-scale
-	// runs want: base-only sweeps over an insecure deployment state skip
-	// per-destination resolution entirely.
-	//
-	// Purely a performance knob: the streaming resolver decides nodes
-	// with decideNode's procedure over the same packed bytes (see
-	// routing/stream.go), and a sidecar replays the float64 bit patterns
-	// the fresh support loop would add in the same order (see
-	// routing/sidecar.go), so every Result is bit-identical at either
-	// setting and the field is excluded from Fingerprint.
-	NoStreamResolve bool
 
 	// RecordUtilities, when true, stores every ISP's utility and
 	// projected utility for every round in the Result (needed for the

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,8 +16,8 @@ import (
 // would have produced, and every validation failure falls back to the
 // BFS — so Results are bit-identical with the tier off, cold, warm,
 // after a process restart, and with the store arbitrarily corrupted, at
-// any worker count, cache budget, and prefetch depth. This is the
-// invariant that lets Config.Fingerprint exclude StaticStoreDir.
+// any worker count and cache budget. This is the invariant that lets
+// Config.Fingerprint exclude StaticStoreDir.
 func TestDiskStoreResultInvariant(t *testing.T) {
 	g := topogen.MustGenerate(topogen.Default(300, 7))
 	g.SetCPTrafficFraction(0.10)
@@ -45,18 +46,15 @@ func TestDiskStoreResultInvariant(t *testing.T) {
 		refs = append(refs, ref)
 
 		for _, budget := range []int64{0, tinyBudget, -1} {
-			for _, depth := range []int{0, 4} {
-				cfg := base
-				cfg.StaticCacheBytes = budget
-				cfg.StaticPrefetch = depth
-				cfg.StaticStoreDir = root
-				got := MustNew(g, cfg).Run()
-				label := map[int64]string{0: "default", -1: "disabled", tinyBudget: "tiny"}[budget]
-				label = "workers=" + itoa(workers) + "/budget=" + label + "/depth=" + itoa(depth)
-				requireBitIdentical(t, label, ref, got)
-				if base.Fingerprint() != cfg.Fingerprint() {
-					t.Errorf("%s: StaticStoreDir changed the fingerprint", label)
-				}
+			cfg := base
+			cfg.StaticCacheBytes = budget
+			cfg.StaticStoreDir = root
+			got := MustNew(g, cfg).Run()
+			label := map[int64]string{0: "default", -1: "disabled", tinyBudget: "tiny"}[budget]
+			label = fmt.Sprintf("workers=%d/budget=%s", workers, label)
+			requireBitIdentical(t, label, ref, got)
+			if base.Fingerprint() != cfg.Fingerprint() {
+				t.Errorf("%s: StaticStoreDir changed the fingerprint", label)
 			}
 		}
 	}

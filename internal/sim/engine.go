@@ -409,8 +409,6 @@ func (s *Sim) computeRound(st *deployState, candidates []bool) (uBase, uProj []f
 		stats.DynCacheBytes = sum.DynCacheBytes
 		stats.DynCacheEntries = int(sum.DynCacheEntries)
 		stats.DynCacheEvictions = sum.DynCacheEvictions
-		stats.PrefetchHits = sum.PrefetchHits
-		stats.PrefetchWasted = sum.PrefetchWasted
 		stats.StaticPackedBytes = sum.StaticPackedBytes
 		stats.StaticPackedEntries = sum.StaticPackedEntries
 		stats.StaticDiskHits = sum.StaticDiskHits
@@ -475,8 +473,8 @@ type roundCtx struct {
 	cfg      *Config
 	weights  []float64
 	// candMark marks candList membership by node index (always non-nil
-	// when candList is nonempty): the O(1) test destUntouchable and the
-	// prefetcher use to prove a destination needs no projection scratch.
+	// when candList is nonempty): the O(1) test destUntouchable uses to
+	// prove a destination needs no projection scratch.
 	candMark []bool
 
 	// Realized flips dynPrev → st (empty when the states coincide or
@@ -505,11 +503,14 @@ type roundCtx struct {
 // processing allocates nothing. Workers live in the Sim's pool and are
 // reused across rounds; resetRound rezeroes the per-round accumulators.
 type worker struct {
-	ws          *routing.Workspace
+	ws *routing.Workspace
+	// The static tiers. cache and shared are the resident tier — at most
+	// one is set — and every method the serving ladder calls on the three
+	// is nil-safe, so the ladder addresses both resident forms and the
+	// absent one is a no-op.
 	cache       *routing.StaticCache       // per-worker static snapshots; nil = disabled
 	shared      *routing.SharedStaticCache // graph-level store; replaces cache when set
 	disk        *routing.StaticDiskStore   // persistent L2 tier; nil = disabled
-	pf          *prefetcher                // static prefetch pipeline; nil = disabled
 	dyn         *dynCache                  // per-worker contribution records; nil = disabled
 	isps        []int32                    // shared class index list (asgraph.Graph.ISPs)
 	baseTree    routing.Tree
@@ -537,17 +538,14 @@ type worker struct {
 	// Streaming-resolve and pristine-replay state (see processDest's
 	// tier dispatch). stream is the fused blob-walk resolver's scratch,
 	// built lazily on the first streamed destination; scEntries/scBuf/
-	// scPayload are the sidecar record/decode/encode buffers; preStash
-	// parks a prefetch item streamResolve consumed but could not use
-	// (snapshot form) for fetchStatic to pick up; recordSC marks the
-	// current destination for sidecar recording on the normal path.
-	stream     *routing.StreamStatic
-	scEntries  []routing.SidecarEntry
-	scBuf      []routing.SidecarEntry
-	scPayload  []byte
-	preStash   prefItem
-	preStashed bool
-	recordSC   bool
+	// scPayload are the sidecar record/decode/encode buffers; recordSC
+	// marks the current destination for sidecar recording on the normal
+	// path.
+	stream    *routing.StreamStatic
+	scEntries []routing.SidecarEntry
+	scBuf     []routing.SidecarEntry
+	scPayload []byte
+	recordSC  bool
 }
 
 // workerStats counts this worker's share of the round's resolution work;
@@ -569,8 +567,6 @@ type workerStats struct {
 	nodesRecomputed  int64
 	dynClean         int64
 	dynDirty         int64
-	prefetchHits     int64
-	prefetchWasted   int64
 
 	// Disk-tier traffic (Config.StaticStoreDir): lookups served by a
 	// stored blob (and the bytes decoded), plus records this worker
@@ -644,7 +640,7 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 	// failure they fall through to the normal path.
 	rec := wk.dyn.get(d)
 	wk.recordSC = false
-	if rec == nil && !cfg.NoStreamResolve {
+	if rec == nil {
 		insecure := !st.secure[d]
 		if len(rc.candList) == 0 || wk.destUntouchable(d, rc) {
 			if insecure && wk.replaySidecar(d, rc) {
@@ -707,10 +703,6 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 				if treeChanged || hit {
 					rec.deltasValid = false
 				}
-				if wk.pf != nil && wk.pf.discard(d) {
-					// Replay needs no static: release the pipeline's item.
-					wk.stats.prefetchWasted++
-				}
 				wk.stats.dynClean++
 				return
 			}
@@ -723,9 +715,6 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 				wk.uDelta[e.node] += e.val
 			}
 			rec.dirtyStreak = 0
-			if wk.pf != nil && wk.pf.discard(d) {
-				wk.stats.prefetchWasted++
-			}
 			wk.stats.dynClean++
 			return
 		} else {
@@ -843,7 +832,7 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 	// skipped projection contributes no touched nodes to the record's
 	// witness, which must cover everything that can make its delta
 	// nonzero later.
-	useBatch := !cfg.NoProjectionBatch && !recDeltas
+	useBatch := !recDeltas
 	// The predictor and the base-tree copy that change propagation works
 	// on are built lazily: the former when some candidate survives the
 	// skip rules, the latter only when one also needs an actual
@@ -947,102 +936,47 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 	}
 }
 
-// fetchStatic serves destination d's static snapshot: worker or shared
-// cache first, then a prefetch-pipeline item (one parked by
-// streamResolve included), then the disk tier, and the inline
-// three-stage BFS last — admitting and write-through persisting fresh
-// results so this (graph, tiebreaker, destination) never pays the BFS
-// again in any later round, Run, simulation or process. Same bytes in
-// every combination: a decoded blob reproduces PrepareDest's output
-// exactly (see packed.go), disk blobs are CRC-checked by Lookup and
-// structurally validated by the decode, and any failure drops the
-// record and falls back to the BFS — corruption can cost time, never
-// bits.
+// fetchStatic serves destination d's static through the one ladder
+// every static read takes: the resident tier (the worker's private cache
+// or the shared store — never both, and both are nil-safe), then a disk
+// blob, then the three-stage BFS — writing fresh results through to disk
+// and admitting whatever was fetched to the resident tier, so this
+// (graph, tiebreaker, destination) never pays the BFS again in any later
+// round, Run, simulation or process. Same bytes on every rung: a decoded
+// blob reproduces PrepareDest's output exactly (see packed.go), Lookup
+// CRC-checks disk blobs and the decode validates their structure, and a
+// blob that fails is dropped and recomputed (the write-through repairs
+// it) — corruption can cost time, never bits.
 func (wk *worker) fetchStatic(d int32, rc *roundCtx) *routing.Static {
-	cfg := rc.cfg
 	stc := wk.cache.Get(d, wk.ws)
 	if stc == nil {
 		stc = wk.shared.Get(d, wk.ws)
 	}
 	if stc != nil {
 		wk.stats.staticHits++
-		if wk.pf != nil && wk.pf.discard(d) {
-			// The pipeline computed a destination the cache ended up
-			// serving anyway (a shared store fed by a concurrent worker).
-			wk.stats.prefetchWasted++
-		}
 		return stc
 	}
-	var pre prefItem
-	havePre := false
-	if wk.preStashed {
-		// streamResolve already took d's pipeline item but could not use
-		// its snapshot form: consume the parked item, not a second take.
-		pre, havePre = wk.preStash, true
-		wk.preStash = prefItem{}
-		wk.preStashed = false
-	} else if wk.pf != nil {
-		pre, havePre = wk.pf.take(d)
-	}
-	var blobUsed []byte // packed bytes stc was decoded from, if any
-	fromDisk := false
-	if havePre && pre.blob != nil {
-		// Trusted decode: pipeline-built blobs were encoded in this
-		// process, and disk-read ones passed Lookup's CRC — either way
-		// the 2^-32 residual risk of an in-range-but-wrong field is
-		// carried by the checksum, not by per-member revalidation.
-		var err error
-		stc, err = wk.ws.DecodePackedTrusted(pre.blob)
-		if err != nil {
-			// Pipeline-built blobs can't be corrupt, but disk-read
-			// ones can: drop the poisoned record (the write-through
-			// below repairs it) and fall back to the inline build.
-			if pre.fromDisk {
-				wk.disk.Drop(d)
-			}
-			havePre = false
+	var blob []byte // the disk bytes stc was decoded from, if any
+	if b := wk.disk.Lookup(d); b != nil {
+		// Trusted decode: the 2^-32 residual risk of an in-range-but-
+		// wrong field is carried by Lookup's checksum, not by per-member
+		// revalidation.
+		if s, err := wk.ws.DecodePackedTrusted(b); err == nil {
+			stc, blob = s, b
 		} else {
-			blobUsed = pre.blob
-			fromDisk = pre.fromDisk
-		}
-	} else if havePre {
-		stc = pre.snap
-	}
-	if stc == nil && wk.disk != nil {
-		if blob := wk.disk.Lookup(d); blob != nil {
-			if s, err := wk.ws.DecodePackedTrusted(blob); err == nil {
-				stc = s
-				blobUsed = blob
-				fromDisk = true
-			} else {
-				wk.disk.Drop(d)
-			}
+			wk.disk.Drop(d)
 		}
 	}
-	if stc == nil {
-		stc = wk.ws.PrepareDest(d, cfg.Tiebreaker)
-	}
-	if havePre {
-		wk.stats.prefetchHits++
-	}
-	if fromDisk {
-		// Served by the disk tier: the BFS was skipped, so this is
-		// counted as a disk hit, not a static miss.
+	if blob != nil {
+		// The BFS was skipped: a disk hit, not a static miss.
 		wk.stats.staticDiskHits++
-		wk.stats.staticDiskBytesRead += int64(len(blobUsed))
-	} else if wk.shared != nil || wk.cache != nil {
-		wk.stats.staticMisses++
-	}
-	// Write-through: persist every freshly computed static (inline or
-	// pipeline-built). Pipeline blobs are persisted as-is, no re-encode.
-	if wk.disk != nil && !fromDisk {
-		var wrote bool
-		if blobUsed != nil {
-			wrote = wk.disk.Put(d, blobUsed)
-		} else {
-			wrote = wk.disk.PutStatic(stc)
+		wk.stats.staticDiskBytesRead += int64(len(blob))
+	} else {
+		stc = wk.ws.PrepareDest(d, rc.cfg.Tiebreaker)
+		if wk.shared != nil || wk.cache != nil {
+			wk.stats.staticMisses++
 		}
-		if wrote {
+		if wk.disk.PutStatic(stc) {
 			wk.stats.staticDiskWrites++
 		}
 	}
@@ -1051,20 +985,13 @@ func (wk *worker) fetchStatic(d int32, rc *roundCtx) *routing.Static {
 		if snap := wk.shared.Add(wk.ws, stc); snap != nil {
 			stc = snap
 		}
-	case wk.cache != nil:
-		switch {
-		case blobUsed != nil && wk.cache.Packed():
-			// The packed bytes are already built: admit them as-is —
-			// no re-encode, no snapshot copy, and (pre-repack) no
-			// share of the eventual repack pass.
-			wk.cache.AddBlob(d, blobUsed)
-		case havePre && !fromDisk && pre.snap != nil:
-			// Already a self-contained snapshot: admit it as-is.
-			wk.cache.AddOwned(stc)
-		default:
-			if snap := wk.cache.Add(stc); snap != nil {
-				stc = snap
-			}
+	case blob != nil:
+		// The packed bytes are already built: admit them as-is — no
+		// re-encode, no snapshot copy, no share of the eventual repack.
+		wk.cache.AddBlob(d, blob)
+	default:
+		if snap := wk.cache.Add(stc); snap != nil {
+			stc = snap
 		}
 	}
 	return stc
@@ -1084,14 +1011,14 @@ const indexAfterPropagations = 3
 // — all it ever needs is its pristine contributions, which a sidecar
 // replays without a tree, a static or 5·N bytes. So: secure
 // destinations; insecure ones some candidate's projection can flip
-// (they need projection scratch this round); and everything when the
-// streaming tiers are off or have nowhere to hold a sidecar, where the
-// record's replay is the only cross-round memo left.
+// (they need projection scratch this round); and everything when there
+// is nowhere to hold a sidecar, where the record's replay is the only
+// cross-round memo left.
 func (wk *worker) wantRecord(d int32, rc *roundCtx) bool {
 	if wk.dyn == nil {
 		return false
 	}
-	if rc.st.secure[d] || rc.cfg.NoStreamResolve || !wk.hasSidecarTier() {
+	if rc.st.secure[d] || !wk.hasSidecarTier() {
 		return true
 	}
 	return len(rc.candList) > 0 && !wk.destUntouchable(d, rc)
@@ -1153,10 +1080,8 @@ func (wk *worker) sidecarWanted(kind uint8, d int32) bool {
 func (wk *worker) replaySidecar(d int32, rc *roundCtx) bool {
 	kind := uint8(rc.cfg.Model)
 	payload := wk.cache.SidecarGet(kind, d)
-	fromShared := false
-	if payload == nil && wk.shared != nil {
+	if payload == nil {
 		payload = wk.shared.SidecarGet(kind, d)
-		fromShared = payload != nil
 	}
 	fromDisk := false
 	if payload == nil {
@@ -1171,13 +1096,11 @@ func (wk *worker) replaySidecar(d int32, rc *roundCtx) bool {
 	if !ok {
 		// Corrupt or mismatched record: forget it so the normal path's
 		// recompute re-records a good one, and fall back.
-		switch {
-		case fromDisk:
+		if fromDisk {
 			wk.disk.DropSidecar(kind, d)
-		case fromShared:
-			wk.shared.SidecarDrop(kind, d)
-		default:
+		} else {
 			wk.cache.SidecarDrop(kind, d)
+			wk.shared.SidecarDrop(kind, d)
 		}
 		return false
 	}
@@ -1189,14 +1112,8 @@ func (wk *worker) replaySidecar(d int32, rc *roundCtx) bool {
 		wk.stats.staticDiskHits++
 		wk.stats.staticDiskBytesRead += int64(len(payload))
 		// Warm the resident tier so later rounds skip the disk read.
-		if wk.shared != nil {
-			wk.shared.SidecarPut(kind, d, payload)
-		} else {
-			wk.cache.SidecarPut(kind, d, payload)
-		}
-	}
-	if wk.pf != nil && wk.pf.discard(d) {
-		wk.stats.prefetchWasted++
+		wk.cache.SidecarPut(kind, d, payload)
+		wk.shared.SidecarPut(kind, d, payload)
 	}
 	wk.stats.pristineReplays++
 	return true
@@ -1221,28 +1138,10 @@ func (wk *worker) streamResolve(d int32, rc *roundCtx, record bool) bool {
 	if blob == nil {
 		blob = wk.shared.GetBlob(d)
 	}
-	fromCache := blob != nil
-	havePre := false
 	fromDisk := false
-	if blob == nil && wk.pf != nil {
-		if p, ok := wk.pf.take(d); ok {
-			if p.blob == nil {
-				// Snapshot-form pipeline result: the streaming walk needs
-				// packed bytes. Park it for fetchStatic and recompute.
-				wk.preStash = p
-				wk.preStashed = true
-				return false
-			}
-			havePre = true
-			blob = p.blob
-			fromDisk = p.fromDisk
-		}
-	}
-	if blob == nil && wk.disk != nil {
-		if b := wk.disk.Lookup(d); b != nil {
-			blob = b
-			fromDisk = true
-		}
+	if blob == nil {
+		blob = wk.disk.Lookup(d)
+		fromDisk = blob != nil
 	}
 	if blob == nil {
 		return false
@@ -1251,43 +1150,24 @@ func (wk *worker) streamResolve(d int32, rc *roundCtx, record bool) bool {
 		wk.stream = routing.NewStreamStatic(wk.ws.Graph())
 	}
 	if wk.stream.Resolve(blob, st.secure, st.breaks, cfg.Tiebreaker) != nil {
-		// Cache- and pipeline-built blobs can't be corrupt; disk blobs
-		// can — drop the poisoned record (a later write-through repairs
-		// it) and recompute. A consumed pipeline item is simply lost.
+		// Resident blobs can't be corrupt; disk blobs can — drop the
+		// poisoned record (a later write-through repairs it) and
+		// recompute.
 		if fromDisk {
 			wk.disk.Drop(d)
 		}
 		return false
 	}
 	sr := wk.stream
-	switch {
-	case fromDisk:
+	if fromDisk {
 		wk.stats.staticDiskHits++
 		wk.stats.staticDiskBytesRead += int64(len(blob))
-	case havePre:
-		wk.stats.staticMisses++
-	default:
-		wk.stats.staticHits++
-	}
-	if havePre {
-		wk.stats.prefetchHits++
-	}
-	if fromCache {
-		if wk.pf != nil && wk.pf.discard(d) {
-			wk.stats.prefetchWasted++
-		}
+		// Admission, as the normal path would: publish the streamed blob
+		// to the resident tier so later rounds stream it from memory.
+		wk.cache.AddBlob(d, blob)
+		wk.shared.AddBlob(d, blob)
 	} else {
-		// Write-through and admission, as the normal path would: persist
-		// fresh pipeline blobs, publish every streamed blob to the
-		// resident tier so later rounds stream it from memory.
-		if wk.disk != nil && !fromDisk && wk.disk.Put(d, blob) {
-			wk.stats.staticDiskWrites++
-		}
-		if wk.shared != nil {
-			wk.shared.AddBlob(d, blob)
-		} else {
-			wk.cache.AddBlob(d, blob)
-		}
+		wk.stats.staticHits++
 	}
 
 	// Reverse accumulation over the entry arrays — the same float
@@ -1357,11 +1237,8 @@ func (wk *worker) streamResolve(d int32, rc *roundCtx, record bool) bool {
 // it in the resident tier and the disk store.
 func (wk *worker) storeSidecar(kind uint8, d int32, n int) {
 	wk.scPayload = routing.AppendSidecar(wk.scPayload[:0], d, n, kind, wk.scEntries)
-	if wk.shared != nil {
-		wk.shared.SidecarPut(kind, d, wk.scPayload)
-	} else {
-		wk.cache.SidecarPut(kind, d, wk.scPayload)
-	}
+	wk.cache.SidecarPut(kind, d, wk.scPayload)
+	wk.shared.SidecarPut(kind, d, wk.scPayload)
 	if wk.disk.PutSidecar(kind, d, wk.scPayload) {
 		wk.stats.staticDiskWrites++
 	}

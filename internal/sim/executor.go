@@ -59,8 +59,6 @@ type ShardStats struct {
 	DynCacheBytes       int64
 	DynCacheEntries     int64
 	DynCacheEvictions   int64
-	PrefetchHits        int64
-	PrefetchWasted      int64
 	StaticPackedBytes   int64
 	StaticPackedEntries int64
 	StaticDiskHits      int64
@@ -94,8 +92,6 @@ func (s *ShardStats) add(o *ShardStats) {
 	s.DynCacheBytes += o.DynCacheBytes
 	s.DynCacheEntries += o.DynCacheEntries
 	s.DynCacheEvictions += o.DynCacheEvictions
-	s.PrefetchHits += o.PrefetchHits
-	s.PrefetchWasted += o.PrefetchWasted
 	s.StaticPackedBytes += o.StaticPackedBytes
 	s.StaticPackedEntries += o.StaticPackedEntries
 	s.StaticDiskHits += o.StaticDiskHits

@@ -45,24 +45,10 @@ import (
 //     any validation failure recomputes (see TestDiskStoreResultInvariant),
 //     so no store state (absent, cold, warm, corrupt) can change any
 //     Result.
-//   - StaticPrefetch: likewise — a prefetched snapshot is the same
-//     bytes the worker's own PrepareDest would produce, admitted by the
-//     same consumer in the same stripe order (see
-//     TestPrefetchResultInvariant), so no depth can change any Result.
 //   - Executor: execution placement only. A distributed executor with
 //     the same logical shard count is bit-identical to the in-process
 //     engine (see internal/dist's differential tests), and any other
 //     shard count falls under the Workers argument above.
-//   - NoProjectionBatch: a performance knob. The batched predictor only
-//     skips projections whose delta is exactly zero (see
-//     TestQuickFlipPrediction), so disabling it recomputes the same
-//     bits the long way (see TestNoProjectionBatchResultInvariant).
-//   - NoStreamResolve: a performance knob. The streaming resolver
-//     replays decideNode's decisions over the same packed bytes, and a
-//     pristine-contribution sidecar replays the recorded float64 bit
-//     patterns the fresh support loop would add in the same order (see
-//     TestStreamingResolveResultInvariant), so either setting produces
-//     the same bits.
 func (c Config) Fingerprint() string {
 	var b strings.Builder
 	b.WriteString("sim-v1|")

@@ -1,0 +1,186 @@
+package sim
+
+import (
+	"fmt"
+	"testing"
+
+	"sbgp/internal/asgraph"
+	"sbgp/internal/routing"
+	"sbgp/internal/topogen"
+)
+
+// tierVariant is one point of the static-serving lattice: the two
+// budgets, the disk store's state, and whether statics come from a
+// graph-level shared store (whose budget is then the static budget).
+type tierVariant struct {
+	static, dyn int64
+	store       string // "none", "cold" (fresh directory) or "warm" (populated, reopened)
+	shared      bool
+}
+
+// TestTierLatticeResultInvariant: every tier of the serving ladder — the
+// resident static cache in its snapshot, repacked and full phases, the
+// shared store, the disk store cold and reopened warm, the streaming
+// resolver and sidecar replay that ride on them, and the dynamic cache —
+// is a pure performance layer. The reference is the plain Appendix C
+// engine, reachable through the budget fields alone: both caches
+// disabled, no store, no shared statics, so every destination takes
+// BFS → ResolveInto → accumulate with no record, no sidecar and no blob.
+// Every lattice point must reproduce its Result bit for bit (compared at
+// equal shard count — float merges are only bit-stable per shard count)
+// and leave Config.Fingerprint unchanged: the invariant that lets
+// Fingerprint exclude all four settings.
+func TestTierLatticeResultInvariant(t *testing.T) {
+	g := topogen.MustGenerate(topogen.Default(300, 13))
+	g.SetCPTrafficFraction(0.10)
+	n := int64(g.N())
+	adopters := append(g.Nodes(asgraph.ContentProvider),
+		asgraph.TopByDegree(g, 3, asgraph.ISP)...)
+
+	// ~10 KB per unpacked snapshot at N=300: the tiny static budget
+	// overflows at once, repacks, and fills; the tiny dynamic budget
+	// holds a few records and evicts.
+	const tinyStatic, tinyDyn = 40_000, 20_000
+	budgets := func(tiny int64) []int64 { return []int64{0, tiny, -1} }
+
+	// The full product at workers=3 under every model and policy…
+	var full []tierVariant
+	for _, static := range budgets(tinyStatic) {
+		for _, dyn := range budgets(tinyDyn) {
+			for _, store := range []string{"none", "cold", "warm"} {
+				for _, shared := range []bool{false, true} {
+					if shared && static < 0 {
+						continue // a shared store has no "disabled" budget
+					}
+					full = append(full, tierVariant{static, dyn, store, shared})
+				}
+			}
+		}
+	}
+	// …and at the other worker counts a walk that visits each value of
+	// each axis.
+	walk := []tierVariant{
+		{0, 0, "none", false},
+		{tinyStatic, tinyDyn, "cold", false},
+		{-1, 0, "warm", false},
+		{tinyStatic, -1, "warm", true},
+		{0, tinyDyn, "none", true},
+	}
+
+	defer routing.CloseSharedDiskStores()
+	for _, model := range []UtilityModel{Outgoing, Incoming} {
+		for _, sbt := range []bool{true, false} {
+			for _, workers := range []int{1, 3, 5} {
+				variants := walk
+				if workers == 3 {
+					variants = full
+				}
+				base := Config{
+					Model:           model,
+					Theta:           0.05,
+					EarlyAdopters:   adopters,
+					StubsBreakTies:  sbt,
+					Workers:         workers,
+					RecordUtilities: true,
+					RecordStats:     true,
+				}
+				plain := base
+				plain.StaticCacheBytes, plain.DynamicCacheBytes = -1, -1
+				ref := MustNew(g, plain).Run()
+
+				// The warm store: populated by a default-budget run
+				// (itself checked), then reopened before every use.
+				warmRoot := t.TempDir()
+				populate := base
+				populate.StaticStoreDir = warmRoot
+				corner := fmt.Sprintf("model=%s/sbt=%v/workers=%d", model, sbt, workers)
+				requireBitIdentical(t, corner+"/populate", ref, MustNew(g, populate).Run())
+
+				for _, v := range variants {
+					cfg := base
+					cfg.StaticCacheBytes, cfg.DynamicCacheBytes = v.static, v.dyn
+					if v.shared {
+						cfg.SharedStatics = routing.NewSharedStaticCache(v.static)
+					}
+					switch v.store {
+					case "cold":
+						cfg.StaticStoreDir = t.TempDir()
+					case "warm":
+						routing.CloseSharedDiskStores()
+						cfg.StaticStoreDir = warmRoot
+					}
+					label := fmt.Sprintf("%s/static=%d/dyn=%d/store=%s/shared=%v", corner, v.static, v.dyn, v.store, v.shared)
+					got := MustNew(g, cfg).Run()
+					requireBitIdentical(t, label, ref, got)
+					if plain.Fingerprint() != cfg.Fingerprint() {
+						t.Errorf("%s: a tier setting changed the fingerprint", label)
+					}
+					// The tiny static budget must actually exercise the
+					// packed phase: caches overflow, repack, and report
+					// blob residency in the round stats. (Not on a warm
+					// store, whose replayed sidecars may fill the budget
+					// before any static is fetched.)
+					if v.static == tinyStatic && v.store != "warm" {
+						var packedEntries int64
+						for _, rd := range got.Rounds {
+							packedEntries += rd.Stats.StaticPackedEntries
+						}
+						if packedEntries == 0 {
+							t.Errorf("%s: tiny budget never repacked", label)
+						}
+					}
+					if model == Outgoing && sbt && workers == 3 && v == (tierVariant{0, 0, "warm", false}) {
+						checkRestartWarm(t, got, n)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkRestartWarm is the warm sweep accounting: with the disk tier
+// holding a blob and a sidecar for every destination, a restarted
+// pristine pass is pure Tier A — every destination replays recorded
+// bits, nothing resolves, nothing misses, and the sidecar reads surface
+// in the disk-tier counters.
+func checkRestartWarm(t *testing.T, got *Result, n int64) {
+	t.Helper()
+	ps := got.PristineStats
+	if ps == nil {
+		t.Fatal("restart-warm: no pristine stats recorded")
+	}
+	if ps.PristineReplays != n {
+		t.Errorf("restart-warm: %d pristine replays, want %d", ps.PristineReplays, n)
+	}
+	if ps.BaseResolutions != 0 || ps.StreamResolves != 0 {
+		t.Errorf("restart-warm: %d resolutions (%d streamed) in a fully replayed pass",
+			ps.BaseResolutions, ps.StreamResolves)
+	}
+	if ps.StaticMisses != 0 {
+		t.Errorf("restart-warm: %d static misses", ps.StaticMisses)
+	}
+	if ps.StaticDiskHits != n {
+		t.Errorf("restart-warm: %d disk hits, want %d", ps.StaticDiskHits, n)
+	}
+	if ps.StaticDiskWrites != 0 {
+		t.Errorf("restart-warm: %d disk writes on a warm store", ps.StaticDiskWrites)
+	}
+	// Every later round balances the same way: each destination is
+	// served by a cache or disk hit, a clean replay, or a pristine
+	// replay — never recomputed from scratch. (A Tier A replay served
+	// from disk ticks both PristineReplays and StaticDiskHits, so the
+	// sum can exceed n; a cold recompute would show up as a miss.)
+	for r, rd := range got.Rounds {
+		st := rd.Stats
+		if st == nil {
+			t.Fatalf("round %d: no stats", r)
+		}
+		if st.StaticMisses != 0 {
+			t.Errorf("round %d: %d static misses on a warm store", r, st.StaticMisses)
+		}
+		served := st.StaticHits + st.StaticDiskHits + int64(st.CleanDests) + st.PristineReplays
+		if served < n {
+			t.Errorf("round %d: %d destinations served, want >= %d", r, served, n)
+		}
+	}
+}

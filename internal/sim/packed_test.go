@@ -1,85 +1,20 @@
 package sim
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 
 	"sbgp/internal/asgraph"
+	"sbgp/internal/routing"
 	"sbgp/internal/topogen"
 )
-
-// TestPackedStaticsResultInvariant: packed cache storage is a pure
-// representation change — a decoded blob reproduces PrepareDest's
-// output bit for bit (routing/packed.go), admissions and lookups keep
-// the same stripe order — so Results are bit-identical with packing on
-// or off, at any worker count, any budget, and with the prefetch
-// pipeline feeding blobs. This is the invariant that lets
-// Config.Fingerprint exclude NoPackedStatics.
-func TestPackedStaticsResultInvariant(t *testing.T) {
-	g := topogen.MustGenerate(topogen.Default(300, 7))
-	g.SetCPTrafficFraction(0.10)
-	adopters := append(g.Nodes(asgraph.ContentProvider),
-		asgraph.TopByDegree(g, 3, asgraph.ISP)...)
-
-	// ~10 KB per unpacked snapshot at N=300: the tiny budget overflows
-	// immediately, forcing the repack and — packed off — rejections.
-	const tinyBudget = 40_000
-
-	for _, workers := range []int{1, 3, 5} {
-		base := Config{
-			Model:           Outgoing,
-			Theta:           0.05,
-			EarlyAdopters:   adopters,
-			StubsBreakTies:  true,
-			Workers:         workers,
-			RecordUtilities: true,
-			RecordStats:     true,
-			NoPackedStatics: true,
-		}
-		ref := MustNew(g, base).Run()
-
-		for _, budget := range []int64{0, -1, tinyBudget} {
-			for _, packed := range []bool{true, false} {
-				for _, depth := range []int{0, 4} {
-					cfg := base
-					cfg.StaticCacheBytes = budget
-					cfg.NoPackedStatics = !packed
-					cfg.StaticPrefetch = depth
-					got := MustNew(g, cfg).Run()
-					label := map[int64]string{0: "default", -1: "disabled", tinyBudget: "tiny"}[budget]
-					label = "workers=" + itoa(workers) + "/budget=" + label +
-						"/packed=" + map[bool]string{true: "on", false: "off"}[packed] +
-						"/depth=" + itoa(depth)
-					requireBitIdentical(t, label, ref, got)
-					if base.Fingerprint() != cfg.Fingerprint() {
-						t.Errorf("%s: NoPackedStatics or StaticPrefetch changed the fingerprint", label)
-					}
-					// The tiny budget must actually exercise the packed
-					// phase: caches overflow, repack, and report blob
-					// residency in the round stats.
-					if packed && budget == tinyBudget {
-						var packedEntries int64
-						for _, rd := range got.Rounds {
-							if rd.Stats != nil {
-								packedEntries += rd.Stats.StaticPackedEntries
-							}
-						}
-						if packedEntries == 0 {
-							t.Errorf("%s: tiny budget never repacked", label)
-						}
-					}
-				}
-			}
-		}
-	}
-}
 
 // TestShardEngineStaticsHandoff: the migration warm-start path —
 // ExportStatics on the source engine, ImportStatics on a cold
 // destination engine — leaves the destination fully warm (zero static
 // misses on its first round) and bit-identical to the source's own
-// partials. With NoPackedStatics the export is empty and the handoff
-// degrades to the old cold migration.
+// partials.
 func TestShardEngineStaticsHandoff(t *testing.T) {
 	g := topogen.MustGenerate(topogen.Default(300, 7))
 	g.SetCPTrafficFraction(0.10)
@@ -130,28 +65,36 @@ func TestShardEngineStaticsHandoff(t *testing.T) {
 			t.Fatalf("partials differ at node %d after warm handoff", i)
 		}
 	}
+}
 
-	// Packed off: nothing exports, imports are ignored.
-	cfgOff := cfg
-	cfgOff.NoPackedStatics = true
-	srcOff, err := NewShardEngine(g, cfgOff, []int{0, 1}, 2)
+// TestImportSidecarsRejectsHostile: sidecar payloads arrive over the
+// dist wire. One whose node gap wraps the int32 node negative must be
+// refused at import — admitted, the next base pass would replay it and
+// index uBase[-2] — and a negative destination must not pick a shard.
+func TestImportSidecarsRejectsHostile(t *testing.T) {
+	g := topogen.MustGenerate(topogen.Default(200, 3))
+	n := g.N()
+	eng, err := NewShardEngine(g, Config{}, []int{0}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcOff.ComputeRound(st, cands)
-	if err := srcOff.RemoveShards([]int{0}); err != nil {
-		t.Fatal(err)
-	}
-	if off := srcOff.ExportStatics([]int{0}); off != nil {
-		t.Errorf("NoPackedStatics exported %d blobs", len(off))
-	}
-	dstOff, err := NewShardEngine(g, cfgOff, []int{0}, 2)
+	const d, kind = 5, uint8(Outgoing)
+	payload := routing.AppendSidecar(nil, d, n, kind, nil)
+	payload[len(payload)-1] = 1 // count
+	payload = binary.AppendUvarint(payload, 0xFFFFFFFF)
+	payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(1.5))
+	eng.ImportSidecars([]uint8{kind, kind}, []int32{d, -1}, [][]byte{payload, payload})
+
+	ref, err := NewShardEngine(g, Config{}, []int{0}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dstOff.ImportStatics(blobs) // must be a no-op, not a poisoned cache
-	gotOff := dstOff.ComputeRound(st, cands)
-	if gotOff[0].Stats.StaticHits != 0 {
-		t.Errorf("NoPackedStatics destination reported %d warm hits", gotOff[0].Stats.StaticHits)
+	st := RoundState{Secure: make([]bool, n), Breaks: make([]bool, n)}
+	got, want := eng.ComputeRound(st, nil), ref.ComputeRound(st, nil)
+	if got[0].Stats.PristineReplays != 0 {
+		t.Errorf("%d destinations replayed an imported hostile sidecar", got[0].Stats.PristineReplays)
+	}
+	if !utilsBitIdentical(got[0].UBase, want[0].UBase) {
+		t.Error("base partials differ after the refused import")
 	}
 }

@@ -27,41 +27,6 @@ func TestShardTimingZeroPartials(t *testing.T) {
 	}
 }
 
-// TestNoProjectionBatchResultInvariant: the batched projection
-// predictor only skips candidate projections whose delta is exactly
-// zero, so disabling it recomputes the same bits the long way — any
-// Result, recorded utilities included, is bit-identical with the
-// predictor on or off. This is the invariant that lets
-// Config.Fingerprint exclude NoProjectionBatch.
-func TestNoProjectionBatchResultInvariant(t *testing.T) {
-	g := topogen.MustGenerate(topogen.Default(300, 7))
-	g.SetCPTrafficFraction(0.10)
-	adopters := append(g.Nodes(asgraph.ContentProvider),
-		asgraph.TopByDegree(g, 3, asgraph.ISP)...)
-	for _, model := range []UtilityModel{Outgoing, Incoming} {
-		for _, projectStubs := range []bool{false, true} {
-			base := Config{
-				Model:               model,
-				Theta:               0.05,
-				EarlyAdopters:       adopters,
-				StubsBreakTies:      true,
-				ProjectStubUpgrades: projectStubs,
-				Workers:             1,
-				RecordUtilities:     true,
-			}
-			ref := MustNew(g, base).Run()
-			cfg := base
-			cfg.NoProjectionBatch = true
-			got := MustNew(g, cfg).Run()
-			label := model.String() + "/projectstubs=" + map[bool]string{false: "off", true: "on"}[projectStubs]
-			requireBitIdentical(t, label, ref, got)
-			if base.Fingerprint() != cfg.Fingerprint() {
-				t.Errorf("%s: NoProjectionBatch changed the fingerprint", label)
-			}
-		}
-	}
-}
-
 // TestShardEngineRemoveAddShards covers the migration seam the
 // distributed rebalancer drives: removing shards, the error cases, and
 // re-adoption of a previously owned shard producing the same partials

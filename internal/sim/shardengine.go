@@ -162,10 +162,9 @@ func (e *ShardEngine) AddShards(ids []int) error {
 		}
 		wk := e.retired[s]
 		if wk != nil {
-			// Re-adoption keeps the static layers warm — including the
-			// prefetcher's parked snapshots, which are state-independent
-			// and therefore still valid (adopt, don't purge). Only the
-			// dynamic records froze at a stale deployment state.
+			// Re-adoption keeps the static layers warm (statics are
+			// state-independent, so still valid); only the dynamic
+			// records froze at a stale deployment state.
 			delete(e.retired, s)
 			wk.dyn.purge()
 		} else {
@@ -173,7 +172,7 @@ func (e *ShardEngine) AddShards(ids []int) error {
 			if e.cfg.SharedStatics != nil {
 				wk.shared = e.cfg.SharedStatics
 			} else if e.staticBudget > 0 {
-				wk.cache = routing.NewStaticCacheFor(e.g, e.staticBudget, !e.cfg.NoPackedStatics)
+				wk.cache = routing.NewStaticCache(e.g, e.staticBudget)
 				// The shard's stripe: d ≡ s (mod total), at most ceil(N/total).
 				wk.cache.Expect((e.g.N() + e.total - 1) / e.total)
 			}
@@ -192,9 +191,6 @@ func (e *ShardEngine) AddShards(ids []int) error {
 						disk.PutStatic(snap)
 					}
 				})
-			}
-			if e.cfg.StaticPrefetch > 0 {
-				wk.pf = newPrefetcher(e.g, e.cfg.StaticPrefetch, e.cfg.Tiebreaker, e.disk)
 			}
 			if e.dynBudget > 0 {
 				wk.dyn = newDynCache(e.dynBudget)
@@ -244,12 +240,8 @@ func (e *ShardEngine) RemoveShards(ids []int) error {
 // ships alongside the shard ids so the receiving process starts warm
 // instead of recomputing every static from scratch. Shards not in the
 // retired pool (never owned here) and workers without a private cache
-// contribute nothing; with Config.NoPackedStatics set the result is
-// always empty and migrations stay cold, as before packing existed.
+// contribute nothing.
 func (e *ShardEngine) ExportStatics(ids []int) [][]byte {
-	if e.cfg.NoPackedStatics {
-		return nil
-	}
 	var blobs [][]byte
 	for _, s := range ids {
 		if wk := e.retired[s]; wk != nil {
@@ -267,11 +259,7 @@ func (e *ShardEngine) ExportStatics(ids []int) [][]byte {
 // unowned shards, duplicate destinations, or beyond the cache budget
 // are dropped silently: imported statics are purely a warm start, and
 // recomputing a dropped one is always bit-identical (Observation C.1).
-// With Config.NoPackedStatics set, every blob is ignored.
 func (e *ShardEngine) ImportStatics(blobs [][]byte) {
-	if e.cfg.NoPackedStatics || len(blobs) == 0 {
-		return
-	}
 	for _, blob := range blobs {
 		d, ok := routing.PackedDest(blob)
 		if !ok || int(d) >= e.g.N() {
@@ -298,12 +286,8 @@ func (e *ShardEngine) ImportStatics(blobs [][]byte) {
 // ExportSidecars collects the pristine-contribution sidecars cached by
 // retired shard workers (the warm-handoff companion to ExportStatics):
 // parallel kind/dest/payload slices, payloads aliasing the caches'
-// arenas (read-only, short-lived). With Config.NoStreamResolve set the
-// result is always empty — the target could not replay them anyway.
+// arenas (read-only, short-lived).
 func (e *ShardEngine) ExportSidecars(ids []int) (kinds []uint8, dests []int32, payloads [][]byte) {
-	if e.cfg.NoStreamResolve {
-		return nil, nil, nil
-	}
 	for _, s := range ids {
 		if wk := e.retired[s]; wk != nil {
 			k, d, p := wk.cache.ExportSidecars()
@@ -322,16 +306,13 @@ func (e *ShardEngine) ExportSidecars(ids []int) (kinds []uint8, dests []int32, p
 // and any decode failure drop the sidecar silently: recomputing one is
 // always bit-identical (the contributions are pristine by definition).
 func (e *ShardEngine) ImportSidecars(kinds []uint8, dests []int32, payloads [][]byte) {
-	if e.cfg.NoStreamResolve {
-		return
-	}
 	n := e.g.N()
 	for j, payload := range payloads {
 		if j >= len(kinds) || j >= len(dests) {
 			break
 		}
 		kind, d := kinds[j], dests[j]
-		if int(d) >= n {
+		if d < 0 || int(d) >= n {
 			continue
 		}
 		shard := int(d) % e.total
@@ -450,17 +431,7 @@ func (e *ShardEngine) compute(rs RoundState, candList []int32, idx []int) []Shar
 			started := time.Now()
 			wk := e.pool[i]
 			wk.resetRound(n)
-			if wk.pf != nil {
-				// One pipeline goroutine per shard per round; stop drains
-				// it before the shard's partial is read, parking unconsumed
-				// snapshots for later rounds.
-				wk.pf.start(int32(e.shards[i]))
-				defer wk.pf.stop()
-			}
 			for d := int32(e.shards[i]); int(d) < n; d += int32(total) {
-				if wk.pf != nil {
-					wk.pf.topUp(wk, rc, n, total)
-				}
 				wk.processDest(d, rc)
 			}
 			e.wall[i] = time.Since(started)
@@ -499,8 +470,6 @@ func (e *ShardEngine) compute(rs RoundState, candList []int32, idx []int) []Shar
 				DynCacheBytes:       wk.dyn.bytesTotal(),
 				DynCacheEntries:     int64(wk.dyn.entryCount()),
 				DynCacheEvictions:   wk.dyn.evicted(),
-				PrefetchHits:        wk.stats.prefetchHits,
-				PrefetchWasted:      wk.stats.prefetchWasted,
 				StaticPackedBytes:   wk.cache.PackedBytes(),
 				StaticPackedEntries: wk.cache.PackedEntries(),
 				StaticDiskHits:      wk.stats.staticDiskHits,

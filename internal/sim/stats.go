@@ -92,14 +92,6 @@ type RoundStats struct {
 	DynCacheBytes     int64
 	DynCacheEntries   int
 	DynCacheEvictions int64
-	// PrefetchHits counts destinations whose static snapshot was served
-	// by the per-shard prefetch pipeline (Config.StaticPrefetch) instead
-	// of an inline three-stage BFS; PrefetchWasted counts prefetched
-	// snapshots dropped unused (the cache ended up serving the
-	// destination anyway — a shared store fed by a concurrent worker).
-	// Both stay zero with prefetching disabled.
-	PrefetchHits   int64
-	PrefetchWasted int64
 	// StaticDiskHits counts destinations served by the persistent disk
 	// tier (Config.StaticStoreDir): a stored packed blob was read,
 	// CRC-checked and decoded instead of running the three-stage BFS
@@ -114,17 +106,15 @@ type RoundStats struct {
 	// pristine-contribution sidecar (Tier A: no resolution, no tree),
 	// StreamResolves those served by the fused streaming resolver over a
 	// packed blob (Tier B; counted on top of BaseResolutions), and
-	// PristineRecords the sidecars recorded this round. All three stay
-	// zero under Config.NoStreamResolve. Sidecar disk reads and writes
-	// are included in the StaticDisk* counters above.
+	// PristineRecords the sidecars recorded this round. Sidecar disk
+	// reads and writes are included in the StaticDisk* counters above.
 	PristineReplays int64
 	PristineRecords int64
 	StreamResolves  int64
 	// StaticPackedEntries/StaticPackedBytes count the cache entries held
 	// in packed form and the blob bytes they occupy (a subset of
 	// StaticCacheEntries/StaticCacheBytes; see routing/packed.go). Both
-	// stay zero until a cache overflows its budget and repacks, and with
-	// Config.NoPackedStatics set.
+	// stay zero until a cache overflows its budget and repacks.
 	StaticPackedEntries int64
 	StaticPackedBytes   int64
 	// ShardWallMax and ShardWallMin are the slowest and fastest logical
@@ -180,9 +170,6 @@ func (st *RoundStats) String() string {
 		st.ProjUnchanged, reusedPct,
 		st.ShardWallMin.Round(time.Microsecond), st.ShardWallMax.Round(time.Microsecond), st.StragglerRatio,
 		st.AllocBytes)
-	if st.PrefetchHits > 0 || st.PrefetchWasted > 0 {
-		out += fmt.Sprintf(", prefetch %d hit (%d wasted)", st.PrefetchHits, st.PrefetchWasted)
-	}
 	if st.StaticPackedEntries > 0 {
 		out += fmt.Sprintf(", packed %d entries %dB", st.StaticPackedEntries, st.StaticPackedBytes)
 	}

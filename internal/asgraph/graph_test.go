@@ -2,6 +2,7 @@ package asgraph
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -226,6 +227,32 @@ func TestStats(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Error("empty String()")
+	}
+}
+
+// TestStatsSingleHomedAndLeafStubs: a stub is single-homed when it has
+// exactly one provider — not "fewer than two", which counted
+// provider-less stubs — and a leaf when, besides, it has no peer.
+func TestStatsSingleHomedAndLeafStubs(t *testing.T) {
+	b := NewBuilder()
+	b.AddCustomer(1, 2).AddCustomer(1, 3) // 2, 3: leaves of 1
+	b.AddCustomer(1, 4).AddPeer(4, 5)     // 4: single-homed but peered; 5: no provider at all
+	b.AddCustomer(1, 6).AddCustomer(7, 6) // 6: multi-homed
+	b.AddPeer(1, 7).AddCustomer(7, 8)     // 8: leaf of 7
+	s := ComputeStats(b.MustBuild())
+	if s.Stubs != 6 || s.MultiHomedStubs != 1 {
+		t.Fatalf("Stubs = %d, MultiHomedStubs = %d, want 6 and 1", s.Stubs, s.MultiHomedStubs)
+	}
+	if s.SingleHomedStubs != 4 {
+		t.Errorf("SingleHomedStubs = %d, want 4 (2, 3, 4, 8 — not the provider-less 5)", s.SingleHomedStubs)
+	}
+	if s.LeafStubs != 3 {
+		t.Errorf("LeafStubs = %d, want 3 (2, 3, 8 — not the peered 4)", s.LeafStubs)
+	}
+	for _, line := range []string{"single-homed           4 (66.7% of stubs)", "leaf stubs           3 (37.5% of ASes"} {
+		if !strings.Contains(s.String(), line) {
+			t.Errorf("String() lacks %q:\n%s", line, s)
+		}
 	}
 }
 

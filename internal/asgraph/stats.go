@@ -18,7 +18,8 @@ type Stats struct {
 	MaxDegree         int
 	MeanDegree        float64
 	MultiHomedStubs   int // stubs with >= 2 providers
-	SingleHomedStubs  int
+	SingleHomedStubs  int // stubs with exactly one provider
+	LeafStubs         int // single-homed stubs with no peer: exchangeable with their siblings
 	ISPsFewStubCusts  int // ISPs with < 7 stub customers (paper: ~80%)
 	ISPsManyStubCusts int // ISPs with > 100 stub customers (paper: ~1%)
 }
@@ -40,10 +41,14 @@ func ComputeStats(g *Graph) Stats {
 		switch g.Class(i) {
 		case Stub:
 			s.Stubs++
-			if len(g.Providers(i)) >= 2 {
+			switch np := len(g.Providers(i)); {
+			case np >= 2:
 				s.MultiHomedStubs++
-			} else {
+			case np == 1:
 				s.SingleHomedStubs++
+				if len(g.Peers(i)) == 0 {
+					s.LeafStubs++
+				}
 			}
 		case ISP:
 			s.ISPs++
@@ -81,6 +86,8 @@ func (s Stats) String() string {
 	fmt.Fprintf(&b, "max degree      %8d\n", s.MaxDegree)
 	fmt.Fprintf(&b, "mean degree     %11.2f\n", s.MeanDegree)
 	fmt.Fprintf(&b, "multihomed stubs%8d (%.1f%% of stubs)\n", s.MultiHomedStubs, pct(s.MultiHomedStubs, s.Stubs))
+	fmt.Fprintf(&b, "single-homed    %8d (%.1f%% of stubs)\n", s.SingleHomedStubs, pct(s.SingleHomedStubs, s.Stubs))
+	fmt.Fprintf(&b, "  leaf stubs    %8d (%.1f%% of ASes; one provider, no peer)\n", s.LeafStubs, pct(s.LeafStubs, s.ASes))
 	return b.String()
 }
 

@@ -47,8 +47,9 @@ import (
 // frame, three streaming-tier stats fields, and a config flag switching
 // the streaming tiers off. v6 removed the two prefetch stats fields
 // and, with the options behind them, those three config flags and the
-// prefetch depth (config wire v7).
-const protoVersion = 6
+// prefetch depth (config wire v7). v7 added the ClassReplays stats
+// field (sibling-leaf destination classes).
+const protoVersion = 7
 
 // Frame types. Direction is fixed per type: the coordinator sends
 // hello/snapshot/round/assign/recompute/drop/bye, workers send
@@ -566,7 +567,7 @@ func decodeRecompute(p []byte, into *recomputeMsg) error {
 }
 
 // statsWireFields is the fixed field count of a ShardStats block.
-const statsWireFields = 28
+const statsWireFields = 29
 
 func encodeStats(e *enc, s *sim.ShardStats) {
 	e.i64(s.WallNS)
@@ -597,6 +598,7 @@ func encodeStats(e *enc, s *sim.ShardStats) {
 	e.i64(s.PristineReplays)
 	e.i64(s.PristineRecords)
 	e.i64(s.StreamResolves)
+	e.i64(s.ClassReplays)
 }
 
 func decodeStats(d *dec, s *sim.ShardStats) {
@@ -628,6 +630,7 @@ func decodeStats(d *dec, s *sim.ShardStats) {
 	s.PristineReplays = d.i64()
 	s.PristineRecords = d.i64()
 	s.StreamResolves = d.i64()
+	s.ClassReplays = d.i64()
 }
 
 // partialsMsg returns one or more logical shards' partial sums for a

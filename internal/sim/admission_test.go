@@ -68,10 +68,13 @@ func wantsRecord(g *asgraph.Graph, cfg *Config, st *deployState, d int32) bool {
 }
 
 // checkAdmissionTrajectory replays res's deployment states next to its
-// per-round stats: each round must sidecar-replay exactly the
-// record-less destinations the rule does not want, and hold records for
-// exactly those it has wanted in some round so far. It reports whether
-// a round after the first admitted anything.
+// per-round stats, restating the serving ladder over plain state: a
+// recorded destination keeps its record; a record-less one the rule does
+// not want replays its sidecar; of the rest, a leaf whose class (shard,
+// provider, flags) already has a filler this round is class-replayed and
+// admits nothing, and everything else is admitted. Each round must
+// report exactly those sidecar replays, class replays and records. It
+// reports whether a round after the first admitted anything.
 func checkAdmissionTrajectory(t *testing.T, label string, g *asgraph.Graph, cfg *Config, res *Result) (grewMidGame bool) {
 	t.Helper()
 	n := g.N()
@@ -87,28 +90,49 @@ func checkAdmissionTrajectory(t *testing.T, label string, g *asgraph.Graph, cfg 
 			}
 		}
 	}
+	total := cfg.Shards(n)
+	leafProv := leafProviders(g)
+	classProv := make([][]int32, total)
+	for s := range classProv {
+		classProv[s] = newLeafClasses(leafProv, s, total).prov
+	}
+	type classKey struct {
+		shard, prov int32
+		secure      bool
+	}
 	recorded := make([]bool, n)
 	records := 0
 	for r, rd := range res.Rounds {
-		replays := int64(0)
+		var replays, classReplays int64
 		before := records
+		filled := map[classKey]bool{}
 		for d := int32(0); d < int32(n); d++ {
-			switch {
-			case wantsRecord(g, cfg, st, d):
-				if !recorded[d] {
-					recorded[d] = true
-					records++
-				}
-			case !recorded[d]:
+			shard := d % int32(total)
+			key := classKey{shard, classProv[shard][d], st.secure[d]}
+			switch want := wantsRecord(g, cfg, st, d); {
+			case recorded[d]:
+			case !want:
 				replays++
+				continue
+			case key.prov >= 0 && filled[key]:
+				classReplays++
+				continue
+			default:
+				recorded[d] = true
+				records++
 			}
+			filled[key] = true
 		}
 		if rd.Stats.PristineReplays != replays {
 			t.Errorf("%s round %d: %d sidecar replays, want the %d insecure untouchable record-less destinations",
 				label, r, rd.Stats.PristineReplays, replays)
 		}
+		if rd.Stats.ClassReplays != classReplays {
+			t.Errorf("%s round %d: %d class replays, want the %d wanted leaves behind a filler",
+				label, r, rd.Stats.ClassReplays, classReplays)
+		}
 		if rd.Stats.DynCacheEntries != records {
-			t.Errorf("%s round %d: %d records, want %d (secure or touchable so far)",
+			t.Errorf("%s round %d: %d records, want %d (secure or touchable so far, not class-replayed)",
 				label, r, rd.Stats.DynCacheEntries, records)
 		}
 		if r > 0 && records > before {
@@ -134,8 +158,9 @@ func checkAdmissionTrajectory(t *testing.T, label string, g *asgraph.Graph, cfg 
 // untouchable destinations from their sidecars, and the recorded set is
 // exactly the destinations that were secure or touchable in some round
 // so far — so one that turns secure mid-game is admitted that round.
-// With no tier to hold a sidecar, every destination is recorded in the
-// pristine pass, as before.
+// A wanted leaf behind a filler of its class is class-replayed instead
+// and holds no record. With no tier to hold a sidecar, every destination
+// is recorded or class-replayed in the pristine pass.
 func TestDynAdmissionDemandDriven(t *testing.T) {
 	g := topogen.MustGenerate(topogen.Default(400, 21))
 	g.SetCPTrafficFraction(0.10)
@@ -167,8 +192,10 @@ func TestDynAdmissionDemandDriven(t *testing.T) {
 						continue
 					}
 					if staticBudget < 0 {
-						if got := res.PristineStats.DynCacheEntries; got != n {
-							t.Errorf("%s: pristine pass recorded %d destinations, want all %d", label, got, n)
+						ps := res.PristineStats
+						if got := ps.DynCacheEntries + int(ps.ClassReplays); got != n || ps.ClassReplays == 0 {
+							t.Errorf("%s: pristine pass recorded %d and class-replayed %d destinations, want all %d between them",
+								label, ps.DynCacheEntries, ps.ClassReplays, n)
 						}
 						continue
 					}

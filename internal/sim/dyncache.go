@@ -10,7 +10,9 @@ import "sbgp/internal/routing"
 // keeps, for the destinations it owns (d ≡ w mod nw) whose tree can
 // matter (worker.wantRecord: secure, or flippable by a candidate — an
 // insecure destination's tree never changes, and its contributions are
-// replayed from a pristine sidecar instead), a destRecord:
+// replayed from a pristine sidecar instead; a leaf behind a filler of
+// its class is replayed from the filler's memo, see leafclass.go), a
+// destRecord:
 // the destination's base routing tree kept current across rounds by
 // change propagation (routing.ApplyFlips over the realized flips,
 // committed instead of reverted), the memoized per-ISP base utility
@@ -69,6 +71,10 @@ type destRecord struct {
 	// then changed a parent (contributions read only parents, types and
 	// weights).
 	base []contribEntry
+	// kids is the provider's child list captured with base when this
+	// destination last accumulated as a leaf class's filler (see
+	// leafclass.go); empty otherwise. Valid exactly as long as base is.
+	kids []leafKid
 	// delta holds every computed candidate delta (into uDelta),
 	// verbatim including zeros, in candidate-list order.
 	delta []contribEntry
@@ -118,7 +124,7 @@ const (
 )
 
 const (
-	dynEntryBytes    = 16  // contribEntry: int32 padded beside a float64
+	dynEntryBytes    = 16  // contribEntry, leafKid: int32 padded beside a float64
 	dynRecordMinimum = 256 // struct, map cell and slice headers
 )
 
@@ -129,7 +135,7 @@ func dynTreeBytes(n int) int64 { return 5 * int64(n) }
 // memBytes returns the record's accounted size at its current entry
 // counts.
 func (r *destRecord) memBytes(n int) int64 {
-	return dynTreeBytes(n) + dynEntryBytes*int64(len(r.base)+len(r.delta)) +
+	return dynTreeBytes(n) + dynEntryBytes*int64(len(r.base)+len(r.delta)+len(r.kids)) +
 		4*int64(len(r.witness)) + dynRecordMinimum
 }
 

@@ -417,6 +417,7 @@ func (s *Sim) computeRound(st *deployState, candidates []bool) (uBase, uProj []f
 		stats.PristineReplays = sum.PristineReplays
 		stats.PristineRecords = sum.PristineRecords
 		stats.StreamResolves = sum.StreamResolves
+		stats.ClassReplays = sum.ClassReplays
 		stats.ShardWallMax, stats.ShardWallMin, stats.StragglerRatio = shardTiming(partials)
 		// A graph-level shared static store is not owned by any shard;
 		// count it once on top of the per-shard private caches (which
@@ -512,6 +513,8 @@ type worker struct {
 	shared      *routing.SharedStaticCache // graph-level store; replaces cache when set
 	disk        *routing.StaticDiskStore   // persistent L2 tier; nil = disabled
 	dyn         *dynCache                  // per-worker contribution records; nil = disabled
+	classes     *leafClasses               // sibling-leaf class memos (leafclass.go); nil = disabled
+	kids        []leafKid                  // provider's child list captured while a class filler runs
 	isps        []int32                    // shared class index list (asgraph.Graph.ISPs)
 	baseTree    routing.Tree
 	projTree    routing.Tree
@@ -583,6 +586,10 @@ type workerStats struct {
 	pristineReplays int64
 	pristineRecords int64
 	streamResolves  int64
+
+	// Leaves served from a sibling's class memo (leafclass.go): counted
+	// instead of — not on top of — any other serving tier.
+	classReplays int64
 }
 
 func newWorker(g *asgraph.Graph, n int) *worker {
@@ -612,6 +619,9 @@ func (wk *worker) resetRound(n int) {
 		wk.uDelta[i] = 0
 	}
 	wk.stats = workerStats{}
+	if wk.classes != nil {
+		wk.classes.stamp++ // class memos live for one compute call
+	}
 }
 
 // processDest handles one destination: base utilities for every ISP and
@@ -777,8 +787,10 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 		}
 	} else {
 		accumulate(stc, tree, weights, wk.accBase, wk.incBase)
+		wk.captureKids(stc, tree)
 		if recBase {
 			rec.base = rec.base[:0]
+			rec.kids = append(rec.kids[:0], wk.kids...)
 		}
 		if wk.recordSC {
 			wk.scEntries = wk.scEntries[:0]
@@ -1189,6 +1201,7 @@ func (wk *worker) streamResolve(d int32, rc *roundCtx, record bool) bool {
 			inc[p] += acc[i]
 		}
 	}
+	wk.captureStreamKids(sr)
 	kind := uint8(cfg.Model)
 	record = record && wk.hasSidecarTier()
 	if record {

@@ -67,6 +67,7 @@ type ShardStats struct {
 	PristineReplays     int64
 	PristineRecords     int64
 	StreamResolves      int64
+	ClassReplays        int64
 }
 
 // add accumulates o into s. WallNS is summed too; callers wanting
@@ -100,6 +101,7 @@ func (s *ShardStats) add(o *ShardStats) {
 	s.PristineReplays += o.PristineReplays
 	s.PristineRecords += o.PristineRecords
 	s.StreamResolves += o.StreamResolves
+	s.ClassReplays += o.ClassReplays
 }
 
 // ExecInfo reports executor-level events of one round that are not

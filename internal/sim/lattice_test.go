@@ -22,11 +22,15 @@ type tierVariant struct {
 // resident static cache in its snapshot, repacked and full phases, the
 // shared store, the disk store cold and reopened warm, the streaming
 // resolver and sidecar replay that ride on them, and the dynamic cache —
-// is a pure performance layer. The reference is the plain Appendix C
-// engine, reachable through the budget fields alone: both caches
-// disabled, no store, no shared statics, so every destination takes
-// BFS → ResolveInto → accumulate with no record, no sidecar and no blob.
-// Every lattice point must reproduce its Result bit for bit (compared at
+// is a pure performance layer, and so is the sibling-leaf class rung in
+// front of them. The reference is the plain Appendix C engine: both
+// caches disabled, no store, no shared statics, and — through the
+// package's test hook, since the class rung is a property of the graph
+// and has no setting — no leaf classes, so every destination takes
+// BFS → ResolveInto → accumulate with no record, no sidecar, no blob and
+// no sibling's memo. Every lattice point runs with the classes on, the
+// scratch accumulators checked all-zero after every filler, and must
+// reproduce the reference Result bit for bit (compared at
 // equal shard count — float merges are only bit-stable per shard count)
 // and leave Config.Fingerprint unchanged: the invariant that lets
 // Fingerprint exclude all four settings.
@@ -68,33 +72,39 @@ func TestTierLatticeResultInvariant(t *testing.T) {
 	}
 
 	defer routing.CloseSharedDiskStores()
+	classReplays := int64(0)
 	for _, model := range []UtilityModel{Outgoing, Incoming} {
-		for _, sbt := range []bool{true, false} {
+		for _, policy := range []struct{ sbt, psu bool }{{true, false}, {false, false}, {true, true}, {false, true}} {
+			sbt, psu := policy.sbt, policy.psu
 			for _, workers := range []int{1, 3, 5} {
 				variants := walk
-				if workers == 3 {
+				if workers == 3 && !psu {
 					variants = full
 				}
 				base := Config{
-					Model:           model,
-					Theta:           0.05,
-					EarlyAdopters:   adopters,
-					StubsBreakTies:  sbt,
-					Workers:         workers,
-					RecordUtilities: true,
-					RecordStats:     true,
+					Model:               model,
+					Theta:               0.05,
+					EarlyAdopters:       adopters,
+					StubsBreakTies:      sbt,
+					ProjectStubUpgrades: psu,
+					Workers:             workers,
+					RecordUtilities:     true,
+					RecordStats:         true,
 				}
 				plain := base
 				plain.StaticCacheBytes, plain.DynamicCacheBytes = -1, -1
-				ref := MustNew(g, plain).Run()
+				ref := withoutLeafClasses(MustNew(g, plain)).Run()
+				if ref.PristineStats.ClassReplays != 0 {
+					t.Fatal("the plain reference ran with leaf classes on")
+				}
 
 				// The warm store: populated by a default-budget run
 				// (itself checked), then reopened before every use.
 				warmRoot := t.TempDir()
 				populate := base
 				populate.StaticStoreDir = warmRoot
-				corner := fmt.Sprintf("model=%s/sbt=%v/workers=%d", model, sbt, workers)
-				requireBitIdentical(t, corner+"/populate", ref, MustNew(g, populate).Run())
+				corner := fmt.Sprintf("model=%s/sbt=%v/psu=%v/workers=%d", model, sbt, psu, workers)
+				requireBitIdentical(t, corner+"/populate", ref, checkedFillers(t, MustNew(g, populate)).Run())
 
 				for _, v := range variants {
 					cfg := base
@@ -110,8 +120,12 @@ func TestTierLatticeResultInvariant(t *testing.T) {
 						cfg.StaticStoreDir = warmRoot
 					}
 					label := fmt.Sprintf("%s/static=%d/dyn=%d/store=%s/shared=%v", corner, v.static, v.dyn, v.store, v.shared)
-					got := MustNew(g, cfg).Run()
+					got := checkedFillers(t, MustNew(g, cfg)).Run()
 					requireBitIdentical(t, label, ref, got)
+					classReplays += got.PristineStats.ClassReplays
+					for _, rd := range got.Rounds {
+						classReplays += rd.Stats.ClassReplays
+					}
 					if plain.Fingerprint() != cfg.Fingerprint() {
 						t.Errorf("%s: a tier setting changed the fingerprint", label)
 					}
@@ -129,13 +143,44 @@ func TestTierLatticeResultInvariant(t *testing.T) {
 							t.Errorf("%s: tiny budget never repacked", label)
 						}
 					}
-					if model == Outgoing && sbt && workers == 3 && v == (tierVariant{0, 0, "warm", false}) {
+					if model == Outgoing && sbt && !psu && workers == 3 && v == (tierVariant{0, 0, "warm", false}) {
 						checkRestartWarm(t, got, n)
 					}
 				}
 			}
 		}
 	}
+	if classReplays == 0 {
+		t.Error("no lattice point replayed a leaf class: the rung went unexercised")
+	}
+}
+
+// withoutLeafClasses is the test hook that turns the sibling-leaf class
+// rung off on s's in-process engine: the tier has no Config field, so
+// nothing outside this package's tests can reach a classes-off engine.
+func withoutLeafClasses(s *Sim) *Sim {
+	for _, wk := range s.local.pool {
+		wk.classes = nil
+	}
+	return s
+}
+
+// checkedFillers makes every filler of s's in-process engine assert
+// that it left the scratch accumulators all-zero — the invariant the
+// next filler's "scratch holds the addends themselves" rests on.
+func checkedFillers(t *testing.T, s *Sim) *Sim {
+	for _, wk := range s.local.pool {
+		lc := wk.classes
+		lc.onFill = func() {
+			for i := range lc.base {
+				if lc.base[i] != 0 || lc.delta[i] != 0 {
+					t.Errorf("scratch accumulators not zero at node %d after a filler: base %v delta %v", i, lc.base[i], lc.delta[i])
+					lc.base[i], lc.delta[i] = 0, 0
+				}
+			}
+		}
+	}
+	return s
 }
 
 // checkRestartWarm is the warm sweep accounting: with the disk tier
@@ -166,8 +211,8 @@ func checkRestartWarm(t *testing.T, got *Result, n int64) {
 		t.Errorf("restart-warm: %d disk writes on a warm store", ps.StaticDiskWrites)
 	}
 	// Every later round balances the same way: each destination is
-	// served by a cache or disk hit, a clean replay, or a pristine
-	// replay — never recomputed from scratch. (A Tier A replay served
+	// served by a cache or disk hit, a clean replay, a pristine replay
+	// or a sibling's class memo — never recomputed from scratch. (A Tier A replay served
 	// from disk ticks both PristineReplays and StaticDiskHits, so the
 	// sum can exceed n; a cold recompute would show up as a miss.)
 	for r, rd := range got.Rounds {
@@ -178,7 +223,7 @@ func checkRestartWarm(t *testing.T, got *Result, n int64) {
 		if st.StaticMisses != 0 {
 			t.Errorf("round %d: %d static misses on a warm store", r, st.StaticMisses)
 		}
-		served := st.StaticHits + st.StaticDiskHits + int64(st.CleanDests) + st.PristineReplays
+		served := st.StaticHits + st.StaticDiskHits + int64(st.CleanDests) + st.PristineReplays + st.ClassReplays
 		if served < n {
 			t.Errorf("round %d: %d destinations served, want >= %d", r, served, n)
 		}

@@ -14,7 +14,9 @@ import (
 // ExportStatics on the source engine, ImportStatics on a cold
 // destination engine — leaves the destination fully warm (zero static
 // misses on its first round) and bit-identical to the source's own
-// partials.
+// partials. A class-replayed leaf never fetched a static, so the
+// handoff carries exactly the other destinations' blobs, and the
+// destination engine — which replays the same leaves — hits on each.
 func TestShardEngineStaticsHandoff(t *testing.T) {
 	g := topogen.MustGenerate(topogen.Default(300, 7))
 	g.SetCPTrafficFraction(0.10)
@@ -35,13 +37,17 @@ func TestShardEngineStaticsHandoff(t *testing.T) {
 	want := src.ComputeRound(st, cands)
 	wantBase := append([]float64(nil), want[0].UBase...)
 	wantDelta := append([]float64(nil), want[0].UDelta...)
+	replayed := int(want[0].Stats.ClassReplays)
+	if replayed == 0 {
+		t.Fatal("no shard-0 leaf was class-replayed")
+	}
 
 	if err := src.RemoveShards([]int{0}); err != nil {
 		t.Fatal(err)
 	}
 	blobs := src.ExportStatics([]int{0})
-	if len(blobs) != shard0Dests {
-		t.Fatalf("exported %d blobs, want %d (every shard-0 destination cached)", len(blobs), shard0Dests)
+	if len(blobs) != shard0Dests-replayed {
+		t.Fatalf("exported %d blobs, want %d (every shard-0 destination not class-replayed)", len(blobs), shard0Dests-replayed)
 	}
 
 	dst, err := NewShardEngine(g, cfg, []int{0}, 2)
@@ -56,8 +62,8 @@ func TestShardEngineStaticsHandoff(t *testing.T) {
 	if got[0].Stats.StaticMisses != 0 {
 		t.Errorf("imported statics left %d misses; the shard landed cold", got[0].Stats.StaticMisses)
 	}
-	if got[0].Stats.StaticHits != int64(shard0Dests) {
-		t.Errorf("%d static hits, want %d", got[0].Stats.StaticHits, shard0Dests)
+	if hits, again := got[0].Stats.StaticHits, got[0].Stats.ClassReplays; hits != int64(len(blobs)) || again != int64(replayed) {
+		t.Errorf("%d static hits + %d class replays, want %d + %d", hits, again, len(blobs), replayed)
 	}
 	for i := range wantBase {
 		if math.Float64bits(wantBase[i]) != math.Float64bits(got[0].UBase[i]) ||

@@ -152,6 +152,7 @@ func TestRoundStatsSurviveRoundTrip(t *testing.T) {
 		if rd.Stats != nil {
 			found = true
 			rd.Stats.Wall = 123 * time.Microsecond
+			rd.Stats.ClassReplays = 5
 		}
 	}
 	if !found {
@@ -189,5 +190,32 @@ func TestRoundStatsSurviveRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(res.Rounds[r].Stats, got.Rounds[r].Stats) {
 			t.Fatalf("round %d stats differ when the old fields are present", r)
 		}
+	}
+
+	// A Result cached before the class-replay counter existed has no
+	// such key, and a zero count writes none: old bytes decode to zero,
+	// and stats without class replays serialize exactly as they used to.
+	if !bytes.Contains(buf.Bytes(), []byte(`"ClassReplays":5`)) {
+		t.Fatal("a nonzero class-replay count was not written")
+	}
+	old = bytes.ReplaceAll(buf.Bytes(), []byte(`"ClassReplays":5,`), nil)
+	got, err = ReadResult(bytes.NewReader(old))
+	if err != nil {
+		t.Fatalf("old cached result without the class-replay counter: %v", err)
+	}
+	for r := range res.Rounds {
+		if st := res.Rounds[r].Stats; st != nil {
+			st.ClassReplays = 0
+		}
+		if !reflect.DeepEqual(res.Rounds[r].Stats, got.Rounds[r].Stats) {
+			t.Fatalf("round %d stats differ when the class-replay counter is absent", r)
+		}
+	}
+	buf.Reset()
+	if err := WriteResult(&buf, res); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), old) {
+		t.Fatal("stats with no class replays do not serialize as they did before the counter")
 	}
 }

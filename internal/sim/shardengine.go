@@ -66,6 +66,11 @@ type ShardEngine struct {
 	dynFlips      []int32
 	dynFlipMark   []bool
 	dynFlipBreaks []bool
+
+	// leafProv is the per-graph leaf index of the sibling-leaf class tier
+	// (leafclass.go): the provider of every single-homed peerless stub,
+	// -1 elsewhere.
+	leafProv []int32
 }
 
 // NewShardEngine builds an engine owning the given shard ids out of
@@ -129,6 +134,7 @@ func NewShardEngine(g *asgraph.Graph, cfg Config, shards []int, total int) (*Sha
 			e.disk = ds
 		}
 	}
+	e.leafProv = leafProviders(g)
 	if err := e.AddShards(shards); err != nil {
 		return nil, err
 	}
@@ -195,6 +201,7 @@ func (e *ShardEngine) AddShards(ids []int) error {
 			if e.dynBudget > 0 {
 				wk.dyn = newDynCache(e.dynBudget)
 			}
+			wk.classes = newLeafClasses(e.leafProv, s, e.total)
 		}
 		e.shards = append(e.shards, s)
 		e.pool = append(e.pool, wk)
@@ -432,7 +439,7 @@ func (e *ShardEngine) compute(rs RoundState, candList []int32, idx []int) []Shar
 			wk := e.pool[i]
 			wk.resetRound(n)
 			for d := int32(e.shards[i]); int(d) < n; d += int32(total) {
-				wk.processDest(d, rc)
+				wk.serveDest(d, rc)
 			}
 			e.wall[i] = time.Since(started)
 		}(i)
@@ -478,6 +485,7 @@ func (e *ShardEngine) compute(rs RoundState, candList []int32, idx []int) []Shar
 				PristineReplays:     wk.stats.pristineReplays,
 				PristineRecords:     wk.stats.pristineRecords,
 				StreamResolves:      wk.stats.streamResolves,
+				ClassReplays:        wk.stats.classReplays,
 			},
 		}
 		out = append(out, p)

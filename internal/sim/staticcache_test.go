@@ -142,12 +142,13 @@ func TestStaticCacheSharedAcrossRuns(t *testing.T) {
 				r, rd.Stats.StaticMisses)
 		}
 		// Every destination is served warm: a cached static snapshot, a
-		// clean dynamic-cache replay (which needs no static at all), or a
-		// pristine-contribution sidecar replay recorded by the first run.
-		served := rd.Stats.StaticHits + int64(rd.Stats.CleanDests) + rd.Stats.PristineReplays
+		// clean dynamic-cache replay (which needs no static at all), a
+		// pristine-contribution sidecar replay recorded by the first run,
+		// or a sibling leaf's class memo.
+		served := rd.Stats.StaticHits + int64(rd.Stats.CleanDests) + rd.Stats.PristineReplays + rd.Stats.ClassReplays
 		if served != int64(g.N()) {
-			t.Fatalf("second run round %d: %d static hits + %d clean + %d replayed = %d served, want %d",
-				r, rd.Stats.StaticHits, rd.Stats.CleanDests, rd.Stats.PristineReplays, served, g.N())
+			t.Fatalf("second run round %d: %d static hits + %d clean + %d replayed + %d class-replayed = %d served, want %d",
+				r, rd.Stats.StaticHits, rd.Stats.CleanDests, rd.Stats.PristineReplays, rd.Stats.ClassReplays, served, g.N())
 		}
 	}
 }

@@ -79,8 +79,9 @@ type RoundStats struct {
 	// was admitted this round. Clean + dirty counts recorded
 	// destinations only, so it is below Destinations whenever some hold
 	// no record: insecure destinations no candidate can flip are never
-	// admitted (PristineReplays and StreamResolves serve them), nor is
-	// anything once the budget is spent. Both stay zero when the cache
+	// admitted (PristineReplays and StreamResolves serve them), nor are
+	// class-replayed leaves (ClassReplays), nor is anything once the
+	// budget is spent. Both stay zero when the cache
 	// is disabled (Config.DynamicCacheBytes < 0).
 	DirtyDests int
 	CleanDests int
@@ -111,6 +112,14 @@ type RoundStats struct {
 	PristineReplays int64
 	PristineRecords int64
 	StreamResolves  int64
+	// ClassReplays counts leaf destinations — single-homed peerless
+	// stubs — served from the memo a sibling of the same provider and
+	// deployment flags left this round (leafclass.go): no static, no
+	// resolution, no projection, no record. Counted instead of — not on
+	// top of — every other serving tier, so per round
+	// hits + clean + pristine replays + class replays + misses covers
+	// every destination.
+	ClassReplays int64 `json:",omitempty"`
 	// StaticPackedEntries/StaticPackedBytes count the cache entries held
 	// in packed form and the blob bytes they occupy (a subset of
 	// StaticCacheEntries/StaticCacheBytes; see routing/packed.go). Both
@@ -180,6 +189,9 @@ func (st *RoundStats) String() string {
 	if st.PristineReplays > 0 || st.StreamResolves > 0 || st.PristineRecords > 0 {
 		out += fmt.Sprintf(", stream %d resolved, %d replayed (%d recorded)",
 			st.StreamResolves, st.PristineReplays, st.PristineRecords)
+	}
+	if st.ClassReplays > 0 {
+		out += fmt.Sprintf(", class %d replayed", st.ClassReplays)
 	}
 	if st.WorkersLost > 0 || st.ShardsReassigned > 0 {
 		out += fmt.Sprintf(", lost %d workers (%d shards reassigned)", st.WorkersLost, st.ShardsReassigned)

@@ -49,12 +49,15 @@ func resultDigest(t *testing.T, res *Result) string {
 
 // wantsRecord is the admission rule restated over plain state: a
 // destination needs a tree this round iff it is secure or some
-// candidate's projection can flip it.
+// candidate's projection that survives the zero-utility test can flip
+// it. A candidate's own flip never survives under Outgoing (the
+// destination routes to itself, not over a customer edge), so there an
+// insecure candidate destination wants none.
 func wantsRecord(g *asgraph.Graph, cfg *Config, st *deployState, d int32) bool {
 	candidate := func(i int32) bool {
 		return g.IsISP(i) && (!st.secure[i] || cfg.Model == Incoming)
 	}
-	if st.secure[d] || candidate(d) {
+	if st.secure[d] || (candidate(d) && cfg.Model == Incoming) {
 		return true
 	}
 	if cfg.ProjectStubUpgrades && g.IsStub(d) {

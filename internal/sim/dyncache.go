@@ -18,16 +18,22 @@ import "sbgp/internal/routing"
 // committed instead of reverted), the memoized per-ISP base utility
 // contributions, the memoized per-candidate projected deltas, and a
 // witness set — the nodes whose deployment flags the recorded deltas
-// were derived from. On the next round a destination is *clean*, and
-// its contributions replayed verbatim, iff advancing its tree changed
-// no entry, the destination itself did not flip, and no realized flip
-// intersects the witness; otherwise it is reprocessed (using the
-// advanced tree, so even dirty destinations skip the full resolution).
+// were derived from. The tree is held as a routing.TreeDiff against the
+// static's winner tree — the Secure flags as a bitset plus the parents
+// SecP moved off their winner — and decoded into the worker's scratch
+// tree only by the paths that read it: an advance that propagates, and
+// the candidate loop of a dirty destination. On the next round a
+// destination is *clean*, and its contributions replayed verbatim, iff
+// advancing its tree changed no entry, the destination itself did not
+// flip, and no realized flip intersects the witness; otherwise it is
+// reprocessed (using the advanced tree, so even dirty destinations skip
+// the full resolution).
 //
 // Bit-identity with the non-incremental engine holds at any budget:
 //   - The advanced tree equals a fresh resolution bit for bit
-//     (ApplyFlips' contract), so dirty reprocessing is exactly the
-//     cold computation.
+//     (ApplyFlips' contract), and the diff round-trips it exactly
+//     (Static.LoadDiff's contract), so dirty reprocessing is exactly
+//     the cold computation.
 //   - Replayed base contributions are the recorded float64 bits, added
 //     into the same per-worker accumulator in the same ascending
 //     destination order; only identically-zero contributions are
@@ -43,14 +49,15 @@ import "sbgp/internal/routing"
 // DynamicCacheBytes.
 
 // DefaultDynamicCacheBytes is the default dynamic-cache budget: 1 GiB.
-// A record costs ≈5 bytes per node for the tree plus 16 bytes per
-// nonzero contribution, and only destinations whose tree can matter
-// hold one (processDest's wantRecord: secure destinations and those a
-// candidate can flip — insecure untouchable ones are sidecar-replayed
-// instead), so R such destinations of N nodes need ≈5·N·R bytes
-// (~225 MB for the 4,400 of the N=10,000 outgoing game; ≈5·N² when
-// every destination qualifies). Larger graphs keep a pinned prefix of
-// them and recompute the rest each round.
+// A record costs a fixed overhead, 8 bytes per parent SecP moved off its
+// winner, N/8 bytes of Secure bitset once any path to its destination is
+// secure, and 16 bytes per nonzero contribution, and only destinations
+// whose tree can matter hold one (processDest's wantRecord: secure
+// destinations and those a candidate can flip — insecure untouchable
+// ones are sidecar-replayed instead). The N=10,000 outgoing game's
+// 1,915 round-1 records take ≈7 KB each (13.4 MB in all), so the budget
+// binds only far beyond the paper's N=36,964; a graph that fills it
+// keeps a pinned prefix of records and recomputes the rest each round.
 const DefaultDynamicCacheBytes = int64(1) << 30
 
 // contribEntry memoizes one node's utility contribution for one
@@ -63,9 +70,10 @@ type contribEntry struct {
 // destRecord is one destination's cross-round cache entry.
 type destRecord struct {
 	dest int32
-	// tree is the destination's base routing tree, advanced in place to
-	// the current deployment state at the start of every round.
-	tree routing.Tree
+	// tree is the destination's base routing tree as a diff against the
+	// static's winner tree, advanced to the current deployment state at
+	// the start of every round.
+	tree routing.TreeDiff
 	// base holds the nonzero base utility contributions (into uBase) as
 	// of the last recomputation; valid as long as no advancement since
 	// then changed a parent (contributions read only parents, types and
@@ -128,14 +136,10 @@ const (
 	dynRecordMinimum = 256 // struct, map cell and slice headers
 )
 
-// dynTreeBytes is the accounted size of a record's tree: Parent (int32)
-// plus Secure (bool) per node.
-func dynTreeBytes(n int) int64 { return 5 * int64(n) }
-
-// memBytes returns the record's accounted size at its current entry
-// counts.
-func (r *destRecord) memBytes(n int) int64 {
-	return dynTreeBytes(n) + dynEntryBytes*int64(len(r.base)+len(r.delta)+len(r.kids)) +
+// memBytes returns the record's accounted size at its current tree diff
+// and entry counts.
+func (r *destRecord) memBytes() int64 {
+	return r.tree.Bytes() + dynEntryBytes*int64(len(r.base)+len(r.delta)+len(r.kids)) +
 		4*int64(len(r.witness)) + dynRecordMinimum
 }
 
@@ -172,29 +176,29 @@ func (c *dynCache) get(d int32) *destRecord {
 	return c.entries[d]
 }
 
-// admit reserves a record for destination d if its floor size (tree
-// plus overhead, before any entries) fits the remaining budget,
-// returning nil otherwise. The caller resolves the tree and fills the
-// entries, then must call resize to account for them.
-func (c *dynCache) admit(d int32, n int) *destRecord {
+// admit reserves a record for destination d if its floor size (the
+// fixed overhead, before any tree diff or entries) fits the remaining
+// budget, returning nil otherwise. The caller resolves the tree, stores
+// its diff and fills the entries, then must call resize to account for
+// them.
+func (c *dynCache) admit(d int32) *destRecord {
 	if c == nil || c.blocked[d] {
 		return nil
 	}
-	floor := dynTreeBytes(n) + dynRecordMinimum
-	if c.bytes+floor > c.budget {
+	if c.bytes+dynRecordMinimum > c.budget {
 		return nil
 	}
-	rec := &destRecord{dest: d, bytes: floor}
+	rec := &destRecord{dest: d, bytes: dynRecordMinimum}
 	c.entries[d] = rec
-	c.bytes += floor
+	c.bytes += dynRecordMinimum
 	return rec
 }
 
-// resize re-accounts rec after its entries changed. If the cache no
-// longer fits its budget the record is evicted — dropped and its
-// destination blocked from re-admission — and resize reports true.
-func (c *dynCache) resize(rec *destRecord, n int) (evicted bool) {
-	nb := rec.memBytes(n)
+// resize re-accounts rec after its tree diff or entries changed. If the
+// cache no longer fits its budget the record is evicted — dropped and
+// its destination blocked from re-admission — and resize reports true.
+func (c *dynCache) resize(rec *destRecord) (evicted bool) {
+	nb := rec.memBytes()
 	c.bytes += nb - rec.bytes
 	rec.bytes = nb
 	if c.bytes > c.budget {

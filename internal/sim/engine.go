@@ -628,7 +628,7 @@ func (wk *worker) resetRound(n int) {
 // projected deltas for the candidates that survive the skip rules. With
 // a dynamic-cache record, clean destinations replay their memoized
 // contributions; dirty ones are recomputed against the record's tree,
-// already advanced to the current state.
+// already advanced to the current state and decoded into wk.baseTree.
 func (wk *worker) processDest(d int32, rc *roundCtx) {
 	cfg := rc.cfg
 	st := rc.st
@@ -679,11 +679,14 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 		return stc
 	}
 
+	// Every path resolves, advances or decodes the tree into the worker's
+	// scratch; a record keeps only its diff (see dyncache.go).
 	tree := &wk.baseTree
 	// Dynamic cache: advance the record's tree across the realized flips
 	// and replay the memoized contributions if nothing they depend on
-	// moved (see dyncache.go for the validity argument).
-	treeCurrent := false
+	// moved (see dyncache.go for the validity argument). treeLoaded: the
+	// advance left the current tree in wk.baseTree.
+	treeCurrent, treeLoaded := false, false
 	// baseValid: the record's memoized base contributions still match
 	// the (advanced) tree — no parent moved since they were recorded —
 	// so a dirty destination can replay them and skip the O(n) base
@@ -693,16 +696,15 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 	// single parent edge.
 	baseValid := false
 	if rec != nil {
-		tree = &rec.tree
 		var parentsChanged, treeChanged, hit bool
 		if rc.bigJump {
 			// Advancing across a Run reset would propagate more changes
 			// than a fresh resolution: fall through to the rebuild below
-			// (into the record's tree — same bits either way) with
-			// everything conservatively invalidated.
+			// (same bits either way) with everything conservatively
+			// invalidated.
 			parentsChanged, treeChanged, hit = true, true, true
 		} else {
-			parentsChanged, treeChanged, hit = wk.advanceRecord(rec, getStatic, rc)
+			parentsChanged, treeChanged, hit, treeLoaded = wk.advanceRecord(rec, tree, getStatic, rc)
 			treeCurrent = true
 		}
 		if len(rc.candList) == 0 {
@@ -712,6 +714,9 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 				}
 				if treeChanged || hit {
 					rec.deltasValid = false
+				}
+				if treeChanged {
+					wk.dyn.resize(rec) // the advance re-stored the diff
 				}
 				wk.stats.dynClean++
 				return
@@ -738,9 +743,7 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 	} else if wk.wantRecord(d, rc) {
 		// Admission is by need, not by arrival: the pristine pass and
 		// every insecure untouchable destination stay record-less.
-		if rec = wk.dyn.admit(d, n); rec != nil {
-			tree = &rec.tree
-		}
+		rec = wk.dyn.admit(d)
 	}
 	if rec != nil {
 		wk.stats.dynDirty++
@@ -757,6 +760,14 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 		}
 		wk.ws.ResolveInto(tree, stc, st.secure, st.breaks, nil, nil, cfg.Tiebreaker)
 		wk.stats.baseResolutions++
+		if rec != nil {
+			stc.StoreDiff(&rec.tree, tree)
+		}
+	} else if !treeLoaded {
+		// A dirty record whose advance propagated nothing (no flips, or
+		// its destination insecure in both states): the candidate loop
+		// reads the tree.
+		stc.LoadDiff(tree, &rec.tree)
 	}
 
 	// Base utility contributions, over the destination's memoized utility
@@ -816,7 +827,7 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 	if len(rc.candList) == 0 {
 		if recBase {
 			rec.deltasValid = false
-			wk.dyn.resize(rec, n)
+			wk.dyn.resize(rec)
 		}
 		return
 	}
@@ -939,12 +950,12 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 			rec.witness = rec.witness[:0]
 		}
 		rec.deltasValid = true
-		wk.dyn.resize(rec, n)
+		wk.dyn.resize(rec)
 	} else if recBase {
 		rec.deltasValid = false
 		rec.delta = rec.delta[:0]
 		rec.witness = rec.witness[:0]
-		wk.dyn.resize(rec, n)
+		wk.dyn.resize(rec)
 	}
 }
 
@@ -1021,10 +1032,10 @@ const indexAfterPropagations = 3
 // can serve it instead. A record exists to keep a tree current, and an
 // insecure destination's tree is the static winner tree in every state
 // — all it ever needs is its pristine contributions, which a sidecar
-// replays without a tree, a static or 5·N bytes. So: secure
-// destinations; insecure ones some candidate's projection can flip
-// (they need projection scratch this round); and everything when there
-// is nowhere to hold a sidecar, where the record's replay is the only
+// replays without a tree or a static. So: secure destinations; insecure
+// ones a surviving candidate projection can flip (!destUntouchable: they
+// need projection scratch this round); and everything when there is
+// nowhere to hold a sidecar, where the record's replay is the only
 // cross-round memo left.
 func (wk *worker) wantRecord(d int32, rc *roundCtx) bool {
 	if wk.dyn == nil {
@@ -1040,13 +1051,16 @@ func (wk *worker) wantRecord(d int32, rc *roundCtx) bool {
 // candidate is provably skipped for destination d without reading its
 // resolved tree, so the destination needs only its base contributions —
 // exactly what the streaming tiers provide. It holds when d is insecure
-// and cannot flip under any candidate's projection: then C.4 rule 1
-// (skipInsecureDest) prunes every candidate the zero-utility test
-// doesn't. d flips only if d itself is a candidate, or — under
-// ProjectStubUpgrades — d is an insecure stub customer of an insecure
-// candidate provider (flipSetFor's membership rule, verbatim).
+// and no candidate's projection that flips d survives the zero-utility
+// test: then C.4 rule 1 (skipInsecureDest) prunes every other candidate
+// the zero-utility test doesn't. d flips only if d itself is a
+// candidate, or — under ProjectStubUpgrades — d is an insecure stub
+// customer of an insecure candidate provider (flipSetFor's membership
+// rule, verbatim). Under Outgoing d's own flip never survives: Type[d]
+// is SelfRoute, never CustomerRoute, and d is an ISP, so no other
+// candidate's flip set holds it.
 func (wk *worker) destUntouchable(d int32, rc *roundCtx) bool {
-	if rc.st.secure[d] || rc.candMark[d] {
+	if rc.st.secure[d] || (rc.candMark[d] && rc.cfg.Model != Outgoing) {
 		return false
 	}
 	g := wk.ws.Graph()
@@ -1247,22 +1261,31 @@ func (wk *worker) streamResolve(d int32, rc *roundCtx, record bool) bool {
 }
 
 // storeSidecar encodes wk.scEntries as (kind, d)'s sidecar and stores
-// it in the resident tier and the disk store.
+// it in the resident tier and the disk store. It counts a pristine
+// record only when some tier kept it: a full static budget rejects the
+// put, and the destination is then recomputed next round.
 func (wk *worker) storeSidecar(kind uint8, d int32, n int) {
 	wk.scPayload = routing.AppendSidecar(wk.scPayload[:0], d, n, kind, wk.scEntries)
-	wk.cache.SidecarPut(kind, d, wk.scPayload)
-	wk.shared.SidecarPut(kind, d, wk.scPayload)
+	stored := wk.cache.SidecarPut(kind, d, wk.scPayload)
+	if wk.shared.SidecarPut(kind, d, wk.scPayload) {
+		stored = true
+	}
 	if wk.disk.PutSidecar(kind, d, wk.scPayload) {
 		wk.stats.staticDiskWrites++
+		stored = true
 	}
-	wk.stats.pristineRecords++
+	if stored {
+		wk.stats.pristineRecords++
+	}
 }
 
 // advanceRecord brings rec.tree from the previous round's deployment
 // state to the current one by change propagation over the realized flip
 // set — bit-identical to a fresh resolution, by ApplyFlips' contract,
 // and the undo log is deliberately abandoned (the change is real, not a
-// projection). It is one propagation per destination per round, so it
+// projection). The propagation runs on the diff decoded into tree, and
+// the diff is then brought up to date from the undo log; loaded reports
+// that tree now holds the current tree. It is one propagation per destination per round, so it
 // never builds the dependents index (ApplyFlips uses one the candidate
 // loop left on a cached snapshot, and the graph otherwise). It reports
 // what survives: parentsChanged invalidates the
@@ -1270,9 +1293,9 @@ func (wk *worker) storeSidecar(kind uint8, d int32, n int) {
 // (any entry at all, Secure flags included) or a witness hit — the
 // destination itself or a witness node flipping — invalidates the
 // memoized deltas.
-func (wk *worker) advanceRecord(rec *destRecord, getStatic func() *routing.Static, rc *roundCtx) (parentsChanged, treeChanged, hit bool) {
+func (wk *worker) advanceRecord(rec *destRecord, tree *routing.Tree, getStatic func() *routing.Static, rc *roundCtx) (parentsChanged, treeChanged, hit, loaded bool) {
 	if len(rc.flipList) == 0 {
-		return false, false, false
+		return false, false, false, false
 	}
 	if !rc.flipMark[rec.dest] && !rc.st.secure[rec.dest] {
 		// The destination is insecure in both states (it did not flip):
@@ -1292,11 +1315,16 @@ func (wk *worker) advanceRecord(rec *destRecord, getStatic func() *routing.Stati
 				}
 			}
 		}
-		return false, false, hit
+		return false, false, hit, false
 	}
-	parentsChanged, _ = wk.ws.ApplyFlips(&rec.tree, getStatic(),
+	stc := getStatic()
+	stc.LoadDiff(tree, &rec.tree)
+	parentsChanged, _ = wk.ws.ApplyFlips(tree, stc,
 		rc.prevSecure, rc.prevBreaks, rc.flipMark, rc.flipBreaks, rc.flipList, rc.cfg.Tiebreaker)
 	treeChanged = wk.ws.UndoSize() > 0
+	if treeChanged {
+		wk.ws.CommitDiff(&rec.tree, stc, tree)
+	}
 	if rc.flipMark[rec.dest] {
 		hit = true
 	} else if rec.deltasValid {
@@ -1311,7 +1339,7 @@ func (wk *worker) advanceRecord(rec *destRecord, getStatic func() *routing.Stati
 			}
 		}
 	}
-	return parentsChanged, treeChanged, hit
+	return parentsChanged, treeChanged, hit, true
 }
 
 // beginWitness starts rebuilding rec's witness set with its

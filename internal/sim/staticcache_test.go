@@ -153,6 +153,37 @@ func TestStaticCacheSharedAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestSidecarRecordsCountStoredOnly: a static budget too small to admit
+// any sidecar, and no store, keeps none — so no round may report a
+// recorded one (each round recomputes and re-offers them instead) and
+// none can be replayed.
+func TestSidecarRecordsCountStoredOnly(t *testing.T) {
+	g := topogen.MustGenerate(topogen.Default(300, 7))
+	g.SetCPTrafficFraction(0.10)
+	for _, model := range []UtilityModel{Outgoing, Incoming} {
+		cfg := Config{
+			Model:            model,
+			Theta:            0.05,
+			EarlyAdopters:    append(g.Nodes(asgraph.ContentProvider), asgraph.TopByDegree(g, 3, asgraph.ISP)...),
+			StubsBreakTies:   true,
+			StaticCacheBytes: 1,
+			Workers:          2,
+			RecordStats:      true,
+		}
+		res := MustNew(g, cfg).Run()
+		passes := []*RoundStats{res.PristineStats}
+		for _, rd := range res.Rounds {
+			passes = append(passes, rd.Stats)
+		}
+		for p, st := range passes {
+			if st.PristineRecords != 0 || st.PristineReplays != 0 {
+				t.Errorf("%s pass %d: %d sidecars recorded, %d replayed, with nowhere to keep one",
+					model, p, st.PristineRecords, st.PristineReplays)
+			}
+		}
+	}
+}
+
 // TestStaticCacheFingerprintExcluded: StaticCacheBytes must not enter
 // the config fingerprint (any budget yields the same Result), while
 // trajectory-shaping fields must.

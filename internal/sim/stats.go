@@ -107,7 +107,8 @@ type RoundStats struct {
 	// pristine-contribution sidecar (Tier A: no resolution, no tree),
 	// StreamResolves those served by the fused streaming resolver over a
 	// packed blob (Tier B; counted on top of BaseResolutions), and
-	// PristineRecords the sidecars recorded this round. Sidecar disk
+	// PristineRecords the sidecars recorded this round — only those some
+	// tier kept (a full static budget rejects them). Sidecar disk
 	// reads and writes are included in the StaticDisk* counters above.
 	PristineReplays int64
 	PristineRecords int64

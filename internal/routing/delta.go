@@ -144,7 +144,6 @@ func (w *Workspace) enqueueDependents(s *Static, i int32, pend []uint64) (added 
 // index (PrepareDelta) is used when s carries one.
 func (w *Workspace) ApplyFlips(t *Tree, s *Static, secure, breaks []bool, flipped, flipBreaks []bool, flipList []int32, tb Tiebreaker) (changed bool, touched int) {
 	w.undo = w.undo[:0]
-	w.touched = w.touched[:0]
 	if nw := (w.g.N() + 63) / 64; len(w.pend) < nw {
 		w.pend = make([]uint64, nw)
 	}
@@ -182,7 +181,6 @@ func (w *Workspace) ApplyFlips(t *Tree, s *Static, secure, breaks []bool, flippe
 		k := word<<6 | b
 		i := s.order[k]
 		touched++
-		w.touched = append(w.touched, i)
 		// Singleton tiebreak sets (the overwhelming majority, paper
 		// Fig. 10) admit no choice: decideNode provably returns the lone
 		// candidate as parent with the flag simply mirroring it, so the
@@ -220,13 +218,6 @@ func (w *Workspace) ApplyFlips(t *Tree, s *Static, secure, breaks []bool, flippe
 // changed (the size of its undo log). Zero means the projected tree is
 // bit-identical to the tree passed in — not even a Secure flag moved.
 func (w *Workspace) UndoSize() int { return len(w.undo) }
-
-// LastTouched returns the nodes the preceding ApplyFlips re-decided —
-// every node whose decision inputs could have changed, whether or not
-// its entry actually did. The destination's own entry (updated directly
-// when it flips, without a decision) is not included. The slice is
-// workspace-owned and overwritten by the next ApplyFlips.
-func (w *Workspace) LastTouched() []int32 { return w.touched }
 
 // ParentMoves appends to dst the nodes whose Parent entry the preceding
 // ApplyFlips actually changed in t — the exact structural difference

@@ -278,13 +278,11 @@ type Workspace struct {
 	winBuf     []int32
 
 	// scratch for delta resolution (PrepareDelta / ApplyFlips):
-	// counting-sort cursor, pending-position bitset, undo log and the
-	// re-decided node list of the last ApplyFlips. The dependents index
-	// itself lives on the Static being resolved.
-	revCur  []int32
-	pend    []uint64
-	undo    []undoEntry
-	touched []int32
+	// counting-sort cursor, pending-position bitset and undo log. The
+	// dependents index itself lives on the Static being resolved.
+	revCur []int32
+	pend   []uint64
+	undo   []undoEntry
 
 	// scratch for the batched projection predictor (PrepareFlipEffects):
 	// order-position-indexed move bitset, and the positions of the rows

@@ -129,9 +129,10 @@ type Config struct {
 
 	// DynamicCacheBytes bounds the memory of the cross-round dynamic
 	// contribution cache: per-destination records (routing tree plus
-	// memoized utility contributions) that let a round replay every
-	// destination the realized flip set provably did not affect, instead
-	// of recomputing it. 0 means the default budget
+	// memoized base utility contributions) that let a round advance a
+	// destination's tree across the realized flips instead of resolving
+	// it afresh, and replay its base contributions while no parent moved.
+	// Projections are always recomputed. 0 means the default budget
 	// (DefaultDynamicCacheBytes, 1 GiB); negative disables the cache and
 	// falls back to full per-destination recomputation each round. On
 	// budget exhaustion the destinations recorded first stay pinned; a

@@ -2,62 +2,59 @@ package sim
 
 import "sbgp/internal/routing"
 
-// Cross-round dynamic contribution caching. A round's utility sweep
-// recomputes every destination from scratch even though, near
-// convergence, the realized flip set (deployments, disablements, new
-// simplex stubs) is a handful of ASes whose influence on most
-// destinations' routing trees is provably nil. Each worker therefore
-// keeps, for the destinations it owns (d ≡ w mod nw) whose tree can
-// matter (worker.wantRecord: secure, or flippable by a candidate — an
-// insecure destination's tree never changes, and its contributions are
-// replayed from a pristine sidecar instead; a leaf behind a filler of
-// its class is replayed from the filler's memo, see leafclass.go), a
-// destRecord:
-// the destination's base routing tree kept current across rounds by
-// change propagation (routing.ApplyFlips over the realized flips,
-// committed instead of reverted), the memoized per-ISP base utility
-// contributions, the memoized per-candidate projected deltas, and a
-// witness set — the nodes whose deployment flags the recorded deltas
-// were derived from. The tree is held as a routing.TreeDiff against the
-// static's winner tree — the Secure flags as a bitset plus the parents
-// SecP moved off their winner — and decoded into the worker's scratch
-// tree only by the paths that read it: an advance that propagates, and
-// the candidate loop of a dirty destination. On the next round a
-// destination is *clean*, and its contributions replayed verbatim, iff
-// advancing its tree changed no entry, the destination itself did not
-// flip, and no realized flip intersects the witness; otherwise it is
-// reprocessed (using the advanced tree, so even dirty destinations skip
-// the full resolution).
+// Cross-round dynamic records. A round's utility sweep recomputes every
+// destination from scratch even though, near convergence, the realized
+// flip set (deployments, disablements, new simplex stubs) is a handful
+// of ASes whose influence on most destinations' routing trees is
+// provably nil. Each worker therefore keeps, for the destinations it
+// owns (d ≡ w mod nw) whose tree can matter (worker.wantRecord: secure,
+// or flippable by a candidate — an insecure destination's tree never
+// changes, and its contributions are replayed from a pristine sidecar
+// instead; a leaf behind a filler of its class is replayed from the
+// filler's memo, see leafclass.go), a destRecord: the destination's
+// base routing tree kept current across rounds by change propagation
+// (routing.ApplyFlips over the realized flips, committed instead of
+// reverted), and its memoized per-ISP base utility contributions. The
+// tree is held as a routing.TreeDiff against the static's winner tree —
+// the Secure flags as a bitset plus the parents SecP moved off their
+// winner — and decoded into the worker's scratch tree only by the paths
+// that read it: an advance that propagates, and the candidate loop.
+//
+// A record saves its destination the base resolution every round, and
+// the base accumulation whenever the advance moved no parent. In a
+// base-only round such a destination is *clean*: its contributions are
+// replayed verbatim and nothing else runs. In a candidate round every
+// record is *dirty*: its projections are recomputed against the
+// advanced tree, exactly as the record-less engine computes them, so a
+// record never changes which projections run.
 //
 // Bit-identity with the non-incremental engine holds at any budget:
 //   - The advanced tree equals a fresh resolution bit for bit
 //     (ApplyFlips' contract), and the diff round-trips it exactly
-//     (Static.LoadDiff's contract), so dirty reprocessing is exactly
-//     the cold computation.
+//     (Static.LoadDiff's contract), so every projection over it is
+//     exactly the cold computation.
 //   - Replayed base contributions are the recorded float64 bits, added
 //     into the same per-worker accumulator in the same ascending
 //     destination order; only identically-zero contributions are
 //     elided, and the accumulators never hold -0.0 (all contributions
 //     are ≥ 0), so x + 0.0 == x bitwise and elision cannot change a
 //     single bit.
-//   - Replayed deltas are recorded verbatim (zeros included) in
-//     candidate-list order, which is ascending and, per the witness
-//     argument, identical to the order a cold round would use.
-// The PR 3 fixed-worker-order merge then reproduces the exact global
-// summation sequence, so uBase/uProj are bit-identical at any worker
-// count and any budget — which is what lets Config.Fingerprint exclude
-// DynamicCacheBytes.
+// The fixed-shard-order merge (Sim.computeRound) then reproduces the
+// exact global summation sequence, so uBase/uProj are bit-identical at
+// any worker count and any budget — which is what lets
+// Config.Fingerprint exclude DynamicCacheBytes.
 
 // DefaultDynamicCacheBytes is the default dynamic-cache budget: 1 GiB.
 // A record costs a fixed overhead, 8 bytes per parent SecP moved off its
 // winner, N/8 bytes of Secure bitset once any path to its destination is
-// secure, and 16 bytes per nonzero contribution, and only destinations
-// whose tree can matter hold one (processDest's wantRecord: secure
-// destinations and those a candidate can flip — insecure untouchable
-// ones are sidecar-replayed instead). The N=10,000 outgoing game's
-// 1,915 round-1 records take ≈7 KB each (13.4 MB in all), so the budget
-// binds only far beyond the paper's N=36,964; a graph that fills it
-// keeps a pinned prefix of records and recomputes the rest each round.
+// secure, and 16 bytes per nonzero base contribution (and per child a
+// leaf-class filler captured), and only destinations whose tree can
+// matter hold one (processDest's wantRecord: secure destinations and
+// those a candidate can flip — insecure untouchable ones are
+// sidecar-replayed instead). The N=10,000 outgoing game's 1,915 round-1
+// records take ≈4.3 KB each (8.3 MB in all), so the budget binds only
+// far beyond the paper's N=36,964; a graph that fills it keeps a pinned
+// prefix of records and recomputes the rest each round.
 const DefaultDynamicCacheBytes = int64(1) << 30
 
 // contribEntry memoizes one node's utility contribution for one
@@ -83,53 +80,15 @@ type destRecord struct {
 	// destination last accumulated as a leaf class's filler (see
 	// leafclass.go); empty otherwise. Valid exactly as long as base is.
 	kids []leafKid
-	// delta holds every computed candidate delta (into uDelta),
-	// verbatim including zeros, in candidate-list order.
-	delta []contribEntry
-	// witness are the nodes the recorded deltas depend on besides the
-	// tree itself: every ISP that passes the state-independent
-	// zero-utility test for this destination (its realized flip can
-	// change a skip decision or a flip set), their reachable stub
-	// customers under ProjectStubUpgrades (membership in a projected
-	// flip set reads their deployment flag), and every node re-decided
-	// by a performed projection (its flag feeds the projected
-	// decisions). A realized flip outside tree ∪ witness ∪ {dest}
-	// provably reproduces every skip decision and projection bit for
-	// bit.
-	witness []int32
-	// deltasValid reports whether delta/witness are current: set on
-	// every delta recomputation, cleared when a round advances the tree
-	// or hits the witness without recomputing them (base-only rounds).
-	deltasValid bool
-	// witnessFull flags a witness that outgrew the worker's cap during
-	// recording. The partial set cannot prove anything about a nonempty
-	// flip set, so such a record is conservatively hit by any realized
-	// flip; its deltas still replay across no-flip rounds.
-	witnessFull bool
-	// dirtyStreak counts consecutive candidate rounds whose realized
-	// flips invalidated freshly recorded deltas. Once it reaches
-	// dynDirtyStreakLimit the engine stops paying the recording costs
-	// for this destination (witness building dominates them) until a
-	// round's flip set is small enough — ≤ dynSmallFlipRound, the
-	// near-convergence regime memoization exists for — to make another
-	// attempt worthwhile. Purely a performance heuristic: it only
-	// decides whether contributions are memoized, never what they are.
-	dirtyStreak uint8
 	// bytes is the record's accounted size.
 	bytes int64
 }
 
-const (
-	// dynDirtyStreakLimit and dynSmallFlipRound parameterize the
-	// recording backoff, dynBigJumpFraction the advancement cutover:
-	// a realized flip set larger than n/dynBigJumpFraction (a Run reset,
-	// not a round) makes change propagation costlier than the fresh
-	// resolution it would replace, so record trees are rebuilt by
-	// ResolveInto instead.
-	dynDirtyStreakLimit = 3
-	dynSmallFlipRound   = 16
-	dynBigJumpFraction  = 3
-)
+// dynBigJumpFraction is the advancement cutover: a realized flip set
+// larger than n/dynBigJumpFraction (a Run reset, not a round) makes
+// change propagation costlier than the fresh resolution it would
+// replace, so record trees are rebuilt by ResolveInto instead.
+const dynBigJumpFraction = 3
 
 const (
 	dynEntryBytes    = 16  // contribEntry, leafKid: int32 padded beside a float64
@@ -139,8 +98,7 @@ const (
 // memBytes returns the record's accounted size at its current tree diff
 // and entry counts.
 func (r *destRecord) memBytes() int64 {
-	return r.tree.Bytes() + dynEntryBytes*int64(len(r.base)+len(r.delta)+len(r.kids)) +
-		4*int64(len(r.witness)) + dynRecordMinimum
+	return r.tree.Bytes() + dynEntryBytes*int64(len(r.base)+len(r.kids)) + dynRecordMinimum
 }
 
 // dynCache is a worker-private budgeted map of destRecords. Like the

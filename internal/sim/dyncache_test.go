@@ -77,12 +77,11 @@ func TestDynCacheResultInvariant(t *testing.T) {
 			cfg := base // budget 0: engine default
 			got := MustNew(g, cfg).Run()
 			requireBitIdentical(t, label(0), ref, got)
-			// Only engagement is asserted: a destination replays clean
-			// only when a round's flips miss its witness, and the records
-			// left after admission (secure destinations, and what a
-			// surviving projection can flip) are the ones those flips
-			// hit. Clean replay is pinned on a repeated state by
-			// TestDynCacheRepeatedRoundReplay.
+			// Only engagement is asserted: a record replays clean only in
+			// a base-only round, and a game's one base-only round is the
+			// pristine pass, which admits none — every record a game
+			// holds is dirty. Clean replay is pinned on a repeated
+			// base-only round by TestDynCacheRepeatedRoundReplay.
 			assertDynActivity(t, label(0), got, func(clean, dirty, ev int64) bool {
 				return dirty > 0
 			})
@@ -275,10 +274,13 @@ func TestDynCacheQuickDifferential(t *testing.T) {
 	}
 }
 
-// TestDynCacheRepeatedRoundReplay: re-evaluating the same state must
-// replay every destination — from its record, or from its sidecar where
-// it holds none — so the second identical round does no
-// resolution work at all and reproduces the first's floats bit for bit.
+// TestDynCacheRepeatedRoundReplay: re-evaluating the same state reuses
+// every record. A repeated base-only round is served entirely by
+// replays — from its record, or from its sidecar where it holds none —
+// with no resolution work at all. A repeated projected round resolves
+// no base tree either, but recomputes its projections against the
+// records' trees: exactly the projection work of the first, and the
+// first's floats bit for bit.
 func TestDynCacheRepeatedRoundReplay(t *testing.T) {
 	g := topogen.MustGenerate(topogen.Default(250, 11))
 	g.SetCPTrafficFraction(0.10)
@@ -294,32 +296,107 @@ func TestDynCacheRepeatedRoundReplay(t *testing.T) {
 	for _, a := range append(g.Nodes(asgraph.ContentProvider), asgraph.TopByDegree(g, 5, asgraph.ISP)...) {
 		secure[a] = true
 	}
-	uBase1, uProj1, _, err := s.RoundUtilities(secure, true)
-	if err != nil {
-		t.Fatal(err)
+	round := func(projected bool) (uBase, uProj []float64, stats *RoundStats) {
+		t.Helper()
+		b, p, stats, err := s.RoundUtilities(secure, projected)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append([]float64(nil), b...), append([]float64(nil), p...), stats
 	}
-	b1 := append([]float64(nil), uBase1...)
-	p1 := append([]float64(nil), uProj1...)
-	uBase2, uProj2, stats, err := s.RoundUtilities(secure, true)
-	if err != nil {
-		t.Fatal(err)
+
+	base1, _, _ := round(false)
+	base2, _, stats := round(false)
+	if !utilsBitIdentical(base1, base2) {
+		t.Error("replayed base-only round diverges from the computed one")
 	}
-	if !utilsBitIdentical(b1, uBase2) || !utilsBitIdentical(p1, uProj2) {
-		t.Error("replayed round diverges from the computed one")
-	}
-	// Recorded destinations replay clean; insecure destinations no
-	// candidate can flip hold no record and replay their sidecar.
+	// Recorded (secure) destinations replay clean; insecure ones hold no
+	// record and replay their sidecar.
 	if served := int64(stats.CleanDests) + stats.PristineReplays; served != int64(g.N()) || stats.DirtyDests != 0 {
-		t.Errorf("second identical round: %d clean + %d replayed, %d dirty, want all %d served and none dirty",
+		t.Errorf("second base-only round: %d clean + %d replayed, %d dirty, want all %d served and none dirty",
 			stats.CleanDests, stats.PristineReplays, stats.DirtyDests, g.N())
 	}
 	if stats.CleanDests == 0 || stats.PristineReplays == 0 {
-		t.Errorf("second identical round: %d clean, %d replayed, want both tiers exercised",
+		t.Errorf("second base-only round: %d clean, %d replayed, want both tiers exercised",
 			stats.CleanDests, stats.PristineReplays)
 	}
 	if stats.BaseResolutions != 0 || stats.ProjResolutions != 0 {
-		t.Errorf("second identical round resolved %d base, %d projected trees, want none",
+		t.Errorf("second base-only round resolved %d base, %d projected trees, want none",
 			stats.BaseResolutions, stats.ProjResolutions)
+	}
+
+	pBase1, pProj1, stats1 := round(true)
+	pBase2, pProj2, stats2 := round(true)
+	if !utilsBitIdentical(pBase1, pBase2) || !utilsBitIdentical(pProj1, pProj2) {
+		t.Error("repeated projected round diverges from the first")
+	}
+	if !utilsBitIdentical(base1, pBase2) {
+		t.Error("projected round's base utilities diverge from the base-only round's")
+	}
+	if stats2.BaseResolutions != 0 {
+		t.Errorf("repeated projected round resolved %d base trees, want none", stats2.BaseResolutions)
+	}
+	// Every record is dirty in a candidate round: its projections rerun.
+	if stats2.CleanDests != 0 || stats2.DirtyDests == 0 {
+		t.Errorf("repeated projected round: %d clean, %d dirty, want every record dirty",
+			stats2.CleanDests, stats2.DirtyDests)
+	}
+	if stats2.ProjResolutions == 0 || stats2.ProjResolutions != stats1.ProjResolutions ||
+		stats2.ProjUnchanged != stats1.ProjUnchanged {
+		t.Errorf("repeated projected round: %d projected (%d unchanged), first round %d (%d), want equal and nonzero",
+			stats2.ProjResolutions, stats2.ProjUnchanged, stats1.ProjResolutions, stats1.ProjUnchanged)
+	}
+}
+
+// TestDynRecordsKeepProjectionWork: a record serves its destination's
+// base tree and base contributions and nothing else, so with records on
+// or off every round runs the same projections — the same C.4 skips,
+// the same predictor verdicts, the same change propagations over the
+// same nodes — across Model × StubsBreakTies × ProjectStubUpgrades and
+// at one and three workers.
+func TestDynRecordsKeepProjectionWork(t *testing.T) {
+	g := topogen.MustGenerate(topogen.Default(600, 42))
+	g.SetCPTrafficFraction(0.10)
+	adopters := append(g.Nodes(asgraph.ContentProvider), asgraph.TopByDegree(g, 5, asgraph.ISP)...)
+	projWork := func(st *RoundStats) [8]int64 {
+		return [8]int64{st.ProjResolutions, st.ProjUnchanged,
+			st.SkipZeroUtil, st.SkipInsecureDest, st.SkipDestFlip, st.SkipTurnOff, st.SkipTurnOn,
+			st.NodesRecomputed}
+	}
+	for _, model := range []UtilityModel{Outgoing, Incoming} {
+		for _, breaks := range []bool{true, false} {
+			for _, projectStubs := range []bool{false, true} {
+				for _, workers := range []int{1, 3} {
+					label := fmt.Sprintf("%s/breaks=%v/projectstubs=%v/workers=%d", model, breaks, projectStubs, workers)
+					cfg := Config{
+						Model:               model,
+						Theta:               0.05,
+						EarlyAdopters:       adopters,
+						StubsBreakTies:      breaks,
+						ProjectStubUpgrades: projectStubs,
+						Workers:             workers,
+						RecordStats:         true,
+					}
+					on := MustNew(g, cfg).Run()
+					cfg.DynamicCacheBytes = -1
+					off := MustNew(g, cfg).Run()
+					if len(on.Rounds) != len(off.Rounds) {
+						t.Fatalf("%s: %d rounds with records, %d without", label, len(on.Rounds), len(off.Rounds))
+					}
+					recorded := false
+					for r := range on.Rounds {
+						a, b := on.Rounds[r].Stats, off.Rounds[r].Stats
+						recorded = recorded || a.DynCacheEntries > 0
+						if projWork(a) != projWork(b) {
+							t.Errorf("%s round %d: projection counters %v with records, %v without", label, r, projWork(a), projWork(b))
+						}
+					}
+					if !recorded {
+						t.Errorf("%s: no round held a record", label)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -534,8 +534,6 @@ type worker struct {
 	flipMark    []bool
 	flipBreaks  []bool
 	flipScratch []int32
-	witMark     []bool // dedup marks while building a record's witness
-	witCap      int    // witness size cap: n/4 plus slack
 	stats       workerStats
 
 	// Streaming-resolve and pristine-replay state (see processDest's
@@ -606,8 +604,6 @@ func newWorker(g *asgraph.Graph, n int) *worker {
 		uDelta:     make([]float64, n),
 		flipMark:   make([]bool, n),
 		flipBreaks: make([]bool, n),
-		witMark:    make([]bool, n),
-		witCap:     n/4 + 16,
 	}
 }
 
@@ -626,9 +622,9 @@ func (wk *worker) resetRound(n int) {
 
 // processDest handles one destination: base utilities for every ISP and
 // projected deltas for the candidates that survive the skip rules. With
-// a dynamic-cache record, clean destinations replay their memoized
-// contributions; dirty ones are recomputed against the record's tree,
-// already advanced to the current state and decoded into wk.baseTree.
+// a dynamic-cache record, the base tree is the record's, advanced to
+// the current state and decoded into wk.baseTree, and the base
+// contributions are replayed while no parent has moved.
 func (wk *worker) processDest(d int32, rc *roundCtx) {
 	cfg := rc.cfg
 	st := rc.st
@@ -669,8 +665,8 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 
 	// Static routing information is deployment-state independent
 	// (Observation C.1), served by fetchStatic — lazily, because a clean
-	// dynamic replay and the guarded advanceRecord fast path need no
-	// static at all.
+	// base-only replay behind advanceRecord's no-propagation fast path
+	// needs no static at all.
 	var stc *routing.Static
 	getStatic := func() *routing.Static {
 		if stc == nil {
@@ -683,61 +679,31 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 	// scratch; a record keeps only its diff (see dyncache.go).
 	tree := &wk.baseTree
 	// Dynamic cache: advance the record's tree across the realized flips
-	// and replay the memoized contributions if nothing they depend on
-	// moved (see dyncache.go for the validity argument). treeLoaded: the
-	// advance left the current tree in wk.baseTree.
-	treeCurrent, treeLoaded := false, false
-	// baseValid: the record's memoized base contributions still match
-	// the (advanced) tree — no parent moved since they were recorded —
-	// so a dirty destination can replay them and skip the O(n) base
-	// accumulation; only the candidate deltas need recomputing. This is
-	// the common dirty case: a realized flip's Secure-only ripple
-	// invalidates deltas in most trees it reaches without moving a
-	// single parent edge.
-	baseValid := false
+	// (see dyncache.go for the validity argument). treeLoaded: the advance
+	// left the current tree in wk.baseTree. baseValid: no parent moved
+	// since the memoized base contributions were recorded, so they are
+	// replayed instead of the O(n) base accumulation — the whole
+	// destination in a base-only round, and in a candidate round
+	// everything but the projections. This is the common case: a
+	// realized flip's Secure-only ripple reaches most trees without
+	// moving a single parent edge.
+	treeCurrent, treeLoaded, baseValid := false, false, false
 	if rec != nil {
-		var parentsChanged, treeChanged, hit bool
-		if rc.bigJump {
-			// Advancing across a Run reset would propagate more changes
-			// than a fresh resolution: fall through to the rebuild below
-			// (same bits either way) with everything conservatively
-			// invalidated.
-			parentsChanged, treeChanged, hit = true, true, true
-		} else {
-			parentsChanged, treeChanged, hit, treeLoaded = wk.advanceRecord(rec, tree, getStatic, rc)
-			treeCurrent = true
-		}
-		if len(rc.candList) == 0 {
-			if !parentsChanged {
+		// Advancing across a Run reset (bigJump) would propagate more
+		// changes than a fresh resolution: the rebuild below handles it,
+		// same bits either way.
+		if !rc.bigJump {
+			parentsChanged, treeChanged, loaded := wk.advanceRecord(rec, tree, getStatic, rc)
+			treeCurrent, treeLoaded, baseValid = true, loaded, !parentsChanged
+			if baseValid && len(rc.candList) == 0 {
 				for _, e := range rec.base {
 					wk.uBase[e.node] += e.val
-				}
-				if treeChanged || hit {
-					rec.deltasValid = false
 				}
 				if treeChanged {
 					wk.dyn.resize(rec) // the advance re-stored the diff
 				}
 				wk.stats.dynClean++
 				return
-			}
-			rec.deltasValid = false
-		} else if !treeChanged && !hit && rec.deltasValid {
-			for _, e := range rec.base {
-				wk.uBase[e.node] += e.val
-			}
-			for _, e := range rec.delta {
-				wk.uDelta[e.node] += e.val
-			}
-			rec.dirtyStreak = 0
-			wk.stats.dynClean++
-			return
-		} else {
-			baseValid = treeCurrent && !parentsChanged
-			if rec.deltasValid && !rc.bigJump && rec.dirtyStreak < 255 {
-				// Freshly recorded deltas died to an ordinary round's
-				// flips: remember, so the recording backoff can kick in.
-				rec.dirtyStreak++
 			}
 		}
 	} else if wk.wantRecord(d, rc) {
@@ -777,12 +743,7 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 	// incoming). ISPs outside it would only ever add +0.0, and the
 	// accumulators never hold -0.0, so eliding those additions is
 	// bit-safe — the same argument that lets replay record only nonzero
-	// contributions. Deltas and their witness are recorded only while
-	// the backoff allows: a record whose memos keep dying to the flip
-	// churn stops paying the recording costs until the flip sets shrink
-	// toward the near-convergence regime (see destRecord.dirtyStreak).
-	recBase := rec != nil
-	recDeltas := recBase && (rec.dirtyStreak < dynDirtyStreakLimit || len(rc.flipList) <= dynSmallFlipRound)
+	// contributions.
 	var support []int32
 	if cfg.Model == Outgoing {
 		support = stc.SupportOutgoing(wk.isps)
@@ -799,7 +760,7 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 	} else {
 		accumulate(stc, tree, weights, wk.accBase, wk.incBase)
 		wk.captureKids(stc, tree)
-		if recBase {
+		if rec != nil {
 			rec.base = rec.base[:0]
 			rec.kids = append(rec.kids[:0], wk.kids...)
 		}
@@ -809,7 +770,7 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 		for _, i := range support {
 			v := wk.contribution(cfg.Model, stc, wk.accBase, wk.incBase, weights, i)
 			wk.uBase[i] += v
-			if recBase && v != 0 {
+			if rec != nil && v != 0 {
 				rec.base = append(rec.base, contribEntry{i, v})
 			}
 			if wk.recordSC && v != 0 {
@@ -824,11 +785,10 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 		}
 	}
 
+	if rec != nil {
+		wk.dyn.resize(rec) // the projections below leave the record alone
+	}
 	if len(rc.candList) == 0 {
-		if recBase {
-			rec.deltasValid = false
-			wk.dyn.resize(rec)
-		}
 		return
 	}
 
@@ -843,26 +803,17 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 		}
 	}
 
-	if recDeltas {
-		rec.delta = rec.delta[:0]
-		wk.beginWitness(rec, stc, cfg)
-	}
-
 	// Batched projection prediction: with the move predictor prepared
 	// once for this destination's tree, single-node candidate flips that
 	// provably move no parent are skipped without running change
-	// propagation at all. Disabled while deltas are being recorded — a
-	// skipped projection contributes no touched nodes to the record's
-	// witness, which must cover everything that can make its delta
-	// nonzero later.
-	useBatch := !recDeltas
-	// The predictor and the base-tree copy that change propagation works
-	// on are built lazily: the former when some candidate survives the
-	// skip rules, the latter only when one also needs an actual
-	// propagation. The dependents index waits longer still — until the
-	// destination has run indexAfterPropagations of them this round:
-	// ApplyFlips derives the few rows it needs from the graph without
-	// it, and half the destinations that propagate at all do so once.
+	// propagation at all. The predictor and the base-tree copy that change
+	// propagation works on are built lazily: the former when some
+	// candidate survives the skip rules, the latter only when one also
+	// needs an actual propagation. The dependents index waits longer
+	// still — until the destination has run indexAfterPropagations of
+	// them this round: ApplyFlips derives the few rows it needs from the
+	// graph without it, and half the destinations that propagate at all
+	// do so once.
 	predReady := false
 	projReady := false
 	propagations := 0
@@ -889,11 +840,11 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 			wk.clearFlips(flips)
 			continue
 		}
-		if useBatch && !predReady {
+		if !predReady {
 			wk.ws.PrepareFlipEffects(stc, tree, st.secure, st.breaks, cfg.Tiebreaker)
 			predReady = true
 		}
-		if useBatch && len(flips) == 1 && c != d {
+		if len(flips) == 1 && c != d {
 			if !wk.ws.FlipChangesTree(stc, tree, st.secure, st.breaks, cfg.Tiebreaker, c) {
 				// Predicted structurally unchanged: the projected tree
 				// routes identically, so the delta is exactly zero.
@@ -917,11 +868,6 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 		wk.stats.projResolutions++
 		wk.stats.nodesRecomputed += int64(touched)
 		wk.stats.nodesReused += int64(len(stc.Order()) - touched)
-		if recDeltas && !rec.witnessFull {
-			for _, t := range wk.ws.LastTouched() {
-				wk.addWitness(rec, t)
-			}
-		}
 		if !parentsChanged {
 			// The projected tree routes identically to the base tree
 			// (only Secure flags differ), so every traffic accumulation
@@ -934,28 +880,7 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 		wk.movedBuf = wk.ws.ParentMoves(&wk.projTree, wk.movedBuf[:0])
 		v := wk.deltaAt(cfg.Model, stc, tree, &wk.projTree, weights, c, wk.movedBuf)
 		wk.uDelta[c] += v
-		if recDeltas {
-			rec.delta = append(rec.delta, contribEntry{c, v})
-		}
 		wk.ws.RevertFlips(&wk.projTree)
-	}
-
-	if recDeltas {
-		wk.endWitness(rec)
-		if rec.witnessFull {
-			// The witness outgrew its cap: drop it, but keep the deltas —
-			// they stay replayable for rounds with no realized flips at
-			// all (advanceRecord treats a full witness as hit by any
-			// nonempty flip set).
-			rec.witness = rec.witness[:0]
-		}
-		rec.deltasValid = true
-		wk.dyn.resize(rec)
-	} else if recBase {
-		rec.deltasValid = false
-		rec.delta = rec.delta[:0]
-		rec.witness = rec.witness[:0]
-		wk.dyn.resize(rec)
 	}
 }
 
@@ -1285,37 +1210,20 @@ func (wk *worker) storeSidecar(kind uint8, d int32, n int) {
 // and the undo log is deliberately abandoned (the change is real, not a
 // projection). The propagation runs on the diff decoded into tree, and
 // the diff is then brought up to date from the undo log; loaded reports
-// that tree now holds the current tree. It is one propagation per destination per round, so it
-// never builds the dependents index (ApplyFlips uses one the candidate
-// loop left on a cached snapshot, and the graph otherwise). It reports
-// what survives: parentsChanged invalidates the
-// memoized base contributions (they read only parents), treeChanged
-// (any entry at all, Secure flags included) or a witness hit — the
-// destination itself or a witness node flipping — invalidates the
-// memoized deltas.
-func (wk *worker) advanceRecord(rec *destRecord, tree *routing.Tree, getStatic func() *routing.Static, rc *roundCtx) (parentsChanged, treeChanged, hit, loaded bool) {
-	if len(rc.flipList) == 0 {
-		return false, false, false, false
-	}
-	if !rc.flipMark[rec.dest] && !rc.st.secure[rec.dest] {
-		// The destination is insecure in both states (it did not flip):
-		// every Secure flag in its tree is false before and after, so the
-		// tree is the static winner tree both ways and propagation would
-		// change nothing — skip it, and the static fetch with it. Only
-		// the witness check remains (flipMark[rec.dest] is false here).
-		if rec.deltasValid {
-			if rec.witnessFull {
-				hit = true
-			} else {
-				for _, w := range rec.witness {
-					if rc.flipMark[w] {
-						hit = true
-						break
-					}
-				}
-			}
-		}
-		return false, false, hit, false
+// that tree now holds the current tree. It is one propagation per
+// destination per round, so it never builds the dependents index
+// (ApplyFlips uses one the candidate loop left on a cached snapshot, and
+// the graph otherwise). parentsChanged invalidates the memoized base
+// contributions (they read only parents); treeChanged reports that any
+// entry moved, Secure flags included, and the diff was re-stored.
+func (wk *worker) advanceRecord(rec *destRecord, tree *routing.Tree, getStatic func() *routing.Static, rc *roundCtx) (parentsChanged, treeChanged, loaded bool) {
+	if len(rc.flipList) == 0 || (!rc.flipMark[rec.dest] && !rc.st.secure[rec.dest]) {
+		// No flips, or the destination is insecure in both states (it did
+		// not flip): every Secure flag in its tree is false before and
+		// after, so the tree is the static winner tree both ways and
+		// propagation would change nothing — skip it, and the static
+		// fetch with it.
+		return false, false, false
 	}
 	stc := getStatic()
 	stc.LoadDiff(tree, &rec.tree)
@@ -1325,84 +1233,7 @@ func (wk *worker) advanceRecord(rec *destRecord, tree *routing.Tree, getStatic f
 	if treeChanged {
 		wk.ws.CommitDiff(&rec.tree, stc, tree)
 	}
-	if rc.flipMark[rec.dest] {
-		hit = true
-	} else if rec.deltasValid {
-		if rec.witnessFull {
-			hit = true
-		} else {
-			for _, w := range rec.witness {
-				if rc.flipMark[w] {
-					hit = true
-					break
-				}
-			}
-		}
-	}
-	return parentsChanged, treeChanged, hit, true
-}
-
-// beginWitness starts rebuilding rec's witness set with its
-// state-independent core: every ISP that passes the zero-utility test
-// for this destination — whether or not it is a candidate right now —
-// since such an ISP flipping can change its own skip decisions, flip
-// set or candidacy; plus, under ProjectStubUpgrades, those ISPs'
-// reachable stub customers, whose deployment flag decides their
-// membership in a projected flip set (unreachable stubs are invisible
-// to the resolution and the C.4 checks, so they cannot matter).
-// Projection touched sets are added per candidate as the round runs.
-func (wk *worker) beginWitness(rec *destRecord, stc *routing.Static, cfg *Config) {
-	rec.witness = rec.witness[:0]
-	rec.witnessFull = false
-	g := wk.ws.Graph()
-	if cfg.Model == Outgoing {
-		for _, i := range wk.isps {
-			if stc.Type[i] == routing.CustomerRoute {
-				wk.addWitness(rec, i)
-			}
-		}
-	} else {
-		for _, b := range stc.ProviderParents() {
-			if g.IsISP(b) {
-				wk.addWitness(rec, b)
-			}
-		}
-	}
-	if cfg.ProjectStubUpgrades {
-		potentials := rec.witness
-		for _, c := range potentials {
-			for _, s := range g.Customers(c) {
-				if g.IsStub(s) && stc.Pos(s) >= 0 {
-					wk.addWitness(rec, s)
-				}
-			}
-		}
-	}
-}
-
-// addWitness appends node i to rec's witness set unless already present
-// or the set has outgrown the worker's cap (a witness touching a large
-// fraction of the graph is hit by essentially every round's flips, so
-// the memory and bookkeeping it costs can never pay off).
-func (wk *worker) addWitness(rec *destRecord, i int32) {
-	if rec.witnessFull {
-		return
-	}
-	if len(rec.witness) >= wk.witCap {
-		rec.witnessFull = true
-		return
-	}
-	if !wk.witMark[i] {
-		wk.witMark[i] = true
-		rec.witness = append(rec.witness, i)
-	}
-}
-
-// endWitness clears the dedup marks via the built list.
-func (wk *worker) endWitness(rec *destRecord) {
-	for _, i := range rec.witness {
-		wk.witMark[i] = false
-	}
+	return parentsChanged, treeChanged, true
 }
 
 // flipSetFor marks candidate c's projected flip set in wk.flipMark and

@@ -72,11 +72,14 @@ type RoundStats struct {
 	NodesReused     int64
 	NodesRecomputed int64
 	// DirtyDests and CleanDests split the *recorded* destinations by
-	// cross-round dynamic-cache outcome: clean destinations replayed
-	// their memoized contributions (the realized flip set provably could
-	// not change them), dirty ones were recomputed into their record —
-	// because a flip reached them, their memos were stale, or the record
-	// was admitted this round. Clean + dirty counts recorded
+	// cross-round dynamic-cache outcome. Clean destinations occur only in
+	// base-only rounds: the realized flips moved no parent of the
+	// record's tree, so its memoized base contributions were replayed and
+	// nothing else ran. Every other recorded destination is dirty and
+	// computed against its record's tree — in a candidate round that is
+	// every record, since projections are always recomputed — and, when
+	// a parent moved or the record was admitted this round, its base
+	// contributions are re-recorded too. Clean + dirty counts recorded
 	// destinations only, so it is below Destinations whenever some hold
 	// no record: insecure destinations no candidate can flip are never
 	// admitted (PristineReplays and StreamResolves serve them), nor are
@@ -117,9 +120,7 @@ type RoundStats struct {
 	// stubs — served from the memo a sibling of the same provider and
 	// deployment flags left this round (leafclass.go): no static, no
 	// resolution, no projection, no record. Counted instead of — not on
-	// top of — every other serving tier, so per round
-	// hits + clean + pristine replays + class replays + misses covers
-	// every destination.
+	// top of — every other serving tier.
 	ClassReplays int64 `json:",omitempty"`
 	// StaticPackedEntries/StaticPackedBytes count the cache entries held
 	// in packed form and the blob bytes they occupy (a subset of

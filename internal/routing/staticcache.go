@@ -42,9 +42,12 @@ import (
 // explicit PrepareDelta), so N destinations of N nodes need
 // ≈26·N²–35·N² bytes: the full unpacked set fits up to N≈5000. Beyond
 // that the cache (see above) stores ≈3–5 B/node — packed from the
-// first entry when the shard's expected count says so — and stays
-// resident to N≈15000; larger graphs cache a pinned prefix of
-// destinations and recompute the rest each round.
+// first entry when the shard's expected count says so — and holds only
+// the statics a later round reads: the record holders', not those of
+// destinations served by their pristine sidecars. At the paper's
+// N=36,964 that is ≈7,200 destinations in ≈1.0 GB, just inside the
+// budget; a graph whose record set outgrows it caches a pinned prefix
+// of them and recomputes the rest each round.
 const DefaultStaticCacheBytes = int64(1) << 30
 
 // MemBytes returns the heap footprint of s, counting exactly what is
@@ -178,14 +181,16 @@ const entryOverhead = 64
 // so each worker caches exactly the destinations it will process on
 // every future round and no two workers ever share a cache.
 //
-// Admission is first-fit: every destination is looked up exactly once
-// per round, so all entries have identical reuse and the first
-// snapshots admitted are as valuable as any other — pinning them
-// avoids churn and keeps behavior deterministic. The first overflow —
-// an admission, or lazy growth of already-admitted entries (see Get) —
-// repacks every entry (see the package comment above) instead of
-// stopping admission; eviction exists only for a repack that still does
-// not fit (newest admissions evict first).
+// The cache admits whatever it is offered, first-fit, and pins it:
+// deterministic, and no churn. Which statics are worth offering is the
+// caller's decision — the engine offers every static while the cache is
+// unpacked, and once it has repacked only those a later round will read
+// (sim's fetchStatic: a destination served by its pristine sidecar never
+// reads its static again). The first overflow — an admission, or lazy
+// growth of already-admitted entries (see Get) — repacks every entry
+// (see the package comment above) instead of stopping admission;
+// eviction exists only for a repack that still does not fit (newest
+// admissions evict first).
 type StaticCache struct {
 	budget   int64
 	bytes    int64

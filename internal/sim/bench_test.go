@@ -30,8 +30,9 @@ func benchSim(b *testing.B, n int, model UtilityModel) (*Sim, *deployState) {
 		StubsBreakTies: true,
 		// The dynamic cache would turn every iteration after the first
 		// into a pure replay of an unchanged state; disable it so the
-		// Round series keeps measuring the cold per-round engine and
-		// stays comparable across BENCH_pr*.json generations.
+		// Round series keeps measuring the cold per-round engine. These
+		// are micro-benchmarks for profiling one layer; the benchmark of
+		// record is sbgpbench (benchmarks/).
 		DynamicCacheBytes: -1,
 	}
 	s := MustNew(g, cfg)
@@ -135,7 +136,7 @@ func BenchmarkRunIncoming1000(b *testing.B) { benchRun(b, 1000, Incoming, 0, tru
 func BenchmarkRunIncoming2500(b *testing.B) { benchRun(b, 2500, Incoming, 0, true, true) }
 
 // Cold variants: no shared static store — the standalone-caller cost,
-// and the configuration the PR 3 baseline (BENCH_pr3_run.json) ran.
+// and the configuration sbgpbench's game workloads (benchmarks/) run.
 func BenchmarkRunOutgoing2500Cold(b *testing.B) { benchRun(b, 2500, Outgoing, 0, false, true) }
 func BenchmarkRunIncoming2500Cold(b *testing.B) { benchRun(b, 2500, Incoming, 0, false, true) }
 

@@ -117,10 +117,11 @@ type Config struct {
 	// routing information (Observation C.1) that let steady-state rounds
 	// skip the three-stage BFS entirely. 0 means the default budget
 	// (routing.DefaultStaticCacheBytes, 1 GiB — enough to cache graphs of
-	// up to ~5000 ASes fully); negative disables caching. On budget
-	// exhaustion the destinations cached first stay pinned (every
-	// destination is reused exactly once per round, so first-fit pinning
-	// is optimal) and the rest recompute each round.
+	// up to ~5000 ASes fully); negative disables caching. A cache that
+	// overflows repacks into blobs and from then on admits only statics
+	// a later round reads (destinations served by their pristine
+	// sidecars read none); on budget exhaustion the destinations cached
+	// first stay pinned and the rest recompute each round.
 	//
 	// Purely a performance/memory knob: cache hits are byte-identical to
 	// cold computation, so every Result is bit-equal at any setting and

@@ -646,9 +646,11 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 	// failure they fall through to the normal path.
 	rec := wk.dyn.get(d)
 	wk.recordSC = false
+	keep := true // a later pass reads this destination's static
 	if rec == nil {
 		insecure := !st.secure[d]
-		if len(rc.candList) == 0 || wk.destUntouchable(d, rc) {
+		untouchable := len(rc.candList) == 0 || wk.destUntouchable(d, rc)
+		if untouchable {
 			if insecure && wk.replaySidecar(d, rc) {
 				return
 			}
@@ -659,18 +661,26 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 		// An insecure destination's base contributions are pristine —
 		// state-independent — whichever path computes them: have the
 		// normal path record the sidecar it is about to compute anyway,
-		// so later rounds, Runs and processes replay it instead.
+		// so later rounds, Runs and processes replay it instead. Once
+		// stored, that sidecar serves the destination until it turns
+		// secure or touchable, so no later pass reads its static.
 		wk.recordSC = insecure && wk.sidecarWanted(uint8(cfg.Model), d)
+		keep = !(wk.recordSC && untouchable)
 	}
 
 	// Static routing information is deployment-state independent
 	// (Observation C.1), served by fetchStatic — lazily, because a clean
 	// base-only replay behind advanceRecord's no-propagation fast path
-	// needs no static at all.
-	var stc *routing.Static
+	// needs no static at all. held: fetchStatic left it unadmitted (see
+	// there); the sidecar store below decides.
+	var (
+		stc  *routing.Static
+		blob []byte
+		held bool
+	)
 	getStatic := func() *routing.Static {
 		if stc == nil {
-			stc = wk.fetchStatic(d, rc)
+			stc, blob, held = wk.fetchStatic(d, rc, keep)
 		}
 		return stc
 	}
@@ -778,10 +788,12 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 					routing.SidecarEntry{Node: i, Bits: math.Float64bits(v)})
 			}
 		}
-		if wk.recordSC {
-			// The destination is insecure, so these are its pristine
-			// contributions: record them for sidecar replay.
-			wk.storeSidecar(uint8(cfg.Model), d, n)
+		// The destination is insecure, so these are its pristine
+		// contributions: record them for sidecar replay. A rejected
+		// sidecar leaves the destination on this path next round, reading
+		// the static after all: admit the held one.
+		if wk.recordSC && !wk.storeSidecar(uint8(cfg.Model), d, n) && held {
+			wk.admitStatic(stc, blob)
 		}
 	}
 
@@ -895,16 +907,22 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 // CRC-checks disk blobs and the decode validates their structure, and a
 // blob that fails is dropped and recomputed (the write-through repairs
 // it) — corruption can cost time, never bits.
-func (wk *worker) fetchStatic(d int32, rc *roundCtx) *routing.Static {
-	stc := wk.cache.Get(d, wk.ws)
+//
+// Residency follows reads (DESIGN.md §5b). While the resident tier is
+// unpacked everything is admitted: it all fits, and a hit costs nothing.
+// Once it has gone packed, a static no later pass reads — keep unset —
+// is returned unadmitted with held set, alongside the disk blob it was
+// decoded from (nil after a BFS), for the caller to admitStatic should
+// it turn out to be read after all.
+func (wk *worker) fetchStatic(d int32, rc *roundCtx, keep bool) (stc *routing.Static, blob []byte, held bool) {
+	stc = wk.cache.Get(d, wk.ws)
 	if stc == nil {
 		stc = wk.shared.Get(d, wk.ws)
 	}
 	if stc != nil {
 		wk.stats.staticHits++
-		return stc
+		return stc, nil, false
 	}
-	var blob []byte // the disk bytes stc was decoded from, if any
 	if b := wk.disk.Lookup(d); b != nil {
 		// Trusted decode: the 2^-32 residual risk of an in-range-but-
 		// wrong field is carried by Lookup's checksum, not by per-member
@@ -928,6 +946,15 @@ func (wk *worker) fetchStatic(d int32, rc *roundCtx) *routing.Static {
 			wk.stats.staticDiskWrites++
 		}
 	}
+	if !keep && (wk.cache.Repacked() || wk.shared.Repacked()) {
+		return stc, blob, true
+	}
+	return wk.admitStatic(stc, blob), blob, false
+}
+
+// admitStatic admits stc — decoded from blob, when that is set — to the
+// resident tier and returns the static to resolve against from here on.
+func (wk *worker) admitStatic(stc *routing.Static, blob []byte) *routing.Static {
 	switch {
 	case wk.shared != nil:
 		if snap := wk.shared.Add(wk.ws, stc); snap != nil {
@@ -936,7 +963,7 @@ func (wk *worker) fetchStatic(d int32, rc *roundCtx) *routing.Static {
 	case blob != nil:
 		// The packed bytes are already built: admit them as-is — no
 		// re-encode, no snapshot copy, no share of the eventual repack.
-		wk.cache.AddBlob(d, blob)
+		wk.cache.AddBlob(stc.Dest, blob)
 	default:
 		if snap := wk.cache.Add(stc); snap != nil {
 			stc = snap
@@ -1186,10 +1213,11 @@ func (wk *worker) streamResolve(d int32, rc *roundCtx, record bool) bool {
 }
 
 // storeSidecar encodes wk.scEntries as (kind, d)'s sidecar and stores
-// it in the resident tier and the disk store. It counts a pristine
-// record only when some tier kept it: a full static budget rejects the
-// put, and the destination is then recomputed next round.
-func (wk *worker) storeSidecar(kind uint8, d int32, n int) {
+// it in the resident tier and the disk store, reporting whether some
+// tier kept it — and only then counting a pristine record: a full static
+// budget rejects the put, and the destination is then recomputed next
+// round.
+func (wk *worker) storeSidecar(kind uint8, d int32, n int) bool {
 	wk.scPayload = routing.AppendSidecar(wk.scPayload[:0], d, n, kind, wk.scEntries)
 	stored := wk.cache.SidecarPut(kind, d, wk.scPayload)
 	if wk.shared.SidecarPut(kind, d, wk.scPayload) {
@@ -1202,6 +1230,7 @@ func (wk *worker) storeSidecar(kind uint8, d int32, n int) {
 	if stored {
 		wk.stats.pristineRecords++
 	}
+	return stored
 }
 
 // advanceRecord brings rec.tree from the previous round's deployment

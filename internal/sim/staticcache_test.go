@@ -184,6 +184,67 @@ func TestSidecarRecordsCountStoredOnly(t *testing.T) {
 	}
 }
 
+// TestPackedStaticsFollowReads: once the resident static tier has gone
+// packed, it keeps a static only where a later pass reads it. Under a
+// budget that forces the packed phase from the first admission, the
+// pristine pass keeps just that first static per worker — every
+// destination's sidecar serves it from then on, and none is starved —
+// and round 1 looks up exactly its record holders' statics, missing all
+// but those few. The unpacked phase, where everything fits, still
+// admits every static it computes. Either way the Result is the plain
+// engine's, bit for bit.
+func TestPackedStaticsFollowReads(t *testing.T) {
+	g := topogen.MustGenerate(topogen.Default(1000, 42))
+	g.SetCPTrafficFraction(0.10)
+	n := int64(g.N())
+	for _, model := range []UtilityModel{Outgoing, Incoming} {
+		base := Config{
+			Model:           model,
+			Theta:           0.05,
+			EarlyAdopters:   append(g.Nodes(asgraph.ContentProvider), asgraph.TopByDegree(g, 5, asgraph.ISP)...),
+			StubsBreakTies:  true,
+			Workers:         2,
+			RecordUtilities: true,
+			RecordStats:     true,
+		}
+		plain := base
+		plain.StaticCacheBytes, plain.DynamicCacheBytes = -1, -1
+		ref := MustNew(g, plain).Run()
+
+		packed := base
+		packed.StaticCacheBytes = 2_000_000
+		got := MustNew(g, packed).Run()
+		requireBitIdentical(t, model.String()+"/packed", ref, got)
+		ps := got.PristineStats
+		if ps.StaticPackedEntries == 0 || len(got.Rounds) == 0 {
+			t.Fatalf("%s: the budget did not force the packed phase (%d packed) or the game had no round", model, ps.StaticPackedEntries)
+		}
+		if ps.StaticCacheEntries > base.Workers {
+			t.Errorf("%s: pristine pass left %d statics resident, want at most %d (one per worker)",
+				model, ps.StaticCacheEntries, base.Workers)
+		}
+		if ps.PristineRecords != n {
+			t.Errorf("%s: pristine pass recorded %d sidecars, want all %d", model, ps.PristineRecords, n)
+		}
+		r1 := got.Rounds[0].Stats
+		if r1.StaticHits+r1.StaticMisses != int64(r1.DirtyDests) || r1.StaticHits > int64(ps.StaticCacheEntries) {
+			t.Errorf("%s: round 1 static %d/%d hit over %d dirty destinations, want every record holder looked up and at most the %d pristine residents hit",
+				model, r1.StaticHits, r1.StaticHits+r1.StaticMisses, r1.DirtyDests, ps.StaticCacheEntries)
+		}
+
+		def := MustNew(g, base).Run()
+		requireBitIdentical(t, model.String()+"/default", ref, def)
+		ps = def.PristineStats
+		if ps.StaticPackedEntries != 0 {
+			t.Fatalf("%s: the default budget went packed at N=%d", model, n)
+		}
+		if int64(ps.StaticCacheEntries) != ps.StaticMisses {
+			t.Errorf("%s: unpacked pristine pass kept %d of the %d statics it computed, want all",
+				model, ps.StaticCacheEntries, ps.StaticMisses)
+		}
+	}
+}
+
 // TestStaticCacheFingerprintExcluded: StaticCacheBytes must not enter
 // the config fingerprint (any budget yields the same Result), while
 // trajectory-shaping fields must.

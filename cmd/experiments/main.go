@@ -38,19 +38,18 @@ func main() {
 
 func run() int {
 	var (
-		list      = flag.Bool("list", false, "list experiment ids and exit")
-		runID     = flag.String("run", "", "experiment id to run, or 'all'")
-		n         = flag.Int("n", 1200, "synthetic graph size")
-		seed      = flag.Int64("seed", 42, "generator seed")
-		x         = flag.Float64("x", 0.10, "CP traffic fraction")
-		workers   = flag.Int("workers", 0, "simulation worker budget (0 = GOMAXPROCS)")
-		distWork  = flag.Int("dist-workers", 0, "run each simulation over this many local worker processes (0 = in-process)")
-		rebalance = flag.Bool("rebalance", false, "with -dist-workers: migrate shards off straggling workers between rounds (bit-identical results)")
-		parallel  = flag.Int("parallel", 4, "experiments run concurrently")
-		outDir    = flag.String("out", "", "directory for reports, resume state and the artifact cache (default stdout only)")
-		jsonOut   = flag.Bool("json", false, "also write <id>.json machine-readable reports (requires -out)")
-		force     = flag.Bool("force", false, "rerun experiments even when -out holds completed results")
-		quiet     = flag.Bool("quiet", false, "suppress report bodies on stdout (summaries still print)")
+		list     = flag.Bool("list", false, "list experiment ids and exit")
+		runID    = flag.String("run", "", "experiment id to run, or 'all'")
+		n        = flag.Int("n", 1200, "synthetic graph size")
+		seed     = flag.Int64("seed", 42, "generator seed")
+		x        = flag.Float64("x", 0.10, "CP traffic fraction")
+		workers  = flag.Int("workers", 0, "simulation worker budget (0 = GOMAXPROCS)")
+		distWork = flag.Int("dist-workers", 0, "run each simulation over this many local worker processes (0 = in-process)")
+		parallel = flag.Int("parallel", 4, "experiments run concurrently")
+		outDir   = flag.String("out", "", "directory for reports, resume state and the artifact cache (default stdout only)")
+		jsonOut  = flag.Bool("json", false, "also write <id>.json machine-readable reports (requires -out)")
+		force    = flag.Bool("force", false, "rerun experiments even when -out holds completed results")
+		quiet    = flag.Bool("quiet", false, "suppress report bodies on stdout (summaries still print)")
 
 		staticCache = flag.Int64("static-cache", 0, "per-simulation static routing cache budget in bytes (0 = engine default, negative = disable)")
 		dynCache    = flag.Int64("dyn-cache", 0, "per-simulation dynamic contribution cache budget in bytes (0 = engine default, negative = disable)")
@@ -96,7 +95,7 @@ func run() int {
 	// a post-hoc rewrite of zero values).
 	var mu sync.Mutex
 	batch := experiments.BatchOptions{
-		Options:  experiments.Options{N: *n, Seed: *seed, X: *x, Workers: *workers, DistWorkers: *distWork, Rebalance: *rebalance, StaticCacheBytes: *staticCache, DynamicCacheBytes: *dynCache, StaticStoreDir: *staticStore},
+		Options:  experiments.Options{N: *n, Seed: *seed, X: *x, Workers: *workers, DistWorkers: *distWork, StaticCacheBytes: *staticCache, DynamicCacheBytes: *dynCache, StaticStoreDir: *staticStore},
 		IDs:      ids,
 		Parallel: *parallel,
 		OutDir:   *outDir,

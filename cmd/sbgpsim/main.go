@@ -71,8 +71,6 @@ func run() int {
 		distWorkers = flag.Int("dist-workers", 0, "distribute over this many local worker processes (fork-exec over stdio pipes)")
 		distConnect = flag.String("dist-connect", "", "distribute over TCP workers at these comma-separated addresses")
 		distListen  = flag.String("dist-listen", "", "run as a TCP worker listening on this address (serves coordinators forever)")
-		rebalance   = flag.Bool("rebalance", false, "with -dist-workers/-dist-connect: migrate shards off straggling workers between rounds (bit-identical results)")
-		rebRatio    = flag.Float64("rebalance-ratio", 0, "load imbalance triggering a migration (0 = default 1.25)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		traceFile   = flag.String("trace", "", "write a runtime execution trace to this file (view with go tool trace)")
@@ -184,12 +182,11 @@ func run() int {
 		if cfg.Workers == 0 {
 			cfg.Workers = procs
 		}
-		opts := dist.Options{Rebalance: *rebalance, RebalanceRatio: *rebRatio}
 		var coord *dist.Coordinator
 		if *distWorkers > 0 {
-			coord, err = dist.NewLocalCoordinator(g, cfg, procs, opts)
+			coord, err = dist.NewLocalCoordinator(g, cfg, procs, dist.Options{})
 		} else {
-			coord, err = dist.NewTCPCoordinator(g, cfg, strings.Split(*distConnect, ","), opts)
+			coord, err = dist.NewTCPCoordinator(g, cfg, strings.Split(*distConnect, ","), dist.Options{})
 		}
 		if err != nil {
 			return fail(err)

@@ -27,29 +27,11 @@ type Conn interface {
 	Close() error
 }
 
-// DefaultRebalanceRatio is the load imbalance that triggers a shard
-// migration when rebalancing is on: the most-loaded worker must exceed
-// the least-loaded one by this factor. Modest on purpose — migrations
-// cost the destination a cold (or dyn-purged) cache round, so chasing
-// small timing noise loses more than it gains.
-const DefaultRebalanceRatio = 1.25
-
 // Options tunes a Coordinator.
 type Options struct {
 	// RoundTimeout overrides DefaultRoundTimeout when positive. It also
 	// bounds the TCP dial and handshake phase (NewTCPCoordinator).
 	RoundTimeout time.Duration
-	// Rebalance enables dynamic shard rebalancing: after each round the
-	// coordinator compares per-worker load (the sum of each worker's
-	// shards' compute wall times, as measured on the worker) and
-	// migrates whole logical shards from the most-loaded worker to the
-	// least-loaded one until the gap falls under RebalanceRatio.
-	// Placement only — partials stay per logical shard and merge in
-	// ascending shard order, so Results are bit-identical with
-	// rebalancing on or off.
-	Rebalance bool
-	// RebalanceRatio overrides DefaultRebalanceRatio when positive.
-	RebalanceRatio float64
 }
 
 // workerConn is the coordinator's handle on one worker: a dedicated
@@ -135,12 +117,10 @@ func (w *workerConn) recv(timeout time.Duration) ([]byte, error) {
 // the float summation sequence never depends on the process count or
 // on which worker computed a shard.
 type Coordinator struct {
-	n         int
-	total     int // S: logical shard count
-	workers   []*workerConn
-	timeout   time.Duration
-	rebalance bool
-	ratio     float64
+	n       int
+	total   int // S: logical shard count
+	workers []*workerConn
+	timeout time.Duration
 
 	seq    uint64
 	secure []bool // committed state: what every worker's cur state is
@@ -177,21 +157,15 @@ func NewCoordinator(g *asgraph.Graph, cfg sim.Config, conns []Conn, opts Options
 	if timeout <= 0 {
 		timeout = DefaultRoundTimeout
 	}
-	ratio := opts.RebalanceRatio
-	if ratio <= 0 {
-		ratio = DefaultRebalanceRatio
-	}
 	c := &Coordinator{
-		n:         n,
-		total:     total,
-		timeout:   timeout,
-		rebalance: opts.Rebalance,
-		ratio:     ratio,
-		secure:    make([]bool, n),
-		breaks:    make([]bool, n),
-		slots:     make([]sim.ShardPartial, total),
-		got:       make([]bool, total),
-		out:       make([]sim.ShardPartial, 0, total),
+		n:       n,
+		total:   total,
+		timeout: timeout,
+		secure:  make([]bool, n),
+		breaks:  make([]bool, n),
+		slots:   make([]sim.ShardPartial, total),
+		got:     make([]bool, total),
+		out:     make([]sim.ShardPartial, 0, total),
 	}
 	for i, conn := range conns {
 		w := &workerConn{
@@ -217,9 +191,9 @@ func NewCoordinator(g *asgraph.Graph, cfg sim.Config, conns []Conn, opts Options
 		}
 	}
 	// Every worker acks, including ones with no shards yet (more
-	// processes than shards): they idle until a rebalancing migration or
-	// a death reassignment hands them work, and leaving their ack in the
-	// stream would surface as a protocol error at that first handoff.
+	// processes than shards): they idle until a death reassignment hands
+	// them work, and leaving their ack in the stream would surface as a
+	// protocol error at that first handoff.
 	for _, w := range c.workers {
 		p, err := w.recv(c.timeout)
 		if err != nil {
@@ -289,11 +263,8 @@ func (c *Coordinator) ExecRound(st sim.RoundState, candList []int32) ([]sim.Shar
 			c.markDead(w, &info, err)
 		}
 	}
-	if err := c.reassign(&info); err != nil {
+	if err := c.reassign(&info, candList); err != nil {
 		return nil, info, err
-	}
-	if c.rebalance {
-		c.rebalanceShards(&info)
 	}
 
 	c.out = c.out[:0]
@@ -301,117 +272,6 @@ func (c *Coordinator) ExecRound(st sim.RoundState, candList []int32) ([]sim.Shar
 		c.out = append(c.out, c.slots[s])
 	}
 	return c.out, info, nil
-}
-
-// rebalanceShards migrates whole logical shards from straggling workers
-// to fast ones between rounds, driven by the per-shard compute wall
-// times the round just collected (measured on the workers, so network
-// and merge time never skew the decision). Repeatedly: find the most-
-// and least-loaded live workers; if the gap exceeds the configured
-// ratio, move the source shard that brings the pair closest to even and
-// recompute. Migration is placement only — the destination computes the
-// same per-shard partials the source would have (statics are
-// state-independent; dynamic records are invalidated on adoption) and
-// partials merge in ascending shard order regardless of owner — so
-// Results are bit-identical with rebalancing on or off.
-func (c *Coordinator) rebalanceShards(info *sim.ExecInfo) {
-	for moved := 0; moved < c.total; moved++ {
-		var src, dst *workerConn
-		var maxL, minL int64
-		for _, w := range c.workers {
-			if w.dead {
-				continue
-			}
-			var l int64
-			for _, s := range w.shards {
-				l += c.slots[s].Stats.WallNS
-			}
-			if src == nil || l > maxL {
-				maxL, src = l, w
-			}
-			if dst == nil || l < minL {
-				minL, dst = l, w
-			}
-		}
-		if src == nil || dst == nil || src == dst || float64(maxL) <= c.ratio*float64(minL) {
-			return
-		}
-		// The shard minimizing the residual gap |gap − 2·wall|; any pick
-		// with 0 < wall < gap strictly narrows it, and a worker whose
-		// whole load is one shard never qualifies (wall = maxL > gap).
-		gap := maxL - minL
-		best, bestRes := -1, int64(0)
-		for _, s := range src.shards {
-			w := c.slots[s].Stats.WallNS
-			if w <= 0 || w >= gap {
-				continue
-			}
-			res := gap - 2*w
-			if res < 0 {
-				res = -res
-			}
-			if best < 0 || res < bestRes {
-				best, bestRes = s, res
-			}
-		}
-		if best < 0 || !c.migrateShard(src, dst, best, info) {
-			return
-		}
-	}
-}
-
-// migrateShard moves shard s from src to dst: a drop on the source, a
-// committed-state snapshot plus an assign on the destination. The
-// snapshot makes the move safe even when dst owned nothing and so has
-// been skipped by round broadcasts since its state was last current;
-// for an active owner it is an idempotent restatement. No replies are
-// expected — stream ordering serializes the handoff against the next
-// round. Reports whether the migration was sent; a send failure marks
-// the failing end dead, parking s where the next reassign re-homes it.
-func (c *Coordinator) migrateShard(src, dst *workerConn, s int, info *sim.ExecInfo) bool {
-	if err := src.send(encodeDrop([]int{s})); err != nil {
-		c.markDead(src, info, fmt.Errorf("dropping shard %d: %w", s, err))
-		return false
-	}
-	for i, have := range src.shards {
-		if have == s {
-			src.shards = append(src.shards[:i], src.shards[i+1:]...)
-			break
-		}
-	}
-	// The drop reply carries the shard's packed static cache — the warm-
-	// handoff payload forwarded to dst below. Losing it only costs
-	// warmth (dst recomputes the statics bit-identically), so a failure
-	// here marks src dead but the migration itself proceeds cold.
-	var statics []byte
-	if p, err := src.recv(c.timeout); err != nil {
-		c.markDead(src, info, fmt.Errorf("collecting shard %d statics: %w", s, err))
-	} else if p[0] != frameShardStatics {
-		c.markDead(src, info, fmt.Errorf("dist: unexpected frame type %d awaiting shard statics", p[0]))
-	} else {
-		statics = p
-	}
-	// From here on the shard belongs to dst, even if dst dies mid-
-	// handoff: reassign finds it on the dead worker's list and replays.
-	dst.shards = append(dst.shards, s)
-	sort.Ints(dst.shards)
-	snap := encodeSnapshot(&snapshotMsg{Seq: c.seq, Secure: c.secure, Breaks: c.breaks})
-	if err := dst.send(snap); err != nil {
-		c.markDead(dst, info, fmt.Errorf("migrating shard %d: %w", s, err))
-		return false
-	}
-	if err := dst.send(encodeAssign([]int{s})); err != nil {
-		c.markDead(dst, info, fmt.Errorf("migrating shard %d: %w", s, err))
-		return false
-	}
-	if statics != nil {
-		if err := dst.send(statics); err != nil {
-			c.markDead(dst, info, fmt.Errorf("migrating shard %d statics: %w", s, err))
-			return false
-		}
-	}
-	info.ShardsMigrated++
-	return true
 }
 
 // collect awaits one partials frame from w and stages its vectors. The
@@ -469,7 +329,7 @@ func (c *Coordinator) collect(w *workerConn, want []int, into *partialsMsg) erro
 // partial depends only on (graph, config, state), never on placement
 // or cache temperature. Loops until no orphans remain (an assignee can
 // itself die mid-replay).
-func (c *Coordinator) reassign(info *sim.ExecInfo) error {
+func (c *Coordinator) reassign(info *sim.ExecInfo, candList []int32) error {
 	for {
 		var orphans []int
 		for _, w := range c.workers {
@@ -510,7 +370,7 @@ func (c *Coordinator) reassign(info *sim.ExecInfo) error {
 					need = append(need, s)
 				}
 			}
-			err := c.replayOn(w, batch, need, snap)
+			err := c.replayOn(w, batch, need, snap, candList)
 			if err != nil {
 				c.markDead(w, info, fmt.Errorf("replaying shards %v: %w", batch, err))
 				// Hand the batch to the dead worker's shard list so the
@@ -526,8 +386,9 @@ func (c *Coordinator) reassign(info *sim.ExecInfo) error {
 }
 
 // replayOn extends w's ownership with batch and recomputes the need
-// subset for the current round from the committed-state snapshot.
-func (c *Coordinator) replayOn(w *workerConn, batch, need []int, snap []byte) error {
+// subset for the current round from the committed-state snapshot and
+// the round's candidates.
+func (c *Coordinator) replayOn(w *workerConn, batch, need []int, snap []byte, candList []int32) error {
 	if err := w.send(encodeAssign(batch)); err != nil {
 		return err
 	}
@@ -537,7 +398,7 @@ func (c *Coordinator) replayOn(w *workerConn, batch, need []int, snap []byte) er
 	if err := w.send(snap); err != nil {
 		return err
 	}
-	if err := w.send(encodeRecompute(&recomputeMsg{Seq: c.seq, Shards: need})); err != nil {
+	if err := w.send(encodeRecompute(&recomputeMsg{Seq: c.seq, Shards: need, Cands: candList})); err != nil {
 		return err
 	}
 	// A fresh message: decoding into w.parts would clobber the vectors

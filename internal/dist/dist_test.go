@@ -200,15 +200,16 @@ func TestDistAllWorkersDead(t *testing.T) {
 	}
 }
 
-// pipeConn adapts one end of a net.Pipe pair plus in-process ServeConn
-// to a Conn, so the coordinator/worker protocol runs under the race
-// detector without forking.
-func pipeWorkers(t *testing.T, k int) []Conn {
+// pipeWorkers serves one in-process worker session per opts entry over
+// a synchronous in-memory pipe, so the coordinator/worker protocol runs
+// under the race detector without forking; opts carries each worker's
+// fault-injection hooks.
+func pipeWorkers(t *testing.T, opts ...serveOpts) []Conn {
 	t.Helper()
-	conns := make([]Conn, k)
-	for i := 0; i < k; i++ {
+	conns := make([]Conn, len(opts))
+	for i, o := range opts {
 		a, b := net.Pipe()
-		go func() { _ = ServeConn(b); b.Close() }()
+		go func() { _ = serveConn(b, o); b.Close() }()
 		conns[i] = a
 	}
 	return conns
@@ -226,7 +227,7 @@ func TestPipeWorkers(t *testing.T) {
 		RecordUtilities: true,
 	}
 	want := serialize(t, runLocal(t, g, cfg))
-	coord, err := NewCoordinator(g, cfg, pipeWorkers(t, 2), Options{RoundTimeout: time.Minute})
+	coord, err := NewCoordinator(g, cfg, pipeWorkers(t, serveOpts{}, serveOpts{}), Options{RoundTimeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,6 +242,137 @@ func TestPipeWorkers(t *testing.T) {
 	}
 }
 
+// TestPipeIdleWorkerRevived: with more processes than shards (K=5 over
+// S=4) worker 4 owns nothing after the handshake, so every broadcast
+// skips it. Workers 0–2 die as they receive round sequence 3; their
+// shards 0–2 go round-robin to the survivors 3 and 4, so the idle
+// worker adopts shard 1 and must replay it for a round it never
+// received, from the committed snapshot alone. Nothing else may die,
+// and the Result must stay byte-identical.
+func TestPipeIdleWorkerRevived(t *testing.T) {
+	g, adopters := testGraph(t, 500, 11)
+	cfg := sim.Config{
+		Theta:           0.05,
+		EarlyAdopters:   adopters,
+		StubsBreakTies:  true,
+		Workers:         4,
+		RecordUtilities: true,
+	}
+	ref := runLocal(t, g, cfg)
+	if len(ref.Rounds) < 2 {
+		t.Fatalf("test scenario too small: only %d rounds, the kill at round 2 never triggers", len(ref.Rounds))
+	}
+	want := serialize(t, ref)
+
+	die := serveOpts{dieBeforeSeq: 3} // seq 1 = pristine pass, seq 3 = round 2
+	coord, err := NewCoordinator(g, cfg, pipeWorkers(t, die, die, die, serveOpts{}, serveOpts{}), Options{RoundTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	if idle := coord.workers[4].shards; len(idle) != 0 {
+		t.Fatalf("worker 4 owns shards %v after the handshake, want none", idle)
+	}
+	cfg.RecordStats = true
+	cfg.Executor = coord
+	res, err := sim.MustNew(g, cfg).RunE()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reassigned, lost int
+	for _, rd := range res.Rounds {
+		if rd.Stats != nil {
+			reassigned += rd.Stats.ShardsReassigned
+			lost += rd.Stats.WorkersLost
+		}
+	}
+	if lost != 3 {
+		t.Errorf("WorkersLost = %d, want 3", lost)
+	}
+	if reassigned != 3 {
+		t.Errorf("ShardsReassigned = %d, want 3", reassigned)
+	}
+	if got := coord.workers[4].shards; len(got) != 1 || got[0] != 1 {
+		t.Errorf("worker 4 owns shards %v, want [1]", got)
+	}
+	if got := serialize(t, res); !bytes.Equal(got, want) {
+		t.Fatal("result after reviving an idle worker differs from in-process")
+	}
+}
+
+// TestWorkerRejectsBadCandidates speaks the raw protocol to one worker
+// session: a hello, then a round frame whose candidate list is out of
+// range or not strictly ascending. The worker must answer with an error
+// frame and end the session — not panic indexing its per-node marks,
+// and not sum a repeated candidate's delta twice.
+func TestWorkerRejectsBadCandidates(t *testing.T) {
+	g, _ := testGraph(t, 50, 1)
+	n := int32(g.N())
+	cfgw, err := encodeConfig(sim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gw bytes.Buffer
+	if err := asgraph.Write(&gw, g); err != nil {
+		t.Fatal(err)
+	}
+	hi := encodeHello(&hello{N: int(n), TotalShards: 1, Shards: []int{0}, Config: cfgw, Graph: gw.Bytes()})
+	for name, cands := range map[string][]int32{
+		"too large":  {1, n},
+		"negative":   {-1, 2},
+		"repeated":   {3, 3},
+		"descending": {5, 2},
+	} {
+		t.Run(name, func(t *testing.T) {
+			a, b := net.Pipe()
+			defer a.Close()
+			// done receives the session's outcome before b closes, so a
+			// read that fails on the closed pipe can report it.
+			done := make(chan error, 1)
+			go func() {
+				defer b.Close()
+				defer func() {
+					if r := recover(); r != nil {
+						done <- fmt.Errorf("worker panicked: %v", r)
+					}
+				}()
+				done <- serveConn(b, serveOpts{})
+			}()
+			// next returns the worker's next frame other than a heartbeat.
+			next := func() []byte {
+				t.Helper()
+				for {
+					p, err := readFrame(a, nil)
+					if err != nil {
+						t.Fatalf("reading from worker: %v (session ended with: %v)", err, <-done)
+					}
+					if p[0] != frameHeartbeat {
+						return p
+					}
+				}
+			}
+			if err := writeFrame(a, hi); err != nil {
+				t.Fatal(err)
+			}
+			if p := next(); p[0] != frameHelloAck {
+				t.Fatalf("handshake answered with frame type %d", p[0])
+			}
+			if err := writeFrame(a, encodeRound(&roundMsg{Seq: 1, Cands: cands})); err != nil {
+				t.Fatal(err)
+			}
+			p := next()
+			if p[0] != frameError {
+				t.Fatalf("candidates %v answered with frame type %d, want an error frame", cands, p[0])
+			}
+			msg, _ := decodeError(p)
+			a.Close()
+			if err := <-done; err == nil || err.Error() != msg {
+				t.Fatalf("session ended with %v, want the reported error %q", err, msg)
+			}
+		})
+	}
+}
+
 // TestCoordinatorRejectsEmpty covers constructor validation.
 func TestCoordinatorRejectsEmpty(t *testing.T) {
 	g, _ := testGraph(t, 50, 1)
@@ -249,203 +381,6 @@ func TestCoordinatorRejectsEmpty(t *testing.T) {
 	}
 	if _, err := NewLocalCoordinator(g, sim.Config{}, 0, Options{}); err == nil {
 		t.Fatal("coordinator with 0 processes accepted")
-	}
-}
-
-// migratingExec wraps a Coordinator and, after selected ExecRound
-// calls, forces shard migrations through the rebalancing machinery —
-// the same drop/snapshot/assign handoff the timing-driven policy
-// issues, but on a fixed schedule so every interesting placement
-// transition is exercised deterministically.
-type migratingExec struct {
-	t     *testing.T
-	c     *Coordinator
-	calls int
-	// moves[k] runs after the k-th ExecRound (1-based; call 1 is the
-	// pristine pass): each entry migrates a shard to the given worker.
-	moves    map[int][]forcedMove
-	migrated int
-}
-
-type forcedMove struct {
-	shard, toWorker int
-}
-
-func (m *migratingExec) TotalShards() int { return m.c.TotalShards() }
-
-func (m *migratingExec) ExecRound(st sim.RoundState, cands []int32) ([]sim.ShardPartial, sim.ExecInfo, error) {
-	parts, info, err := m.c.ExecRound(st, cands)
-	if err != nil {
-		return parts, info, err
-	}
-	m.calls++
-	for _, mv := range m.moves[m.calls] {
-		var src *workerConn
-		for _, w := range m.c.workers {
-			for _, s := range w.shards {
-				if s == mv.shard {
-					src = w
-				}
-			}
-		}
-		dst := m.c.workers[mv.toWorker]
-		if src == nil || src == dst {
-			m.t.Fatalf("call %d: shard %d has no owner or is already on worker %d", m.calls, mv.shard, mv.toWorker)
-		}
-		if !m.c.migrateShard(src, dst, mv.shard, &info) {
-			m.t.Fatalf("call %d: migrating shard %d to worker %d failed", m.calls, mv.shard, mv.toWorker)
-		}
-	}
-	m.migrated += len(m.moves[m.calls])
-	return parts, info, err
-}
-
-// TestRebalanceForcedMigrations drives a kill-free distributed run
-// through a fixed migration schedule covering every placement
-// transition the rebalancer can produce: a shard moving to a peer, a
-// shard returning to a previous owner (re-adopting its warm static
-// cache, with the stale dynamic records purged), a worker stripped of
-// every shard, and an idle worker revived via the committed-state
-// snapshot. The Result must stay byte-identical to the in-process run
-// and to the static-placement distributed run. Runs over in-memory
-// pipes so -race sees both sides of every handoff.
-func TestRebalanceForcedMigrations(t *testing.T) {
-	g, adopters := testGraph(t, 500, 11)
-	cfg := sim.Config{
-		Theta:           0.05,
-		EarlyAdopters:   adopters,
-		StubsBreakTies:  true,
-		Workers:         4,
-		RecordUtilities: true,
-		RecordStats:     true,
-	}
-	want := serialize(t, runLocal(t, g, cfg))
-
-	coordStatic, err := NewCoordinator(g, cfg, pipeWorkers(t, 2), Options{RoundTimeout: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coordStatic.Close()
-	cfgStatic := cfg
-	cfgStatic.Executor = coordStatic
-	resStatic, err := sim.MustNew(g, cfgStatic).RunE()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := serialize(t, resStatic); !bytes.Equal(got, want) {
-		t.Fatal("static-placement distributed result differs from in-process")
-	}
-
-	coord, err := NewCoordinator(g, cfg, pipeWorkers(t, 2), Options{RoundTimeout: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	// Initial placement: worker 0 owns {0,2}, worker 1 owns {1,3}.
-	exec := &migratingExec{t: t, c: coord, moves: map[int][]forcedMove{
-		1: {{shard: 0, toWorker: 1}},                                                   // plain migration
-		2: {{shard: 0, toWorker: 0}, {shard: 1, toWorker: 0}, {shard: 3, toWorker: 0}}, // shard 0 returns to its previous owner; worker 1 left empty
-		3: {{shard: 2, toWorker: 1}},                                                   // idle worker revived from the snapshot
-	}}
-	cfg.Executor = exec
-	res, err := sim.MustNew(g, cfg).RunE()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every scheduled move needs at least one later round to compute on
-	// the new placement; calls = 1 pristine pass + one per round.
-	if exec.calls < 5 {
-		t.Fatalf("run finished after %d executor calls; the migration schedule needs at least 5", exec.calls)
-	}
-	if exec.migrated != 5 {
-		t.Fatalf("forced %d migrations, want 5", exec.migrated)
-	}
-	var migrated int
-	for _, rd := range res.Rounds {
-		if rd.Stats != nil {
-			migrated += rd.Stats.ShardsMigrated
-		}
-	}
-	// The pristine pass's ExecInfo is not attached to any recorded
-	// round, so the migration forced after call 1 is invisible here.
-	if migrated != 4 {
-		t.Errorf("round stats report %d migrated shards, want 4", migrated)
-	}
-	// Every migration ships the shard's packed statics (the drop reply,
-	// forwarded after the assign), so no recorded round recomputes a
-	// static the pristine pass already built — a cold landing would.
-	var misses int64
-	for _, rd := range res.Rounds {
-		if rd.Stats != nil {
-			misses += rd.Stats.StaticMisses
-		}
-	}
-	if misses != 0 {
-		t.Errorf("migrated shards recomputed %d statics; the warm handoff failed", misses)
-	}
-	if got := serialize(t, res); !bytes.Equal(got, want) {
-		t.Fatal("result with forced migrations differs from in-process")
-	}
-}
-
-// TestRebalanceOptionByteIdentity turns the timing-driven rebalancer
-// on with a hair-trigger ratio, so migrations fire organically nearly
-// every round, and checks bit-identity against the in-process run.
-// Which shards move where depends on wall-clock noise by design — the
-// invariant is that no placement sequence can change a single bit.
-func TestRebalanceOptionByteIdentity(t *testing.T) {
-	g, adopters := testGraph(t, 300, 5)
-	cfg := sim.Config{
-		Theta:           0.05,
-		EarlyAdopters:   adopters,
-		Workers:         4,
-		RecordUtilities: true,
-	}
-	want := serialize(t, runLocal(t, g, cfg))
-	coord, err := NewCoordinator(g, cfg, pipeWorkers(t, 3),
-		Options{RoundTimeout: time.Minute, Rebalance: true, RebalanceRatio: 1.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	cfg.Executor = coord
-	res, err := sim.MustNew(g, cfg).RunE()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := serialize(t, res); !bytes.Equal(got, want) {
-		t.Fatal("rebalanced result differs from in-process")
-	}
-}
-
-// TestRebalanceLocalWorkers runs the rebalancer over real fork-exec'd
-// worker processes — the drop/assign frames cross a genuine process
-// boundary — and checks bit-identity against the in-process run.
-func TestRebalanceLocalWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("forks worker processes")
-	}
-	g, adopters := testGraph(t, 300, 5)
-	cfg := sim.Config{
-		Theta:           0.05,
-		EarlyAdopters:   adopters,
-		StubsBreakTies:  true,
-		Workers:         4,
-		RecordUtilities: true,
-	}
-	want := serialize(t, runLocal(t, g, cfg))
-	coord, err := NewLocalCoordinator(g, cfg, 2, Options{Rebalance: true, RebalanceRatio: 1.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	cfg.Executor = coord
-	res, err := sim.MustNew(g, cfg).RunE()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := serialize(t, res); !bytes.Equal(got, want) {
-		t.Fatal("rebalanced fork-exec result differs from in-process")
 	}
 }
 

@@ -48,11 +48,14 @@ import (
 // the streaming tiers off. v6 removed the two prefetch stats fields
 // and, with the options behind them, those three config flags and the
 // prefetch depth (config wire v7). v7 added the ClassReplays stats
-// field (sibling-leaf destination classes).
-const protoVersion = 7
+// field (sibling-leaf destination classes). v8 removed the drop and
+// shard-statics frames with the shard rebalancing they served (frame
+// types 11 and 12 are retired) and added the round's candidate list to
+// the recompute frame.
+const protoVersion = 8
 
 // Frame types. Direction is fixed per type: the coordinator sends
-// hello/snapshot/round/assign/recompute/drop/bye, workers send
+// hello/snapshot/round/assign/recompute/bye, workers send
 // helloAck/partials/heartbeat/error.
 const (
 	frameHello     = 1
@@ -65,12 +68,6 @@ const (
 	frameHeartbeat = 8
 	frameError     = 9
 	frameBye       = 10
-	frameDrop      = 11
-	// frameShardStatics carries packed static blobs (routing/packed.go)
-	// in both directions of a shard migration: the source worker sends
-	// its dropped shards' cache contents to the coordinator, which
-	// forwards them to the destination worker after the assign frame.
-	frameShardStatics = 12
 )
 
 // maxFrameLen bounds a frame payload (1 GiB): large enough for a
@@ -448,104 +445,15 @@ func decodeAssign(p []byte) ([]int, error) {
 	return shards, nil
 }
 
-// dropMsg relinquishes part of a worker's shard ownership (the source
-// side of a rebalancing migration; the destination side is an assign).
-// Stream ordering makes an ack unnecessary: the drop is processed
-// before any later round frame, so the next partials already exclude
-// the dropped shards.
-func encodeDrop(shards []int) []byte {
-	e := &enc{}
-	e.u8(frameDrop)
-	e.ints(shards)
-	return e.b
-}
-
-func decodeDrop(p []byte) ([]int, error) {
-	d := &dec{b: p}
-	if d.u8() != frameDrop {
-		return nil, fmt.Errorf("dist: not a drop frame")
-	}
-	shards := d.ints(nil)
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return shards, nil
-}
-
-// shardStaticsMsg is the warm-handoff payload of a migration: packed
-// static blobs (routing/packed.go) plus pristine-contribution sidecars
-// (routing/sidecar.go), the latter as parallel kind/dest/payload lists
-// because a sidecar's identity is not recoverable from its payload
-// cheaply enough to re-derive on the hot import path.
-type shardStaticsMsg struct {
-	Blobs      [][]byte
-	ScKinds    []uint8
-	ScDests    []int32
-	ScPayloads [][]byte
-}
-
-// encodeShardStatics renders the warm-handoff payload of a migration as
-// one shard-statics frame. The source worker answers every drop frame
-// with one (empty when packing is off or the caches held nothing), and
-// the coordinator forwards it to the migration destination after the
-// assign frame. Each blob is self-describing — it carries its own
-// destination id — so the blob list needs no per-shard structure; the
-// sidecar list that follows carries explicit (kind, dest) headers.
-func encodeShardStatics(m *shardStaticsMsg) []byte {
-	size := 9
-	for _, b := range m.Blobs {
-		size += 4 + len(b)
-	}
-	for _, p := range m.ScPayloads {
-		size += 9 + len(p)
-	}
-	e := &enc{b: make([]byte, 0, size)}
-	e.u8(frameShardStatics)
-	e.u32(uint32(len(m.Blobs)))
-	for _, b := range m.Blobs {
-		e.bytes(b)
-	}
-	e.u32(uint32(len(m.ScPayloads)))
-	for i, p := range m.ScPayloads {
-		e.u8(m.ScKinds[i])
-		e.u32(uint32(m.ScDests[i]))
-		e.bytes(p)
-	}
-	return e.b
-}
-
-// decodeShardStatics parses a shard-statics frame. The returned blob
-// and payload slices alias the frame buffer: callers must finish
-// importing them (the cache copies admitted bytes into its arena)
-// before reading the next frame into the same buffer.
-func decodeShardStatics(p []byte, into *shardStaticsMsg) error {
-	d := &dec{b: p}
-	if d.u8() != frameShardStatics {
-		return fmt.Errorf("dist: not a shard-statics frame")
-	}
-	n := d.count(1)
-	into.Blobs = into.Blobs[:0]
-	for i := 0; i < n && d.err == nil; i++ {
-		into.Blobs = append(into.Blobs, d.bytes())
-	}
-	ns := d.count(9)
-	into.ScKinds = into.ScKinds[:0]
-	into.ScDests = into.ScDests[:0]
-	into.ScPayloads = into.ScPayloads[:0]
-	for i := 0; i < ns && d.err == nil; i++ {
-		into.ScKinds = append(into.ScKinds, d.u8())
-		into.ScDests = append(into.ScDests, int32(d.u32()))
-		into.ScPayloads = append(into.ScPayloads, d.bytes())
-	}
-	return d.done()
-}
-
 // recomputeMsg asks the worker to compute a subset of its shards for
-// the round it already answered — the replay path for shards it just
-// adopted.
+// the current round — the replay path for shards it just adopted. It
+// follows a snapshot of that round's state and carries the round's
+// candidates, so a worker that owned nothing when the round was
+// broadcast (and never saw its round frame) can replay it too.
 type recomputeMsg struct {
 	Seq    uint64
 	Shards []int
+	Cands  []int32
 }
 
 func encodeRecompute(r *recomputeMsg) []byte {
@@ -553,6 +461,7 @@ func encodeRecompute(r *recomputeMsg) []byte {
 	e.u8(frameRecompute)
 	e.u64(r.Seq)
 	e.ints(r.Shards)
+	e.int32s(r.Cands)
 	return e.b
 }
 
@@ -563,6 +472,7 @@ func decodeRecompute(p []byte, into *recomputeMsg) error {
 	}
 	into.Seq = d.u64()
 	into.Shards = d.ints(into.Shards)
+	into.Cands = d.int32s(into.Cands)
 	return d.done()
 }
 

@@ -98,12 +98,12 @@ func boolsEqual(a, b []bool) bool {
 }
 
 func TestRecomputeRoundTrip(t *testing.T) {
-	in := &recomputeMsg{Seq: 5, Shards: []int{1, 2}}
+	in := &recomputeMsg{Seq: 5, Shards: []int{1, 2}, Cands: []int32{0, 4, 9}}
 	var out recomputeMsg
 	if err := decodeRecompute(encodeRecompute(in), &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Seq != in.Seq || !reflect.DeepEqual(out.Shards, in.Shards) {
+	if out.Seq != in.Seq || !reflect.DeepEqual(out.Shards, in.Shards) || !reflect.DeepEqual(out.Cands, in.Cands) {
 		t.Fatalf("round trip: got %+v, want %+v", out, in)
 	}
 }
@@ -116,59 +116,6 @@ func TestAssignRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("round trip: got %v, want %v", out, in)
-	}
-}
-
-func TestDropRoundTrip(t *testing.T) {
-	in := []int{2, 5, 11}
-	out, err := decodeDrop(encodeDrop(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip: got %v, want %v", out, in)
-	}
-	if _, err := decodeDrop(encodeAssign(in)); err == nil {
-		t.Fatal("assign frame decoded as drop")
-	}
-}
-
-// TestShardStaticsRoundTrip: packed blobs and sidecar records survive
-// the frame codec byte-exactly, an empty payload is legal (the
-// always-sent drop reply when packing is off), and foreign frames are
-// rejected.
-func TestShardStaticsRoundTrip(t *testing.T) {
-	in := &shardStaticsMsg{
-		Blobs:      [][]byte{{0xB5, 1, 2, 3}, {0xB5}, {0xB5, 0, 0xFF, 7, 9, 200}},
-		ScKinds:    []uint8{0, 1},
-		ScDests:    []int32{42, 7},
-		ScPayloads: [][]byte{{0xC7, 1, 0, 42}, {0xC7, 1, 1, 7, 0xEE}},
-	}
-	var out shardStaticsMsg
-	if err := decodeShardStatics(encodeShardStatics(in), &out); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in.Blobs, out.Blobs) {
-		t.Fatalf("blob round trip: got %v, want %v", out.Blobs, in.Blobs)
-	}
-	if !reflect.DeepEqual(in.ScKinds, out.ScKinds) ||
-		!reflect.DeepEqual(in.ScDests, out.ScDests) ||
-		!reflect.DeepEqual(in.ScPayloads, out.ScPayloads) {
-		t.Fatalf("sidecar round trip: got %v/%v/%v, want %v/%v/%v",
-			out.ScKinds, out.ScDests, out.ScPayloads, in.ScKinds, in.ScDests, in.ScPayloads)
-	}
-	var empty shardStaticsMsg
-	if err := decodeShardStatics(encodeShardStatics(&shardStaticsMsg{}), &empty); err != nil {
-		t.Fatal(err)
-	}
-	if len(empty.Blobs) != 0 || len(empty.ScPayloads) != 0 {
-		t.Fatalf("empty payload decoded to %d blobs, %d sidecars", len(empty.Blobs), len(empty.ScPayloads))
-	}
-	if err := decodeShardStatics(encodeDrop([]int{1}), &out); err == nil {
-		t.Fatal("drop frame decoded as shard statics")
-	}
-	if err := decodeShardStatics(encodeShardStatics(in)[:5], &out); err == nil {
-		t.Fatal("truncated shard-statics frame decoded")
 	}
 }
 

@@ -112,13 +112,12 @@ func serveConn(conn io.ReadWriter, opts serveOpts) error {
 	}()
 
 	var (
-		rd        roundMsg
-		snap      snapshotMsg
-		rec       recomputeMsg
-		lastSeq   uint64
-		lastCands []int32
-		buf       []byte
-		out       partialsMsg
+		rd      roundMsg
+		snap    snapshotMsg
+		rec     recomputeMsg
+		lastSeq uint64 // the round the committed state belongs to
+		buf     []byte
+		out     partialsMsg
 	)
 	for {
 		if buf, err = readFrame(br, buf); err != nil {
@@ -139,6 +138,7 @@ func serveConn(conn io.ReadWriter, opts serveOpts) error {
 			}
 			copy(secure, snap.Secure)
 			copy(breaks, snap.Breaks)
+			lastSeq = snap.Seq
 		case frameRound:
 			if err := decodeRound(buf, &rd); err != nil {
 				return bail(err)
@@ -153,10 +153,12 @@ func serveConn(conn io.ReadWriter, opts serveOpts) error {
 				secure[f.Node] = f.Secure
 				breaks[f.Node] = f.Breaks
 			}
+			if err := checkCands(rd.Cands, n); err != nil {
+				return bail(err)
+			}
 			lastSeq = rd.Seq
-			lastCands = append(lastCands[:0], rd.Cands...)
 			out.Seq = rd.Seq
-			out.Parts = eng.ComputeRound(sim.RoundState{Secure: secure, Breaks: breaks}, lastCands)
+			out.Parts = eng.ComputeRound(sim.RoundState{Secure: secure, Breaks: breaks}, rd.Cands)
 			if err := send(encodePartials(&out)); err != nil {
 				return err
 			}
@@ -168,40 +170,17 @@ func serveConn(conn io.ReadWriter, opts serveOpts) error {
 			if err := eng.AddShards(shards); err != nil {
 				return bail(err)
 			}
-		case frameDrop:
-			shards, err := decodeDrop(buf)
-			if err != nil {
-				return bail(err)
-			}
-			if err := eng.RemoveShards(shards); err != nil {
-				return bail(err)
-			}
-			// Answer with the dropped shards' packed statics and
-			// pristine-contribution sidecars so the migration destination
-			// lands warm. Always reply — empty when packing is off or the
-			// caches held nothing — so the coordinator can await the
-			// frame unconditionally.
-			var handoff shardStaticsMsg
-			handoff.Blobs = eng.ExportStatics(shards)
-			handoff.ScKinds, handoff.ScDests, handoff.ScPayloads = eng.ExportSidecars(shards)
-			if err := send(encodeShardStatics(&handoff)); err != nil {
-				return err
-			}
-		case frameShardStatics:
-			var handoff shardStaticsMsg
-			if err := decodeShardStatics(buf, &handoff); err != nil {
-				return bail(err)
-			}
-			eng.ImportStatics(handoff.Blobs)
-			eng.ImportSidecars(handoff.ScKinds, handoff.ScDests, handoff.ScPayloads)
 		case frameRecompute:
 			if err := decodeRecompute(buf, &rec); err != nil {
 				return bail(err)
 			}
 			if rec.Seq != lastSeq {
-				return bail(fmt.Errorf("dist: recompute for round %d, last round was %d", rec.Seq, lastSeq))
+				return bail(fmt.Errorf("dist: recompute for round %d, state is of round %d", rec.Seq, lastSeq))
 			}
-			parts, err := eng.ComputeShards(sim.RoundState{Secure: secure, Breaks: breaks}, lastCands, rec.Shards)
+			if err := checkCands(rec.Cands, n); err != nil {
+				return bail(err)
+			}
+			parts, err := eng.ComputeShards(sim.RoundState{Secure: secure, Breaks: breaks}, rec.Cands, rec.Shards)
 			if err != nil {
 				return bail(err)
 			}
@@ -214,4 +193,20 @@ func serveConn(conn io.ReadWriter, opts serveOpts) error {
 			return bail(fmt.Errorf("dist: unexpected frame type %d", buf[0]))
 		}
 	}
+}
+
+// checkCands enforces ComputeRound's contract on a candidate list from
+// the wire: the engine indexes per-node marks by candidate and sums one
+// delta per entry, so every candidate must be a node and the list
+// strictly ascending.
+func checkCands(cands []int32, n int) error {
+	for i, c := range cands {
+		if c < 0 || int(c) >= n {
+			return fmt.Errorf("dist: candidate %d out of range", c)
+		}
+		if i > 0 && c <= cands[i-1] {
+			return fmt.Errorf("dist: candidate list not strictly ascending at %d", c)
+		}
+	}
+	return nil
 }

@@ -56,9 +56,6 @@ type Options struct {
 	// fork-exec'd local worker processes (see internal/dist and
 	// Store.DistWorkers). Placement knob only — bit-identical results.
 	DistWorkers int
-	// Rebalance enables dynamic shard rebalancing on distributed runs
-	// (dist.Options.Rebalance). Like DistWorkers itself, placement only.
-	Rebalance bool
 	// Out receives the experiment's report (default io.Discard).
 	Out io.Writer
 
@@ -99,7 +96,6 @@ func (o Options) withDefaults() Options {
 		o.store.DynamicCacheBytes = o.DynamicCacheBytes
 		o.store.StaticStoreDir = o.StaticStoreDir
 		o.store.DistWorkers = o.DistWorkers
-		o.store.Rebalance = o.Rebalance
 	}
 	return o
 }

@@ -141,7 +141,6 @@ func RunBatch(b BatchOptions) ([]RunStatus, error) {
 		store.StaticStoreDir = opt.StaticStoreDir
 	}
 	store.DistWorkers = opt.DistWorkers
-	store.Rebalance = opt.Rebalance
 	opt.store = store
 
 	parallel := b.Parallel

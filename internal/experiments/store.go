@@ -63,9 +63,6 @@ type Store struct {
 	// are bit-identical to in-process runs at the same logical shard
 	// count, so cache keys and Results are unaffected.
 	DistWorkers int
-	// Rebalance enables dynamic shard rebalancing on those distributed
-	// runs (dist.Options.Rebalance). Placement only, like DistWorkers.
-	Rebalance bool
 
 	mu       sync.Mutex
 	graphs   map[GraphKey]*graphEntry
@@ -330,7 +327,7 @@ func (s *Store) computeSim(key string, g *asgraph.Graph, cfg sim.Config) (res *s
 	// it cannot cross a process boundary; the workers run their own
 	// shard-private caches.
 	if s.DistWorkers > 0 {
-		coord, err := dist.NewLocalCoordinator(g, cfg, s.DistWorkers, dist.Options{Rebalance: s.Rebalance})
+		coord, err := dist.NewLocalCoordinator(g, cfg, s.DistWorkers, dist.Options{})
 		if err != nil {
 			return nil, false, 0, err
 		}

@@ -40,11 +40,10 @@ import (
 // under the same clear-invariant the static build maintains, so a
 // decode costs O(reachable), not O(N).
 //
-// The format is also the dist migration payload for warm shard
-// handoff, so DecodePacked treats the blob as untrusted: every id,
-// adjacency index and level relation is validated, and a corrupt blob
-// yields an error with the workspace restored — never a panic or a
-// poisoned scratch.
+// The format is also the disk tier's record payload, so DecodePacked
+// treats the blob as untrusted: every id, adjacency index and level
+// relation is validated, and a corrupt blob yields an error with the
+// workspace restored — never a panic or a poisoned scratch.
 
 // packedMagic versions the packed encoding; bump on any layout change.
 const packedMagic = 0xB5
@@ -184,10 +183,9 @@ func pkUv(b []byte, off int) (uint64, int) {
 // workspace's clear-invariant, so it composes freely with computed
 // builds on the same workspace.
 //
-// The blob is treated as untrusted (it may arrive over the dist wire
-// or the disk tier): any malformed header, out-of-range id or index,
-// or level inconsistency returns an error with the workspace fully
-// restored.
+// The blob is treated as untrusted (it may come from the disk tier):
+// any malformed header, out-of-range id or index, or level
+// inconsistency returns an error with the workspace fully restored.
 func (w *Workspace) DecodePacked(blob []byte) (*Static, error) {
 	return w.decodePacked(blob, false)
 }

@@ -32,11 +32,10 @@ import (
 //	    8 bytes           (little-endian float64 bit pattern)
 //
 // Sidecars travel through the same tiers as packed statics: the
-// StaticCache (budget-charged, arena-backed), the StaticDiskStore (its
-// own record kind, CRC-checked), and the dist warm-handoff frame. Every
-// read path validates the full layout and treats any mismatch as a
-// missing sidecar — the consumer recomputes, so corruption can cost
-// time, never bits.
+// StaticCache (budget-charged, arena-backed) and the StaticDiskStore
+// (its own record kind, CRC-checked). Every read path validates the
+// full layout and treats any mismatch as a missing sidecar — the
+// consumer recomputes, so corruption can cost time, never bits.
 
 // sidecarMagic versions the sidecar encoding; bump on layout change.
 const (

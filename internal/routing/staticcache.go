@@ -216,12 +216,6 @@ type StaticCache struct {
 	// statics whose recompute is orders of magnitude dearer.
 	sidecars     map[int64][]byte
 	sidecarBytes int64
-
-	// spill, when set, observes every evicted entry (exactly one of
-	// blob/snap non-nil) before it is dropped — the hook the engine uses
-	// to divert eviction victims into the persistent disk tier instead
-	// of discarding the work. Must not call back into the cache.
-	spill func(d int32, blob []byte, snap *Static)
 }
 
 // NewStaticCache returns a cache for graph g (encoding is
@@ -241,15 +235,6 @@ func (c *StaticCache) Expect(dests int) {
 	if c != nil {
 		c.expected = int64(dests)
 	}
-}
-
-// Has reports whether destination d is cached, without decoding.
-func (c *StaticCache) Has(d int32) bool {
-	if c == nil {
-		return false
-	}
-	_, ok := c.entries[d]
-	return ok
 }
 
 // Get returns the cached static for destination d, or nil. A nil cache
@@ -314,20 +299,9 @@ func (c *StaticCache) evictNewest() {
 	}
 }
 
-// SetSpill installs the eviction observer (see the spill field). A nil
-// cache ignores it.
-func (c *StaticCache) SetSpill(fn func(d int32, blob []byte, snap *Static)) {
-	if c != nil {
-		c.spill = fn
-	}
-}
-
 // dropEntry removes d from the map and the accounting (not from seq).
 func (c *StaticCache) dropEntry(d int32) {
 	e := c.entries[d]
-	if c.spill != nil {
-		c.spill(d, e.blob, e.snap)
-	}
 	delete(c.entries, d)
 	c.bytes -= e.charged
 	if e.blob != nil {
@@ -402,18 +376,18 @@ func (c *StaticCache) addPacked(s *Static) {
 	c.addBlobBytes(s.Dest, c.scratch)
 }
 
-// AddBlob admits an already-encoded packed blob (a disk-read or
-// wire-imported static) for destination d, copying it into the arena —
-// before or after the repack, which lets a caller holding the encoded
-// bytes skip both the snapshot deep copy and that entry's share of the
-// eventual repack. Returns whether the blob was admitted; the caller
-// keeps ownership of blob either way.
+// AddBlob admits an already-encoded packed blob (a disk-read static)
+// for destination d, copying it into the arena — before or after the
+// repack, which lets a caller holding the encoded bytes skip both the
+// snapshot deep copy and that entry's share of the eventual repack.
+// Returns whether the blob was admitted; the caller keeps ownership of
+// blob either way.
 //
 // The blob must be a valid encoding for this cache's graph: either
 // produced by AppendPacked in this process, or vetted by a successful
 // DecodePacked — Get relies on that invariant to decode cached blobs
 // on the trusted path. Every current import site (engine disk
-// admission, dist warm handoff) decodes the bytes before calling this.
+// admission) decodes the bytes before calling this.
 func (c *StaticCache) AddBlob(d int32, blob []byte) bool {
 	if c == nil {
 		return false
@@ -524,43 +498,6 @@ func (c *StaticCache) SidecarEntries() int {
 		return 0
 	}
 	return len(c.sidecars)
-}
-
-// ExportSidecars returns every stored sidecar payload keyed by
-// (kind, dest), in unspecified order: the warm-handoff payload
-// extension for dist shard migration. The blobs alias the arena —
-// read-only and short-lived.
-func (c *StaticCache) ExportSidecars() (kinds []uint8, dests []int32, payloads [][]byte) {
-	if c == nil {
-		return nil, nil, nil
-	}
-	for k, p := range c.sidecars {
-		kinds = append(kinds, uint8(k>>32))
-		dests = append(dests, int32(uint32(k)))
-		payloads = append(payloads, p)
-	}
-	return kinds, dests, payloads
-}
-
-// ExportPacked returns every cached entry as a packed blob, in
-// admission order: the warm-handoff payload for dist shard migration.
-// Unpacked entries are encoded on demand; already-packed entries alias
-// the arena — callers must treat the returned blobs as read-only and
-// short-lived.
-func (c *StaticCache) ExportPacked() [][]byte {
-	if c == nil {
-		return nil
-	}
-	out := make([][]byte, 0, len(c.seq))
-	for _, d := range c.seq {
-		e := c.entries[d]
-		if e.blob != nil {
-			out = append(out, e.blob)
-		} else {
-			out = append(out, AppendPacked(nil, e.snap, c.g))
-		}
-	}
-	return out
 }
 
 // Bytes returns the accounted size of all admitted entries.

@@ -384,7 +384,6 @@ func (s *Sim) computeRound(st *deployState, candidates []bool) (uBase, uProj []f
 			Candidates:       len(candList),
 			ShardsReassigned: info.ShardsReassigned,
 			WorkersLost:      info.WorkersLost,
-			ShardsMigrated:   info.ShardsMigrated,
 		}
 		var sum ShardStats
 		for i := range partials {

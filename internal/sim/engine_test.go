@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"sbgp/internal/asgraph"
 	"sbgp/internal/asgraph/asgraphtest"
@@ -467,5 +468,24 @@ func TestNoEarlyAdoptersNoDeploymentAtPositiveTheta(t *testing.T) {
 	}
 	if len(res.Rounds[0].Deployed) != 0 {
 		t.Errorf("quiescent round deployed %v", res.Rounds[0].Deployed)
+	}
+}
+
+// TestShardTimingZeroPartials: a round that computed no shards must
+// report zeroed timing aggregates, not a garbage minimum or a division
+// by zero.
+func TestShardTimingZeroPartials(t *testing.T) {
+	wallMax, wallMin, straggler := shardTiming(nil)
+	if wallMax != 0 || wallMin != 0 || straggler != 0 {
+		t.Fatalf("shardTiming(nil) = %v/%v/%v, want zeros", wallMax, wallMin, straggler)
+	}
+	wallMax, wallMin, straggler = shardTiming([]ShardPartial{})
+	if wallMax != 0 || wallMin != 0 || straggler != 0 {
+		t.Fatalf("shardTiming(empty) = %v/%v/%v, want zeros", wallMax, wallMin, straggler)
+	}
+	one := []ShardPartial{{Stats: ShardStats{WallNS: 40}}}
+	wallMax, wallMin, straggler = shardTiming(one)
+	if wallMax != 40*time.Nanosecond || wallMin != 40*time.Nanosecond || straggler != 1.0 {
+		t.Fatalf("shardTiming(one) = %v/%v/%v, want 40ns/40ns/1.0", wallMax, wallMin, straggler)
 	}
 }

@@ -113,11 +113,6 @@ type ExecInfo struct {
 	ShardsReassigned int
 	// WorkersLost counts worker processes declared dead this round.
 	WorkersLost int
-	// ShardsMigrated counts shards moved between live worker processes
-	// this round by load rebalancing (straggler mitigation). Unlike
-	// reassignment, both ends survive: the move is a placement change
-	// only and cannot affect any Result.
-	ShardsMigrated int
 }
 
 // Executor computes rounds for a Sim. Implementations must return

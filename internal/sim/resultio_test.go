@@ -218,4 +218,24 @@ func TestRoundStatsSurviveRoundTrip(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), old) {
 		t.Fatal("stats with no class replays do not serialize as they did before the counter")
 	}
+
+	// A Result cached while distributed runs could still migrate shards
+	// carries the migration counter (always written, zero or not): it is
+	// ignored, everything else decodes as written. (Spliced from halves,
+	// as above.)
+	if !bytes.Contains(buf.Bytes(), []byte(`"WorkersLost":`)) {
+		t.Fatal("fixture carries no stats object to splice the migration counter into")
+	}
+	for _, migrated := range []string{"0", "3"} {
+		old = bytes.ReplaceAll(buf.Bytes(), []byte(`"AllocBytes":`), []byte(`"Shards`+`Migrated":`+migrated+`,"AllocBytes":`))
+		got, err = ReadResult(bytes.NewReader(old))
+		if err != nil {
+			t.Fatalf("old cached result with the migration counter at %s: %v", migrated, err)
+		}
+		for r := range res.Rounds {
+			if !reflect.DeepEqual(res.Rounds[r].Stats, got.Rounds[r].Stats) {
+				t.Fatalf("round %d stats differ when the migration counter is %s", r, migrated)
+			}
+		}
+	}
 }

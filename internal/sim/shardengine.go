@@ -42,15 +42,6 @@ type ShardEngine struct {
 	// per-shard split. nil when the tier is disabled or unusable.
 	disk *routing.StaticDiskStore
 
-	// retired holds the workers of shards migrated away (RemoveShards),
-	// keyed by shard id. A shard that later returns to this engine
-	// re-adopts its old worker, so the static-cache layer — which is
-	// state-independent and therefore still valid — comes back warm; the
-	// dynamic records are purged on re-adoption because they correspond
-	// to the deployment state at retirement, which dynPrev has since
-	// moved past.
-	retired map[int]*worker
-
 	// Cross-round dynamic-cache state (see dyncache.go). dynPrev is the
 	// deployment state every record's tree currently corresponds to;
 	// each ComputeRound diffs it against the incoming state to derive
@@ -149,13 +140,9 @@ func (e *ShardEngine) TotalShards() int { return e.total }
 func (e *ShardEngine) Shards() []int { return e.shards }
 
 // AddShards extends the engine with additional shard ids (a distributed
-// worker adopting the shards of a dead peer, or a rebalancing migration
-// landing). A shard never owned here starts cold: its caches are empty,
-// so its first round recomputes from scratch — bit-identically, since
-// cache state never changes results. A shard this engine owned before
-// (RemoveShards) re-adopts its retired worker: statics return warm,
-// dynamic records are purged (they froze at the retirement-time state
-// and advancing them by the current round's flip diff would be wrong).
+// worker adopting the shards of a dead peer). An adopted shard starts
+// cold: its caches are empty, so its first round recomputes from
+// scratch — bit-identically, since cache state never changes results.
 func (e *ShardEngine) AddShards(ids []int) error {
 	for _, s := range ids {
 		if s < 0 || s >= e.total {
@@ -166,43 +153,19 @@ func (e *ShardEngine) AddShards(ids []int) error {
 				return fmt.Errorf("sim: shard %d already owned", s)
 			}
 		}
-		wk := e.retired[s]
-		if wk != nil {
-			// Re-adoption keeps the static layers warm (statics are
-			// state-independent, so still valid); only the dynamic
-			// records froze at a stale deployment state.
-			delete(e.retired, s)
-			wk.dyn.purge()
-		} else {
-			wk = newWorker(e.g, e.g.N())
-			if e.cfg.SharedStatics != nil {
-				wk.shared = e.cfg.SharedStatics
-			} else if e.staticBudget > 0 {
-				wk.cache = routing.NewStaticCache(e.g, e.staticBudget)
-				// The shard's stripe: d ≡ s (mod total), at most ceil(N/total).
-				wk.cache.Expect((e.g.N() + e.total - 1) / e.total)
-			}
-			wk.disk = e.disk
-			if wk.cache != nil && e.disk != nil {
-				// Eviction victims spill to the disk tier instead of
-				// dropping: normally a no-op (every computed static was
-				// written through at miss time), but it catches entries
-				// that entered the cache without touching processDest —
-				// e.g. warm-migration imports (ImportStatics).
-				disk := e.disk
-				wk.cache.SetSpill(func(d int32, blob []byte, snap *routing.Static) {
-					if blob != nil {
-						disk.Put(d, blob)
-					} else if snap != nil && snap.HasWinners() {
-						disk.PutStatic(snap)
-					}
-				})
-			}
-			if e.dynBudget > 0 {
-				wk.dyn = newDynCache(e.dynBudget)
-			}
-			wk.classes = newLeafClasses(e.leafProv, s, e.total)
+		wk := newWorker(e.g, e.g.N())
+		if e.cfg.SharedStatics != nil {
+			wk.shared = e.cfg.SharedStatics
+		} else if e.staticBudget > 0 {
+			wk.cache = routing.NewStaticCache(e.g, e.staticBudget)
+			// The shard's stripe: d ≡ s (mod total), at most ceil(N/total).
+			wk.cache.Expect((e.g.N() + e.total - 1) / e.total)
 		}
+		wk.disk = e.disk
+		if e.dynBudget > 0 {
+			wk.dyn = newDynCache(e.dynBudget)
+		}
+		wk.classes = newLeafClasses(e.leafProv, s, e.total)
 		e.shards = append(e.shards, s)
 		e.pool = append(e.pool, wk)
 		e.wall = append(e.wall, 0)
@@ -211,133 +174,6 @@ func (e *ShardEngine) AddShards(ids []int) error {
 	// stays parallel to the shard list.
 	sort.Sort(&shardOrder{e})
 	return nil
-}
-
-// RemoveShards relinquishes ownership of the given shard ids (a
-// rebalancing migration moving them to another worker process). The
-// shards' workers are parked in the retired pool so a later AddShards
-// of the same shard resumes with a warm static cache. Unknown ids are
-// an error.
-func (e *ShardEngine) RemoveShards(ids []int) error {
-	for _, s := range ids {
-		found := -1
-		for i, have := range e.shards {
-			if have == s {
-				found = i
-				break
-			}
-		}
-		if found < 0 {
-			return fmt.Errorf("sim: shard %d not owned", s)
-		}
-		if e.retired == nil {
-			e.retired = make(map[int]*worker)
-		}
-		e.retired[s] = e.pool[found]
-		e.shards = append(e.shards[:found], e.shards[found+1:]...)
-		e.pool = append(e.pool[:found], e.pool[found+1:]...)
-		e.wall = append(e.wall[:found], e.wall[found+1:]...)
-	}
-	return nil
-}
-
-// ExportStatics returns the packed static cache contents of the given
-// retired shards, in admission order, as self-describing blobs (see
-// routing/packed.go) — the warm-handoff payload a rebalancing migration
-// ships alongside the shard ids so the receiving process starts warm
-// instead of recomputing every static from scratch. Shards not in the
-// retired pool (never owned here) and workers without a private cache
-// contribute nothing.
-func (e *ShardEngine) ExportStatics(ids []int) [][]byte {
-	var blobs [][]byte
-	for _, s := range ids {
-		if wk := e.retired[s]; wk != nil {
-			blobs = append(blobs, wk.cache.ExportPacked()...)
-		}
-	}
-	return blobs
-}
-
-// ImportStatics warms the engine with packed statics exported by
-// another engine (ExportStatics on the migration source). Each blob is
-// routed to the owner of its destination's shard and validated by a
-// full decode before admission — the bytes arrived over the wire, so a
-// corrupt or mismatched blob is skipped, never trusted. Blobs for
-// unowned shards, duplicate destinations, or beyond the cache budget
-// are dropped silently: imported statics are purely a warm start, and
-// recomputing a dropped one is always bit-identical (Observation C.1).
-func (e *ShardEngine) ImportStatics(blobs [][]byte) {
-	for _, blob := range blobs {
-		d, ok := routing.PackedDest(blob)
-		if !ok || int(d) >= e.g.N() {
-			continue
-		}
-		shard := int(d) % e.total
-		for i, s := range e.shards {
-			if s != shard {
-				continue
-			}
-			wk := e.pool[i]
-			if wk.cache == nil || wk.cache.Has(d) {
-				break
-			}
-			if _, err := wk.ws.DecodePacked(blob); err != nil {
-				break
-			}
-			wk.cache.AddBlob(d, blob)
-			break
-		}
-	}
-}
-
-// ExportSidecars collects the pristine-contribution sidecars cached by
-// retired shard workers (the warm-handoff companion to ExportStatics):
-// parallel kind/dest/payload slices, payloads aliasing the caches'
-// arenas (read-only, short-lived).
-func (e *ShardEngine) ExportSidecars(ids []int) (kinds []uint8, dests []int32, payloads [][]byte) {
-	for _, s := range ids {
-		if wk := e.retired[s]; wk != nil {
-			k, d, p := wk.cache.ExportSidecars()
-			kinds = append(kinds, k...)
-			dests = append(dests, d...)
-			payloads = append(payloads, p...)
-		}
-	}
-	return kinds, dests, payloads
-}
-
-// ImportSidecars warms the engine with sidecars exported by another
-// engine. Each payload is routed to the owner of its destination's
-// shard and validated by a full decode before admission — wire bytes
-// are never trusted. Unowned shards, duplicates, over-budget payloads
-// and any decode failure drop the sidecar silently: recomputing one is
-// always bit-identical (the contributions are pristine by definition).
-func (e *ShardEngine) ImportSidecars(kinds []uint8, dests []int32, payloads [][]byte) {
-	n := e.g.N()
-	for j, payload := range payloads {
-		if j >= len(kinds) || j >= len(dests) {
-			break
-		}
-		kind, d := kinds[j], dests[j]
-		if d < 0 || int(d) >= n {
-			continue
-		}
-		shard := int(d) % e.total
-		for i, s := range e.shards {
-			if s != shard {
-				continue
-			}
-			wk := e.pool[i]
-			if wk.cache == nil {
-				break
-			}
-			if _, ok := routing.DecodeSidecar(payload, d, n, kind, nil); !ok {
-				break
-			}
-			wk.cache.SidecarPut(kind, d, payload)
-			break
-		}
-	}
 }
 
 // shardOrder sorts an engine's shard list and pool in lockstep.

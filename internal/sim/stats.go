@@ -144,10 +144,6 @@ type RoundStats struct {
 	// dead. Always zero in-process.
 	ShardsReassigned int
 	WorkersLost      int
-	// ShardsMigrated counts shards a distributed executor moved between
-	// live workers this round to even out load (driven by the per-shard
-	// wall times above). A placement change only — never affects bits.
-	ShardsMigrated int
 	// AllocBytes is the heap allocated during the round (runtime
 	// TotalAlloc delta; recorded only under Config.RecordMemStats, since
 	// the ReadMemStats pair stops the world).
@@ -197,9 +193,6 @@ func (st *RoundStats) String() string {
 	}
 	if st.WorkersLost > 0 || st.ShardsReassigned > 0 {
 		out += fmt.Sprintf(", lost %d workers (%d shards reassigned)", st.WorkersLost, st.ShardsReassigned)
-	}
-	if st.ShardsMigrated > 0 {
-		out += fmt.Sprintf(", rebalanced %d shards", st.ShardsMigrated)
 	}
 	return out
 }

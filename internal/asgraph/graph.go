@@ -18,6 +18,7 @@ package asgraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -230,6 +231,25 @@ func (g *Graph) initClassLists() {
 // the number of undirected peering edges.
 func (g *Graph) EdgeCount() (custProv, peering int) {
 	return len(g.custAdj), len(g.peerAdj) / 2
+}
+
+// SameTopology reports whether a and b are the same AS graph apart from
+// traffic weights: equal N, ASN labels, classes and all three CSR
+// adjacencies, compared exactly. Graphs that differ only by
+// SetCPTrafficFraction, or a graph and its Write/Read round trip, are
+// one topology, so every weight-independent computation over one —
+// route classes, lengths, tiebreak sets, winners — holds for the other
+// node for node. It runs in O(N+E), and in O(1) when a == b.
+func SameTopology(a, b *Graph) bool {
+	if a == b {
+		return true
+	}
+	return a.n == b.n &&
+		slices.Equal(a.asn, b.asn) &&
+		slices.Equal(a.class, b.class) &&
+		slices.Equal(a.custOff, b.custOff) && slices.Equal(a.custAdj, b.custAdj) &&
+		slices.Equal(a.peerOff, b.peerOff) && slices.Equal(a.peerAdj, b.peerAdj) &&
+		slices.Equal(a.provOff, b.provOff) && slices.Equal(a.provAdj, b.provAdj)
 }
 
 // TotalWeight returns the sum of all node weights (total originated

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -143,6 +144,13 @@ func Read(r io.Reader) (*Graph, error) {
 			w, err := strconv.ParseFloat(f[2], 64)
 			if err != nil {
 				return nil, fmt.Errorf("line %d: bad weight: %v", lineno, err)
+			}
+			// A weight is a traffic volume. NaN, ±Inf and negatives
+			// (-0 included: the engine's sidecar replay relies on no
+			// accumulator ever holding -0.0) are rejected here rather
+			// than poisoning every utility downstream.
+			if math.IsNaN(w) || math.IsInf(w, 0) || math.Signbit(w) {
+				return nil, fmt.Errorf("line %d: weight %s is not a finite non-negative number", lineno, f[2])
 			}
 			b.SetWeight(a, w)
 		default:

@@ -40,7 +40,9 @@ type Store struct {
 	// StaticCacheBytes, when non-zero, overrides the per-Sim static
 	// routing cache budget (sim.Config.StaticCacheBytes) of every
 	// simulation executed through the store: positive caps it, negative
-	// disables the cache. It is a performance knob only — excluded from
+	// disables the cache. With the cache on, it is the budget of each
+	// shared statics core and, separately, of each handle's sidecars (see
+	// sharedStatics). It is a performance knob only — excluded from
 	// Config.Fingerprint, so it never changes cache keys or Results. Set
 	// it before the first Sim call.
 	StaticCacheBytes int64
@@ -52,9 +54,14 @@ type Store struct {
 	// through the store a persistent on-disk static snapshot tier
 	// (sim.Config.StaticStoreDir): each distinct (graph, tiebreaker)
 	// pays its static BFS sweep once ever, across runs sharing the
-	// directory. Performance knob only — the tier is validated-or-
-	// recompute by construction, so Results and cache keys are
-	// unaffected. Set it before the first Sim call.
+	// directory. Its directories stay keyed by the full graph
+	// fingerprint, weights included, because the sidecars stored there
+	// sum traffic weights. A weight variant whose statics the shared core
+	// already serves therefore fills its own directory with its sidecars
+	// and the statics of its class-replayed leaves only. Performance knob
+	// only — the tier is validated-or-recompute by construction, so
+	// Results and cache keys are unaffected. Set it before the first Sim
+	// call.
 	StaticStoreDir string
 	// DistWorkers, when positive, executes every simulation over that
 	// many fork-exec'd local worker processes (internal/dist) instead of
@@ -138,19 +145,28 @@ func NewStore(dir string, workers int) (*Store, error) {
 	}, nil
 }
 
-// staticsKey identifies a shared static store: statics depend on the
-// graph and the tiebreaker (winners), nothing else.
+// staticsKey identifies a shared static store handle: one per graph
+// instance and tiebreaker. Handles whose graphs have one topology share
+// one statics core (see sharedStatics).
 type staticsKey struct {
 	g  *asgraph.Graph
 	tb string
 }
 
-// sharedStatics returns the graph-level static snapshot store for
-// (g, cfg.Tiebreaker), creating it on first use. Every simulation the
-// store executes on the same graph with the same tiebreaker shares one
-// store, so a θ sweep pays each destination's static BFS once per graph
-// instead of once per Sim — and concurrently running experiments
-// instead of duplicating the snapshots per Sim share one copy.
+// sharedStatics returns the static store handle for (g, cfg.Tiebreaker),
+// creating it on first use. Every simulation the store executes on the
+// same graph with the same tiebreaker shares one handle, so a θ sweep
+// pays each destination's static BFS once per graph instead of once per
+// Sim — and concurrently running experiments share one copy of the
+// snapshots instead of one per Sim.
+//
+// Statics depend on the topology and the tiebreaker, not on the traffic
+// weights, so a new handle shares the statics core of any existing
+// handle whose graph has the same topology (asgraph.SameTopology) and
+// whose tiebreaker has the same fingerprint: fig12's x variants of the
+// base and augmented graphs hold two cores, not eight. Only the pristine
+// sidecars, which sum traffic weights, stay per handle. The topology
+// comparison runs here, once per new graph instance, and nowhere else.
 func (s *Store) sharedStatics(g *asgraph.Graph, cfg sim.Config) *routing.SharedStaticCache {
 	tb := cfg.Tiebreaker
 	if tb == nil {
@@ -159,11 +175,22 @@ func (s *Store) sharedStatics(g *asgraph.Graph, cfg sim.Config) *routing.SharedS
 	k := staticsKey{g: g, tb: routing.TiebreakerFingerprint(tb)}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sc, ok := s.statics[k]
-	if !ok {
-		sc = routing.NewSharedStaticCache(s.StaticCacheBytes)
-		s.statics[k] = sc
+	if sc, ok := s.statics[k]; ok {
+		return sc
 	}
+	// Every handle of one topology and tiebreaker shares one core, so
+	// the first match found is as good as any.
+	var sc *routing.SharedStaticCache
+	for other, h := range s.statics {
+		if other.tb == k.tb && asgraph.SameTopology(other.g, g) {
+			sc = h.Share()
+			break
+		}
+	}
+	if sc == nil {
+		sc = routing.NewSharedStaticCache(s.StaticCacheBytes)
+	}
+	s.statics[k] = sc
 	return sc
 }
 
@@ -273,8 +300,9 @@ func (s *Store) Sim(g *asgraph.Graph, cfg sim.Config) (*sim.Result, SimRun, erro
 	if s.StaticStoreDir != "" {
 		cfg.StaticStoreDir = s.StaticStoreDir
 	}
-	// Serve statics from a per-graph shared store unless static caching
-	// is disabled outright (negative budget).
+	// Serve statics through the graph's shared handle (statics core per
+	// topology, sidecars per graph) unless static caching is disabled
+	// outright (negative budget).
 	if s.StaticCacheBytes >= 0 {
 		cfg.SharedStatics = s.sharedStatics(g, cfg)
 	}

@@ -108,6 +108,55 @@ func TestStoreSimSingleflight(t *testing.T) {
 	}
 }
 
+// TestStoreSharesStaticsAcrossWeights: the store hands every graph
+// instance its own handle, and graphs of one topology handles over one
+// statics core — so the second x variant's pristine pass runs no static
+// BFS — while a graph of another topology (the augmented one) gets a
+// core of its own.
+func TestStoreSharesStaticsAcrossWeights(t *testing.T) {
+	s, err := NewStore("", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testGraphKey()
+	gA, err := s.Graph(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key.X = 0.33
+	gB, err := s.Graph(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key.Variant = variantAug
+	gAug, err := s.Graph(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testSimConfig(3)
+	if s.sharedStatics(gA, cfg) == s.sharedStatics(gB, cfg) {
+		t.Fatal("two weight variants got one handle: their sidecars would mix")
+	}
+
+	pristine := func(g *asgraph.Graph) *sim.RoundStats {
+		t.Helper()
+		res, _, err := s.Sim(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.PristineStats
+	}
+	if ps := pristine(gA); ps.StaticMisses == 0 {
+		t.Fatal("the first simulation found its statics already published")
+	}
+	if ps := pristine(gB); ps.StaticMisses != 0 || ps.StaticHits == 0 {
+		t.Errorf("x=0.33 variant: pristine pass hit %d and missed %d statics, want only hits", ps.StaticHits, ps.StaticMisses)
+	}
+	if ps := pristine(gAug); ps.StaticMisses == 0 {
+		t.Error("the augmented graph was served statics of the base topology")
+	}
+}
+
 func TestStoreDiskPersistence(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testSimConfig(3)

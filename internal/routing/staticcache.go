@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"sbgp/internal/asgraph"
@@ -9,13 +10,17 @@ import (
 
 // Cross-round static caching (Observation C.1). Everything in a Static
 // — local-preference class, path length, tiebreak sets, processing
-// order, plain-TB winners, delta dependents — depends only on the graph,
-// the destination and the tiebreaker, never on the deployment state. A
-// multi-round simulation therefore re-derives the exact same Static for
-// every destination on every round; snapshotting it once and resolving
-// against the snapshot from then on removes the three-stage BFS from the
-// steady-state round entirely, and is bit-identical by construction
-// because resolution only ever reads a Static.
+// order, plain-TB winners, delta dependents — depends only on the graph's
+// topology, the destination and the tiebreaker: never on the deployment
+// state, and never on the traffic weights. A multi-round simulation
+// therefore re-derives the exact same Static for every destination on
+// every round; snapshotting it once and resolving against the snapshot
+// from then on removes the three-stage BFS from the steady-state round
+// entirely, and is bit-identical by construction because resolution
+// only ever reads a Static. Beyond one simulation, SharedStaticCache
+// (at the end of this file) serves one set of statics to every graph of
+// a topology, and keeps the weight-dependent pristine sidecars apart,
+// one set per weight vector.
 //
 // Two storage formats share one cache. Unpacked entries are Snapshot
 // deep copies: resolution reads them directly, and lazily materialized
@@ -556,14 +561,23 @@ func (c *StaticCache) ArenaBytes() int64 {
 	return c.arena.allocated
 }
 
-// SharedStaticCache is a concurrency-safe, graph-level snapshot store:
-// one per graph, shared by every simulation that runs on it. A Static
-// depends only on (graph, destination, tiebreaker) — never on the
-// deployment state — so once any simulation has paid for a
-// destination's three-stage BFS, the snapshot can serve every later
-// simulation on the same graph. A θ sweep or repeated-run benchmark
-// then pays the static cold start once per graph instead of once per
-// simulation.
+// SharedStaticCache is a concurrency-safe resident store shared by
+// simulations across graphs of one topology: a handle over a statics
+// core, plus the handle's own pristine sidecars.
+//
+// A Static depends only on (topology, destination, tiebreaker) — never
+// on the deployment state (Observation C.1), and never on the traffic
+// weights, which route selection (App. A) does not read. So once any
+// simulation has paid for a destination's three-stage BFS, the snapshot
+// in the core serves every later simulation on any graph with the same
+// topology (asgraph.SameTopology) and tiebreaker: a θ sweep on one
+// graph, and an x sweep over SetCPTrafficFraction variants of it, pay
+// the static cold start once per topology instead of once per
+// simulation. A sidecar (sidecar.go) is different: it holds a
+// destination's base contributions, sums of traffic weights, so it is
+// valid for one weight vector only. Each handle keeps its sidecars to
+// itself, bound to the weights of the first graph it serves, and Share
+// makes another handle over the same core for another weight vector.
 //
 // Unpacked entries are fully materialized before insertion (tiebreak
 // winners, delta dependents index, provider parents), so the *Static a
@@ -571,52 +585,107 @@ func (c *StaticCache) ArenaBytes() int64 {
 // build-the-index-on-demand PrepareDelta included — is already a no-op
 // and any goroutine may resolve against it without synchronization —
 // and, because nothing can grow, Get never needs to re-charge under
-// its read lock. Packed entries (the store repacks on overflow exactly
+// its read lock. Packed entries (the core repacks on overflow exactly
 // like a private cache) are immutable bytes decoded into the calling
-// worker's own scratch. Only the store's own map is guarded.
+// worker's own scratch. Only the maps are guarded: the statics by the
+// core's lock, the sidecars by the handle's.
 //
-// The store is bound to one (graph, tiebreaker) pair on first use;
-// binding a different pair is an error — statics from one graph are
-// meaningless (and winners from one tiebreaker wrong) for another.
+// The core binds to one (topology, tiebreaker) pair on first use and a
+// handle to one weight vector; binding anything else is an error —
+// statics from one topology are meaningless (and winners from one
+// tiebreaker wrong) for another, and sidecars recorded under one
+// weight vector are wrong under another.
 type SharedStaticCache struct {
+	core *staticsCore
+
+	mu   sync.RWMutex
+	g    *asgraph.Graph // first graph bound: its weights are the sidecars'
+	side *StaticCache   // holds sidecars only
+}
+
+// staticsCore is the weight-independent half of a SharedStaticCache:
+// the statics of one (topology, tiebreaker), shared by every handle.
+type staticsCore struct {
 	mu sync.RWMutex
-	g  *asgraph.Graph
-	tb string // TiebreakerFingerprint of the bound tiebreaker
+	g  *asgraph.Graph // first graph bound: the topology all others match
+	tb string         // TiebreakerFingerprint of the bound tiebreaker
 	c  *StaticCache
 }
 
-// NewSharedStaticCache returns an unbound store that admits snapshots
-// until adding one would exceed budget bytes; budget 0 means
-// DefaultStaticCacheBytes. The store repacks on overflow (see
-// StaticCache) once bound to its graph.
+// NewSharedStaticCache returns an unbound handle over a fresh core. The
+// core admits statics until adding one would exceed budget bytes, and
+// the handle's sidecars have a budget of their own of the same size;
+// budget 0 means DefaultStaticCacheBytes. The core repacks on overflow
+// (see StaticCache) once bound to its topology.
 func NewSharedStaticCache(budget int64) *SharedStaticCache {
 	if budget == 0 {
 		budget = DefaultStaticCacheBytes
 	}
-	return &SharedStaticCache{c: NewStaticCache(nil, budget)}
+	return &SharedStaticCache{
+		core: &staticsCore{c: NewStaticCache(nil, budget)},
+		side: NewStaticCache(nil, budget),
+	}
 }
 
-// Bind checks the store against the (graph, tiebreaker) pair a caller
-// intends to serve. The first call records the pair; later calls must
-// present the same graph and a tiebreaker with the same fingerprint.
+// Share returns a new handle over sc's statics core, with its own empty
+// sidecar store under the same budget: the handle for a graph of sc's
+// topology with other traffic weights.
+func (sc *SharedStaticCache) Share() *SharedStaticCache {
+	return &SharedStaticCache{core: sc.core, side: NewStaticCache(nil, sc.side.budget)}
+}
+
+// Bind checks the handle against the (graph, tiebreaker) pair a caller
+// intends to serve. The first call on the core records its topology and
+// tiebreaker, the first call on a handle its weights. Later calls must
+// present a graph of the same topology, a tiebreaker with the same
+// fingerprint and, on this handle, bit-identical weights.
 func (sc *SharedStaticCache) Bind(g *asgraph.Graph, tb Tiebreaker) error {
+	if err := sc.core.bind(g, TiebreakerFingerprint(tb)); err != nil {
+		return err
+	}
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	fp := TiebreakerFingerprint(tb)
 	if sc.g == nil {
 		sc.g = g
-		sc.tb = fp
-		sc.c.g = g
-		sc.c.Expect(g.N())
 		return nil
 	}
-	if sc.g != g {
-		return fmt.Errorf("shared static cache already bound to a different graph")
-	}
-	if sc.tb != fp {
-		return fmt.Errorf("shared static cache bound to tiebreaker %s, got %s", sc.tb, fp)
+	if !sameWeights(sc.g, g) {
+		return fmt.Errorf("shared static cache's sidecars are bound to a different weight vector")
 	}
 	return nil
+}
+
+func (c *staticsCore) bind(g *asgraph.Graph, tb string) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.g == nil {
+		c.g = g
+		c.tb = tb
+		c.c.g = g
+		c.c.Expect(g.N())
+		return nil
+	}
+	if !asgraph.SameTopology(c.g, g) {
+		return fmt.Errorf("shared static cache already bound to a different topology")
+	}
+	if c.tb != tb {
+		return fmt.Errorf("shared static cache bound to tiebreaker %s, got %s", c.tb, tb)
+	}
+	return nil
+}
+
+// sameWeights reports whether two graphs of one topology carry
+// bit-identical traffic weights.
+func sameWeights(a, b *asgraph.Graph) bool {
+	if a == b {
+		return true
+	}
+	for i := int32(0); i < int32(a.N()); i++ {
+		if math.Float64bits(a.Weight(i)) != math.Float64bits(b.Weight(i)) {
+			return false
+		}
+	}
+	return true
 }
 
 // Get returns the published static for destination d, or nil. A nil
@@ -628,9 +697,10 @@ func (sc *SharedStaticCache) Get(d int32, w *Workspace) *Static {
 	if sc == nil {
 		return nil
 	}
-	sc.mu.RLock()
-	defer sc.mu.RUnlock()
-	e, ok := sc.c.entries[d]
+	c := sc.core
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	e, ok := c.c.entries[d]
 	if !ok {
 		return nil
 	}
@@ -661,28 +731,28 @@ func (sc *SharedStaticCache) Add(w *Workspace, s *Static) *Static {
 	if sc == nil {
 		return nil
 	}
-	sc.mu.RLock()
-	repacked := sc.c.repacked
-	sc.mu.RUnlock()
+	c := sc.core
+	c.mu.RLock()
+	repacked := c.c.repacked
+	c.mu.RUnlock()
 	if repacked {
 		// Encode outside the lock; the blob is built from caller-owned s.
-		blob := AppendPacked(nil, s, sc.g)
-		sc.mu.Lock()
-		defer sc.mu.Unlock()
-		sc.c.addBlobBytes(s.Dest, blob)
+		blob := AppendPacked(nil, s, c.g)
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.c.addBlobBytes(s.Dest, blob)
 		return nil
 	}
 	w.PrepareDelta(s)
 	s.ProviderParents()
 	s.SupportOutgoing(w.Graph().ISPs())
 	s.SupportIncoming(w.Graph().ISPs())
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if e, ok := sc.c.entries[s.Dest]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.c.entries[s.Dest]; ok {
 		return e.snap // nil if the existing entry is packed
 	}
-	got := sc.c.Add(s)
-	return got
+	return c.c.Add(s)
 }
 
 // GetBlob returns the raw packed blob published for destination d, or
@@ -690,12 +760,7 @@ func (sc *SharedStaticCache) Add(w *Workspace, s *Static) *Static {
 // immutable, so the returned bytes are safe to read without further
 // synchronization.
 func (sc *SharedStaticCache) GetBlob(d int32) []byte {
-	if sc == nil {
-		return nil
-	}
-	sc.mu.RLock()
-	defer sc.mu.RUnlock()
-	return sc.c.GetBlob(d)
+	return onCore(sc, false, func(c *StaticCache) []byte { return c.GetBlob(d) })
 }
 
 // AddBlob publishes already-packed bytes for destination d, budget
@@ -703,103 +768,83 @@ func (sc *SharedStaticCache) GetBlob(d int32) []byte {
 // keeps ownership of blob. Used by the streaming resolve path, which
 // holds a validated blob and no decoded snapshot to Add.
 func (sc *SharedStaticCache) AddBlob(d int32, blob []byte) bool {
-	if sc == nil {
-		return false
-	}
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.c.addBlobBytes(d, blob)
+	return onCore(sc, true, func(c *StaticCache) bool { return c.addBlobBytes(d, blob) })
 }
 
-// SidecarPut publishes a sidecar payload for (kind, d), budget
-// permitting. The payload is copied; the caller keeps ownership.
+// SidecarPut publishes a sidecar payload for (kind, d) to this handle,
+// within the handle's own budget — sidecars never compete with the
+// core's statics for bytes. The payload is copied; the caller keeps
+// ownership.
 func (sc *SharedStaticCache) SidecarPut(kind uint8, d int32, payload []byte) bool {
-	if sc == nil {
-		return false
-	}
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.c.SidecarPut(kind, d, payload)
+	return onSide(sc, true, func(c *StaticCache) bool { return c.SidecarPut(kind, d, payload) })
 }
 
-// SidecarGet returns the published sidecar payload for (kind, d), or
-// nil. Published payloads are immutable — safe to read lock-free after
-// return.
+// SidecarGet returns the sidecar payload this handle published for
+// (kind, d), or nil. Published payloads are immutable — safe to read
+// lock-free after return.
 func (sc *SharedStaticCache) SidecarGet(kind uint8, d int32) []byte {
-	if sc == nil {
-		return nil
-	}
-	sc.mu.RLock()
-	defer sc.mu.RUnlock()
-	return sc.c.SidecarGet(kind, d)
+	return onSide(sc, false, func(c *StaticCache) []byte { return c.SidecarGet(kind, d) })
 }
 
-// SidecarDrop forgets the published sidecar for (kind, d).
+// SidecarDrop forgets this handle's sidecar for (kind, d).
 func (sc *SharedStaticCache) SidecarDrop(kind uint8, d int32) {
-	if sc == nil {
-		return
-	}
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	sc.c.SidecarDrop(kind, d)
+	onSide(sc, true, func(c *StaticCache) bool { c.SidecarDrop(kind, d); return true })
 }
 
-// Bytes returns the accounted size of all published snapshots.
+// Bytes returns the accounted size of the core's published statics
+// plus this handle's sidecars: what stays resident for a simulation
+// bound to this handle.
 func (sc *SharedStaticCache) Bytes() int64 {
-	if sc == nil {
-		return 0
-	}
-	sc.mu.RLock()
-	defer sc.mu.RUnlock()
-	return sc.c.Bytes()
+	return onCore(sc, false, (*StaticCache).Bytes) + onSide(sc, false, (*StaticCache).Bytes)
 }
 
 // Entries returns the number of published destinations.
-func (sc *SharedStaticCache) Entries() int {
-	if sc == nil {
-		return 0
-	}
-	sc.mu.RLock()
-	defer sc.mu.RUnlock()
-	return sc.c.Entries()
-}
+func (sc *SharedStaticCache) Entries() int { return onCore(sc, false, (*StaticCache).Entries) }
 
 // PackedEntries returns the number of packed published destinations.
 func (sc *SharedStaticCache) PackedEntries() int64 {
-	if sc == nil {
-		return 0
-	}
-	sc.mu.RLock()
-	defer sc.mu.RUnlock()
-	return sc.c.PackedEntries()
+	return onCore(sc, false, (*StaticCache).PackedEntries)
 }
 
 // PackedBytes returns the payload bytes of packed published entries.
 func (sc *SharedStaticCache) PackedBytes() int64 {
-	if sc == nil {
-		return 0
-	}
-	sc.mu.RLock()
-	defer sc.mu.RUnlock()
-	return sc.c.PackedBytes()
+	return onCore(sc, false, (*StaticCache).PackedBytes)
 }
 
-// Repacked reports whether the store has switched to packed storage.
-func (sc *SharedStaticCache) Repacked() bool {
+// Repacked reports whether the core has switched to packed storage.
+func (sc *SharedStaticCache) Repacked() bool { return onCore(sc, false, (*StaticCache).Repacked) }
+
+// Full reports whether a static admission has ever been rejected for
+// budget.
+func (sc *SharedStaticCache) Full() bool { return onCore(sc, false, (*StaticCache).Full) }
+
+// onCore runs f on the core's statics under the core's lock — exclusive
+// when write is set — and returns f's result, or the zero value for a
+// nil handle.
+func onCore[T any](sc *SharedStaticCache, write bool, f func(*StaticCache) T) T {
 	if sc == nil {
-		return false
+		var zero T
+		return zero
 	}
-	sc.mu.RLock()
-	defer sc.mu.RUnlock()
-	return sc.c.Repacked()
+	return locked(&sc.core.mu, write, sc.core.c, f)
 }
 
-// Full reports whether an admission has ever been rejected for budget.
-func (sc *SharedStaticCache) Full() bool {
+// onSide is onCore for the handle's sidecars, under the handle's lock.
+func onSide[T any](sc *SharedStaticCache, write bool, f func(*StaticCache) T) T {
 	if sc == nil {
-		return false
+		var zero T
+		return zero
 	}
-	sc.mu.RLock()
-	defer sc.mu.RUnlock()
-	return sc.c.Full()
+	return locked(&sc.mu, write, sc.side, f)
+}
+
+func locked[T any](mu *sync.RWMutex, write bool, c *StaticCache, f func(*StaticCache) T) T {
+	if write {
+		mu.Lock()
+		defer mu.Unlock()
+	} else {
+		mu.RLock()
+		defer mu.RUnlock()
+	}
+	return f(c)
 }

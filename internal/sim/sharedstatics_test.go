@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -157,5 +158,159 @@ func TestSharedStaticsConcurrentSims(t *testing.T) {
 		}
 		ref := MustNew(g, cfg).Run()
 		requireBitIdentical(t, fmt.Sprintf("concurrent theta=%g", th), ref, results[i])
+	}
+}
+
+// weightVariants returns one graph instance per CP traffic fraction in
+// xs, all of one topology: separate generations from the same topogen
+// parameters, reweighted by SetCPTrafficFraction.
+func weightVariants(n int, seed int64, xs ...float64) []*asgraph.Graph {
+	gs := make([]*asgraph.Graph, len(xs))
+	for i, x := range xs {
+		gs[i] = topogen.MustGenerate(topogen.Default(n, seed))
+		gs[i].SetCPTrafficFraction(x)
+	}
+	return gs
+}
+
+// resultBytes is res serialized without its per-round stats (wall times
+// and cache counters are instrumentation, not outcome).
+func resultBytes(t *testing.T, res *Result) []byte {
+	t.Helper()
+	c := *res
+	c.PristineStats = nil
+	c.Rounds = append([]Round(nil), res.Rounds...)
+	for i := range c.Rounds {
+		c.Rounds[i].Stats = nil
+	}
+	var buf bytes.Buffer
+	if err := WriteResult(&buf, &c); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSharedStaticsWeightVariants: statics depend on the topology and
+// the tiebreaker, never on traffic weights, so two handles over one
+// statics core serve the x=0.10 and x=0.33 variants of a graph — the
+// second variant's pristine pass runs no BFS at all — while each handle
+// keeps its own pristine sidecars, which sum traffic weights. Every
+// Result is byte-identical to a run without any shared store; one
+// sidecar set for both handles would replay x=0.10 contributions into
+// the x=0.33 game and fail here.
+func TestSharedStaticsWeightVariants(t *testing.T) {
+	gs := weightVariants(300, 7, 0.10, 0.33)
+	adopters := append(gs[0].Nodes(asgraph.ContentProvider),
+		asgraph.TopByDegree(gs[0], 3, asgraph.ISP)...)
+
+	for _, model := range []UtilityModel{Outgoing, Incoming} {
+		first := routing.NewSharedStaticCache(0)
+		handles := []*routing.SharedStaticCache{first, first.Share()}
+		var refs [][]byte
+		for i, g := range gs {
+			base := Config{
+				Model:           model,
+				Theta:           0.05,
+				EarlyAdopters:   adopters,
+				StubsBreakTies:  true,
+				Workers:         1,
+				RecordUtilities: true,
+				RecordStats:     true,
+			}
+			ref := resultBytes(t, MustNew(g, base).Run())
+			refs = append(refs, ref)
+			cfg := base
+			cfg.SharedStatics = handles[i]
+			got := MustNew(g, cfg).Run()
+			label := fmt.Sprintf("%s/x=%g", model, []float64{0.10, 0.33}[i])
+			if !bytes.Equal(resultBytes(t, got), ref) {
+				t.Errorf("%s: Result differs from the run without a shared store", label)
+			}
+			if ps := got.PristineStats; i == 1 && (ps.StaticMisses != 0 || ps.StaticHits == 0) {
+				t.Errorf("%s: pristine pass hit %d and missed %d statics, want only hits on the first variant's core",
+					label, ps.StaticHits, ps.StaticMisses)
+			}
+		}
+		if bytes.Equal(refs[0], refs[1]) {
+			t.Fatalf("%s: the two weight variants play identical games; the test cannot tell their sidecars apart", model)
+		}
+	}
+}
+
+// TestSharedStaticsWeightBindErrors: a handle accepts any graph of its
+// core's topology and tiebreaker, but only one weight vector; another
+// topology, another tiebreaker or other weights on one handle fail New.
+func TestSharedStaticsWeightBindErrors(t *testing.T) {
+	gs := weightVariants(120, 1, 0.10, 0.33, 0.10)
+	other := topogen.MustGenerate(topogen.Default(120, 2))
+	store := routing.NewSharedStaticCache(0)
+	variant := store.Share()
+
+	if _, err := New(gs[0], Config{Model: Outgoing, SharedStatics: store}); err != nil {
+		t.Fatalf("first bind failed: %v", err)
+	}
+	if _, err := New(gs[2], Config{Model: Incoming, SharedStatics: store}); err != nil {
+		t.Errorf("binding another instance with equal weights failed: %v", err)
+	}
+	if _, err := New(gs[1], Config{Model: Outgoing, SharedStatics: store}); err == nil {
+		t.Error("binding a second weight vector to one handle did not fail")
+	}
+	if _, err := New(gs[1], Config{Model: Outgoing, SharedStatics: variant}); err != nil {
+		t.Errorf("binding a weight variant to its own handle failed: %v", err)
+	}
+	if _, err := New(gs[0], Config{Model: Outgoing, SharedStatics: variant}); err == nil {
+		t.Error("binding the first weight vector to the variant's handle did not fail")
+	}
+	if _, err := New(other, Config{Model: Outgoing, SharedStatics: variant}); err == nil {
+		t.Error("binding a different topology to a shared core did not fail")
+	}
+	if _, err := New(other, Config{Model: Outgoing, SharedStatics: store.Share()}); err == nil {
+		t.Error("binding a different topology to a fresh handle on the core did not fail")
+	}
+	if _, err := New(gs[1], Config{Model: Outgoing, SharedStatics: variant,
+		Tiebreaker: routing.LowestIndex{}}); err == nil {
+		t.Error("binding a second tiebreaker to a shared core did not fail")
+	}
+}
+
+// TestSharedStaticsWeightVariantsConcurrent: two weight variants race on
+// one statics core — both populate it and read each other's statics —
+// and each still reproduces the private-cache bits. Run under -race in
+// CI.
+func TestSharedStaticsWeightVariantsConcurrent(t *testing.T) {
+	xs := []float64{0.10, 0.33}
+	gs := weightVariants(250, 11, xs...)
+	adopters := append(gs[0].Nodes(asgraph.ContentProvider),
+		asgraph.TopByDegree(gs[0], 3, asgraph.ISP)...)
+	cfg := func(model UtilityModel) Config {
+		return Config{
+			Model:           model,
+			Theta:           0.05,
+			EarlyAdopters:   adopters,
+			StubsBreakTies:  true,
+			Workers:         2,
+			RecordUtilities: true,
+		}
+	}
+
+	for _, model := range []UtilityModel{Outgoing, Incoming} {
+		first := routing.NewSharedStaticCache(0)
+		handles := []*routing.SharedStaticCache{first, first.Share()}
+		results := make([]*Result, len(gs))
+		var wg sync.WaitGroup
+		for i := range gs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				c := cfg(model)
+				c.SharedStatics = handles[i]
+				results[i] = MustNew(gs[i], c).Run()
+			}(i)
+		}
+		wg.Wait()
+		for i, g := range gs {
+			ref := MustNew(g, cfg(model)).Run()
+			requireBitIdentical(t, fmt.Sprintf("%s/concurrent x=%g", model, xs[i]), ref, results[i])
+		}
 	}
 }

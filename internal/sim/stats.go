@@ -9,11 +9,23 @@ import (
 // recorded on Round (and returned by Sim.RoundUtilities) when
 // Config.RecordStats is set.
 //
-// Per round the engine performs one base routing-tree resolution per
-// destination plus, for every (destination, candidate) pair, either one
-// projected resolution or a skip by one of the Appendix C.4 rules:
+// Per round the engine serves every destination once. A destination
+// that runs the candidate loop counts, for every (destination,
+// candidate) pair, exactly one of: a skip by the zero-utility test or
+// one of the Appendix C.4 rules, a move-predictor proof that the
+// projection changes no parent (FlipChangesTree false), or one
+// projected resolution:
 //
-//	BaseResolutions + for each pair: ProjResolutions or Skip*.
+//	for each such pair: Skip*, predicted-unchanged, or ProjResolutions.
+//
+// A predicted-unchanged pair increments only ProjUnchanged, which also
+// counts the resolved projections that moved no parent; so
+// ProjResolutions + Skipped() falls short of the pair count by exactly
+// the predicted-unchanged pairs. Destinations that never reach the loop
+// count no pairs at all: those replayed from a sidecar
+// (PristineReplays) or a sibling's class memo (ClassReplays), and the
+// untouchable ones a stream resolve serves (StreamResolves; counted in
+// BaseResolutions too).
 //
 // Projected resolutions are incremental (routing.ApplyFlips): only
 // nodes whose decision inputs can have changed are re-decided
@@ -156,7 +168,12 @@ func (st *RoundStats) Skipped() int64 {
 	return st.SkipZeroUtil + st.SkipInsecureDest + st.SkipDestFlip + st.SkipTurnOff + st.SkipTurnOn
 }
 
-// String renders a compact one-line digest.
+// String renders a compact one-line digest. Its "proj A/B" reads
+// ProjResolutions over ProjResolutions + Skipped(). The denominator
+// excludes the pairs the move predictor proved unchanged without a
+// resolution (counted only in "unchanged"), and the pairs of
+// destinations that never reach the candidate loop (see RoundStats), so
+// it is not the round's (destination, candidate) pair count.
 func (st *RoundStats) String() string {
 	pairs := st.ProjResolutions + st.Skipped()
 	resolvedPct := 0.0

@@ -51,7 +51,7 @@ func run() int {
 		force    = flag.Bool("force", false, "rerun experiments even when -out holds completed results")
 		quiet    = flag.Bool("quiet", false, "suppress report bodies on stdout (summaries still print)")
 
-		staticCache = flag.Int64("static-cache", 0, "per-simulation static routing cache budget in bytes (0 = engine default, negative = disable)")
+		staticCache = flag.Int64("static-cache", 0, "resident static store budget in bytes, for statics and for sidecars each (0 = engine default, negative = disable)")
 		dynCache    = flag.Int64("dyn-cache", 0, "per-simulation dynamic contribution cache budget in bytes (0 = engine default, negative = disable)")
 		staticStore = flag.String("static-store", "", "persistent packed-static disk tier directory (default <out>/cache/statics with -out; 'off' disables; bit-identical results)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")

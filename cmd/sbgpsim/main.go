@@ -61,7 +61,7 @@ func run() int {
 		projectStub = flag.Bool("project-stubs", false, "projection bundles the ISP's simplex stub upgrades")
 		workers     = flag.Int("workers", 0, "logical shard count (0 = GOMAXPROCS; pin for cross-machine reproducibility)")
 		maxRounds   = flag.Int("max-rounds", 0, "round cap (0 = default)")
-		staticCache = flag.Int64("static-cache", 0, "static routing cache budget in bytes (0 = default, negative = disable)")
+		staticCache = flag.Int64("static-cache", 0, "resident static store budget in bytes, for statics and for sidecars each (0 = default, negative = disable)")
 		staticStore = flag.String("static-store", "", "persist packed static snapshots under this directory so reruns skip the static BFS (bit-identical results)")
 		dynCache    = flag.Int64("dyn-cache", 0, "dynamic contribution cache budget in bytes (0 = default, negative = disable)")
 		stats       = flag.Bool("stats", false, "print per-round engine statistics")

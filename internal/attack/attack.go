@@ -123,6 +123,36 @@ type route struct {
 // Simulate computes the routing outcome of the scenario under the given
 // security state, policy and tie-breaker.
 func Simulate(g *asgraph.Graph, sc Scenario, st State, pol Policy, tb routing.Tiebreaker) (Result, error) {
+	return simulate(g, neighborLists(g), sc, st, pol, tb)
+}
+
+// nbr is one neighbor of an AS and its relationship to that AS.
+type nbr struct {
+	id  int32
+	rel asgraph.Rel
+}
+
+// neighborLists returns every AS's neighbors in the order the solver
+// offers them: customers, then peers, then providers.
+func neighborLists(g *asgraph.Graph) [][]nbr {
+	n := int32(g.N())
+	neighbors := make([][]nbr, n)
+	for i := int32(0); i < n; i++ {
+		for _, c := range g.Customers(i) {
+			neighbors[i] = append(neighbors[i], nbr{c, asgraph.RelCustomer})
+		}
+		for _, p := range g.Peers(i) {
+			neighbors[i] = append(neighbors[i], nbr{p, asgraph.RelPeer})
+		}
+		for _, p := range g.Providers(i) {
+			neighbors[i] = append(neighbors[i], nbr{p, asgraph.RelProvider})
+		}
+	}
+	return neighbors
+}
+
+// simulate is Simulate over precomputed neighbor lists.
+func simulate(g *asgraph.Graph, neighbors [][]nbr, sc Scenario, st State, pol Policy, tb routing.Tiebreaker) (Result, error) {
 	n := int32(g.N())
 	if sc.Victim < 0 || sc.Victim >= n || sc.Attacker < 0 || sc.Attacker >= n {
 		return Result{}, fmt.Errorf("attack: scenario nodes out of range")
@@ -142,23 +172,6 @@ func Simulate(g *asgraph.Graph, sc Scenario, st State, pol Policy, tb routing.Ti
 	chosen[sc.Victim] = &route{path: []int32{sc.Victim}}
 	chosen[sc.Attacker] = fakeRoute
 
-	type nbr struct {
-		id  int32
-		rel asgraph.Rel
-	}
-	neighbors := make([][]nbr, n)
-	for i := int32(0); i < n; i++ {
-		for _, c := range g.Customers(i) {
-			neighbors[i] = append(neighbors[i], nbr{c, asgraph.RelCustomer})
-		}
-		for _, p := range g.Peers(i) {
-			neighbors[i] = append(neighbors[i], nbr{p, asgraph.RelPeer})
-		}
-		for _, p := range g.Providers(i) {
-			neighbors[i] = append(neighbors[i], nbr{p, asgraph.RelProvider})
-		}
-	}
-
 	lpRank := func(r asgraph.Rel) int {
 		switch r {
 		case asgraph.RelCustomer:
@@ -169,10 +182,15 @@ func Simulate(g *asgraph.Graph, sc Scenario, st State, pol Policy, tb routing.Ti
 			return 2
 		}
 	}
-	fullySecure := func(rt *route) bool {
+	// fullySecure reports whether i's route through rt — the path i
+	// followed by rt.path — is fully secure.
+	fullySecure := func(i int32, rt *route) bool {
 		if rt.fake {
 			// The attacker cannot produce the victim's signatures, so a
 			// bogus path never validates as fully secure.
+			return false
+		}
+		if !st.Secure[i] {
 			return false
 		}
 		for _, x := range rt.path {
@@ -215,6 +233,9 @@ func Simulate(g *asgraph.Graph, sc Scenario, st State, pol Policy, tb routing.Ti
 			if i == sc.Victim || i == sc.Attacker {
 				continue
 			}
+			// The best candidate is i followed by best's path; it is
+			// only built when it replaces i's chosen route, so a sweep
+			// that changes nothing allocates nothing.
 			var (
 				best    *route
 				bestHop int32 = -1
@@ -232,10 +253,9 @@ func Simulate(g *asgraph.Graph, sc Scenario, st State, pol Policy, tb routing.Ti
 				if reject && rt.fake {
 					continue
 				}
-				cand := &route{path: append([]int32{i}, rt.path...), fake: rt.fake}
 				lp := lpRank(nb.rel)
-				ln := len(cand.path) - 1
-				sec := fullySecure(cand)
+				ln := len(rt.path)
+				sec := fullySecure(i, rt)
 				better := false
 				switch {
 				case bestHop == -1:
@@ -250,11 +270,14 @@ func Simulate(g *asgraph.Graph, sc Scenario, st State, pol Policy, tb routing.Ti
 					better = tb.Less(i, nb.id, bestHop)
 				}
 				if better {
-					best, bestHop, bestLP, bestLen, bestSec = cand, nb.id, lp, ln, sec
+					best, bestHop, bestLP, bestLen, bestSec = rt, nb.id, lp, ln, sec
 				}
 			}
-			if !routesEqual(best, chosen[i]) {
-				chosen[i] = best
+			if !extends(chosen[i], i, best) {
+				chosen[i] = nil
+				if best != nil {
+					chosen[i] = &route{path: append([]int32{i}, best.path...), fake: best.fake}
+				}
 				converged = false
 			}
 		}
@@ -277,18 +300,17 @@ func Simulate(g *asgraph.Graph, sc Scenario, st State, pol Policy, tb routing.Ti
 	return res, nil
 }
 
-func routesEqual(a, b *route) bool {
-	if (a == nil) != (b == nil) {
+// extends reports whether r is the route i gets through next — i
+// followed by next's path, with next's origin — or both are nil.
+func extends(r *route, i int32, next *route) bool {
+	if r == nil || next == nil {
+		return r == next
+	}
+	if r.fake != next.fake || len(r.path) != len(next.path)+1 || r.path[0] != i {
 		return false
 	}
-	if a == nil {
-		return true
-	}
-	if a.fake != b.fake || len(a.path) != len(b.path) {
-		return false
-	}
-	for i := range a.path {
-		if a.path[i] != b.path[i] {
+	for k, x := range next.path {
+		if r.path[k+1] != x {
 			return false
 		}
 	}
@@ -306,6 +328,7 @@ type Summary struct {
 // aggregates the deceived fractions.
 func Sample(g *asgraph.Graph, st State, pol Policy, tb routing.Tiebreaker, k int, seed int64) (Summary, error) {
 	rng := rand.New(rand.NewSource(seed))
+	neighbors := neighborLists(g)
 	var sum Summary
 	for sum.Scenarios < k {
 		v := int32(rng.Intn(g.N()))
@@ -313,7 +336,7 @@ func Sample(g *asgraph.Graph, st State, pol Policy, tb routing.Tiebreaker, k int
 		if v == a {
 			continue
 		}
-		res, err := Simulate(g, Scenario{Victim: v, Attacker: a}, st, pol, tb)
+		res, err := simulate(g, neighbors, Scenario{Victim: v, Attacker: a}, st, pol, tb)
 		if err != nil {
 			return sum, err
 		}

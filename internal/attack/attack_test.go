@@ -318,3 +318,153 @@ func TestPolicyString(t *testing.T) {
 		t.Error("unknown policy should stringify")
 	}
 }
+
+// referenceSimulate is the path-vector iteration written directly: it
+// builds every candidate route in full before comparing it. Tests hold
+// Simulate to its outcomes.
+func referenceSimulate(g *asgraph.Graph, sc Scenario, st State, pol Policy, tb routing.Tiebreaker) []bool {
+	n := int32(g.N())
+	chosen := make([]*route, n)
+	chosen[sc.Victim] = &route{path: []int32{sc.Victim}}
+	chosen[sc.Attacker] = &route{path: []int32{sc.Attacker, sc.Victim}, fake: true}
+	neighbors := neighborLists(g)
+	lpRank := map[asgraph.Rel]int{asgraph.RelCustomer: 0, asgraph.RelPeer: 1, asgraph.RelProvider: 2}
+	fullySecure := func(rt *route) bool {
+		if rt.fake {
+			return false
+		}
+		for _, x := range rt.path {
+			if !st.Secure[x] {
+				return false
+			}
+		}
+		return true
+	}
+	exports := func(b, i int32, bRel asgraph.Rel) bool {
+		if b == sc.Attacker || bRel == asgraph.RelProvider {
+			return true
+		}
+		p := chosen[b].path
+		return len(p) == 1 || g.Rel(b, p[1]) == asgraph.RelCustomer
+	}
+	contains := func(p []int32, x int32) bool {
+		for _, y := range p {
+			if y == x {
+				return true
+			}
+		}
+		return false
+	}
+	same := func(a, b *route) bool {
+		if a == nil || b == nil {
+			return a == b
+		}
+		if a.fake != b.fake || len(a.path) != len(b.path) {
+			return false
+		}
+		for k := range a.path {
+			if a.path[k] != b.path[k] {
+				return false
+			}
+		}
+		return true
+	}
+	for converged := false; !converged; {
+		converged = true
+		for i := int32(0); i < n; i++ {
+			if i == sc.Victim || i == sc.Attacker {
+				continue
+			}
+			var best *route
+			var bestHop int32 = -1
+			var bestLP, bestLen int
+			var bestSec bool
+			useSecP := st.Secure[i] && st.Breaks[i]
+			reject := pol == RejectInvalid && st.Validates[i] && st.Secure[sc.Victim]
+			for _, nb := range neighbors[i] {
+				rt := chosen[nb.id]
+				if rt == nil || !exports(nb.id, i, nb.rel) || contains(rt.path, i) || reject && rt.fake {
+					continue
+				}
+				cand := &route{path: append([]int32{i}, rt.path...), fake: rt.fake}
+				lp, ln, sec := lpRank[nb.rel], len(cand.path)-1, fullySecure(cand)
+				var better bool
+				switch {
+				case bestHop == -1:
+					better = true
+				case lp != bestLP:
+					better = lp < bestLP
+				case ln != bestLen:
+					better = ln < bestLen
+				case useSecP && sec != bestSec:
+					better = sec
+				default:
+					better = tb.Less(i, nb.id, bestHop)
+				}
+				if better {
+					best, bestHop, bestLP, bestLen, bestSec = cand, nb.id, lp, ln, sec
+				}
+			}
+			if !same(best, chosen[i]) {
+				chosen[i] = best
+				converged = false
+			}
+		}
+	}
+	out := make([]bool, n)
+	for i, rt := range chosen {
+		out[i] = int32(i) != sc.Victim && int32(i) != sc.Attacker && rt != nil && rt.fake
+	}
+	return out
+}
+
+func TestSimulateMatchesReference(t *testing.T) {
+	g := topogen.MustGenerate(topogen.Default(300, 8))
+	rng := rand.New(rand.NewSource(5))
+	secure := make([]bool, g.N())
+	for i := range secure {
+		secure[i] = rng.Intn(3) > 0
+	}
+	tb := routing.HashTiebreaker{Seed: 2}
+	for _, st := range []State{insecure(g), NewState(g, secure, true), NewState(g, secure, false), allSecure(g)} {
+		for _, pol := range []Policy{TieBreakOnly, RejectInvalid} {
+			for k := 0; k < 8; k++ {
+				sc := Scenario{Victim: int32(rng.Intn(g.N())), Attacker: int32(rng.Intn(g.N()))}
+				if sc.Victim == sc.Attacker {
+					continue
+				}
+				res, err := Simulate(g, sc, st, pol, tb)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := referenceSimulate(g, sc, st, pol, tb)
+				for i := range want {
+					if res.Deceived[i] != want[i] {
+						t.Fatalf("%s %+v: AS %d deceived %v, reference %v", pol, sc, i, res.Deceived[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// The solver builds a route only when it replaces an AS's chosen one,
+// so a scenario allocates in proportion to route changes, not to the
+// sweeps × neighbors candidates it weighs.
+func TestSimulateAllocatesPerRouteChange(t *testing.T) {
+	g := topogen.MustGenerate(topogen.Default(300, 8))
+	st := insecure(g)
+	nbrs := neighborLists(g)
+	sc := Scenario{Victim: 7, Attacker: 100}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := simulate(g, nbrs, sc, st, TieBreakOnly, routing.HashTiebreaker{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Two allocations per change (route and path); ≈1.7 changes per AS
+	// here. referenceSimulate, which builds every candidate, makes ≈5×
+	// as many.
+	if limit := 4 * float64(g.N()); allocs > limit {
+		t.Errorf("Simulate made %v allocations at N=%d, want at most %v", allocs, g.N(), limit)
+	}
+}

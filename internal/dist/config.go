@@ -19,6 +19,13 @@ import (
 // diverge — which the differential tests in dist_test.go exist to
 // catch.
 //
+// The static budget applies per engine: each worker process builds its
+// own resident store of StaticCacheBytes for statics (and as much for
+// sidecars), so K processes may hold up to K budgets. The dynamic
+// budget is split per logical shard, so its total stays one budget.
+// Each engine reports its store in its partials, and the coordinator's
+// RoundStats sum them.
+//
 // StaticStoreDir ships as a path string that each worker resolves
 // against its own filesystem: local fork-exec workers share the
 // coordinator's disk and see one store, TCP workers open (or create)

@@ -242,6 +242,46 @@ func TestPipeWorkers(t *testing.T) {
 	}
 }
 
+// TestPipeStaticStoreStats: each worker's engine reports its resident
+// static store in the partials it returns, so a distributed run's round
+// stats count the statics every process holds — as many as the
+// in-process run at the same shard count, where one engine holds them
+// all. Stats are instrumentation, never bits, so only this catches an
+// engine that stops reporting.
+func TestPipeStaticStoreStats(t *testing.T) {
+	g, adopters := testGraph(t, 300, 5)
+	cfg := sim.Config{
+		Theta:         0.05,
+		EarlyAdopters: adopters,
+		Workers:       4,
+		RecordStats:   true,
+	}
+	ref := runLocal(t, g, cfg)
+	coord, err := NewCoordinator(g, cfg, pipeWorkers(t, serveOpts{}, serveOpts{}), Options{RoundTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	cfg.Executor = coord
+	res, err := sim.MustNew(g, cfg).RunE()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rounds) != len(ref.Rounds) || len(res.Rounds) == 0 {
+		t.Fatalf("%d rounds distributed, %d in-process", len(res.Rounds), len(ref.Rounds))
+	}
+	check := func(pass string, got, want *sim.RoundStats) {
+		if got.StaticCacheEntries == 0 || got.StaticCacheEntries != want.StaticCacheEntries {
+			t.Errorf("%s: %d static entries distributed, %d in-process; want equal and nonzero",
+				pass, got.StaticCacheEntries, want.StaticCacheEntries)
+		}
+	}
+	check("pristine pass", res.PristineStats, ref.PristineStats)
+	for r := range res.Rounds {
+		check(fmt.Sprintf("round %d", r+1), res.Rounds[r].Stats, ref.Rounds[r].Stats)
+	}
+}
+
 // TestPipeIdleWorkerRevived: with more processes than shards (K=5 over
 // S=4) worker 4 owns nothing after the handshake, so every broadcast
 // skips it. Workers 0–2 die as they receive round sequence 3; their

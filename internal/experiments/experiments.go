@@ -37,10 +37,11 @@ type Options struct {
 	X float64
 	// Workers caps simulation parallelism (0 = GOMAXPROCS).
 	Workers int
-	// StaticCacheBytes bounds each simulation's static routing cache
+	// StaticCacheBytes bounds the resident static stores
 	// (sim.Config.StaticCacheBytes): 0 keeps the engine default, positive
-	// caps the per-Sim budget, negative disables the cache. Performance
-	// knob only — results are bit-identical for every setting.
+	// caps each store's statics and, separately, its sidecars, negative
+	// disables the stores. Performance knob only — results are
+	// bit-identical for every setting.
 	StaticCacheBytes int64
 	// DynamicCacheBytes bounds each simulation's cross-round dynamic
 	// contribution cache (sim.Config.DynamicCacheBytes) with the same

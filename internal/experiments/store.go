@@ -37,10 +37,10 @@ type Store struct {
 	budget  *workerBudget
 	workers int // resolved worker budget (for sims run through the store)
 
-	// StaticCacheBytes, when non-zero, overrides the per-Sim static
-	// routing cache budget (sim.Config.StaticCacheBytes) of every
-	// simulation executed through the store: positive caps it, negative
-	// disables the cache. With the cache on, it is the budget of each
+	// StaticCacheBytes, when non-zero, overrides the static budget
+	// (sim.Config.StaticCacheBytes) of every simulation executed through
+	// the store: positive caps it, negative disables the resident
+	// store. With the cache on, it is the budget of each
 	// shared statics core and, separately, of each handle's sidecars (see
 	// sharedStatics). It is a performance knob only — excluded from
 	// Config.Fingerprint, so it never changes cache keys or Results. Set
@@ -352,8 +352,8 @@ func (s *Store) computeSim(key string, g *asgraph.Graph, cfg sim.Config) (res *s
 
 	// Distributed execution: the coordinator replaces the in-process
 	// shard engine for this one simulation. SharedStatics stays behind —
-	// it cannot cross a process boundary; the workers run their own
-	// shard-private caches.
+	// it cannot cross a process boundary; each worker's engine builds a
+	// store of its own.
 	if s.DistWorkers > 0 {
 		coord, err := dist.NewLocalCoordinator(g, cfg, s.DistWorkers, dist.Options{})
 		if err != nil {

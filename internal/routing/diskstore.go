@@ -58,10 +58,10 @@ import (
 //
 // Everything read back is untrusted: a record is served only if its
 // blob matches the CRC recorded for it, and callers decode the bytes
-// with every structural and bounds check live (the engine uses
-// DecodePackedTrusted, which skips only the cross-field level/class
+// with every structural and bounds check live (DecodePackedTrusted
+// states the model: it skips only the cross-field level/class
 // revalidation the CRC already makes a 2^-32 event — nothing that can
-// panic or read out of bounds; see packed.go). Any validation failure
+// panic or read out of bounds). Any validation failure
 // — bad meta, bad index, bad header, bad CRC, bad decode (reported via
 // Drop) — makes the affected records invisible, so the caller
 // recomputes and the store repairs itself by appending fresh records.
@@ -369,9 +369,9 @@ func (seg *diskSegment) readAt(buf []byte, off int64) bool {
 // returned bytes are read-only and — on mmap platforms — alias the
 // page cache; callers must not retain them past the store's Close.
 // The blob's CRC is verified here (catching every single-byte flip);
-// callers still run the fully validating DecodePacked and report a
-// decode failure via Drop so the record can be repaired. A nil store
-// always misses.
+// callers decode it trusted — the model DecodePackedTrusted states —
+// and report a decode failure via Drop so the record can be repaired.
+// A nil store always misses.
 func (st *StaticDiskStore) Lookup(d int32) []byte {
 	if st == nil {
 		return nil

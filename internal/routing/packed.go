@@ -192,12 +192,20 @@ func (w *Workspace) DecodePacked(blob []byte) (*Static, error) {
 
 // DecodePackedTrusted decodes like DecodePacked but skips the
 // per-member level and class revalidation — the checks whose memory
-// loads dominate a decode of a known-good blob. It is for bytes that
-// already passed a full DecodePacked (or were encoded by this process)
-// and have sat in process memory since: the static caches hold exactly
-// such blobs. Structurally malformed input still errors cleanly with
-// the workspace restored; the runtime's bounds checks still guard
-// every access.
+// loads dominate a decode of a known-good blob.
+//
+// This is the trust model of every packed blob the engine reads, and
+// the one place it is stated. A blob is either encoded by this process
+// or read from the disk store, whose Lookup verifies its CRC; the
+// resident store publishes both kinds alike. Every read — this decode,
+// and StreamStatic.Resolve's walk — then runs the structural checks
+// (header, ids and adjacency indexes in range, duplicates, level
+// counts, trailing bytes), so malformed input errors cleanly with the
+// workspace restored, and the runtime's bounds checks guard every
+// access. What is skipped, the cross-field level/class relation, can
+// only be wrong in a disk blob whose corruption the CRC missed: a
+// 2^-32 event that yields a wrong static, never a panic or an
+// out-of-bounds read.
 func (w *Workspace) DecodePackedTrusted(blob []byte) (*Static, error) {
 	return w.decodePacked(blob, true)
 }

@@ -32,8 +32,8 @@ import (
 //	    8 bytes           (little-endian float64 bit pattern)
 //
 // Sidecars travel through the same tiers as packed statics: the
-// StaticCache (budget-charged, arena-backed) and the StaticDiskStore
-// (its own record kind, CRC-checked). Every read path validates the
+// resident SharedStaticCache (per handle, budget-charged, arena-backed)
+// and the StaticDiskStore (its own record kind, CRC-checked). Every read path validates the
 // full layout and treats any mismatch as a missing sidecar — the
 // consumer recomputes, so corruption can cost time, never bits.
 

@@ -17,38 +17,40 @@ import (
 // every round; snapshotting it once and resolving against the snapshot
 // from then on removes the three-stage BFS from the steady-state round
 // entirely, and is bit-identical by construction because resolution
-// only ever reads a Static. Beyond one simulation, SharedStaticCache
-// (at the end of this file) serves one set of statics to every graph of
-// a topology, and keeps the weight-dependent pristine sidecars apart,
-// one set per weight vector.
+// only ever reads a Static.
 //
-// Two storage formats share one cache. Unpacked entries are Snapshot
-// deep copies: resolution reads them directly, and lazily materialized
-// additions (PrepareDelta, provider parents, support lists) land on the
-// cached copy and are memoized across rounds. Packed entries are the
-// blob form of packed.go at ≈3–5 B/node instead of ≈26: resolution
-// decodes them into the calling worker's Workspace on every hit, which
-// costs O(reachable) but stays far below the BFS it replaces. A cache
-// starts in unpacked mode — small graphs whose full snapshot set fits
-// the budget never pay the decode — and repacks every entry in place
-// the first time an admission or a lazy growth would overflow the
-// budget, then admits packed from there on: the 3–9x density buys
-// paper-scale graphs cache residency instead of admission stops. A
-// cache told how many destinations to expect (Expect) skips the
-// unpacked phase outright when its first snapshot shows the full set
-// cannot fit, rather than copying a budget's worth of snapshots only to
-// re-encode them all.
+// SharedStaticCache (below) is the one resident form. Every engine
+// serves its statics and pristine sidecars through one: its own, or one
+// a caller shares across the simulations of a topology — a handle over a
+// statics core that serves every graph of that topology, keeping the
+// weight-dependent sidecars apart, one set per weight vector.
+//
+// Two storage formats share one core. Unpacked entries are Snapshot
+// deep copies, materialized in full before they are published (delta
+// dependents, provider parents, support lists), so they are immutable
+// and resolution reads them directly. Packed entries are the blob form
+// of packed.go at ≈3–5 B/node instead of ≈26–35: resolution decodes
+// them into the calling worker's Workspace on every hit, which costs
+// O(reachable) but stays far below the BFS it replaces. A core starts
+// in unpacked mode — small graphs whose full snapshot set fits the
+// budget never pay the decode — and repacks every entry in place the
+// first time an admission would overflow the budget, then admits packed
+// from there on: the 3–9x density buys paper-scale graphs residency
+// instead of admission stops. A core that knows how many destinations
+// it will be offered (the bound graph's N) skips the unpacked phase
+// outright when its first snapshot shows the full set cannot fit,
+// rather than copying a budget's worth of snapshots only to re-encode
+// them all.
 
-// DefaultStaticCacheBytes is the default static-cache budget: 1 GiB.
-// An unpacked snapshot costs ≈26 bytes per node at admission (Type,
-// Len, pos, winners, order and the tiebreak CSR; the delta-dependents
-// index adds ≈9 B/node more, only on snapshots something built it on —
-// a destination that ran several propagations in one round, or an
-// explicit PrepareDelta), so N destinations of N nodes need
-// ≈26·N²–35·N² bytes: the full unpacked set fits up to N≈5000. Beyond
-// that the cache (see above) stores ≈3–5 B/node — packed from the
-// first entry when the shard's expected count says so — and holds only
-// the statics a later round reads: the record holders', not those of
+// DefaultStaticCacheBytes is the default static budget: 1 GiB for a
+// store's statics, and as much again for each handle's sidecars. A
+// published snapshot costs ≈26–35 bytes per node (Type, Len, pos,
+// winners, order and the tiebreak CSR, plus the delta-dependents index,
+// provider parents and support lists it is published with), so N
+// destinations of N nodes need ≈26·N²–35·N² bytes: the full unpacked
+// set fits up to N≈5000. Beyond that the store (see above) holds ≈3–5
+// B/node — packed from the first entry when the graph's N says so — and
+// only the statics a later round reads: the record holders', not those of
 // destinations served by their pristine sidecars. At the paper's
 // N=36,964 that is ≈7,200 destinations in ≈1.0 GB, just inside the
 // budget; a graph whose record set outgrows it caches a pinned prefix
@@ -58,11 +60,8 @@ const DefaultStaticCacheBytes = int64(1) << 30
 // MemBytes returns the heap footprint of s, counting exactly what is
 // materialized right now: the always-present base arrays, plus the
 // delta-dependents index, provider parents and support lists only once
-// built. A snapshot admitted to a cache is charged its size at
-// admission; later lazy materialization grows the cached copy, and the
-// cache re-charges the growth on the next lookup of that destination
-// (eviction-on-materialize) rather than reserving the upper bound up
-// front as earlier versions did.
+// built. A store materializes a snapshot in full before publishing it,
+// so the size it charges at admission is final.
 func (s *Static) MemBytes() int64 {
 	n := int64(len(s.Type))
 	t := int64(len(s.tbAdj))
@@ -132,18 +131,16 @@ func (s *Static) Snapshot() *Static {
 	return c
 }
 
-// arenaSlabBytes is the chunk size of a cache's blob arena. Blobs
+// arenaSlabBytes is the chunk size of a store's blob arenas. Blobs
 // larger than a quarter slab get a dedicated allocation.
 const arenaSlabBytes = 1 << 20
 
-// staticArena bump-allocates packed blobs into large slabs so a cache
+// staticArena bump-allocates packed blobs into large slabs so a store
 // holding tens of thousands of small blobs costs that many arena
 // *copies*, not that many heap objects. Blobs are never freed
-// individually: entries are only removed by whole-entry eviction,
-// whose arena bytes become slack (bounded — eviction happens only on
-// pathological growth after a repack). Filled slabs are retained by
-// the blob slices that point into them; the arena itself only keeps
-// the slab it is currently filling.
+// individually: a dropped sidecar's bytes become slack. Filled slabs
+// are retained by the blob slices that point into them; the arena
+// itself only keeps the slab it is currently filling.
 type staticArena struct {
 	cur       []byte
 	allocated int64
@@ -167,7 +164,7 @@ func (a *staticArena) place(b []byte) []byte {
 	return a.cur[start:len(a.cur):len(a.cur)]
 }
 
-// cacheEntry is one destination's cached static: exactly one of snap
+// cacheEntry is one destination's resident static: exactly one of snap
 // (unpacked snapshot) or blob (packed, arena-backed) is set. charged is
 // the byte cost accounted against the budget for this entry.
 type cacheEntry struct {
@@ -177,230 +174,86 @@ type cacheEntry struct {
 }
 
 // entryOverhead approximates the map-slot plus entry-struct cost of
-// one cached destination.
+// one resident destination.
 const entryOverhead = 64
 
-// StaticCache memoizes per-destination statics under a byte budget. It
-// is deliberately lock-free and goroutine-private: the engine stripes
-// destinations statically across workers (worker w owns d ≡ w mod nw),
-// so each worker caches exactly the destinations it will process on
-// every future round and no two workers ever share a cache.
-//
-// The cache admits whatever it is offered, first-fit, and pins it:
-// deterministic, and no churn. Which statics are worth offering is the
-// caller's decision — the engine offers every static while the cache is
-// unpacked, and once it has repacked only those a later round will read
-// (sim's fetchStatic: a destination served by its pristine sidecar never
-// reads its static again). The first overflow — an admission, or lazy
-// growth of already-admitted entries (see Get) — repacks every entry
-// (see the package comment above) instead of stopping admission;
-// eviction exists only for a repack that still does not fit (newest
-// admissions evict first).
-type StaticCache struct {
+// staticCache is a core's statics: per-destination entries under a byte
+// budget, not synchronized (the core's lock guards it). It admits
+// whatever it is offered, first-fit, and pins it: deterministic, and no
+// churn. Which statics are worth offering is the caller's decision —
+// the engine offers every static while the core is unpacked, and once
+// it has repacked only those a later round will read (sim's
+// fetchStatic: a destination served by its pristine sidecar never reads
+// its static again). The first overflow repacks every entry (see the
+// package comment above) instead of stopping admission.
+type staticCache struct {
 	budget   int64
 	bytes    int64
-	full     bool
+	full     bool // an admission was rejected for budget
 	repacked bool // first overflow happened; admissions encode from here on
 	g        *asgraph.Graph
-	expected int64 // destinations this cache will be offered (Expect); 0 = unknown
+	expected int64 // destinations the core will be offered; 0 = unknown
 	entries  map[int32]cacheEntry
-	seq      []int32 // admission order: deterministic repack/eviction order
 
-	evictions     int64
 	packedBytes   int64
 	packedEntries int64
 	arena         staticArena
 	scratch       []byte
-
-	// sidecars holds pristine-contribution records (sidecar.go) keyed by
-	// (kind, dest) — a destination may carry one vector per utility
-	// model. They share the blob arena and the byte budget with the
-	// statics but not the eviction machinery: a sidecar is a few dozen
-	// bytes against a multi-KB static, so admissions that would overflow
-	// are simply rejected (the consumer recomputes) rather than evicting
-	// statics whose recompute is orders of magnitude dearer.
-	sidecars     map[int64][]byte
-	sidecarBytes int64
 }
 
-// NewStaticCache returns a cache for graph g (encoding is
-// graph-relative) that admits snapshots until one would exceed budget
-// bytes, then repacks itself into the ≈3–5 B/node blob format and keeps
-// admitting packed entries until those overflow too.
-func NewStaticCache(g *asgraph.Graph, budget int64) *StaticCache {
-	return &StaticCache{budget: budget, g: g, entries: make(map[int32]cacheEntry)}
-}
-
-// Expect tells the cache how many destinations it will be offered in
-// all — the shard's stripe. The cache uses it once, at its first
-// snapshot admission: if that many snapshots of that size cannot fit
-// the budget the unpacked phase is skipped and every entry goes in
-// packed (see add). A nil cache ignores it.
-func (c *StaticCache) Expect(dests int) {
-	if c != nil {
-		c.expected = int64(dests)
-	}
-}
-
-// Get returns the cached static for destination d, or nil. A nil cache
-// always misses. Unpacked entries are returned directly; packed entries
-// are decoded into w's scratch and the result is invalidated by w's
-// next build or decode — within the engine that is safe, as a
-// destination's static is only used while processing that destination.
-//
-// Get is also where lazy materialization is charged: if the entry's
-// snapshot grew since admission (PrepareDelta and friends land on the
-// cached copy), the growth is added to the accounted bytes now, and an
-// overflow triggers the repack.
-func (c *StaticCache) Get(d int32, w *Workspace) *Static {
-	if c == nil {
-		return nil
-	}
-	e, ok := c.entries[d]
-	if !ok {
-		return nil
-	}
-	if e.blob != nil {
-		// Trusted decode: every blob in the cache was either encoded by
-		// this process or fully validated by the DecodePacked its
-		// admission required (see AddBlob), so the per-member
-		// revalidation would only re-prove what admission proved.
-		s, err := w.DecodePackedTrusted(e.blob)
-		if err != nil {
-			// Unreachable for blobs this cache encoded; an imported blob
-			// that fails stays cached but unusable — treat as a miss.
-			return nil
-		}
-		return s
-	}
-	if sz := e.snap.MemBytes(); sz > e.charged {
-		c.bytes += sz - e.charged
-		e.charged = sz
-		c.entries[d] = e
-		if c.bytes > c.budget {
-			c.repackAll()
-			if e := c.entries[d]; e.blob != nil {
-				s, err := w.DecodePackedTrusted(e.blob)
-				if err != nil {
-					return nil
-				}
-				return s
-			}
-			return nil
-		}
-	}
-	return e.snap
-}
-
-// evictNewest removes the newest-admitted entries until the budget
-// holds. Evicting from the newest end preserves the first-fit
-// philosophy: the oldest entries stay pinned.
-func (c *StaticCache) evictNewest() {
-	c.full = true
-	for i := len(c.seq) - 1; i >= 0 && c.bytes > c.budget; i-- {
-		c.dropEntry(c.seq[i])
-		c.seq = c.seq[:i]
-		c.evictions++
-	}
-}
-
-// dropEntry removes d from the map and the accounting (not from seq).
-func (c *StaticCache) dropEntry(d int32) {
-	e := c.entries[d]
-	delete(c.entries, d)
-	c.bytes -= e.charged
-	if e.blob != nil {
-		c.packedBytes -= int64(len(e.blob))
-		c.packedEntries--
-	}
-}
-
-// repackAll converts every unpacked entry to its packed blob in
-// admission order, rebasing the accounted bytes on the packed sizes.
-// This runs once, on the cache's first overflow; from then on
-// admissions encode directly (repacked).
-func (c *StaticCache) repackAll() {
+// repackAll converts every unpacked entry to its packed blob, rebasing
+// the accounted bytes on the packed sizes. A blob is far smaller than
+// the snapshot it replaces (≈3–5 against ≥26 B/node), so the repack
+// only frees bytes. This runs once, on the first overflow; from then on
+// admissions encode directly.
+func (c *staticCache) repackAll() {
 	c.repacked = true
-	var bytes int64
-	for _, d := range c.seq {
-		e := c.entries[d]
-		if e.snap != nil {
-			c.scratch = AppendPacked(c.scratch[:0], e.snap, c.g)
-			e = cacheEntry{blob: c.arena.place(c.scratch), charged: int64(len(c.scratch)) + entryOverhead}
-			c.entries[d] = e
-			c.packedBytes += int64(len(e.blob))
-			c.packedEntries++
+	for d, e := range c.entries {
+		if e.snap == nil {
+			continue
 		}
-		bytes += e.charged
-	}
-	c.bytes = bytes
-	if c.bytes > c.budget {
-		c.evictNewest()
+		c.scratch = AppendPacked(c.scratch[:0], e.snap, c.g)
+		c.bytes -= e.charged
+		e = cacheEntry{blob: c.arena.place(c.scratch), charged: int64(len(c.scratch)) + entryOverhead}
+		c.entries[d] = e
+		c.bytes += e.charged
+		c.packedBytes += int64(len(e.blob))
+		c.packedEntries++
 	}
 }
 
-// Add admits the static for s.Dest, returning the stored snapshot —
-// which the caller should use in place of s, so that lazily
-// materialized additions (PrepareDelta) land on the cached copy — or
-// nil when nothing directly usable was stored: budget exhausted, or
-// the entry went in packed (the caller keeps resolving against s; hits
-// on later rounds decode). s must carry winners.
-func (c *StaticCache) Add(s *Static) *Static {
-	if c == nil {
-		return nil
-	}
-	sz := s.MemBytes()
+// add admits snap, a Snapshot of a fully materialized static, returning
+// it when it was stored as is, or nil when it went in packed or not at
+// all. Once an admission has been rejected for budget, packed ones are
+// skipped outright: the encode is O(reachable), and paying it per miss
+// on every round after the core fills would hand back a large share of
+// the win.
+func (c *staticCache) add(snap *Static) *Static {
+	sz := snap.MemBytes()
 	if !c.repacked &&
 		(c.bytes+sz > c.budget || len(c.entries) == 0 && c.expected*sz > c.budget) {
 		// This snapshot overflows the budget — or it is the first and
 		// the destinations still to come, at its size, will: switch to
-		// packed storage now (a no-op pass over an empty cache) instead
+		// packed storage now (a no-op pass over an empty core) instead
 		// of snapshotting up to the budget and repacking it all.
 		c.repackAll()
 	}
 	if c.repacked {
-		c.addPacked(s)
+		if !c.full {
+			c.scratch = AppendPacked(c.scratch[:0], snap, c.g)
+			c.addBlob(snap.Dest, c.scratch)
+		}
 		return nil
 	}
-	s = s.Snapshot()
-	c.insert(s.Dest, cacheEntry{snap: s, charged: sz})
-	return s
+	c.insert(snap.Dest, cacheEntry{snap: snap, charged: sz})
+	return snap
 }
 
-// addPacked encodes s and admits the blob. Once an admission has been
-// rejected for budget, further attempts are skipped outright: the
-// encode is O(reachable), and paying it per miss on every round after
-// the cache fills would hand back a large share of the win (a smaller
-// later snapshot might squeeze into the remaining slack, but that
-// slack is under one blob by construction).
-func (c *StaticCache) addPacked(s *Static) {
-	if c.full {
-		return
-	}
-	c.scratch = AppendPacked(c.scratch[:0], s, c.g)
-	c.addBlobBytes(s.Dest, c.scratch)
-}
-
-// AddBlob admits an already-encoded packed blob (a disk-read static)
-// for destination d, copying it into the arena — before or after the
-// repack, which lets a caller holding the encoded bytes skip both the
-// snapshot deep copy and that entry's share of the eventual repack.
-// Returns whether the blob was admitted; the caller keeps ownership of
-// blob either way.
-//
-// The blob must be a valid encoding for this cache's graph: either
-// produced by AppendPacked in this process, or vetted by a successful
-// DecodePacked — Get relies on that invariant to decode cached blobs
-// on the trusted path. Every current import site (engine disk
-// admission) decodes the bytes before calling this.
-func (c *StaticCache) AddBlob(d int32, blob []byte) bool {
-	if c == nil {
-		return false
-	}
-	return c.addBlobBytes(d, blob)
-}
-
-func (c *StaticCache) addBlobBytes(d int32, blob []byte) bool {
+// addBlob admits a copy of an already-encoded packed blob for d, before
+// or after the repack, reporting whether it was admitted. The blob must
+// be self-encoded or a disk blob that passed Lookup: readers decode it
+// trusted (see DecodePackedTrusted for what that relies on).
+func (c *staticCache) addBlob(d int32, blob []byte) bool {
 	if _, ok := c.entries[d]; ok {
 		return false
 	}
@@ -416,21 +269,25 @@ func (c *StaticCache) addBlobBytes(d int32, blob []byte) bool {
 	return true
 }
 
-func (c *StaticCache) insert(d int32, e cacheEntry) {
+func (c *staticCache) insert(d int32, e cacheEntry) {
+	if c.entries == nil {
+		c.entries = make(map[int32]cacheEntry)
+	}
 	c.entries[d] = e
-	c.seq = append(c.seq, d)
 	c.bytes += e.charged
 }
 
-// GetBlob returns the raw packed blob cached for destination d, or nil
-// when d is absent or stored unpacked. The bytes alias the arena and
-// are read-only. This is the streaming resolver's entry point: it walks
-// the blob directly, skipping the workspace decode a Get performs.
-func (c *StaticCache) GetBlob(d int32) []byte {
-	if c == nil {
-		return nil
-	}
-	return c.entries[d].blob
+// sidecarSet is a handle's pristine-contribution sidecars (sidecar.go),
+// keyed by (kind, dest) — a destination may carry one vector per utility
+// model — and copied into an arena under a budget of their own, not
+// synchronized (the handle's lock guards it). A sidecar is a few dozen
+// bytes against a multi-KB static, so a put that would overflow is
+// simply rejected (the consumer recomputes) rather than evicting.
+type sidecarSet struct {
+	budget   int64
+	bytes    int64
+	payloads map[int64][]byte
+	arena    staticArena
 }
 
 // sidecarKey packs a sidecar's (kind, dest) identity into one map key.
@@ -438,132 +295,35 @@ func sidecarKey(kind uint8, d int32) int64 {
 	return int64(kind)<<32 | int64(uint32(d))
 }
 
-// SidecarPut admits a pristine-contribution sidecar payload for
-// (kind, d), copying it into the arena and charging the shared budget.
-// Duplicates and over-budget admissions are rejected (the consumer
-// recomputes); rejection never evicts statics. Returns whether the
-// payload was stored. The payload must be a valid sidecar encoding —
-// callers encode with AppendSidecar or validate imports via
-// DecodeSidecar first.
-func (c *StaticCache) SidecarPut(kind uint8, d int32, payload []byte) bool {
-	if c == nil || len(payload) == 0 {
-		return false
-	}
+func (c *sidecarSet) put(kind uint8, d int32, payload []byte) bool {
 	k := sidecarKey(kind, d)
-	if _, ok := c.sidecars[k]; ok {
+	if _, ok := c.payloads[k]; ok || len(payload) == 0 {
 		return false
 	}
 	sz := int64(len(payload)) + entryOverhead
 	if c.bytes+sz > c.budget {
 		return false
 	}
-	if c.sidecars == nil {
-		c.sidecars = make(map[int64][]byte)
+	if c.payloads == nil {
+		c.payloads = make(map[int64][]byte)
 	}
-	c.sidecars[k] = c.arena.place(payload)
+	c.payloads[k] = c.arena.place(payload)
 	c.bytes += sz
-	c.sidecarBytes += int64(len(payload))
 	return true
 }
 
-// SidecarGet returns the sidecar payload stored for (kind, d), or nil.
-// The bytes alias the arena and are read-only.
-func (c *StaticCache) SidecarGet(kind uint8, d int32) []byte {
-	if c == nil {
-		return nil
-	}
-	return c.sidecars[sidecarKey(kind, d)]
-}
-
-// SidecarDrop forgets the sidecar for (kind, d) — the response to a
-// decode failure on an imported payload, so a later Put can repair it.
-func (c *StaticCache) SidecarDrop(kind uint8, d int32) {
-	if c == nil {
-		return
-	}
+func (c *sidecarSet) drop(kind uint8, d int32) {
 	k := sidecarKey(kind, d)
-	if p, ok := c.sidecars[k]; ok {
-		delete(c.sidecars, k)
+	if p, ok := c.payloads[k]; ok {
+		delete(c.payloads, k)
 		c.bytes -= int64(len(p)) + entryOverhead
-		c.sidecarBytes -= int64(len(p))
 	}
 }
 
-// SidecarBytes returns the payload bytes of stored sidecars.
-func (c *StaticCache) SidecarBytes() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.sidecarBytes
-}
-
-// SidecarEntries returns the number of stored sidecars.
-func (c *StaticCache) SidecarEntries() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.sidecars)
-}
-
-// Bytes returns the accounted size of all admitted entries.
-func (c *StaticCache) Bytes() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.bytes
-}
-
-// Entries returns the number of cached destinations.
-func (c *StaticCache) Entries() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.entries)
-}
-
-// Full reports whether an admission has ever been rejected for budget.
-func (c *StaticCache) Full() bool { return c != nil && c.full }
-
-// Repacked reports whether the cache has switched to packed storage
-// (its first overflow happened).
-func (c *StaticCache) Repacked() bool { return c != nil && c.repacked }
-
-// Evictions returns how many entries lazy-growth overflows evicted.
-func (c *StaticCache) Evictions() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.evictions
-}
-
-// PackedBytes returns the payload bytes of packed entries.
-func (c *StaticCache) PackedBytes() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.packedBytes
-}
-
-// PackedEntries returns the number of packed entries.
-func (c *StaticCache) PackedEntries() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.packedEntries
-}
-
-// ArenaBytes returns the total bytes the blob arena has allocated
-// (slabs plus dedicated blobs), for accounting tests.
-func (c *StaticCache) ArenaBytes() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.arena.allocated
-}
-
-// SharedStaticCache is a concurrency-safe resident store shared by
-// simulations across graphs of one topology: a handle over a statics
-// core, plus the handle's own pristine sidecars.
+// SharedStaticCache is the concurrency-safe resident static store: a
+// handle over a statics core, plus the handle's own pristine sidecars.
+// An engine's workers all serve through one — the engine's own, or a
+// handle a caller shares across simulations.
 //
 // A Static depends only on (topology, destination, tiebreaker) — never
 // on the deployment state (Observation C.1), and never on the traffic
@@ -580,15 +340,13 @@ func (c *StaticCache) ArenaBytes() int64 {
 // makes another handle over the same core for another weight vector.
 //
 // Unpacked entries are fully materialized before insertion (tiebreak
-// winners, delta dependents index, provider parents), so the *Static a
-// reader receives is immutable: every lazy accessor — the engine's
-// build-the-index-on-demand PrepareDelta included — is already a no-op
-// and any goroutine may resolve against it without synchronization —
-// and, because nothing can grow, Get never needs to re-charge under
-// its read lock. Packed entries (the core repacks on overflow exactly
-// like a private cache) are immutable bytes decoded into the calling
-// worker's own scratch. Only the maps are guarded: the statics by the
-// core's lock, the sidecars by the handle's.
+// winners, delta dependents index, provider parents, support lists), so
+// the *Static a reader receives is immutable: every lazy accessor — the
+// engine's build-the-index-on-demand PrepareDelta included — is already
+// a no-op, and any goroutine may resolve against it without
+// synchronization. Packed entries are immutable bytes decoded into the
+// calling worker's own scratch. Only the maps are guarded: the statics
+// by the core's lock, the sidecars by the handle's.
 //
 // The core binds to one (topology, tiebreaker) pair on first use and a
 // handle to one weight vector; binding anything else is an error —
@@ -600,30 +358,31 @@ type SharedStaticCache struct {
 
 	mu   sync.RWMutex
 	g    *asgraph.Graph // first graph bound: its weights are the sidecars'
-	side *StaticCache   // holds sidecars only
+	side sidecarSet
 }
 
 // staticsCore is the weight-independent half of a SharedStaticCache:
 // the statics of one (topology, tiebreaker), shared by every handle.
+// Its statics' graph is the first one bound: the topology all others
+// match.
 type staticsCore struct {
 	mu sync.RWMutex
-	g  *asgraph.Graph // first graph bound: the topology all others match
-	tb string         // TiebreakerFingerprint of the bound tiebreaker
-	c  *StaticCache
+	tb string // TiebreakerFingerprint of the bound tiebreaker
+	c  staticCache
 }
 
 // NewSharedStaticCache returns an unbound handle over a fresh core. The
 // core admits statics until adding one would exceed budget bytes, and
 // the handle's sidecars have a budget of their own of the same size;
 // budget 0 means DefaultStaticCacheBytes. The core repacks on overflow
-// (see StaticCache) once bound to its topology.
+// (see the package comment) once bound to its topology.
 func NewSharedStaticCache(budget int64) *SharedStaticCache {
 	if budget == 0 {
 		budget = DefaultStaticCacheBytes
 	}
 	return &SharedStaticCache{
-		core: &staticsCore{c: NewStaticCache(nil, budget)},
-		side: NewStaticCache(nil, budget),
+		core: &staticsCore{c: staticCache{budget: budget}},
+		side: sidecarSet{budget: budget},
 	}
 }
 
@@ -631,7 +390,7 @@ func NewSharedStaticCache(budget int64) *SharedStaticCache {
 // sidecar store under the same budget: the handle for a graph of sc's
 // topology with other traffic weights.
 func (sc *SharedStaticCache) Share() *SharedStaticCache {
-	return &SharedStaticCache{core: sc.core, side: NewStaticCache(nil, sc.side.budget)}
+	return &SharedStaticCache{core: sc.core, side: sidecarSet{budget: sc.side.budget}}
 }
 
 // Bind checks the handle against the (graph, tiebreaker) pair a caller
@@ -658,14 +417,13 @@ func (sc *SharedStaticCache) Bind(g *asgraph.Graph, tb Tiebreaker) error {
 func (c *staticsCore) bind(g *asgraph.Graph, tb string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.g == nil {
-		c.g = g
-		c.tb = tb
+	if c.c.g == nil {
 		c.c.g = g
-		c.c.Expect(g.N())
+		c.c.expected = int64(g.N())
+		c.tb = tb
 		return nil
 	}
-	if !asgraph.SameTopology(c.g, g) {
+	if !asgraph.SameTopology(c.c.g, g) {
 		return fmt.Errorf("shared static cache already bound to a different topology")
 	}
 	if c.tb != tb {
@@ -690,23 +448,24 @@ func sameWeights(a, b *asgraph.Graph) bool {
 
 // Get returns the published static for destination d, or nil. A nil
 // store always misses. Packed entries decode into w's scratch (owned
-// by the calling goroutine); unpacked entries are immutable shared
-// snapshots — either way the result is safe to resolve against without
-// further synchronization.
+// by the calling goroutine) and the result is invalidated by w's next
+// build or decode; unpacked entries are immutable shared snapshots —
+// either way the result is safe to resolve against without further
+// synchronization.
 func (sc *SharedStaticCache) Get(d int32, w *Workspace) *Static {
 	if sc == nil {
 		return nil
 	}
 	c := sc.core
 	c.mu.RLock()
-	defer c.mu.RUnlock()
 	e, ok := c.c.entries[d]
+	c.mu.RUnlock()
 	if !ok {
 		return nil
 	}
 	if e.blob != nil {
-		// Shared-store blobs are all self-encoded (Add packs them in
-		// this process), so the trusted decode applies — see AddBlob.
+		// Published blobs are self-encoded or disk blobs that passed
+		// Lookup's CRC: the trusted decode's model (DecodePackedTrusted).
 		s, err := w.DecodePackedTrusted(e.blob)
 		if err != nil {
 			return nil
@@ -722,123 +481,145 @@ func (sc *SharedStaticCache) Get(d int32, w *Workspace) *Static {
 // the caller's PrepareDest already computed the winners), snapshots it,
 // and publishes the immutable snapshot; two workers that computed the
 // same destination concurrently dedupe here, the loser getting the
-// winner's snapshot back — bit-identical to its own. Once the store
-// has repacked, Add instead encodes s outside the lock and publishes
-// the blob. Returns the usable shared snapshot, or nil when the caller
-// should keep resolving against its own workspace static (packed
-// store, duplicate, or budget exhausted).
+// winner's snapshot back — bit-identical to its own. Once the core has
+// repacked, Add instead encodes s into a pooled buffer and publishes
+// the blob — or returns at once when the core is full. The snapshot
+// copy and the encode run outside the lock. Returns the usable shared
+// snapshot, or nil when the caller should keep resolving against its
+// own workspace static (packed core, duplicate, or budget exhausted).
 func (sc *SharedStaticCache) Add(w *Workspace, s *Static) *Static {
 	if sc == nil {
 		return nil
 	}
 	c := sc.core
 	c.mu.RLock()
-	repacked := c.c.repacked
+	e, dup := c.c.entries[s.Dest]
+	repacked, full, g := c.c.repacked, c.c.full, c.c.g
 	c.mu.RUnlock()
+	if dup {
+		return e.snap // nil if the existing entry is packed
+	}
 	if repacked {
-		// Encode outside the lock; the blob is built from caller-owned s.
-		blob := AppendPacked(nil, s, c.g)
+		if full {
+			return nil
+		}
+		buf := packedEncPool.Get().(*[]byte)
+		*buf = AppendPacked((*buf)[:0], s, g)
 		c.mu.Lock()
-		defer c.mu.Unlock()
-		c.c.addBlobBytes(s.Dest, blob)
+		c.c.addBlob(s.Dest, *buf)
+		c.mu.Unlock()
+		packedEncPool.Put(buf)
 		return nil
 	}
 	w.PrepareDelta(s)
 	s.ProviderParents()
 	s.SupportOutgoing(w.Graph().ISPs())
 	s.SupportIncoming(w.Graph().ISPs())
+	snap := s.Snapshot()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.c.entries[s.Dest]; ok {
-		return e.snap // nil if the existing entry is packed
+		return e.snap
 	}
-	return c.c.Add(s)
+	return c.c.add(snap)
 }
 
 // GetBlob returns the raw packed blob published for destination d, or
 // nil when d is absent or stored unpacked. Published blobs are
 // immutable, so the returned bytes are safe to read without further
-// synchronization.
+// synchronization. This is the streaming resolver's entry point: it
+// walks the blob directly, skipping the workspace decode a Get performs.
 func (sc *SharedStaticCache) GetBlob(d int32) []byte {
-	return onCore(sc, false, func(c *StaticCache) []byte { return c.GetBlob(d) })
+	return onCore(sc, false, func(c *staticCache) []byte { return c.entries[d].blob })
 }
 
 // AddBlob publishes already-packed bytes for destination d, budget
-// permitting. The bytes are copied into the shared arena; the caller
-// keeps ownership of blob. Used by the streaming resolve path, which
-// holds a validated blob and no decoded snapshot to Add.
+// permitting, before or after the repack: a disk blob is admitted as
+// its bytes, never re-encoded or snapshotted. The bytes are copied into
+// the core's arena; the caller keeps ownership of blob. The blob must
+// have passed the disk store's Lookup (or be self-encoded): Get and
+// GetBlob's readers trust it as DecodePackedTrusted describes.
 func (sc *SharedStaticCache) AddBlob(d int32, blob []byte) bool {
-	return onCore(sc, true, func(c *StaticCache) bool { return c.addBlobBytes(d, blob) })
+	return onCore(sc, true, func(c *staticCache) bool { return c.addBlob(d, blob) })
 }
 
 // SidecarPut publishes a sidecar payload for (kind, d) to this handle,
 // within the handle's own budget — sidecars never compete with the
-// core's statics for bytes. The payload is copied; the caller keeps
-// ownership.
+// core's statics for bytes. Duplicates and over-budget puts are
+// rejected. The payload is copied; the caller keeps ownership, and must
+// have encoded it with AppendSidecar or read it from the disk store.
 func (sc *SharedStaticCache) SidecarPut(kind uint8, d int32, payload []byte) bool {
-	return onSide(sc, true, func(c *StaticCache) bool { return c.SidecarPut(kind, d, payload) })
+	return onSide(sc, true, func(c *sidecarSet) bool { return c.put(kind, d, payload) })
 }
 
 // SidecarGet returns the sidecar payload this handle published for
 // (kind, d), or nil. Published payloads are immutable — safe to read
 // lock-free after return.
 func (sc *SharedStaticCache) SidecarGet(kind uint8, d int32) []byte {
-	return onSide(sc, false, func(c *StaticCache) []byte { return c.SidecarGet(kind, d) })
+	return onSide(sc, false, func(c *sidecarSet) []byte { return c.payloads[sidecarKey(kind, d)] })
 }
 
-// SidecarDrop forgets this handle's sidecar for (kind, d).
+// SidecarDrop forgets this handle's sidecar for (kind, d) — the
+// response to a payload that fails to decode, so a later put repairs it.
 func (sc *SharedStaticCache) SidecarDrop(kind uint8, d int32) {
-	onSide(sc, true, func(c *StaticCache) bool { c.SidecarDrop(kind, d); return true })
+	onSide(sc, true, func(c *sidecarSet) bool { c.drop(kind, d); return true })
 }
 
 // Bytes returns the accounted size of the core's published statics
 // plus this handle's sidecars: what stays resident for a simulation
 // bound to this handle.
 func (sc *SharedStaticCache) Bytes() int64 {
-	return onCore(sc, false, (*StaticCache).Bytes) + onSide(sc, false, (*StaticCache).Bytes)
+	return onCore(sc, false, func(c *staticCache) int64 { return c.bytes }) +
+		onSide(sc, false, func(c *sidecarSet) int64 { return c.bytes })
 }
 
 // Entries returns the number of published destinations.
-func (sc *SharedStaticCache) Entries() int { return onCore(sc, false, (*StaticCache).Entries) }
+func (sc *SharedStaticCache) Entries() int {
+	return onCore(sc, false, func(c *staticCache) int { return len(c.entries) })
+}
 
 // PackedEntries returns the number of packed published destinations.
 func (sc *SharedStaticCache) PackedEntries() int64 {
-	return onCore(sc, false, (*StaticCache).PackedEntries)
+	return onCore(sc, false, func(c *staticCache) int64 { return c.packedEntries })
 }
 
 // PackedBytes returns the payload bytes of packed published entries.
 func (sc *SharedStaticCache) PackedBytes() int64 {
-	return onCore(sc, false, (*StaticCache).PackedBytes)
+	return onCore(sc, false, func(c *staticCache) int64 { return c.packedBytes })
 }
 
 // Repacked reports whether the core has switched to packed storage.
-func (sc *SharedStaticCache) Repacked() bool { return onCore(sc, false, (*StaticCache).Repacked) }
+func (sc *SharedStaticCache) Repacked() bool {
+	return onCore(sc, false, func(c *staticCache) bool { return c.repacked })
+}
 
 // Full reports whether a static admission has ever been rejected for
 // budget.
-func (sc *SharedStaticCache) Full() bool { return onCore(sc, false, (*StaticCache).Full) }
+func (sc *SharedStaticCache) Full() bool {
+	return onCore(sc, false, func(c *staticCache) bool { return c.full })
+}
 
 // onCore runs f on the core's statics under the core's lock — exclusive
 // when write is set — and returns f's result, or the zero value for a
 // nil handle.
-func onCore[T any](sc *SharedStaticCache, write bool, f func(*StaticCache) T) T {
+func onCore[T any](sc *SharedStaticCache, write bool, f func(*staticCache) T) T {
 	if sc == nil {
 		var zero T
 		return zero
 	}
-	return locked(&sc.core.mu, write, sc.core.c, f)
+	return locked(&sc.core.mu, write, &sc.core.c, f)
 }
 
 // onSide is onCore for the handle's sidecars, under the handle's lock.
-func onSide[T any](sc *SharedStaticCache, write bool, f func(*StaticCache) T) T {
+func onSide[T any](sc *SharedStaticCache, write bool, f func(*sidecarSet) T) T {
 	if sc == nil {
 		var zero T
 		return zero
 	}
-	return locked(&sc.mu, write, sc.side, f)
+	return locked(&sc.mu, write, &sc.side, f)
 }
 
-func locked[T any](mu *sync.RWMutex, write bool, c *StaticCache, f func(*StaticCache) T) T {
+func locked[C, T any](mu *sync.RWMutex, write bool, c C, f func(C) T) T {
 	if write {
 		mu.Lock()
 		defer mu.Unlock()

@@ -5,13 +5,34 @@ import (
 	"testing"
 	"testing/quick"
 
+	"sbgp/internal/asgraph"
 	"sbgp/internal/asgraph/asgraphtest"
 )
+
+// boundStore returns a store under budget bound to (g, tb).
+func boundStore(t *testing.T, g *asgraph.Graph, tb Tiebreaker, budget int64) *SharedStaticCache {
+	t.Helper()
+	sc := NewSharedStaticCache(budget)
+	if err := sc.Bind(g, tb); err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
+// published materializes s as the store publishes it and returns the
+// size the store charges for the snapshot.
+func published(w *Workspace, s *Static) int64 {
+	w.PrepareDelta(s)
+	s.ProviderParents()
+	s.SupportOutgoing(w.Graph().ISPs())
+	s.SupportIncoming(w.Graph().ISPs())
+	return s.MemBytes()
+}
 
 // TestQuickSnapshotResolutionIdentical: resolving any deployment state
 // against a cached snapshot — including delta resolution of flip sets —
 // produces exactly the tree a cold PrepareDest would. This is the
-// correctness contract of the cross-round static cache (Observation
+// correctness contract of the cross-round static store (Observation
 // C.1): a snapshot is observationally indistinguishable from the
 // workspace-owned Static it copied.
 func TestQuickSnapshotResolutionIdentical(t *testing.T) {
@@ -22,11 +43,11 @@ func TestQuickSnapshotResolutionIdentical(t *testing.T) {
 		tb := HashTiebreaker{Seed: uint64(seed)}
 		wCold := NewWorkspace(g)
 		wWarm := NewWorkspace(g)
-		cache := NewStaticCache(g, DefaultStaticCacheBytes)
-		// Round 1: fill the cache; every admission must return the stored
+		cache := boundStore(t, g, tb, 0)
+		// Round 1: fill the store; every admission must return the stored
 		// snapshot.
 		for d := int32(0); d < int32(n); d++ {
-			if cache.Add(wWarm.PrepareDest(d, tb)) == nil {
+			if cache.Add(wWarm, wWarm.PrepareDest(d, tb)) == nil {
 				t.Logf("seed %d: default budget rejected dest %d", seed, d)
 				return false
 			}
@@ -137,10 +158,10 @@ func TestStaticCacheBudget(t *testing.T) {
 	for d := int32(0); d < 4; d++ {
 		budget += int64(len(AppendPacked(nil, w.PrepareDest(d, tb), g))) + entryOverhead
 	}
-	c := NewStaticCache(g, budget)
+	c := boundStore(t, g, tb, budget)
 
 	for d := int32(0); d < n; d++ {
-		c.Add(w.PrepareDest(d, tb))
+		c.Add(w, w.PrepareDest(d, tb))
 		if c.Bytes() > budget {
 			t.Fatalf("Bytes() = %d exceeds budget %d after Add %d", c.Bytes(), budget, d)
 		}
@@ -156,42 +177,70 @@ func TestStaticCacheBudget(t *testing.T) {
 		t.Error("Full() = false after rejected admissions")
 	}
 	// First-fit pinning: the first destinations stay, later ones miss.
-	if c.Get(0, w) == nil || c.Evictions() != 0 {
-		t.Error("first admitted entry evicted")
+	if c.Get(0, w) == nil {
+		t.Error("first admitted entry lost")
 	}
-	if c.Get(n-1, w) != nil {
+	if c.Get(n-1, w) != nil || c.GetBlob(n-1) != nil {
 		t.Error("rejected destination unexpectedly cached")
 	}
-	// Re-adding a rejected destination still fails: the budget is spoken
-	// for and packed entries are never evicted.
-	c.Add(w.PrepareDest(n-1, tb))
+	// Re-adding a rejected destination still fails, as a blob or as a
+	// static: the budget is spoken for and packed entries are never
+	// evicted.
+	blob := AppendPacked(nil, w.PrepareDest(n-1, tb), g)
+	if c.AddBlob(n-1, blob) {
+		t.Error("AddBlob succeeded after budget exhaustion")
+	}
+	c.Add(w, w.PrepareDest(n-1, tb))
 	if c.Get(n-1, w) != nil || c.Entries() != admitted {
 		t.Error("admission succeeded after budget exhaustion")
 	}
 }
 
-// TestStaticCacheNil: a nil cache is a valid always-miss cache.
+// TestSharedStaticCacheFullAddAllocsNothing: once a packed core has
+// rejected an admission for budget, Add returns before encoding — a
+// miss on every later round must not pay an O(reachable) encode, nor
+// allocate for one.
+func TestSharedStaticCacheFullAddAllocsNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	g := asgraphtest.Random(rng, 40, 0.15, 0.1, 0.25)
+	n := int32(g.N())
+	tb := HashTiebreaker{Seed: 47}
+	w := NewWorkspace(g)
+	c := boundStore(t, g, tb, int64(len(AppendPacked(nil, w.PrepareDest(0, tb), g)))+entryOverhead)
+	for d := int32(0); d < n && !c.Full(); d++ {
+		c.Add(w, w.PrepareDest(d, tb))
+	}
+	if !c.Repacked() || !c.Full() || c.Entries() != 1 {
+		t.Fatalf("store repacked %v, full %v, %d entries; want a packed store full after one", c.Repacked(), c.Full(), c.Entries())
+	}
+	s := w.PrepareDest(n-1, tb)
+	if allocs := testing.AllocsPerRun(100, func() { c.Add(w, s) }); allocs != 0 {
+		t.Errorf("Add on a full packed store allocated %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestStaticCacheNil: a nil store is a valid always-miss store.
 func TestStaticCacheNil(t *testing.T) {
-	var c *StaticCache
-	if c.Get(0, nil) != nil {
-		t.Error("nil cache Get != nil")
+	var c *SharedStaticCache
+	if c.Get(0, nil) != nil || c.GetBlob(0) != nil || c.SidecarGet(0, 0) != nil {
+		t.Error("nil store serves an entry")
 	}
-	if c.Add(&Static{}) != nil {
-		t.Error("nil cache Add != nil")
+	if c.Add(nil, &Static{}) != nil || c.AddBlob(0, []byte{packedMagic}) || c.SidecarPut(0, 0, []byte{1}) {
+		t.Error("nil store admits an entry")
 	}
+	c.SidecarDrop(0, 0)
 	if c.Bytes() != 0 || c.Entries() != 0 || c.Full() {
-		t.Error("nil cache reports non-empty state")
+		t.Error("nil store reports non-empty state")
 	}
-	if c.Repacked() || c.PackedBytes() != 0 || c.PackedEntries() != 0 || c.Evictions() != 0 {
-		t.Error("nil cache reports packed state")
+	if c.Repacked() || c.PackedBytes() != 0 || c.PackedEntries() != 0 {
+		t.Error("nil store reports packed state")
 	}
 }
 
 // TestSnapshotMemBytes: MemBytes counts exactly what is materialized —
 // the accounted size must match the summed array footprints within the
-// fixed header overhead, and lazy materialization must grow it by
-// exactly the bytes the new arrays occupy (that growth is what the
-// cache re-charges at the next lookup).
+// fixed header overhead, and materialization must grow it by exactly
+// the bytes the new arrays occupy (the store charges the grown size).
 func TestSnapshotMemBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := asgraphtest.Random(rng, 24, 0.15, 0.1, 0.25)
@@ -225,10 +274,11 @@ func TestSnapshotMemBytes(t *testing.T) {
 	}
 }
 
-// TestStaticCachePackedRepack: a cache starts unpacked, repacks on its
-// first overflow keeping everything resident when the packed set fits,
-// serves bit-exact statics from blobs, and evicts newest-first when even
-// the packed set does not fit.
+// TestStaticCachePackedRepack: a store that does not know its
+// destination count starts unpacked, repacks on its first overflow
+// keeping everything resident when the packed set fits, places the
+// blobs in its arena, and serves bit-exact statics from them — and a
+// budget below the packed set stops admission without exceeding it.
 func TestStaticCachePackedRepack(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := asgraphtest.Random(rng, 40, 0.15, 0.1, 0.25)
@@ -241,34 +291,38 @@ func TestStaticCachePackedRepack(t *testing.T) {
 	for d := int32(0); d < n; d++ {
 		s := w.PrepareDest(d, tb)
 		packedTotal += int64(len(AppendPacked(nil, s, g)))
-		unpackedTotal += s.MemBytes()
+		unpackedTotal += published(w, s)
 	}
 	// Sized so the unpacked set overflows but the packed set (with per-
 	// entry overhead) fits comfortably: the overflow must trigger one
-	// repack and zero evictions.
+	// repack and lose nothing.
 	budget := 3 * (packedTotal + int64(n)*entryOverhead)
 	if budget >= unpackedTotal {
 		t.Fatalf("graph too small to force repack: packed budget %d >= unpacked %d", budget, unpackedTotal)
 	}
-	c := NewStaticCache(g, budget)
+	untold := func(budget int64) *SharedStaticCache {
+		c := boundStore(t, g, tb, budget)
+		c.core.c.expected = 0
+		return c
+	}
+	c := untold(budget)
+	snaps := 0
 	for d := int32(0); d < n; d++ {
-		c.Add(w.PrepareDest(d, tb))
+		if c.Add(w, w.PrepareDest(d, tb)) != nil {
+			snaps++
+		}
 	}
-	if !c.Repacked() {
-		t.Fatal("cache never repacked under unpacked overflow")
+	if snaps == 0 || !c.Repacked() {
+		t.Fatalf("store admitted %d snapshots, repacked %v; want snapshots, then a repack", snaps, c.Repacked())
 	}
-	if c.Entries() != int(n) {
-		t.Fatalf("%d of %d destinations resident after repack", c.Entries(), n)
-	}
-	if c.Evictions() != 0 {
-		t.Fatalf("%d evictions despite the packed set fitting", c.Evictions())
+	if c.Entries() != int(n) || c.PackedEntries() != int64(n) {
+		t.Fatalf("%d of %d destinations resident, %d packed, after repack", c.Entries(), n, c.PackedEntries())
 	}
 	if c.Bytes() > budget {
 		t.Fatalf("Bytes() = %d exceeds budget %d after repack", c.Bytes(), budget)
 	}
-	if c.PackedEntries() == 0 || c.PackedBytes() == 0 || c.ArenaBytes() == 0 {
-		t.Fatalf("packed accounting empty after repack: entries %d bytes %d arena %d",
-			c.PackedEntries(), c.PackedBytes(), c.ArenaBytes())
+	if c.PackedBytes() == 0 || c.core.c.arena.allocated == 0 {
+		t.Fatalf("packed accounting empty after repack: bytes %d arena %d", c.PackedBytes(), c.core.c.arena.allocated)
 	}
 	for d := int32(0); d < n; d++ {
 		got := c.Get(d, w)
@@ -280,24 +334,24 @@ func TestStaticCachePackedRepack(t *testing.T) {
 		}
 	}
 
-	// A budget below the packed set forces newest-first eviction, and
-	// the survivors still decode bit-exact.
-	c3 := NewStaticCache(g, budget/6)
+	// A budget below the packed set keeps a subset, and the survivors
+	// still decode bit-exact.
+	c3 := untold(budget / 6)
 	for d := int32(0); d < n; d++ {
-		c3.Add(w.PrepareDest(d, tb))
+		c3.Add(w, w.PrepareDest(d, tb))
 	}
 	if c3.Entries() == int(n) {
 		t.Fatal("tiny budget kept every destination")
 	}
 	if c3.Bytes() > budget/6 {
-		t.Fatalf("tiny cache Bytes() = %d exceeds budget %d", c3.Bytes(), budget/6)
+		t.Fatalf("tiny store Bytes() = %d exceeds budget %d", c3.Bytes(), budget/6)
 	}
 	served := 0
 	for d := int32(0); d < n; d++ {
 		if got := c3.Get(d, w); got != nil {
 			served++
 			if !staticsEqual(t, wRef.PrepareDest(d, tb), got, n) {
-				t.Fatalf("tiny-cache dest %d differs", d)
+				t.Fatalf("tiny-store dest %d differs", d)
 			}
 		}
 	}
@@ -306,11 +360,12 @@ func TestStaticCachePackedRepack(t *testing.T) {
 	}
 }
 
-// TestStaticCacheStartsPackedWhenSetCannotFit: a cache told how many
-// destinations to expect skips the unpacked phase when its first
-// snapshot shows that many cannot fit — packed from the first Add, the
-// budget never exceeded on the way, nothing snapshotted only to be
-// re-encoded — and behaves exactly as an untold cache when they can.
+// TestStaticCacheStartsPackedWhenSetCannotFit: a store bound to a graph
+// knows how many destinations it will be offered, and skips the
+// unpacked phase when its first snapshot shows that many cannot fit —
+// packed from the first Add, the budget never exceeded on the way,
+// nothing snapshotted only to be re-encoded — and behaves exactly as a
+// store without the count when they can.
 func TestStaticCacheStartsPackedWhenSetCannotFit(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	g := asgraphtest.Random(rng, 40, 0.15, 0.1, 0.25)
@@ -320,17 +375,16 @@ func TestStaticCacheStartsPackedWhenSetCannotFit(t *testing.T) {
 	wRef := NewWorkspace(g)
 	var unpackedTotal int64
 	for d := int32(0); d < n; d++ {
-		unpackedTotal += w.PrepareDest(d, tb).MemBytes()
+		unpackedTotal += published(w, w.PrepareDest(d, tb))
 	}
-	first := w.PrepareDest(0, tb).MemBytes()
+	first := published(w, w.PrepareDest(0, tb))
 
 	// Below expected × size: packed after the very first Add.
 	budget := int64(n)*first - 1
-	c := NewStaticCache(g, budget)
-	c.Expect(int(n))
+	c := boundStore(t, g, tb, budget)
 	for d := int32(0); d < n; d++ {
-		if got := c.Add(w.PrepareDest(d, tb)); got != nil {
-			t.Fatalf("dest %d admitted as a snapshot by a cache that cannot hold the set", d)
+		if got := c.Add(w, w.PrepareDest(d, tb)); got != nil {
+			t.Fatalf("dest %d admitted as a snapshot by a store that cannot hold the set", d)
 		}
 		if !c.Repacked() {
 			t.Fatalf("not packed after Add %d", d)
@@ -339,9 +393,8 @@ func TestStaticCacheStartsPackedWhenSetCannotFit(t *testing.T) {
 			t.Fatalf("Bytes() = %d exceeds budget %d after Add %d", c.Bytes(), budget, d)
 		}
 	}
-	if c.Entries() != int(n) || c.PackedEntries() != int64(n) || c.Evictions() != 0 {
-		t.Fatalf("%d entries, %d packed, %d evictions; want all %d packed, none evicted",
-			c.Entries(), c.PackedEntries(), c.Evictions(), n)
+	if c.Entries() != int(n) || c.PackedEntries() != int64(n) {
+		t.Fatalf("%d entries, %d packed; want all %d packed", c.Entries(), c.PackedEntries(), n)
 	}
 	for d := int32(0); d < n; d++ {
 		if got := c.Get(d, w); got == nil || !staticsEqual(t, wRef.PrepareDest(d, tb), got, n) {
@@ -349,63 +402,24 @@ func TestStaticCacheStartsPackedWhenSetCannotFit(t *testing.T) {
 		}
 	}
 
-	// At or above: the unpacked phase, exactly as without the hint —
+	// At or above: the unpacked phase, exactly as without the count —
 	// same budget, told and untold, entry for entry — whether the set
 	// really fits (roomy) or only the first snapshot's estimate said so.
 	roomy := unpackedTotal + int64(n)*first
 	for _, budget := range []int64{roomy, int64(n) * first} {
-		told := NewStaticCache(g, budget)
-		told.Expect(int(n))
-		untold := NewStaticCache(g, budget)
+		told := boundStore(t, g, tb, budget)
+		untold := boundStore(t, g, tb, budget)
+		untold.core.c.expected = 0
 		for d := int32(0); d < n; d++ {
-			a, b := told.Add(w.PrepareDest(d, tb)), untold.Add(w.PrepareDest(d, tb))
+			a, b := told.Add(w, w.PrepareDest(d, tb)), untold.Add(w, w.PrepareDest(d, tb))
 			if (a == nil) != (b == nil) || told.Repacked() != untold.Repacked() || told.Bytes() != untold.Bytes() {
-				t.Fatalf("budget %d, Add %d: told cache (snap %v, repacked %v, %d B) diverges from untold (snap %v, repacked %v, %d B)",
+				t.Fatalf("budget %d, Add %d: told store (snap %v, repacked %v, %d B) diverges from untold (snap %v, repacked %v, %d B)",
 					budget, d, a != nil, told.Repacked(), told.Bytes(), b != nil, untold.Repacked(), untold.Bytes())
 			}
 		}
 		if budget == roomy && (told.Repacked() || told.PackedEntries() != 0) {
-			t.Fatal("cache with room for the whole unpacked set went packed")
+			t.Fatal("store with room for the whole unpacked set went packed")
 		}
-	}
-}
-
-// TestStaticCacheEvictOnMaterialize: lazy materialization (the delta
-// index built on a cached snapshot) is charged at the next lookup of
-// that destination. A cache pushed over budget by it repacks and keeps
-// everything, the destination being served included.
-func TestStaticCacheEvictOnMaterialize(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	g := asgraphtest.Random(rng, 24, 0.15, 0.1, 0.25)
-	n := int32(g.N())
-	tb := HashTiebreaker{Seed: 37}
-	w := NewWorkspace(g)
-	wRef := NewWorkspace(g)
-	per0 := w.PrepareDest(0, tb).MemBytes()
-	per1 := w.PrepareDest(1, tb).MemBytes()
-	// Room for both base snapshots but not for a delta index on top.
-	budget := per0 + per1 + 2*entryOverhead + 32
-
-	cp := NewStaticCache(g, budget)
-	p0 := cp.Add(w.PrepareDest(0, tb))
-	if cp.Add(w.PrepareDest(1, tb)) == nil || p0 == nil {
-		t.Fatal("admissions rejected under a budget sized for both")
-	}
-	w.PrepareDelta(p0)
-	if got := cp.Get(0, w); got == nil || !staticsEqual(t, wRef.PrepareDest(0, tb), got, n) {
-		t.Fatal("cache lost or corrupted the growing destination")
-	}
-	if !cp.Repacked() {
-		t.Fatal("cache evaded the overflow without repacking")
-	}
-	if cp.Bytes() > budget {
-		t.Fatalf("Bytes() = %d exceeds budget %d after the repack", cp.Bytes(), budget)
-	}
-	if cp.Evictions() != 0 {
-		t.Fatalf("cache evicted %d entries despite the packed set fitting", cp.Evictions())
-	}
-	if got := cp.Get(1, w); got == nil || !staticsEqual(t, wRef.PrepareDest(1, tb), got, n) {
-		t.Fatal("cache lost the other destination across the repack")
 	}
 }
 
@@ -418,10 +432,7 @@ func TestSharedStaticCachePublishesIndexed(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	g := asgraphtest.Random(rng, 24, 0.15, 0.1, 0.25)
 	tb := HashTiebreaker{Seed: 43}
-	sc := NewSharedStaticCache(0)
-	if err := sc.Bind(g, tb); err != nil {
-		t.Fatal(err)
-	}
+	sc := boundStore(t, g, tb, 0)
 	w := NewWorkspace(g)
 	snap := sc.Add(w, w.PrepareDest(3, tb))
 	if snap == nil {

@@ -110,10 +110,10 @@ func (sr *StreamStatic) Secure(i int32) bool {
 
 // Resolve walks blob once, deciding every node as it is decoded, and
 // leaves the resolved tree in sr's compact arrays. The blob is trusted
-// to the same degree as DecodePackedTrusted: all structural checks run
-// (bounds, duplicates, level counts, trailing bytes) but the per-member
-// level/class revalidation — whose loads dominate a decode of known-good
-// bytes — is skipped; cache- and CRC-vetted blobs are exactly that.
+// to the same degree as DecodePackedTrusted, under the model stated
+// there: all structural checks run (bounds, duplicates, level counts,
+// trailing bytes) but the per-member level/class revalidation is
+// skipped.
 // On error sr is left cleared (the next Resolve reinitializes it) and
 // the caller falls back to the decode+resolve path.
 func (sr *StreamStatic) Resolve(blob []byte, secure, breaks []bool, tb Tiebreaker) error {

@@ -222,8 +222,9 @@ func TestDynAdmissionDemandDriven(t *testing.T) {
 // resolved against. Run under -race: games sharing one small graph-level
 // store (immutable unpacked snapshots next to packed blobs decoded into
 // worker scratch — a lazy build must only ever land on the latter) race
-// a Workers=5 private-cache game, under the incoming model, where most
-// destinations propagate often enough to build the index.
+// a Workers=5 game on a store of its engine's own, under the incoming
+// model, where most destinations propagate often enough to build the
+// index.
 func TestLazyIndexConcurrent(t *testing.T) {
 	g := topogen.MustGenerate(topogen.Default(300, 17))
 	g.SetCPTrafficFraction(0.10)

@@ -97,9 +97,10 @@ func BenchmarkRoundIncoming2500(b *testing.B) { benchComputeRound(b, 2500, Incom
 // harness uses: a graph-level shared static store (Config.SharedStatics)
 // serving every Sim on the graph, warmed here by the warm-up run just
 // as a sweep's first simulation warms it for the rest. The Cold
-// variants drop the store — every iteration pays the full per-Sim
-// static cold start — and the DynOff variants disable the dynamic
-// cache, so the three series separate the two contributions.
+// variants pass no store — every iteration's engine builds its own and
+// pays the full per-Sim static cold start — and the DynOff variants
+// disable the dynamic cache, so the three series separate the two
+// contributions.
 //
 //	go test ./internal/sim -bench 'Run' -benchmem
 func benchRun(b *testing.B, n int, model UtilityModel, dynBudget int64, sharedStatics, seeded bool) {
@@ -135,7 +136,7 @@ func BenchmarkRunOutgoing2500(b *testing.B) { benchRun(b, 2500, Outgoing, 0, tru
 func BenchmarkRunIncoming1000(b *testing.B) { benchRun(b, 1000, Incoming, 0, true, true) }
 func BenchmarkRunIncoming2500(b *testing.B) { benchRun(b, 2500, Incoming, 0, true, true) }
 
-// Cold variants: no shared static store — the standalone-caller cost,
+// Cold variants: no caller-owned static store — the standalone-caller cost,
 // and the configuration sbgpbench's game workloads (benchmarks/) run.
 func BenchmarkRunOutgoing2500Cold(b *testing.B) { benchRun(b, 2500, Outgoing, 0, false, true) }
 func BenchmarkRunIncoming2500Cold(b *testing.B) { benchRun(b, 2500, Incoming, 0, false, true) }

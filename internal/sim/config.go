@@ -112,16 +112,20 @@ type Config struct {
 	// stubs upgrade after the fact.
 	ProjectStubUpgrades bool
 
-	// StaticCacheBytes bounds the memory of the cross-round static
-	// routing cache: per-destination snapshots of the state-independent
-	// routing information (Observation C.1) that let steady-state rounds
-	// skip the three-stage BFS entirely. 0 means the default budget
-	// (routing.DefaultStaticCacheBytes, 1 GiB — enough to cache graphs of
-	// up to ~5000 ASes fully); negative disables caching. A cache that
-	// overflows repacks into blobs and from then on admits only statics
-	// a later round reads (destinations served by their pristine
-	// sidecars read none); on budget exhaustion the destinations cached
-	// first stay pinned and the rest recompute each round.
+	// StaticCacheBytes bounds the memory of the engine's resident static
+	// store (a routing.SharedStaticCache of its own, one per engine
+	// whatever its worker count): per-destination snapshots of the
+	// state-independent routing information (Observation C.1) that let
+	// steady-state rounds skip the three-stage BFS entirely, and the
+	// pristine sidecars that let them skip insecure destinations. Statics
+	// and sidecars are budgeted separately, each to this size. 0 means
+	// the default budget (routing.DefaultStaticCacheBytes, 1 GiB — enough
+	// to cache graphs of up to ~5000 ASes fully); negative disables the
+	// store. A store that overflows repacks into blobs and from then on
+	// admits only statics a later round reads (destinations served by
+	// their pristine sidecars read none); on budget exhaustion the
+	// destinations cached first stay pinned and the rest recompute each
+	// round. Ignored when SharedStatics is set.
 	//
 	// Purely a performance/memory knob: cache hits are byte-identical to
 	// cold computation, so every Result is bit-equal at any setting and
@@ -168,12 +172,14 @@ type Config struct {
 	// Fingerprint.
 	StaticStoreDir string
 
-	// SharedStatics, when non-nil, serves destination statics from a
-	// graph-level store shared across simulations instead of private
-	// per-worker caches (StaticCacheBytes is then ignored — the store
-	// carries its own budget). Every simulation sharing a store must run
-	// on the same graph with the same tiebreaker; New reports an error
-	// otherwise. The store is safe for concurrent simulations.
+	// SharedStatics, when non-nil, is the resident static store in place
+	// of the one the engine would build for itself: a caller-owned store
+	// shared across simulations, whose statics and sidecars carry their
+	// own budgets (StaticCacheBytes is then ignored). Every simulation
+	// sharing a handle must run on a graph of the same topology, with the
+	// same tiebreaker and traffic weights (routing.SharedStaticCache.Share
+	// makes a handle for other weights); New reports an error otherwise.
+	// The store is safe for concurrent simulations.
 	//
 	// Like the cache budgets this is purely a performance knob: a shared
 	// snapshot is bit-identical to cold computation (see

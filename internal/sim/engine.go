@@ -418,17 +418,6 @@ func (s *Sim) computeRound(st *deployState, candidates []bool) (uBase, uProj []f
 		stats.StreamResolves = sum.StreamResolves
 		stats.ClassReplays = sum.ClassReplays
 		stats.ShardWallMax, stats.ShardWallMin, stats.StragglerRatio = shardTiming(partials)
-		// A graph-level shared static store is not owned by any shard;
-		// count it once on top of the per-shard private caches (which
-		// are empty when a store is bound).
-		if s.local != nil {
-			if shared := s.local.sharedStatics(); shared != nil {
-				stats.StaticCacheBytes += shared.Bytes()
-				stats.StaticCacheEntries += shared.Entries()
-				stats.StaticPackedBytes += shared.PackedBytes()
-				stats.StaticPackedEntries += shared.PackedEntries()
-			}
-		}
 		if cfg.RecordMemStats {
 			var m runtime.MemStats
 			runtime.ReadMemStats(&m)
@@ -504,12 +493,10 @@ type roundCtx struct {
 // reused across rounds; resetRound rezeroes the per-round accumulators.
 type worker struct {
 	ws *routing.Workspace
-	// The static tiers. cache and shared are the resident tier — at most
-	// one is set — and every method the serving ladder calls on the three
-	// is nil-safe, so the ladder addresses both resident forms and the
-	// absent one is a no-op.
-	cache       *routing.StaticCache       // per-worker static snapshots; nil = disabled
-	shared      *routing.SharedStaticCache // graph-level store; replaces cache when set
+	// The static tiers, one handle each, shared by the engine's workers.
+	// Every method the serving ladder calls on them is nil-safe, so a
+	// disabled tier is a no-op.
+	statics     *routing.SharedStaticCache // resident tier; nil = disabled
 	disk        *routing.StaticDiskStore   // persistent L2 tier; nil = disabled
 	dyn         *dynCache                  // per-worker contribution records; nil = disabled
 	classes     *leafClasses               // sibling-leaf class memos (leafclass.go); nil = disabled
@@ -896,12 +883,11 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 }
 
 // fetchStatic serves destination d's static through the one ladder
-// every static read takes: the resident tier (the worker's private cache
-// or the shared store — never both, and both are nil-safe), then a disk
-// blob, then the three-stage BFS — writing fresh results through to disk
-// and admitting whatever was fetched to the resident tier, so this
-// (graph, tiebreaker, destination) never pays the BFS again in any later
-// round, Run, simulation or process. Same bytes on every rung: a decoded
+// every static read takes: the resident tier, then a disk blob, then
+// the three-stage BFS — writing fresh results through to disk and
+// admitting whatever was fetched to the resident tier, so this (graph,
+// tiebreaker, destination) never pays the BFS again in any later round,
+// Run, simulation or process. Same bytes on every rung: a decoded
 // blob reproduces PrepareDest's output exactly (see packed.go), Lookup
 // CRC-checks disk blobs and the decode validates their structure, and a
 // blob that fails is dropped and recomputed (the write-through repairs
@@ -914,11 +900,7 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 // decoded from (nil after a BFS), for the caller to admitStatic should
 // it turn out to be read after all.
 func (wk *worker) fetchStatic(d int32, rc *roundCtx, keep bool) (stc *routing.Static, blob []byte, held bool) {
-	stc = wk.cache.Get(d, wk.ws)
-	if stc == nil {
-		stc = wk.shared.Get(d, wk.ws)
-	}
-	if stc != nil {
+	if stc = wk.statics.Get(d, wk.ws); stc != nil {
 		wk.stats.staticHits++
 		return stc, nil, false
 	}
@@ -938,14 +920,14 @@ func (wk *worker) fetchStatic(d int32, rc *roundCtx, keep bool) (stc *routing.St
 		wk.stats.staticDiskBytesRead += int64(len(blob))
 	} else {
 		stc = wk.ws.PrepareDest(d, rc.cfg.Tiebreaker)
-		if wk.shared != nil || wk.cache != nil {
+		if wk.statics != nil {
 			wk.stats.staticMisses++
 		}
 		if wk.disk.PutStatic(stc) {
 			wk.stats.staticDiskWrites++
 		}
 	}
-	if !keep && (wk.cache.Repacked() || wk.shared.Repacked()) {
+	if !keep && wk.statics.Repacked() {
 		return stc, blob, true
 	}
 	return wk.admitStatic(stc, blob), blob, false
@@ -954,19 +936,12 @@ func (wk *worker) fetchStatic(d int32, rc *roundCtx, keep bool) (stc *routing.St
 // admitStatic admits stc — decoded from blob, when that is set — to the
 // resident tier and returns the static to resolve against from here on.
 func (wk *worker) admitStatic(stc *routing.Static, blob []byte) *routing.Static {
-	switch {
-	case wk.shared != nil:
-		if snap := wk.shared.Add(wk.ws, stc); snap != nil {
-			stc = snap
-		}
-	case blob != nil:
+	if blob != nil {
 		// The packed bytes are already built: admit them as-is — no
 		// re-encode, no snapshot copy, no share of the eventual repack.
-		wk.cache.AddBlob(stc.Dest, blob)
-	default:
-		if snap := wk.cache.Add(stc); snap != nil {
-			stc = snap
-		}
+		wk.statics.AddBlob(stc.Dest, blob)
+	} else if snap := wk.statics.Add(wk.ws, stc); snap != nil {
+		stc = snap
 	}
 	return stc
 }
@@ -1025,10 +1000,10 @@ func (wk *worker) destUntouchable(d int32, rc *roundCtx) bool {
 	return true
 }
 
-// hasSidecarTier reports whether any tier — private cache, shared
-// store, disk store — exists to hold a pristine-contribution sidecar.
+// hasSidecarTier reports whether any tier — resident or disk — exists
+// to hold a pristine-contribution sidecar.
 func (wk *worker) hasSidecarTier() bool {
-	return wk.cache != nil || wk.shared != nil || wk.disk != nil
+	return wk.statics != nil || wk.disk != nil
 }
 
 // sidecarWanted reports whether (kind, d)'s pristine-contribution
@@ -1039,7 +1014,7 @@ func (wk *worker) sidecarWanted(kind uint8, d int32) bool {
 	if !wk.hasSidecarTier() {
 		return false
 	}
-	if wk.cache.SidecarGet(kind, d) != nil || wk.shared.SidecarGet(kind, d) != nil {
+	if wk.statics.SidecarGet(kind, d) != nil {
 		return false
 	}
 	return !wk.disk.HasSidecar(kind, d)
@@ -1056,10 +1031,7 @@ func (wk *worker) sidecarWanted(kind uint8, d int32) bool {
 // false (recompute) on miss or any decode failure.
 func (wk *worker) replaySidecar(d int32, rc *roundCtx) bool {
 	kind := uint8(rc.cfg.Model)
-	payload := wk.cache.SidecarGet(kind, d)
-	if payload == nil {
-		payload = wk.shared.SidecarGet(kind, d)
-	}
+	payload := wk.statics.SidecarGet(kind, d)
 	fromDisk := false
 	if payload == nil {
 		payload = wk.disk.LookupSidecar(kind, d)
@@ -1076,8 +1048,7 @@ func (wk *worker) replaySidecar(d int32, rc *roundCtx) bool {
 		if fromDisk {
 			wk.disk.DropSidecar(kind, d)
 		} else {
-			wk.cache.SidecarDrop(kind, d)
-			wk.shared.SidecarDrop(kind, d)
+			wk.statics.SidecarDrop(kind, d)
 		}
 		return false
 	}
@@ -1089,8 +1060,7 @@ func (wk *worker) replaySidecar(d int32, rc *roundCtx) bool {
 		wk.stats.staticDiskHits++
 		wk.stats.staticDiskBytesRead += int64(len(payload))
 		// Warm the resident tier so later rounds skip the disk read.
-		wk.cache.SidecarPut(kind, d, payload)
-		wk.shared.SidecarPut(kind, d, payload)
+		wk.statics.SidecarPut(kind, d, payload)
 	}
 	wk.stats.pristineReplays++
 	return true
@@ -1111,10 +1081,7 @@ func (wk *worker) streamResolve(d int32, rc *roundCtx, record bool) bool {
 	cfg := rc.cfg
 	st := rc.st
 	weights := rc.weights
-	blob := wk.cache.GetBlob(d)
-	if blob == nil {
-		blob = wk.shared.GetBlob(d)
-	}
+	blob := wk.statics.GetBlob(d)
 	fromDisk := false
 	if blob == nil {
 		blob = wk.disk.Lookup(d)
@@ -1141,8 +1108,7 @@ func (wk *worker) streamResolve(d int32, rc *roundCtx, record bool) bool {
 		wk.stats.staticDiskBytesRead += int64(len(blob))
 		// Admission, as the normal path would: publish the streamed blob
 		// to the resident tier so later rounds stream it from memory.
-		wk.cache.AddBlob(d, blob)
-		wk.shared.AddBlob(d, blob)
+		wk.statics.AddBlob(d, blob)
 	} else {
 		wk.stats.staticHits++
 	}
@@ -1218,10 +1184,7 @@ func (wk *worker) streamResolve(d int32, rc *roundCtx, record bool) bool {
 // round.
 func (wk *worker) storeSidecar(kind uint8, d int32, n int) bool {
 	wk.scPayload = routing.AppendSidecar(wk.scPayload[:0], d, n, kind, wk.scEntries)
-	stored := wk.cache.SidecarPut(kind, d, wk.scPayload)
-	if wk.shared.SidecarPut(kind, d, wk.scPayload) {
-		stored = true
-	}
+	stored := wk.statics.SidecarPut(kind, d, wk.scPayload)
 	if wk.disk.PutSidecar(kind, d, wk.scPayload) {
 		wk.stats.staticDiskWrites++
 		stored = true

@@ -37,8 +37,8 @@ import (
 //     recorded bits re-summed in the cold engine's order (see
 //     TestDynCacheResultInvariant), so no budget, including forced
 //     eviction, can change any Result.
-//   - SharedStatics: likewise — a shared graph-level snapshot is the
-//     same bits a private cache or cold computation produces (see
+//   - SharedStatics: likewise — a caller's store serves the same bits
+//     the engine's own store or cold computation produces (see
 //     TestSharedStaticsResultInvariant).
 //   - StaticStoreDir: likewise — a disk-stored blob is CRC-guarded,
 //     decode-validated, and reproduces PrepareDest's output bit for bit;

@@ -10,8 +10,9 @@ import (
 )
 
 // tierVariant is one point of the static-serving lattice: the two
-// budgets, the disk store's state, and whether statics come from a
-// graph-level shared store (whose budget is then the static budget).
+// budgets, the disk store's state, and whether the resident store is a
+// caller-owned one (Config.SharedStatics, whose budget is then the
+// static budget) or the one the engine builds for itself.
 type tierVariant struct {
 	static, dyn int64
 	store       string // "none", "cold" (fresh directory) or "warm" (populated, reopened)
@@ -19,8 +20,8 @@ type tierVariant struct {
 }
 
 // TestTierLatticeResultInvariant: every tier of the serving ladder — the
-// resident static cache in its snapshot, repacked and full phases, the
-// shared store, the disk store cold and reopened warm, the streaming
+// resident static store in its snapshot, repacked and full phases,
+// engine-owned and caller-owned, the disk store cold and reopened warm, the streaming
 // resolver and sidecar replay that ride on them, and the dynamic cache —
 // is a pure performance layer, and so is the sibling-leaf class rung in
 // front of them. The reference is the plain Appendix C engine: both
@@ -54,7 +55,7 @@ func TestTierLatticeResultInvariant(t *testing.T) {
 			for _, store := range []string{"none", "cold", "warm"} {
 				for _, shared := range []bool{false, true} {
 					if shared && static < 0 {
-						continue // a shared store has no "disabled" budget
+						continue // a caller's store has no "disabled" budget
 					}
 					full = append(full, tierVariant{static, dyn, store, shared})
 				}

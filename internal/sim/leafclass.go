@@ -249,7 +249,7 @@ func (wk *worker) replayClass(d, p int32, m *classMemo, rc *roundCtx) {
 		wk.storeSidecar(kind, d, g.N())
 	}
 	if wk.disk != nil && !wk.disk.Has(d) {
-		if wk.cache != nil || wk.shared != nil {
+		if wk.statics != nil {
 			wk.stats.staticMisses++ // a BFS ran, counted as fetchStatic counts it
 		}
 		if wk.disk.PutStatic(wk.ws.PrepareDest(d, rc.cfg.Tiebreaker)) {

@@ -14,11 +14,11 @@ import (
 // simulation and computes their partial utility sums each round. It is
 // the execution core extracted from the old in-process worker pool: the
 // default local executor owns all S shards; a distributed worker
-// process owns a fixed subset (shards are long-lived, so the per-shard
-// static and dynamic cache layers persist across rounds exactly as they
-// do in-process).
+// process owns a fixed subset (shards are long-lived, so the engine's
+// static store and the per-shard dynamic records persist across rounds
+// exactly as they do in-process).
 //
-// Every shard maps to one worker (scratch state plus caches), and shard
+// Every shard maps to one worker (scratch state plus records), and shard
 // s processes destinations d ≡ s (mod S) in ascending order — the same
 // striping at any process count, so a shard's partial vectors are
 // bit-identical wherever it runs. A ShardEngine may be used by only one
@@ -36,11 +36,14 @@ type ShardEngine struct {
 	candMark []bool         // roundCtx.candMark backing store
 	candPrev []int32        // marks set last round, for O(|cand|) clearing
 
-	// disk is the persistent L2 static tier (Config.StaticStoreDir),
-	// shared by all shards — the store is concurrency-safe and keyed by
-	// destination, so unlike the private L1 caches it needs no
-	// per-shard split. nil when the tier is disabled or unusable.
-	disk *routing.StaticDiskStore
+	// statics is the resident static tier every shard serves through:
+	// Config.SharedStatics, or the engine's own store. disk is the
+	// persistent L2 tier (Config.StaticStoreDir). Both are
+	// concurrency-safe and keyed by destination, so neither needs a
+	// per-shard split. nil when the tier is disabled (or, for disk,
+	// unusable).
+	statics *routing.SharedStaticCache
+	disk    *routing.StaticDiskStore
 
 	// Cross-round dynamic-cache state (see dyncache.go). dynPrev is the
 	// deployment state every record's tree currently corresponds to;
@@ -52,7 +55,6 @@ type ShardEngine struct {
 	// worker resuming from a snapshot after a reassignment.
 	dynOn         bool
 	dynBudget     int64 // per-shard dynamic budget, for AddShards
-	staticBudget  int64 // per-shard static budget, for AddShards
 	dynPrev       *deployState
 	dynFlips      []int32
 	dynFlipMark   []bool
@@ -65,10 +67,11 @@ type ShardEngine struct {
 }
 
 // NewShardEngine builds an engine owning the given shard ids out of
-// total. Cache budgets are split per logical shard (budget/total), so a
-// shard's cache capacity — and therefore its performance profile — is
-// the same wherever it is placed. cfg.Workers and cfg.Executor are
-// ignored: the partitioning is explicit here.
+// total. The static budget is the engine's, one store for all its
+// shards; the dynamic budget is split per logical shard (budget/total),
+// so a shard's record capacity is the same wherever it is placed.
+// cfg.Workers and cfg.Executor are ignored: the partitioning is
+// explicit here.
 func NewShardEngine(g *asgraph.Graph, cfg Config, shards []int, total int) (*ShardEngine, error) {
 	cfg = cfg.withDefaults()
 	if total < 1 {
@@ -80,23 +83,10 @@ func NewShardEngine(g *asgraph.Graph, cfg Config, shards []int, total int) (*Sha
 	for i := int32(0); i < int32(n); i++ {
 		e.weights[i] = g.Weight(i)
 	}
-	// Static-cache budget: split evenly across the S logical shards. The
-	// striping is static (shard s owns d ≡ s mod S), so each shard's
-	// share caches exactly the destinations that shard will process on
-	// every future round — worker-private, no locking.
-	budget := cfg.StaticCacheBytes
-	if budget == 0 {
-		budget = routing.DefaultStaticCacheBytes
-	}
-	if budget > 0 {
-		e.staticBudget = budget / int64(total)
-		if e.staticBudget == 0 {
-			e.staticBudget = 1
-		}
-	}
-	// Dynamic-cache budget: split the same way. Shard-private records
-	// mean admission differs across shard counts, but replay is
-	// bit-identical to recomputation, so only performance varies.
+	// Dynamic-cache budget: split evenly across the S logical shards.
+	// Shard-private records mean admission differs across shard counts,
+	// but replay is bit-identical to recomputation, so only performance
+	// varies.
 	dynBudget := cfg.DynamicCacheBytes
 	if dynBudget == 0 {
 		dynBudget = DefaultDynamicCacheBytes
@@ -108,10 +98,15 @@ func NewShardEngine(g *asgraph.Graph, cfg Config, shards []int, total int) (*Sha
 		}
 	}
 	e.dynOn = e.dynBudget > 0
-	// A shared graph-level static store replaces the private per-shard
-	// caches entirely; it must be serving this graph and tiebreaker.
-	if cfg.SharedStatics != nil {
-		if err := cfg.SharedStatics.Bind(g, cfg.Tiebreaker); err != nil {
+	// The resident static tier: a caller's store, which must be serving
+	// this graph and tiebreaker, or one of the engine's own under
+	// StaticCacheBytes (0 = the default, negative = none).
+	e.statics = cfg.SharedStatics
+	if e.statics == nil && cfg.StaticCacheBytes >= 0 {
+		e.statics = routing.NewSharedStaticCache(cfg.StaticCacheBytes)
+	}
+	if e.statics != nil {
+		if err := e.statics.Bind(g, cfg.Tiebreaker); err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
 	}
@@ -141,8 +136,9 @@ func (e *ShardEngine) Shards() []int { return e.shards }
 
 // AddShards extends the engine with additional shard ids (a distributed
 // worker adopting the shards of a dead peer). An adopted shard starts
-// cold: its caches are empty, so its first round recomputes from
-// scratch — bit-identically, since cache state never changes results.
+// cold: its records are empty, and the engine's stores hold none of its
+// destinations, so its first round recomputes from scratch —
+// bit-identically, since cache state never changes results.
 func (e *ShardEngine) AddShards(ids []int) error {
 	for _, s := range ids {
 		if s < 0 || s >= e.total {
@@ -154,13 +150,7 @@ func (e *ShardEngine) AddShards(ids []int) error {
 			}
 		}
 		wk := newWorker(e.g, e.g.N())
-		if e.cfg.SharedStatics != nil {
-			wk.shared = e.cfg.SharedStatics
-		} else if e.staticBudget > 0 {
-			wk.cache = routing.NewStaticCache(e.g, e.staticBudget)
-			// The shard's stripe: d ≡ s (mod total), at most ceil(N/total).
-			wk.cache.Expect((e.g.N() + e.total - 1) / e.total)
-		}
+		wk.statics = e.statics
 		wk.disk = e.disk
 		if e.dynBudget > 0 {
 			wk.dyn = newDynCache(e.dynBudget)
@@ -296,8 +286,6 @@ func (e *ShardEngine) compute(rs RoundState, candList []int32, idx []int) []Shar
 				WallNS:              int64(e.wall[i]),
 				StaticHits:          wk.stats.staticHits,
 				StaticMisses:        wk.stats.staticMisses,
-				StaticCacheBytes:    wk.cache.Bytes(),
-				StaticCacheEntries:  int64(wk.cache.Entries()),
 				BaseResolutions:     wk.stats.baseResolutions,
 				ProjResolutions:     wk.stats.projResolutions,
 				ProjUnchanged:       wk.stats.projUnchanged,
@@ -313,8 +301,6 @@ func (e *ShardEngine) compute(rs RoundState, candList []int32, idx []int) []Shar
 				DynCacheBytes:       wk.dyn.bytesTotal(),
 				DynCacheEntries:     int64(wk.dyn.entryCount()),
 				DynCacheEvictions:   wk.dyn.evicted(),
-				StaticPackedBytes:   wk.cache.PackedBytes(),
-				StaticPackedEntries: wk.cache.PackedEntries(),
 				StaticDiskHits:      wk.stats.staticDiskHits,
 				StaticDiskBytesRead: wk.stats.staticDiskBytesRead,
 				StaticDiskWrites:    wk.stats.staticDiskWrites,
@@ -326,13 +312,21 @@ func (e *ShardEngine) compute(rs RoundState, candList []int32, idx []int) []Shar
 		}
 		out = append(out, p)
 	}
+	// The resident store is the engine's, not a shard's: it is reported
+	// once, on the first partial of a compute covering every owned shard,
+	// and the Sim sums it over engines like any other counter. A replay
+	// of adopted shards (ComputeShards) adds partials to a round the
+	// engine already reported — unless they are all it owns.
+	if len(out) > 0 && len(idx) == len(e.pool) {
+		st := &out[0].Stats
+		st.StaticCacheBytes = e.statics.Bytes()
+		st.StaticCacheEntries = int64(e.statics.Entries())
+		st.StaticPackedBytes = e.statics.PackedBytes()
+		st.StaticPackedEntries = e.statics.PackedEntries()
+	}
 	e.partials = out[:0]
 	return out
 }
-
-// sharedStatics returns the graph-level static store the engine's
-// workers serve from, or nil when they use private caches.
-func (e *ShardEngine) sharedStatics() *routing.SharedStaticCache { return e.cfg.SharedStatics }
 
 // syncDyn derives the realized flip set by diffing the incoming state
 // against dynPrev and publishes it in rc. A tie-break flag changing

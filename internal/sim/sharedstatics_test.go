@@ -14,9 +14,9 @@ import (
 // TestSharedStaticsResultInvariant: serving statics from a graph-level
 // shared store — cold, pre-warmed by an earlier simulation, across
 // worker counts, or under a budget too small to publish everything — is
-// a pure memoization: every Result is bit-identical to the private
-// per-worker-cache engine. This is the invariant that lets
-// Config.Fingerprint exclude SharedStatics.
+// a pure memoization: every Result is bit-identical to the engine on a
+// store of its own. This is the invariant that lets Config.Fingerprint
+// exclude SharedStatics.
 func TestSharedStaticsResultInvariant(t *testing.T) {
 	g := topogen.MustGenerate(topogen.Default(300, 7))
 	g.SetCPTrafficFraction(0.10)
@@ -69,7 +69,7 @@ func TestSharedStaticsResultInvariant(t *testing.T) {
 		requireBitIdentical(t, model.String()+"/warm store workers=4", ref4, MustNew(g, cfg4).Run())
 
 		// A different trajectory on the same warm store is still exactly
-		// the trajectory the private-cache engine computes.
+		// the trajectory the engine computes on its own store.
 		theta2 := base
 		theta2.Theta = 0.15
 		ref2 := MustNew(g, theta2).Run()
@@ -117,8 +117,8 @@ func TestSharedStaticsBindErrors(t *testing.T) {
 // TestSharedStaticsConcurrentSims: the intended use is many
 // simulations on one graph, possibly at the same time (the experiment
 // harness runs a θ sweep concurrently). Racing simulations must both
-// populate and read the store safely and reproduce the private-cache
-// bits. Run under -race in CI.
+// populate and read the store safely and reproduce the bits of an
+// engine on its own store. Run under -race in CI.
 func TestSharedStaticsConcurrentSims(t *testing.T) {
 	g := topogen.MustGenerate(topogen.Default(250, 11))
 	g.SetCPTrafficFraction(0.10)
@@ -275,8 +275,8 @@ func TestSharedStaticsWeightBindErrors(t *testing.T) {
 
 // TestSharedStaticsWeightVariantsConcurrent: two weight variants race on
 // one statics core — both populate it and read each other's statics —
-// and each still reproduces the private-cache bits. Run under -race in
-// CI.
+// and each still reproduces the bits of an engine on its own store. Run
+// under -race in CI.
 func TestSharedStaticsWeightVariantsConcurrent(t *testing.T) {
 	xs := []float64{0.10, 0.33}
 	gs := weightVariants(250, 11, xs...)

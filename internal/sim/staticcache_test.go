@@ -119,7 +119,7 @@ func assertCacheActivity(t *testing.T, label string, res *Result, ok func(hits, 
 }
 
 // TestStaticCacheSharedAcrossRuns: repeated Run calls on one Sim share
-// the worker caches — the second run's rounds serve statics entirely
+// the engine's store — the second run's rounds serve statics entirely
 // from snapshots filled by the first.
 func TestStaticCacheSharedAcrossRuns(t *testing.T) {
 	g := topogen.MustGenerate(topogen.Default(200, 3))

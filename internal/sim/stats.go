@@ -45,8 +45,10 @@ type RoundStats struct {
 	// (Config.StaticCacheBytes < 0).
 	StaticHits   int64
 	StaticMisses int64
-	// StaticCacheBytes and StaticCacheEntries snapshot the cache's
-	// accounted size and population across all workers at round end.
+	// StaticCacheBytes and StaticCacheEntries snapshot the resident
+	// store's accounted size (statics plus sidecars) and static
+	// population at round end, summed over the engines of a distributed
+	// run.
 	StaticCacheBytes   int64
 	StaticCacheEntries int
 	// BaseResolutions counts base-state routing tree resolutions (one
@@ -134,10 +136,11 @@ type RoundStats struct {
 	// resolution, no projection, no record. Counted instead of — not on
 	// top of — every other serving tier.
 	ClassReplays int64 `json:",omitempty"`
-	// StaticPackedEntries/StaticPackedBytes count the cache entries held
+	// StaticPackedEntries/StaticPackedBytes count the store entries held
 	// in packed form and the blob bytes they occupy (a subset of
 	// StaticCacheEntries/StaticCacheBytes; see routing/packed.go). Both
-	// stay zero until a cache overflows its budget and repacks.
+	// stay zero until a store overflows its budget and repacks, or admits
+	// a disk blob.
 	StaticPackedEntries int64
 	StaticPackedBytes   int64
 	// ShardWallMax and ShardWallMin are the slowest and fastest logical

@@ -51,8 +51,9 @@ import (
 // field (sibling-leaf destination classes). v8 removed the drop and
 // shard-statics frames with the shard rebalancing they served (frame
 // types 11 and 12 are retired) and added the round's candidate list to
-// the recompute frame.
-const protoVersion = 8
+// the recompute frame. v9 removed the StreamResolves stats field with
+// the streaming-resolve rung it counted.
+const protoVersion = 9
 
 // Frame types. Direction is fixed per type: the coordinator sends
 // hello/snapshot/round/assign/recompute/bye, workers send
@@ -477,7 +478,7 @@ func decodeRecompute(p []byte, into *recomputeMsg) error {
 }
 
 // statsWireFields is the fixed field count of a ShardStats block.
-const statsWireFields = 29
+const statsWireFields = 28
 
 func encodeStats(e *enc, s *sim.ShardStats) {
 	e.i64(s.WallNS)
@@ -507,7 +508,6 @@ func encodeStats(e *enc, s *sim.ShardStats) {
 	e.i64(s.StaticDiskWrites)
 	e.i64(s.PristineReplays)
 	e.i64(s.PristineRecords)
-	e.i64(s.StreamResolves)
 	e.i64(s.ClassReplays)
 }
 
@@ -539,7 +539,6 @@ func decodeStats(d *dec, s *sim.ShardStats) {
 	s.StaticDiskWrites = d.i64()
 	s.PristineReplays = d.i64()
 	s.PristineRecords = d.i64()
-	s.StreamResolves = d.i64()
 	s.ClassReplays = d.i64()
 }
 

@@ -131,7 +131,7 @@ func TestPartialsRoundTrip(t *testing.T) {
 				Shard:  2,
 				UBase:  mk(1.5, math.NaN(), math.Inf(1), math.Copysign(0, -1)),
 				UDelta: mk(0, -2.25, 1e-308, 3),
-				Stats:  sim.ShardStats{WallNS: 123, StaticHits: 1, StaticMisses: 2, StaticCacheBytes: 3, StaticCacheEntries: 4, BaseResolutions: 5, ProjResolutions: 6, ProjUnchanged: 7, SkipZeroUtil: 8, SkipInsecureDest: 9, SkipDestFlip: 10, SkipTurnOff: 11, SkipTurnOn: 12, NodesReused: 13, NodesRecomputed: 14, DirtyDests: 15, CleanDests: 16, DynCacheBytes: 17, DynCacheEntries: 18, DynCacheEvictions: 19, StaticPackedBytes: 22, StaticPackedEntries: 23, StaticDiskHits: 24, StaticDiskBytesRead: 25, StaticDiskWrites: 26, PristineReplays: 27, PristineRecords: 28, StreamResolves: 29, ClassReplays: 30},
+				Stats:  sim.ShardStats{WallNS: 123, StaticHits: 1, StaticMisses: 2, StaticCacheBytes: 3, StaticCacheEntries: 4, BaseResolutions: 5, ProjResolutions: 6, ProjUnchanged: 7, SkipZeroUtil: 8, SkipInsecureDest: 9, SkipDestFlip: 10, SkipTurnOff: 11, SkipTurnOn: 12, NodesReused: 13, NodesRecomputed: 14, DirtyDests: 15, CleanDests: 16, DynCacheBytes: 17, DynCacheEntries: 18, DynCacheEvictions: 19, StaticPackedBytes: 22, StaticPackedEntries: 23, StaticDiskHits: 24, StaticDiskBytesRead: 25, StaticDiskWrites: 26, PristineReplays: 27, PristineRecords: 28, ClassReplays: 29},
 			},
 			{
 				Shard:  5,

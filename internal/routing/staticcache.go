@@ -524,21 +524,12 @@ func (sc *SharedStaticCache) Add(w *Workspace, s *Static) *Static {
 	return c.c.add(snap)
 }
 
-// GetBlob returns the raw packed blob published for destination d, or
-// nil when d is absent or stored unpacked. Published blobs are
-// immutable, so the returned bytes are safe to read without further
-// synchronization. This is the streaming resolver's entry point: it
-// walks the blob directly, skipping the workspace decode a Get performs.
-func (sc *SharedStaticCache) GetBlob(d int32) []byte {
-	return onCore(sc, false, func(c *staticCache) []byte { return c.entries[d].blob })
-}
-
 // AddBlob publishes already-packed bytes for destination d, budget
 // permitting, before or after the repack: a disk blob is admitted as
 // its bytes, never re-encoded or snapshotted. The bytes are copied into
 // the core's arena; the caller keeps ownership of blob. The blob must
-// have passed the disk store's Lookup (or be self-encoded): Get and
-// GetBlob's readers trust it as DecodePackedTrusted describes.
+// have passed the disk store's Lookup (or be self-encoded): Get trusts
+// it as DecodePackedTrusted describes.
 func (sc *SharedStaticCache) AddBlob(d int32, blob []byte) bool {
 	return onCore(sc, true, func(c *staticCache) bool { return c.addBlob(d, blob) })
 }

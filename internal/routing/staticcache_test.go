@@ -180,7 +180,7 @@ func TestStaticCacheBudget(t *testing.T) {
 	if c.Get(0, w) == nil {
 		t.Error("first admitted entry lost")
 	}
-	if c.Get(n-1, w) != nil || c.GetBlob(n-1) != nil {
+	if c.Get(n-1, w) != nil {
 		t.Error("rejected destination unexpectedly cached")
 	}
 	// Re-adding a rejected destination still fails, as a blob or as a
@@ -222,7 +222,7 @@ func TestSharedStaticCacheFullAddAllocsNothing(t *testing.T) {
 // TestStaticCacheNil: a nil store is a valid always-miss store.
 func TestStaticCacheNil(t *testing.T) {
 	var c *SharedStaticCache
-	if c.Get(0, nil) != nil || c.GetBlob(0) != nil || c.SidecarGet(0, 0) != nil {
+	if c.Get(0, nil) != nil || c.SidecarGet(0, 0) != nil {
 		t.Error("nil store serves an entry")
 	}
 	if c.Add(nil, &Static{}) != nil || c.AddBlob(0, []byte{packedMagic}) || c.SidecarPut(0, 0, []byte{1}) {

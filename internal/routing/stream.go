@@ -34,6 +34,12 @@ import (
 // per-destination generalization of the round-wide noSecure guard) and
 // the resolved tree is the static winner tree — the state-independent
 // resolution whose contributions the sidecar tier (sidecar.go) replays.
+//
+// The simulation engine no longer calls this resolver. Every insecure
+// destination records its sidecar, so sidecar replay serves the traffic
+// a fused walk would, and every other destination takes the decode →
+// resolve path. The file stays as the subject of sbgpbench's
+// routing.stream_resolve_us probe, and its tests and fuzzer with it.
 
 // StreamStatic is the self-contained scratch a streaming resolution
 // writes into: compact per-entry arrays in blob order plus node-indexed

@@ -270,3 +270,105 @@ func TestLazyIndexConcurrent(t *testing.T) {
 		t.Errorf("store did not mix snapshots and blobs (repacked %v, %d entries)", store.Repacked(), store.Entries())
 	}
 }
+
+// TestSidecarMissTakesNormalPath: a record-less insecure destination no
+// candidate can flip is served by its sidecar; when that sidecar is
+// missing, the normal path serves it and records the sidecar exactly
+// once — for a sibling leaf as its class's filler, and for a non-leaf.
+// After the pristine pass fills a caller-owned store with a sidecar for
+// every destination, two are dropped: the next base-only round must be
+// bit-identical to the plain engine and record exactly those two, and
+// the round after replays them, recording nothing.
+func TestSidecarMissTakesNormalPath(t *testing.T) {
+	g := topogen.MustGenerate(topogen.Default(300, 13))
+	g.SetCPTrafficFraction(0.10)
+	n := g.N()
+	mid := make([]bool, n)
+	for _, a := range append(g.Nodes(asgraph.ContentProvider), asgraph.TopByDegree(g, 3, asgraph.ISP)...) {
+		mid[a] = true
+	}
+	leafProv := leafProviders(g)
+	siblings := make([]int, n)
+	for _, p := range leafProv {
+		if p >= 0 {
+			siblings[p]++
+		}
+	}
+	leaf, other := int32(-1), int32(-1)
+	for d := int32(0); d < int32(n); d++ {
+		switch {
+		case mid[d]:
+		case leaf < 0 && leafProv[d] >= 0 && siblings[leafProv[d]] >= 2:
+			leaf = d
+		case other < 0 && leafProv[d] < 0:
+			other = d
+		}
+	}
+	if leaf < 0 || other < 0 {
+		t.Fatalf("no insecure sibling leaf (%d) or insecure non-leaf (%d)", leaf, other)
+	}
+	insecure := int64(0)
+	for _, sec := range mid {
+		if !sec {
+			insecure++
+		}
+	}
+
+	for _, model := range []UtilityModel{Outgoing, Incoming} {
+		cfg := Config{Model: model, Workers: 1, RecordStats: true}
+		plainCfg := cfg
+		plainCfg.StaticCacheBytes, plainCfg.DynamicCacheBytes = -1, -1
+		want, _, _, err := withoutLeafClasses(MustNew(g, plainCfg)).RoundUtilities(mid, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		store := routing.NewSharedStaticCache(0)
+		cfg.SharedStatics = store
+		s := MustNew(g, cfg)
+		if s.local.pool[0].classes.prov[leaf] < 0 {
+			t.Fatalf("%s: leaf %d is not on the class rung", model, leaf)
+		}
+		round := func(label string, secure []bool) ([]float64, *RoundStats) {
+			t.Helper()
+			u, _, st, err := s.RoundUtilities(secure, false)
+			if err != nil {
+				t.Fatalf("%s %s: %v", model, label, err)
+			}
+			return u, st
+		}
+		if _, st := round("pristine", make([]bool, n)); st.PristineRecords+st.ClassReplays == 0 {
+			t.Fatalf("%s pristine pass: recorded no sidecars", model)
+		}
+		kind := uint8(model)
+		for _, d := range []int32{leaf, other} {
+			if store.SidecarGet(kind, d) == nil {
+				t.Fatalf("%s: destination %d has no sidecar after the pristine pass", model, d)
+			}
+			store.SidecarDrop(kind, d)
+		}
+
+		got, st := round("first", mid)
+		if !utilsBitIdentical(want, got) {
+			t.Errorf("%s: base utilities with two sidecars missing differ from the plain engine", model)
+		}
+		if st.PristineRecords != 2 || st.PristineReplays != insecure-2 {
+			t.Errorf("%s first round: %d recorded, %d replayed; want 2 and %d",
+				model, st.PristineRecords, st.PristineReplays, insecure-2)
+		}
+		for _, d := range []int32{leaf, other} {
+			if store.SidecarGet(kind, d) == nil {
+				t.Errorf("%s: destination %d's sidecar was not re-recorded", model, d)
+			}
+		}
+
+		got, st = round("second", mid)
+		if !utilsBitIdentical(want, got) {
+			t.Errorf("%s: replayed round differs from the plain engine", model)
+		}
+		if st.PristineRecords != 0 || st.PristineReplays != insecure {
+			t.Errorf("%s second round: %d recorded, %d replayed; want 0 and %d",
+				model, st.PristineRecords, st.PristineReplays, insecure)
+		}
+	}
+}

@@ -415,7 +415,6 @@ func (s *Sim) computeRound(st *deployState, candidates []bool) (uBase, uProj []f
 		stats.StaticDiskWrites = sum.StaticDiskWrites
 		stats.PristineReplays = sum.PristineReplays
 		stats.PristineRecords = sum.PristineRecords
-		stats.StreamResolves = sum.StreamResolves
 		stats.ClassReplays = sum.ClassReplays
 		stats.ShardWallMax, stats.ShardWallMin, stats.StragglerRatio = shardTiming(partials)
 		if cfg.RecordMemStats {
@@ -522,17 +521,11 @@ type worker struct {
 	flipScratch []int32
 	stats       workerStats
 
-	// Streaming-resolve and pristine-replay state (see processDest's
-	// tier dispatch). stream is the fused blob-walk resolver's scratch,
-	// built lazily on the first streamed destination; scEntries/scBuf/
-	// scPayload are the sidecar record/decode/encode buffers; recordSC
-	// marks the current destination for sidecar recording on the normal
-	// path.
-	stream    *routing.StreamStatic
+	// Pristine-replay state (see serveDest): the sidecar record, decode
+	// and encode buffers.
 	scEntries []routing.SidecarEntry
 	scBuf     []routing.SidecarEntry
 	scPayload []byte
-	recordSC  bool
 }
 
 // workerStats counts this worker's share of the round's resolution work;
@@ -563,13 +556,11 @@ type workerStats struct {
 	staticDiskBytesRead int64
 	staticDiskWrites    int64
 
-	// Streaming-tier traffic: destinations served by a sidecar replay
-	// (Tier A) or a fused streaming resolve (Tier B), and sidecars
-	// recorded. A pristine replay skips resolution entirely, so it is
-	// counted instead of — not on top of — baseResolutions.
+	// Sidecar traffic: destinations served by a sidecar replay, and
+	// sidecars recorded. A pristine replay skips resolution entirely, so
+	// it is counted instead of — not on top of — baseResolutions.
 	pristineReplays int64
 	pristineRecords int64
-	streamResolves  int64
 
 	// Leaves served from a sibling's class memo (leafclass.go): counted
 	// instead of — not on top of — any other serving tier.
@@ -606,53 +597,74 @@ func (wk *worker) resetRound(n int) {
 	}
 }
 
-// processDest handles one destination: base utilities for every ISP and
-// projected deltas for the candidates that survive the skip rules. With
-// a dynamic-cache record, the base tree is the record's, advanced to
-// the current state and decoded into wk.baseTree, and the base
-// contributions are replayed while no parent has moved.
-func (wk *worker) processDest(d int32, rc *roundCtx) {
+// serveDest serves destination d, choosing its rung of the serving
+// ladder once. It reads d's dynamic-cache record and, for a record-less
+// destination, whether any surviving candidate projection can flip it.
+// A record-less insecure destination no candidate can flip replays its
+// pristine sidecar; a miss tells the normal path to record one. A leaf
+// with a sibling then takes the class rung (leafclass.go): it replays a
+// valid class memo, unless it holds a record, which must be advanced
+// every round; the first of its class fills the memo. Everything else
+// is processDest.
+func (wk *worker) serveDest(d int32, rc *roundCtx) {
+	st := rc.st
+	rec := wk.dyn.get(d)
+	untouchable, recordSC := false, false
+	if rec == nil {
+		untouchable = len(rc.candList) == 0 || wk.destUntouchable(d, rc)
+		switch {
+		case st.secure[d]: // no sidecar: a secure tree depends on the state
+		case untouchable:
+			var served bool
+			if served, recordSC = wk.replaySidecar(d, rc); served {
+				return
+			}
+		default:
+			recordSC = wk.sidecarWanted(uint8(rc.cfg.Model), d)
+		}
+	}
+	if lc := wk.classes; lc != nil && lc.prov[d] >= 0 {
+		p := lc.prov[d]
+		key := classKey{p, st.secure[d], st.breaks[d]}
+		m := lc.memos[key]
+		if m == nil {
+			m = &classMemo{}
+			lc.memos[key] = m
+		}
+		if m.stamp != lc.stamp {
+			wk.fillClass(d, p, m, rc, rec, untouchable, recordSC)
+			return
+		}
+		if rec == nil {
+			wk.replayClass(d, p, m, rc, recordSC)
+			return
+		}
+	}
+	wk.processDest(d, rc, rec, untouchable, recordSC)
+}
+
+// processDest serves one destination on the normal path, the rung
+// serveDest falls through to: base utilities for every ISP and projected
+// deltas for the candidates that survive the skip rules. rec is d's
+// dynamic-cache record, if any; untouchable and recordSC are serveDest's
+// findings for a record-less d (no surviving candidate projection can
+// flip it; its sidecar is missing and wanted). With a record, the base
+// tree is the record's, advanced to the current state and decoded into
+// wk.baseTree, and the base contributions are replayed while no parent
+// has moved.
+func (wk *worker) processDest(d int32, rc *roundCtx, rec *destRecord, untouchable, recordSC bool) {
 	cfg := rc.cfg
 	st := rc.st
 	weights := rc.weights
 	g := wk.ws.Graph()
 	n := g.N()
 
-	// Dynamic cache first: a record's tree must be advanced across every
-	// round's realized flips to stay valid, so recorded destinations
-	// always take the record machinery below. Record-less destinations
-	// whose round provably needs no projection scratch — base passes, or
-	// candidate rounds where destUntouchable shows every candidate is
-	// pruned by the C.4 rules before any tree is read — are served by the
-	// streaming tiers instead: replaying the destination's recorded
-	// pristine-contribution sidecar (Tier A, insecure destinations only),
-	// or a fused streaming resolve straight over a packed blob (Tier B).
-	// Both are bit-identical to the normal path by construction (see
-	// routing/stream.go and routing/sidecar.go); on any miss or decode
-	// failure they fall through to the normal path.
-	rec := wk.dyn.get(d)
-	wk.recordSC = false
-	keep := true // a later pass reads this destination's static
-	if rec == nil {
-		insecure := !st.secure[d]
-		untouchable := len(rc.candList) == 0 || wk.destUntouchable(d, rc)
-		if untouchable {
-			if insecure && wk.replaySidecar(d, rc) {
-				return
-			}
-			if wk.streamResolve(d, rc, insecure) {
-				return
-			}
-		}
-		// An insecure destination's base contributions are pristine —
-		// state-independent — whichever path computes them: have the
-		// normal path record the sidecar it is about to compute anyway,
-		// so later rounds, Runs and processes replay it instead. Once
-		// stored, that sidecar serves the destination until it turns
-		// secure or touchable, so no later pass reads its static.
-		wk.recordSC = insecure && wk.sidecarWanted(uint8(cfg.Model), d)
-		keep = !(wk.recordSC && untouchable)
-	}
+	// recordSC: d is insecure, so the contributions this path computes
+	// are pristine — state-independent — and it records them as d's
+	// sidecar for later rounds, Runs and processes to replay. Once
+	// stored, that sidecar serves d until it turns secure or touchable,
+	// so no later pass reads its static.
+	keep := !(recordSC && untouchable) // a later pass reads d's static
 
 	// Static routing information is deployment-state independent
 	// (Observation C.1), served by fetchStatic — lazily, because a clean
@@ -702,7 +714,7 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 				return
 			}
 		}
-	} else if wk.wantRecord(d, rc) {
+	} else if wk.wantRecord(d, rc, untouchable) {
 		// Admission is by need, not by arrival: the pristine pass and
 		// every insecure untouchable destination stay record-less.
 		rec = wk.dyn.admit(d)
@@ -760,7 +772,7 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 			rec.base = rec.base[:0]
 			rec.kids = append(rec.kids[:0], wk.kids...)
 		}
-		if wk.recordSC {
+		if recordSC {
 			wk.scEntries = wk.scEntries[:0]
 		}
 		for _, i := range support {
@@ -769,7 +781,7 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 			if rec != nil && v != 0 {
 				rec.base = append(rec.base, contribEntry{i, v})
 			}
-			if wk.recordSC && v != 0 {
+			if recordSC && v != 0 {
 				wk.scEntries = append(wk.scEntries,
 					routing.SidecarEntry{Node: i, Bits: math.Float64bits(v)})
 			}
@@ -778,7 +790,7 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 		// contributions: record them for sidecar replay. A rejected
 		// sidecar leaves the destination on this path next round, reading
 		// the static after all: admit the held one.
-		if wk.recordSC && !wk.storeSidecar(uint8(cfg.Model), d, n) && held {
+		if recordSC && !wk.storeSidecar(uint8(cfg.Model), d, n) && held {
 			wk.admitStatic(stc, blob)
 		}
 	}
@@ -954,29 +966,29 @@ func (wk *worker) admitStatic(stc *routing.Static, blob []byte) *routing.Static 
 const indexAfterPropagations = 3
 
 // wantRecord reports whether record-less destination d should be
-// admitted to the dynamic cache this round: only when no streaming tier
-// can serve it instead. A record exists to keep a tree current, and an
+// admitted to the dynamic cache this round: only when no sidecar can
+// serve it instead. A record exists to keep a tree current, and an
 // insecure destination's tree is the static winner tree in every state
 // — all it ever needs is its pristine contributions, which a sidecar
 // replays without a tree or a static. So: secure destinations; insecure
-// ones a surviving candidate projection can flip (!destUntouchable: they
+// ones a surviving candidate projection can flip (!untouchable: they
 // need projection scratch this round); and everything when there is
 // nowhere to hold a sidecar, where the record's replay is the only
 // cross-round memo left.
-func (wk *worker) wantRecord(d int32, rc *roundCtx) bool {
+func (wk *worker) wantRecord(d int32, rc *roundCtx, untouchable bool) bool {
 	if wk.dyn == nil {
 		return false
 	}
 	if rc.st.secure[d] || !wk.hasSidecarTier() {
 		return true
 	}
-	return len(rc.candList) > 0 && !wk.destUntouchable(d, rc)
+	return !untouchable
 }
 
 // destUntouchable reports whether, in a candidate round, every
 // candidate is provably skipped for destination d without reading its
 // resolved tree, so the destination needs only its base contributions —
-// exactly what the streaming tiers provide. It holds when d is insecure
+// exactly what a sidecar replays. It holds when d is insecure
 // and no candidate's projection that flips d survives the zero-utility
 // test: then C.4 rule 1 (skipInsecureDest) prunes every other candidate
 // the zero-utility test doesn't. d flips only if d itself is a
@@ -1020,16 +1032,16 @@ func (wk *worker) sidecarWanted(kind uint8, d int32) bool {
 	return !wk.disk.HasSidecar(kind, d)
 }
 
-// replaySidecar (Tier A) serves an insecure destination's base
-// contributions by replaying its recorded sidecar: the nonzero
-// contributions in ascending node order, bit-for-bit the floats the
-// fresh support loop would add (zero additions are bit-safe no-ops —
-// the accumulators never hold -0.0). Valid because an insecure
-// destination's tree is the static winner tree in every deployment
-// state, making the contributions a pure function of (graph, weights,
-// tiebreaker, model, destination) — the disk/cache keying. Returns
-// false (recompute) on miss or any decode failure.
-func (wk *worker) replaySidecar(d int32, rc *roundCtx) bool {
+// replaySidecar serves an insecure destination's base contributions by
+// replaying its recorded sidecar: the nonzero contributions in
+// ascending node order, bit-for-bit the floats the fresh support loop
+// would add (zero additions are bit-safe no-ops — the accumulators never
+// hold -0.0). Valid because an insecure destination's tree is the static
+// winner tree in every deployment state, making the contributions a pure
+// function of (graph, weights, tiebreaker, model, destination) — the
+// disk/cache keying. When it cannot serve d (a miss, or a decode failure
+// that drops the bad record), wanted answers sidecarWanted for d.
+func (wk *worker) replaySidecar(d int32, rc *roundCtx) (served, wanted bool) {
 	kind := uint8(rc.cfg.Model)
 	payload := wk.statics.SidecarGet(kind, d)
 	fromDisk := false
@@ -1038,7 +1050,7 @@ func (wk *worker) replaySidecar(d int32, rc *roundCtx) bool {
 		fromDisk = payload != nil
 	}
 	if payload == nil {
-		return false
+		return false, wk.hasSidecarTier()
 	}
 	n := wk.ws.Graph().N()
 	entries, ok := routing.DecodeSidecar(payload, d, n, kind, wk.scBuf[:0])
@@ -1050,7 +1062,7 @@ func (wk *worker) replaySidecar(d int32, rc *roundCtx) bool {
 		} else {
 			wk.statics.SidecarDrop(kind, d)
 		}
-		return false
+		return false, wk.sidecarWanted(kind, d)
 	}
 	wk.scBuf = entries[:0]
 	for _, e := range entries {
@@ -1063,118 +1075,7 @@ func (wk *worker) replaySidecar(d int32, rc *roundCtx) bool {
 		wk.statics.SidecarPut(kind, d, payload)
 	}
 	wk.stats.pristineReplays++
-	return true
-}
-
-// streamResolve (Tier B) serves destination d's base contributions by
-// one fused pass over a packed blob — no workspace decode, no
-// node-indexed tree, no support-list materialization. The streaming
-// resolver's entry arrays are, by construction, the resolved tree's
-// order/parents/types (see routing/stream.go), so the reverse
-// accumulation below adds the same floats in the same order as
-// accumulate(), and the contribution loops add the same floats as the
-// support loop (differing only in provably-zero additions). When record
-// is set (insecure destination, sidecar absent) the nonzero
-// contributions are recorded as a sidecar on the way through. Returns
-// false (normal path) when no blob is available or the walk fails.
-func (wk *worker) streamResolve(d int32, rc *roundCtx, record bool) bool {
-	cfg := rc.cfg
-	st := rc.st
-	weights := rc.weights
-	blob := wk.statics.GetBlob(d)
-	fromDisk := false
-	if blob == nil {
-		blob = wk.disk.Lookup(d)
-		fromDisk = blob != nil
-	}
-	if blob == nil {
-		return false
-	}
-	if wk.stream == nil {
-		wk.stream = routing.NewStreamStatic(wk.ws.Graph())
-	}
-	if wk.stream.Resolve(blob, st.secure, st.breaks, cfg.Tiebreaker) != nil {
-		// Resident blobs can't be corrupt; disk blobs can — drop the
-		// poisoned record (a later write-through repairs it) and
-		// recompute.
-		if fromDisk {
-			wk.disk.Drop(d)
-		}
-		return false
-	}
-	sr := wk.stream
-	if fromDisk {
-		wk.stats.staticDiskHits++
-		wk.stats.staticDiskBytesRead += int64(len(blob))
-		// Admission, as the normal path would: publish the streamed blob
-		// to the resident tier so later rounds stream it from memory.
-		wk.statics.AddBlob(d, blob)
-	} else {
-		wk.stats.staticHits++
-	}
-
-	// Reverse accumulation over the entry arrays — the same float
-	// operations, in the same sequence, as accumulate() over the
-	// resolved tree.
-	order, parents, types := sr.Order(), sr.Parents(), sr.Types()
-	acc, inc := wk.accBase, wk.incBase
-	acc[d] = weights[d]
-	inc[d] = 0
-	for _, i := range order {
-		acc[i] = weights[i]
-		inc[i] = 0
-	}
-	for k := len(order) - 1; k >= 0; k-- {
-		i := order[k]
-		p := parents[k]
-		acc[p] += acc[i]
-		if types[k] == routing.ProviderRoute {
-			inc[p] += acc[i]
-		}
-	}
-	wk.captureStreamKids(sr)
-	kind := uint8(cfg.Model)
-	record = record && wk.hasSidecarTier()
-	if record {
-		wk.scEntries = wk.scEntries[:0]
-	}
-	if cfg.Model == Outgoing {
-		// Customer-route ISPs in ascending index order — exactly
-		// SupportOutgoing's set and order.
-		for _, i := range wk.isps {
-			if !sr.IsCustomer(i) {
-				continue
-			}
-			v := acc[i] - weights[i]
-			wk.uBase[i] += v
-			if record && v != 0 {
-				wk.scEntries = append(wk.scEntries,
-					routing.SidecarEntry{Node: i, Bits: math.Float64bits(v)})
-			}
-		}
-	} else {
-		// Reachable ISPs vs SupportIncoming's provider-parent ISPs: a
-		// nonzero inc requires a provider-route child, which makes the
-		// node a provider parent — every ISP in one set and not the
-		// other adds a provably bitwise +0.0. Same floats either way.
-		for _, i := range wk.isps {
-			if !sr.Reachable(i) {
-				continue
-			}
-			v := inc[i]
-			wk.uBase[i] += v
-			if record && v != 0 {
-				wk.scEntries = append(wk.scEntries,
-					routing.SidecarEntry{Node: i, Bits: math.Float64bits(v)})
-			}
-		}
-	}
-	if record {
-		wk.storeSidecar(kind, d, wk.ws.Graph().N())
-	}
-	wk.stats.baseResolutions++
-	wk.stats.streamResolves++
-	return true
+	return true, false
 }
 
 // storeSidecar encodes wk.scEntries as (kind, d)'s sidecar and stores

@@ -66,7 +66,6 @@ type ShardStats struct {
 	StaticDiskWrites    int64
 	PristineReplays     int64
 	PristineRecords     int64
-	StreamResolves      int64
 	ClassReplays        int64
 }
 
@@ -100,7 +99,6 @@ func (s *ShardStats) add(o *ShardStats) {
 	s.StaticDiskWrites += o.StaticDiskWrites
 	s.PristineReplays += o.PristineReplays
 	s.PristineRecords += o.PristineRecords
-	s.StreamResolves += o.StreamResolves
 	s.ClassReplays += o.ClassReplays
 }
 

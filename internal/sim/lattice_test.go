@@ -21,8 +21,8 @@ type tierVariant struct {
 
 // TestTierLatticeResultInvariant: every tier of the serving ladder — the
 // resident static store in its snapshot, repacked and full phases,
-// engine-owned and caller-owned, the disk store cold and reopened warm, the streaming
-// resolver and sidecar replay that ride on them, and the dynamic cache —
+// engine-owned and caller-owned, the disk store cold and reopened warm,
+// the sidecar replay that rides on them, and the dynamic cache —
 // is a pure performance layer, and so is the sibling-leaf class rung in
 // front of them. The reference is the plain Appendix C engine: both
 // caches disabled, no store, no shared statics, and — through the
@@ -186,9 +186,9 @@ func checkedFillers(t *testing.T, s *Sim) *Sim {
 
 // checkRestartWarm is the warm sweep accounting: with the disk tier
 // holding a blob and a sidecar for every destination, a restarted
-// pristine pass is pure Tier A — every destination replays recorded
-// bits, nothing resolves, nothing misses, and the sidecar reads surface
-// in the disk-tier counters.
+// pristine pass is pure sidecar replay — every destination replays
+// recorded bits, nothing resolves, nothing misses, and the sidecar reads
+// surface in the disk-tier counters.
 func checkRestartWarm(t *testing.T, got *Result, n int64) {
 	t.Helper()
 	ps := got.PristineStats
@@ -198,9 +198,8 @@ func checkRestartWarm(t *testing.T, got *Result, n int64) {
 	if ps.PristineReplays != n {
 		t.Errorf("restart-warm: %d pristine replays, want %d", ps.PristineReplays, n)
 	}
-	if ps.BaseResolutions != 0 || ps.StreamResolves != 0 {
-		t.Errorf("restart-warm: %d resolutions (%d streamed) in a fully replayed pass",
-			ps.BaseResolutions, ps.StreamResolves)
+	if ps.BaseResolutions != 0 {
+		t.Errorf("restart-warm: %d resolutions in a fully replayed pass", ps.BaseResolutions)
 	}
 	if ps.StaticMisses != 0 {
 		t.Errorf("restart-warm: %d static misses", ps.StaticMisses)
@@ -213,9 +212,10 @@ func checkRestartWarm(t *testing.T, got *Result, n int64) {
 	}
 	// Every later round balances the same way: each destination is
 	// served by a cache or disk hit, a clean replay, a pristine replay
-	// or a sibling's class memo — never recomputed from scratch. (A Tier A replay served
-	// from disk ticks both PristineReplays and StaticDiskHits, so the
-	// sum can exceed n; a cold recompute would show up as a miss.)
+	// or a sibling's class memo — never recomputed from scratch. (A
+	// sidecar replay served from disk ticks both PristineReplays and
+	// StaticDiskHits, so the sum can exceed n; a cold recompute would
+	// show up as a miss.)
 	for r, rd := range got.Rounds {
 		st := rd.Stats
 		if st == nil {

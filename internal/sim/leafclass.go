@@ -98,12 +98,12 @@ func newLeafClasses(leafProv []int32, shard, total int) *leafClasses {
 	return lc
 }
 
-// captureKids and captureStreamKids are processDest's two capture hooks,
-// one per accumulation site: while a filler runs they record the
-// provider's children in wk.kids (empty at all other times, so the copy
-// processDest keeps beside rec.base is a filler's list or none). The
-// destination's only neighbor is p, so order[0] is p and its children are
-// exactly the run that follows — the whole Len-2 block.
+// captureKids is processDest's capture hook at its accumulation site:
+// while a filler runs it records the provider's children in wk.kids
+// (empty at all other times, so the copy processDest keeps beside
+// rec.base is a filler's list or none). The destination's only neighbor
+// is p, so order[0] is p and its children are exactly the run that
+// follows — the whole Len-2 block.
 func (wk *worker) captureKids(s *routing.Static, t *routing.Tree) {
 	if wk.classes == nil || !wk.classes.capturing {
 		return
@@ -115,67 +115,19 @@ func (wk *worker) captureKids(s *routing.Static, t *routing.Tree) {
 	}
 }
 
-func (wk *worker) captureStreamKids(sr *routing.StreamStatic) {
-	if wk.classes == nil || !wk.classes.capturing {
-		return
-	}
-	order, parents, types := sr.Order(), sr.Parents(), sr.Types()
-	for k := 1; k < len(order) && parents[k] == order[0]; k++ {
-		wk.kids = append(wk.kids, leafKid{order[k], types[k] == routing.ProviderRoute, wk.accBase[order[k]]})
-	}
-}
-
-// serveDest is the per-destination entry of the serving ladder. Leaves
-// with a sibling take the class rung; everything else is processDest.
-func (wk *worker) serveDest(d int32, rc *roundCtx) {
-	lc := wk.classes
-	if lc == nil || lc.prov[d] < 0 {
-		wk.processDest(d, rc)
-		return
-	}
-	p, st := lc.prov[d], rc.st
-	key := classKey{p, st.secure[d], st.breaks[d]}
-	m := lc.memos[key]
-	if m == nil {
-		m = &classMemo{}
-		lc.memos[key] = m
-	}
-	valid := m.stamp == lc.stamp
-	if wk.dyn.get(d) != nil {
-		// A record must be advanced every round: it keeps the record
-		// path, as the filler if the class still needs one.
-		if valid {
-			wk.processDest(d, rc)
-			return
-		}
-	} else {
-		// An insecure untouchable leaf replays its own sidecar first, as
-		// without the tier — no memo needed, none consumed.
-		if !st.secure[d] && (len(rc.candList) == 0 || wk.destUntouchable(d, rc)) && wk.replaySidecar(d, rc) {
-			return
-		}
-		if valid {
-			wk.replayClass(d, p, m, rc)
-			return
-		}
-	}
-	wk.fillClass(d, p, m, rc)
-}
-
-// fillClass runs the unchanged processDest for d — whichever tier
-// serves it — with the worker's accumulators swapped for the zeroed
-// scratch pair, then moves the nonzeros into the real accumulators and
+// fillClass runs the unchanged processDest for d with the worker's
+// accumulators swapped for the zeroed scratch pair, then moves the nonzeros into the real accumulators and
 // the class memo. processDest adds to each index at most once per
 // destination, so scratch holds the addends themselves and adding them
 // on is the float operation the direct path performs. A path that
 // accumulated nothing and has no recorded child list leaves the memo
 // invalid; the next sibling fills it.
-func (wk *worker) fillClass(d, p int32, m *classMemo, rc *roundCtx) {
+func (wk *worker) fillClass(d, p int32, m *classMemo, rc *roundCtx, rec *destRecord, untouchable, recordSC bool) {
 	lc := wk.classes
 	uBase, uDelta := wk.uBase, wk.uDelta
 	wk.uBase, wk.uDelta = lc.base, lc.delta
 	lc.capturing = true
-	wk.processDest(d, rc)
+	wk.processDest(d, rc, rec, untouchable, recordSC)
 	lc.capturing = false
 	wk.uBase, wk.uDelta = uBase, uDelta
 
@@ -197,6 +149,7 @@ func (wk *worker) fillClass(d, p int32, m *classMemo, rc *roundCtx) {
 		}
 	}
 	kids := wk.kids
+	// Re-read the record: processDest may have admitted or evicted it.
 	if rec := wk.dyn.get(d); len(kids) == 0 && rec != nil {
 		kids = rec.kids // a clean or baseValid replay: the list recorded with rec.base
 	}
@@ -211,11 +164,12 @@ func (wk *worker) fillClass(d, p int32, m *classMemo, rc *roundCtx) {
 }
 
 // replayClass serves leaf d from its class memo, and keeps the durable
-// side effects of the path it skipped: its own sidecar when one is
-// wanted (so later rounds, Runs and processes replay d without the
-// class) and, with a disk tier attached, its blob — the store stays
-// complete for every destination, at the price of the BFS once.
-func (wk *worker) replayClass(d, p int32, m *classMemo, rc *roundCtx) {
+// side effects of the path it skipped: its own sidecar when recordSC
+// says one is wanted (so later rounds, Runs and processes replay d
+// without the class) and, with a disk tier attached, its blob — the
+// store stays complete for every destination, at the price of the BFS
+// once.
+func (wk *worker) replayClass(d, p int32, m *classMemo, rc *roundCtx, recordSC bool) {
 	for _, e := range m.base {
 		wk.uBase[e.node] += e.val
 	}
@@ -230,7 +184,7 @@ func (wk *worker) replayClass(d, p int32, m *classMemo, rc *roundCtx) {
 	}
 	wk.stats.classReplays++
 
-	if kind := uint8(rc.cfg.Model); !rc.st.secure[d] && wk.sidecarWanted(kind, d) {
+	if recordSC {
 		// The memo's entries with p's merged in at its place in the
 		// ascending node order (vp is zeroed once placed).
 		entry := func(i int32, v float64) routing.SidecarEntry {
@@ -246,7 +200,7 @@ func (wk *worker) replayClass(d, p int32, m *classMemo, rc *roundCtx) {
 		if vp != 0 {
 			wk.scEntries = append(wk.scEntries, entry(p, vp))
 		}
-		wk.storeSidecar(kind, d, g.N())
+		wk.storeSidecar(uint8(rc.cfg.Model), d, g.N())
 	}
 	if wk.disk != nil && !wk.disk.Has(d) {
 		if wk.statics != nil {

@@ -140,12 +140,12 @@ func leafSymmetryEngine(t *testing.T) {
 							}
 						}
 						wk := newWorker(g, n)
-						wk.classes = newLeafClasses(leafProviders(g), 0, 1) // for the capture hooks only
+						wk.classes = newLeafClasses(leafProviders(g), 0, 1) // for the capture hook only
 						run := func(d int32) (base, delta []float64) {
 							wk.resetRound(n)
 							wk.kids = wk.kids[:0]
 							wk.classes.capturing = true
-							wk.processDest(d, rc)
+							wk.processDest(d, rc, nil, false, false)
 							wk.classes.capturing = false
 							return append([]float64(nil), wk.uBase...), append([]float64(nil), wk.uDelta...)
 						}

@@ -306,7 +306,6 @@ func (e *ShardEngine) compute(rs RoundState, candList []int32, idx []int) []Shar
 				StaticDiskWrites:    wk.stats.staticDiskWrites,
 				PristineReplays:     wk.stats.pristineReplays,
 				PristineRecords:     wk.stats.pristineRecords,
-				StreamResolves:      wk.stats.streamResolves,
 				ClassReplays:        wk.stats.classReplays,
 			},
 		}

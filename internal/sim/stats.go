@@ -23,9 +23,7 @@ import (
 // ProjResolutions + Skipped() falls short of the pair count by exactly
 // the predicted-unchanged pairs. Destinations that never reach the loop
 // count no pairs at all: those replayed from a sidecar
-// (PristineReplays) or a sibling's class memo (ClassReplays), and the
-// untouchable ones a stream resolve serves (StreamResolves; counted in
-// BaseResolutions too).
+// (PristineReplays) or a sibling's class memo (ClassReplays).
 //
 // Projected resolutions are incremental (routing.ApplyFlips): only
 // nodes whose decision inputs can have changed are re-decided
@@ -96,10 +94,10 @@ type RoundStats struct {
 	// contributions are re-recorded too. Clean + dirty counts recorded
 	// destinations only, so it is below Destinations whenever some hold
 	// no record: insecure destinations no candidate can flip are never
-	// admitted (PristineReplays and StreamResolves serve them), nor are
-	// class-replayed leaves (ClassReplays), nor is anything once the
-	// budget is spent. Both stay zero when the cache
-	// is disabled (Config.DynamicCacheBytes < 0).
+	// admitted while a sidecar tier exists (PristineReplays serve them
+	// once their sidecar is recorded), nor are class-replayed leaves
+	// (ClassReplays), nor is anything once the budget is spent. Both stay
+	// zero when the cache is disabled (Config.DynamicCacheBytes < 0).
 	DirtyDests int
 	CleanDests int
 	// DynCacheBytes and DynCacheEntries snapshot the dynamic cache's
@@ -121,15 +119,16 @@ type RoundStats struct {
 	StaticDiskBytesRead int64
 	StaticDiskWrites    int64
 	// PristineReplays counts destinations served by replaying a recorded
-	// pristine-contribution sidecar (Tier A: no resolution, no tree),
-	// StreamResolves those served by the fused streaming resolver over a
-	// packed blob (Tier B; counted on top of BaseResolutions), and
+	// pristine-contribution sidecar (no resolution, no tree), and
 	// PristineRecords the sidecars recorded this round — only those some
 	// tier kept (a full static budget rejects them). Sidecar disk
 	// reads and writes are included in the StaticDisk* counters above.
 	PristineReplays int64
 	PristineRecords int64
-	StreamResolves  int64
+	// StreamResolves is always 0: the engine no longer has a streaming-
+	// resolve rung. The field stays so that result JSON keeps its shape
+	// and readers of it keep compiling.
+	StreamResolves int64
 	// ClassReplays counts leaf destinations — single-homed peerless
 	// stubs — served from the memo a sibling of the same provider and
 	// deployment flags left this round (leafclass.go): no static, no
@@ -204,9 +203,9 @@ func (st *RoundStats) String() string {
 		out += fmt.Sprintf(", disk %d hit %dB read, %d writes",
 			st.StaticDiskHits, st.StaticDiskBytesRead, st.StaticDiskWrites)
 	}
-	if st.PristineReplays > 0 || st.StreamResolves > 0 || st.PristineRecords > 0 {
-		out += fmt.Sprintf(", stream %d resolved, %d replayed (%d recorded)",
-			st.StreamResolves, st.PristineReplays, st.PristineRecords)
+	if st.PristineReplays > 0 || st.PristineRecords > 0 {
+		out += fmt.Sprintf(", sidecar %d replayed (%d recorded)",
+			st.PristineReplays, st.PristineRecords)
 	}
 	if st.ClassReplays > 0 {
 		out += fmt.Sprintf(", class %d replayed", st.ClassReplays)

@@ -196,6 +196,15 @@ func (g *Graph) Nodes(c Class) []int32 {
 	return append([]int32(nil), g.byClass[c]...)
 }
 
+// AllNodes returns every node index, 0 to N()-1, in a fresh slice.
+func (g *Graph) AllNodes() []int32 {
+	all := make([]int32, g.n)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	return all
+}
+
 // ISPs returns all ISP node indices in ascending order. The returned
 // slice aliases internal storage and must not be modified.
 func (g *Graph) ISPs() []int32 { return g.byClass[ISP] }

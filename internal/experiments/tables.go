@@ -71,18 +71,16 @@ func Table3(opt Options) error {
 // paths from a source are read off the per-destination static info (the
 // source's best-route length toward that destination).
 func meanPathsFrom(g *asgraph.Graph, srcs []int32) []float64 {
-	w := routing.NewWorkspace(g)
 	sum := make([]float64, len(srcs))
 	cnt := make([]float64, len(srcs))
-	for d := int32(0); d < int32(g.N()); d++ {
-		s := w.ComputeStatic(d)
+	routing.NewWorkspace(g).Sweep(g.AllNodes(), nil, func(s *routing.Static) {
 		for k, src := range srcs {
-			if d != src && s.Type[src] != routing.NoRoute {
+			if s.Dest != src && s.Type[src] != routing.NoRoute {
 				sum[k] += float64(s.Len[src])
 				cnt[k]++
 			}
 		}
-	}
+	})
 	mean := make([]float64, len(srcs))
 	for k := range srcs {
 		if cnt[k] > 0 {

@@ -50,8 +50,7 @@ func ComputeSecurePathsStates(g *asgraph.Graph, states [][]bool, stubsBreakTies 
 	securePairs := make([]int64, len(states))
 	w := routing.NewWorkspace(g)
 	var tree routing.Tree
-	for d := int32(0); d < int32(n); d++ {
-		s := w.ComputeStatic(d)
+	w.Sweep(g.AllNodes(), nil, func(s *routing.Static) {
 		tree.Clear(n)
 		for k, secure := range states {
 			w.ResolveInto(&tree, s, secure, breaks[k], nil, nil, tb)
@@ -64,7 +63,7 @@ func ComputeSecurePathsStates(g *asgraph.Graph, states [][]bool, stubsBreakTies 
 				}
 			}
 		}
-	}
+	})
 	for k, secure := range states {
 		var totalSecure int64
 		for _, s := range secure {
@@ -97,12 +96,9 @@ type TiebreakDist struct {
 
 // ComputeTiebreakDist measures tiebreak-set sizes across all pairs.
 func ComputeTiebreakDist(g *asgraph.Graph) TiebreakDist {
-	n := g.N()
-	w := routing.NewWorkspace(g)
 	var dist TiebreakDist
 	var sumAll, cntAll, sumISP, cntISP, sumStub, cntStub, multiAll, multiISP int64
-	for d := int32(0); d < int32(n); d++ {
-		s := w.ComputeStatic(d)
+	routing.NewWorkspace(g).Sweep(g.AllNodes(), nil, func(s *routing.Static) {
 		for _, i := range s.Order() {
 			k := len(s.Tiebreak(i))
 			for k >= len(dist.Counts) {
@@ -126,7 +122,7 @@ func ComputeTiebreakDist(g *asgraph.Graph) TiebreakDist {
 				cntStub++
 			}
 		}
-	}
+	})
 	if cntAll > 0 {
 		dist.MeanAll = float64(sumAll) / float64(cntAll)
 		dist.FracMultiAll = float64(multiAll) / float64(cntAll)
@@ -150,12 +146,7 @@ func CountDiamonds(g *asgraph.Graph, earlyAdopters []int32) map[int32]int64 {
 	for _, a := range earlyAdopters {
 		out[a] = 0
 	}
-	w := routing.NewWorkspace(g)
-	for d := int32(0); d < int32(g.N()); d++ {
-		if !g.IsStub(d) {
-			continue
-		}
-		s := w.ComputeStatic(d)
+	routing.NewWorkspace(g).Sweep(g.Stubs(), nil, func(s *routing.Static) {
 		for _, a := range earlyAdopters {
 			if s.Type[a] == routing.NoRoute || s.Type[a] == routing.SelfRoute {
 				continue
@@ -170,7 +161,7 @@ func CountDiamonds(g *asgraph.Graph, earlyAdopters []int32) map[int32]int64 {
 				out[a] += int64(isps*(isps-1)) / 2
 			}
 		}
-	}
+	})
 	return out
 }
 

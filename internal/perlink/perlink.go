@@ -158,8 +158,8 @@ func Utilities(st *State, model sim.UtilityModel, tb routing.Tiebreaker) ([]floa
 	inc := make([]float64, n)
 	out := make([]float64, n)
 
-	for d := int32(0); d < int32(n); d++ {
-		stc := ws.ComputeStatic(d)
+	ws.Sweep(g.AllNodes(), nil, func(stc *routing.Static) {
+		d := stc.Dest
 		tree.Clear(n)
 		st.Resolve(ws, &tree, stc, tb)
 
@@ -190,7 +190,7 @@ func Utilities(st *State, model sim.UtilityModel, tb routing.Tiebreaker) ([]floa
 				out[i] += inc[i]
 			}
 		}
-	}
+	})
 	return out, nil
 }
 

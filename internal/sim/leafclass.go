@@ -50,6 +50,7 @@ type classKey struct { // a class within one shard
 // classMemo is what one filler left for its siblings this round.
 type classMemo struct {
 	stamp  uint64 // leafClasses.stamp it was filled under
+	hinted uint64 // leafClasses.stamp a filler was hinted under (wantsBuild)
 	filler int32
 	base   []contribEntry // nonzero uBase contributions, ascending node, p's excluded
 	delta  []contribEntry // nonzero uDelta contributions, candidate order
@@ -96,6 +97,16 @@ func newLeafClasses(leafProv []int32, shard, total int) *leafClasses {
 		}
 	}
 	return lc
+}
+
+// memo returns the memo of class key, made on first use.
+func (lc *leafClasses) memo(key classKey) *classMemo {
+	m := lc.memos[key]
+	if m == nil {
+		m = &classMemo{}
+		lc.memos[key] = m
+	}
+	return m
 }
 
 // captureKids is processDest's capture hook at its accumulation site:
@@ -206,7 +217,7 @@ func (wk *worker) replayClass(d, p int32, m *classMemo, rc *roundCtx, recordSC b
 		if wk.statics != nil {
 			wk.stats.staticMisses++ // a BFS ran, counted as fetchStatic counts it
 		}
-		if wk.disk.PutStatic(wk.ws.PrepareDest(d, rc.cfg.Tiebreaker)) {
+		if wk.disk.PutStatic(wk.buildStatic(d, rc)) {
 			wk.stats.staticDiskWrites++
 		}
 	}

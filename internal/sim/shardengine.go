@@ -150,6 +150,7 @@ func (e *ShardEngine) AddShards(ids []int) error {
 			}
 		}
 		wk := newWorker(e.g, e.g.N())
+		wk.stride = int32(e.total)
 		wk.statics = e.statics
 		wk.disk = e.disk
 		if e.dynBudget > 0 {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -261,5 +262,45 @@ func TestStaticCacheFingerprintExcluded(t *testing.T) {
 	c.Theta = 0.2
 	if c.Fingerprint() == base.Fingerprint() {
 		t.Error("Theta change did not change the fingerprint")
+	}
+}
+
+// TestStaticBatchHintsCostNoBits: the hint list that cuts a worker's
+// static batches is only a hint. Workers with no hints beyond the
+// destination being built (stride N: every build width 1), with hints
+// half wrong (stride 1 on a two-shard engine: every other lane is the
+// other shard's destination) and with the hints as made all produce
+// bit-identical Results, under the default static budget and under one
+// that forces rebuilds every round.
+func TestStaticBatchHintsCostNoBits(t *testing.T) {
+	g := topogen.MustGenerate(topogen.Default(400, 11))
+	adopters := append(g.Nodes(asgraph.ContentProvider), asgraph.TopByDegree(g, 3, asgraph.ISP)...)
+	for _, model := range []UtilityModel{Outgoing, Incoming} {
+		for _, budget := range []int64{0, 40_000} {
+			cfg := Config{Model: model, Theta: 0.05, EarlyAdopters: adopters, StubsBreakTies: true,
+				Workers: 2, RecordUtilities: true, StaticCacheBytes: budget}
+			run := func(stride int32) (*Result, *Sim) {
+				s := MustNew(g, cfg)
+				for _, wk := range s.local.pool {
+					if stride > 0 {
+						wk.stride = stride
+					}
+				}
+				return s.Run(), s
+			}
+			label := fmt.Sprintf("%s/budget=%d", model, budget)
+			ref, _ := run(int32(g.N()))
+			got, s := run(0)
+			requireBitIdentical(t, label+"/hinted", ref, got)
+			batched := false
+			for _, wk := range s.local.pool {
+				batched = batched || (wk.batch != nil && len(wk.batch.Dests()) > 1)
+			}
+			if !batched {
+				t.Errorf("%s: no worker built a batch", label)
+			}
+			wrong, _ := run(1)
+			requireBitIdentical(t, label+"/wrong-hints", ref, wrong)
+		}
 	}
 }

@@ -1,0 +1,69 @@
+package sim
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"testing"
+
+	"sbgp/internal/asgraph"
+	"sbgp/internal/topogen"
+)
+
+// TestRoundCountersPinned pins the engine's work counters: a digest of
+// every RoundStats field of the pristine pass and of every round, with
+// the timing and heap fields left out (they vary run to run), for
+// sbgpsim's default game at N=600 in both models, with and without
+// projected stub upgrades, and a cold then warm disk-store run. A
+// refactor of the serving ladder that claims to change no counter must
+// leave every digest as it is; a change that moves a counter on purpose
+// updates the constant and says why. A starved static budget is left
+// out: its pristine-pass admissions race between the workers.
+func TestRoundCountersPinned(t *testing.T) {
+	g := topogen.MustGenerate(topogen.Default(600, 42))
+	g.SetCPTrafficFraction(0.10)
+	adopters := append(g.Nodes(asgraph.ContentProvider), asgraph.TopByDegree(g, 5, asgraph.ISP)...)
+	want := map[string]string{
+		"outgoing":               "686e42bea03410a6",
+		"outgoing/project-stubs": "b21c17abfa1d60f8",
+		"outgoing/store-cold":    "e0556a2fc9443eee",
+		"outgoing/store-warm":    "58cf8016fe7cbbbf",
+		"incoming":               "637a65ee1deae95c",
+		"incoming/project-stubs": "9b3fc6a9515898aa",
+		"incoming/store-cold":    "7a8ed1165f76f108",
+		"incoming/store-warm":    "0186e0bc79022916",
+	}
+	for _, model := range []UtilityModel{Outgoing, Incoming} {
+		base := Config{Model: model, Theta: 0.05, EarlyAdopters: adopters, StubsBreakTies: true,
+			Workers: 2, RecordStats: true}
+		check := func(label string, cfg Config) {
+			label = model.String() + label
+			if got := countersDigest(MustNew(g, cfg).Run()); got != want[label] {
+				t.Errorf("%s: counters digest %s, want %s", label, got, want[label])
+			}
+		}
+		check("", base)
+		psu := base
+		psu.ProjectStubUpgrades = true
+		check("/project-stubs", psu)
+		store := base
+		store.StaticStoreDir = t.TempDir()
+		check("/store-cold", store)
+		check("/store-warm", store)
+	}
+}
+
+// countersDigest hashes every RoundStats field of res but Wall,
+// ShardWallMax, ShardWallMin, StragglerRatio and AllocBytes.
+func countersDigest(res *Result) string {
+	h := sha256.New()
+	write := func(st *RoundStats) {
+		c := *st
+		c.Wall, c.ShardWallMax, c.ShardWallMin, c.StragglerRatio, c.AllocBytes = 0, 0, 0, 0, 0
+		fmt.Fprintf(h, "%+v\n", c)
+	}
+	write(res.PristineStats)
+	for i := range res.Rounds {
+		write(res.Rounds[i].Stats)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:8])
+}

@@ -265,13 +265,12 @@ func TestStaticCacheFingerprintExcluded(t *testing.T) {
 	}
 }
 
-// TestStaticBatchHintsCostNoBits: the hint list that cuts a worker's
-// static batches is only a hint. Workers with no hints beyond the
-// destination being built (stride N: every build width 1), with hints
-// half wrong (stride 1 on a two-shard engine: every other lane is the
-// other shard's destination) and with the hints as made all produce
-// bit-identical Results, under the default static budget and under one
-// that forces rebuilds every round.
+// TestStaticBatchHintsCostNoBits: the serving plan's build marks, from
+// which buildStatic cuts a worker's static batches, are only hints. A
+// plan that marks no build (every build width 1), one that marks every
+// stripe destination (every unneeded lane wasted) and the plan as made
+// all produce bit-identical Results, under the default static budget
+// and under one that forces rebuilds every round.
 func TestStaticBatchHintsCostNoBits(t *testing.T) {
 	g := topogen.MustGenerate(topogen.Default(400, 11))
 	adopters := append(g.Nodes(asgraph.ContentProvider), asgraph.TopByDegree(g, 3, asgraph.ISP)...)
@@ -279,19 +278,28 @@ func TestStaticBatchHintsCostNoBits(t *testing.T) {
 		for _, budget := range []int64{0, 40_000} {
 			cfg := Config{Model: model, Theta: 0.05, EarlyAdopters: adopters, StubsBreakTies: true,
 				Workers: 2, RecordUtilities: true, StaticCacheBytes: budget}
-			run := func(stride int32) (*Result, *Sim) {
+			run := func(mark func(*destPlan)) (*Result, *Sim) {
 				s := MustNew(g, cfg)
 				for _, wk := range s.local.pool {
-					if stride > 0 {
-						wk.stride = stride
+					if mark != nil {
+						wk.onPlan = func(plans []destPlan) {
+							for k := range plans {
+								mark(&plans[k])
+							}
+						}
 					}
 				}
 				return s.Run(), s
 			}
 			label := fmt.Sprintf("%s/budget=%d", model, budget)
-			ref, _ := run(int32(g.N()))
-			got, s := run(0)
-			requireBitIdentical(t, label+"/hinted", ref, got)
+			ref, s := run(func(p *destPlan) { p.build = false })
+			for _, wk := range s.local.pool {
+				if wk.batch != nil {
+					t.Errorf("%s: a plan with no builds built a batch", label)
+				}
+			}
+			got, s := run(nil)
+			requireBitIdentical(t, label+"/planned", ref, got)
 			batched := false
 			for _, wk := range s.local.pool {
 				batched = batched || (wk.batch != nil && len(wk.batch.Dests()) > 1)
@@ -299,8 +307,8 @@ func TestStaticBatchHintsCostNoBits(t *testing.T) {
 			if !batched {
 				t.Errorf("%s: no worker built a batch", label)
 			}
-			wrong, _ := run(1)
-			requireBitIdentical(t, label+"/wrong-hints", ref, wrong)
+			all, _ := run(func(p *destPlan) { p.build = true })
+			requireBitIdentical(t, label+"/all-build", ref, all)
 		}
 	}
 }

@@ -477,9 +477,9 @@ func (sc *SharedStaticCache) Get(d int32, w *Workspace) *Static {
 
 // Has reports whether a static for destination d is published — Get's
 // lock and lookup without the decode. A nil store has none. Like
-// SidecarGet it locks by hand rather than through onCore: the engine
-// calls both once per destination it scans for build hints, and
-// inlined there onCore's closure escapes, an allocation per call.
+// SidecarGet it locks by hand rather than through onCore: the engine's
+// serving plan calls each at most once per destination, and inlined
+// there onCore's closure escapes, an allocation per call.
 func (sc *SharedStaticCache) Has(d int32) bool {
 	if sc == nil {
 		return false

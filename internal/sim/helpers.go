@@ -256,9 +256,11 @@ func (wk *worker) scanDest(stc *routing.Static, st *deployState, cfg *Config, we
 		}
 	}
 
-	// Built lazily, as in processDest: the dependents index and move
-	// predictor when some node survives the skip rules, the projection
-	// tree and child index when one also needs change propagation.
+	// The dependents index and the move predictor are built together
+	// when the first node survives the skip rules — processDest instead
+	// defers the index until indexAfterPropagations propagations — and
+	// the projection tree and child index when one also needs change
+	// propagation.
 	predReady := false
 	projReady := false
 	for _, c := range nodes {

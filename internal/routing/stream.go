@@ -30,8 +30,7 @@ import (
 //
 // When the destination itself is insecure no path to it can be fully
 // secure, so every Secure flag is false and every node keeps its
-// precomputed winner: the walk skips the SecP machinery wholesale (the
-// per-destination generalization of the round-wide noSecure guard) and
+// precomputed winner: the walk skips the SecP machinery wholesale and
 // the resolved tree is the static winner tree — the state-independent
 // resolution whose contributions the sidecar tier (sidecar.go) replays.
 //

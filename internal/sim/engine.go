@@ -481,10 +481,6 @@ type roundCtx struct {
 	// cost more than resolving them afresh; processDest then rebuilds
 	// instead of advancing — the same bits either way.
 	bigJump bool
-	// noSecure: st has no secure node at all, so no tree anywhere has a
-	// fully secure path — the per-destination anySecurePath scan is
-	// skipped round-wide (the pristine sweep and base-only rounds).
-	noSecure bool
 }
 
 // worker holds all per-goroutine scratch state so that destination
@@ -819,95 +815,15 @@ func (wk *worker) processDest(d int32, rc *roundCtx, rec *destRecord, untouchabl
 		return
 	}
 
-	// anySecurePath: does anyone other than d have a fully secure path?
-	anySecurePath := false
-	if !rc.noSecure {
-		for _, i := range stc.Order() {
-			if tree.Secure[i] {
-				anySecurePath = true
-				break
-			}
-		}
-	}
-
-	// Batched projection prediction: with the move predictor prepared
-	// once for this destination's tree, single-node candidate flips that
-	// provably move no parent are skipped without running change
-	// propagation at all. The predictor and the base-tree copy that change
-	// propagation works on are built lazily: the former when some
-	// candidate survives the skip rules, the latter only when one also
-	// needs an actual propagation. The dependents index waits longer
-	// still — until the destination has run indexAfterPropagations of
-	// them this round: ApplyFlips derives the few rows it needs from the
-	// graph without it, and half the destinations that propagate at all
-	// do so once.
-	predReady := false
-	projReady := false
-	propagations := 0
+	// Projected deltas: project runs each candidate's App. C.4 ladder,
+	// and a projection that moves a parent leaves its tree applied for
+	// deltaAt to read off the moves.
+	pj := projection{stc: stc, tree: tree}
 	for _, c := range rc.candList {
-		// Zero-utility skip: a candidate whose utility contribution for
-		// this destination is identically zero in every deployment state
-		// cannot see a delta, so the pair needs no resolution at all.
-		// Outgoing (Eq. 1) pays c only when its best-route class is
-		// customer — a state-independent property (Observation C.1).
-		// Incoming (Eq. 2) pays c only via customers entering over
-		// provider-class routes, which requires some provider-route node
-		// to list c among its equally-good next hops.
-		if cfg.Model == Outgoing {
-			if stc.Type[c] != routing.CustomerRoute {
-				wk.stats.SkipZeroUtil++
-				continue
-			}
-		} else if !stc.IsProviderParent(c) {
-			wk.stats.SkipZeroUtil++
-			continue
-		}
-		flips := wk.flipSetFor(st, cfg, c)
-		if !wk.flipCanChangeTree(stc, tree, st, cfg, c, d, flips, anySecurePath) {
-			wk.clearFlips(flips)
-			continue
-		}
-		if !predReady {
-			wk.ws.PrepareFlipEffects(stc, tree, st.secure, st.breaks, cfg.Tiebreaker)
-			predReady = true
-		}
-		if len(flips) == 1 && c != d {
-			if !wk.ws.FlipChangesTree(stc, tree, st.secure, st.breaks, cfg.Tiebreaker, c) {
-				// Predicted structurally unchanged: the projected tree
-				// routes identically, so the delta is exactly zero.
-				wk.clearFlips(flips)
-				wk.stats.ProjUnchanged++
-				continue
-			}
-		}
-		if !projReady {
-			wk.projTree.CopyFrom(tree)
-			wk.buildChildIndex(stc, tree, n)
-			projReady = true
-		}
-		if propagations == indexAfterPropagations {
-			wk.ws.PrepareDelta(stc)
-		}
-		propagations++
-		parentsChanged, touched := wk.ws.ApplyFlips(&wk.projTree, stc,
-			st.secure, st.breaks, wk.flipMark, wk.flipBreaks, flips, cfg.Tiebreaker)
-		wk.clearFlips(flips)
-		wk.stats.ProjResolutions++
-		wk.stats.NodesRecomputed += int64(touched)
-		wk.stats.NodesReused += int64(len(stc.Order()) - touched)
-		if !parentsChanged {
-			// The projected tree routes identically to the base tree
-			// (only Secure flags differ), so every traffic accumulation
-			// over it is bit-equal to the base one: the utility delta is
-			// exactly zero and the accumulation pass can be skipped.
-			wk.stats.ProjUnchanged++
+		if moved, _ := wk.project(&pj, st, cfg, c); moved != nil {
+			wk.uDelta[c] += wk.deltaAt(cfg.Model, stc, tree, &wk.projTree, weights, c, moved)
 			wk.ws.RevertFlips(&wk.projTree)
-			continue
 		}
-		wk.movedBuf = wk.ws.ParentMoves(&wk.projTree, wk.movedBuf[:0])
-		v := wk.deltaAt(cfg.Model, stc, tree, &wk.projTree, weights, c, wk.movedBuf)
-		wk.uDelta[c] += v
-		wk.ws.RevertFlips(&wk.projTree)
 	}
 }
 
@@ -1018,13 +934,6 @@ func (wk *worker) admitStatic(stc *routing.Static, blob []byte) *routing.Static 
 	}
 	return stc
 }
-
-// indexAfterPropagations is how many change propagations a destination
-// runs in a round on graph-derived dependents before processDest builds
-// the dependents index for the rest: the transpose costs about as much
-// as forty propagations, so a destination with a handful never recoups
-// it and one with a hundred (a projection-heavy incoming round) does.
-const indexAfterPropagations = 3
 
 // wantRecord reports whether record-less destination d should be
 // admitted to the dynamic cache this round: only when no sidecar can
@@ -1189,6 +1098,103 @@ func (wk *worker) advanceRecord(rec *destRecord, tree *routing.Tree, getStatic f
 	return parentsChanged, treeChanged, true
 }
 
+// projection is one destination's side of project: the static and base
+// tree every candidate projects against, and which of the scratch built
+// lazily for them is ready. A caller makes one per destination.
+type projection struct {
+	stc          *routing.Static
+	tree         *routing.Tree // the base tree for the current state
+	predReady    bool          // the move predictor is prepared for tree
+	projReady    bool          // wk.projTree holds tree, and its child index is built
+	propagations int           // change propagations run so far
+}
+
+// indexAfterPropagations is how many change propagations a destination
+// runs on graph-derived dependents before project builds the dependents
+// index for the rest: the transpose costs about as much as forty
+// propagations, so a destination with a handful never recoups it and
+// one with a hundred (a projection-heavy incoming round) does.
+const indexAfterPropagations = 3
+
+// project runs candidate c's Appendix C.4 ladder against pj's
+// destination, the one ladder behind both the engine's projected
+// utilities (processDest) and the turn-off scan (scanDest):
+//   - the zero-utility skip: c's contribution is identically zero in
+//     every deployment state, so the pair is dropped outright (ok false).
+//     Outgoing (Eq. 1) pays c only when its best-route class is
+//     customer — a state-independent property (Observation C.1).
+//     Incoming (Eq. 2) pays c only via customers entering over
+//     provider-class routes, which requires some provider-route node to
+//     list c among its equally-good next hops;
+//   - the skip rules (flipCanChangeTree);
+//   - the batched move predictor, which skips a single-node flip that
+//     provably moves no parent without running change propagation;
+//   - ApplyFlips change propagation on wk.projTree.
+//
+// Each piece of scratch is built when the first candidate needs it: the
+// predictor when one survives the skip rules, the base-tree copy and
+// child index when one also needs a propagation, and the dependents
+// index only after indexAfterPropagations of them (ApplyFlips derives
+// the few rows it needs from the graph without it, and half the
+// destinations that propagate at all do so once).
+//
+// A projection that moves no parent routes identically to the base
+// tree, so c's contribution over it is bit-equal to the base one: it is
+// reverted here and moved is nil. Otherwise moved lists the parent moves
+// and the projection stays applied; the caller evaluates it and calls
+// RevertFlips.
+func (wk *worker) project(pj *projection, st *deployState, cfg *Config, c int32) (moved []int32, ok bool) {
+	stc, tree := pj.stc, pj.tree
+	if cfg.Model == Outgoing {
+		if stc.Type[c] != routing.CustomerRoute {
+			wk.stats.SkipZeroUtil++
+			return nil, false
+		}
+	} else if !stc.IsProviderParent(c) {
+		wk.stats.SkipZeroUtil++
+		return nil, false
+	}
+	flips := wk.flipSetFor(st, cfg, c)
+	if !wk.flipCanChangeTree(stc, tree, st, cfg, c, flips) {
+		wk.clearFlips(flips)
+		return nil, true
+	}
+	if !pj.predReady {
+		wk.ws.PrepareFlipEffects(stc, tree, st.secure, st.breaks, cfg.Tiebreaker)
+		pj.predReady = true
+	}
+	// FlipChangesTree assumes a node that turns on breaks ties; a stub
+	// under !StubsBreakTies does not, and propagates instead.
+	if len(flips) == 1 && c != stc.Dest && (st.secure[c] || wk.flipBreaks[c]) &&
+		!wk.ws.FlipChangesTree(stc, tree, st.secure, st.breaks, cfg.Tiebreaker, c) {
+		wk.clearFlips(flips)
+		wk.stats.ProjUnchanged++
+		return nil, true
+	}
+	if !pj.projReady {
+		wk.projTree.CopyFrom(tree)
+		wk.buildChildIndex(stc, tree, wk.ws.Graph().N())
+		pj.projReady = true
+	}
+	if pj.propagations == indexAfterPropagations {
+		wk.ws.PrepareDelta(stc)
+	}
+	pj.propagations++
+	parentsChanged, touched := wk.ws.ApplyFlips(&wk.projTree, stc,
+		st.secure, st.breaks, wk.flipMark, wk.flipBreaks, flips, cfg.Tiebreaker)
+	wk.clearFlips(flips)
+	wk.stats.ProjResolutions++
+	wk.stats.NodesRecomputed += int64(touched)
+	wk.stats.NodesReused += int64(len(stc.Order()) - touched)
+	if !parentsChanged {
+		wk.stats.ProjUnchanged++
+		wk.ws.RevertFlips(&wk.projTree)
+		return nil, true
+	}
+	wk.movedBuf = wk.ws.ParentMoves(&wk.projTree, wk.movedBuf[:0])
+	return wk.movedBuf, true
+}
+
 // flipSetFor marks candidate c's projected flip set in wk.flipMark and
 // returns the marked nodes: c itself, plus — under ProjectStubUpgrades,
 // when c is deploying — c's insecure stub customers. wk.flipBreaks gets
@@ -1222,14 +1228,22 @@ func (wk *worker) clearFlips(flips []int32) {
 
 // flipCanChangeTree implements the Appendix C.4 skip rules: it reports
 // whether flipping candidate c (with projected flip set flips) could
-// possibly alter the routing tree for destination d, given that tree
+// possibly alter the routing tree for stc's destination, given that tree
 // holds the base tree for the current state.
-func (wk *worker) flipCanChangeTree(stc *routing.Static, tree *routing.Tree, st *deployState, cfg *Config, c, d int32, flips []int32, anySecurePath bool) bool {
+func (wk *worker) flipCanChangeTree(stc *routing.Static, tree *routing.Tree, st *deployState, cfg *Config, c int32, flips []int32) bool {
+	d := stc.Dest
 	if wk.flipMark[d] {
 		// The destination itself flips (c == d, or d is one of c's stubs
 		// under ProjectStubUpgrades): whether any path to d can be
-		// secure changes.
-		if st.secure[d] && !anySecurePath {
+		// secure changes — unless nobody has a secure path to d. A
+		// flip-set stub is insecure, so this scan runs only for c == d:
+		// once per destination at most.
+		if st.secure[d] {
+			for _, i := range stc.Order() {
+				if tree.Secure[i] {
+					return true
+				}
+			}
 			wk.stats.SkipDestFlip++
 			return false
 		}

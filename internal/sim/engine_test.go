@@ -354,36 +354,74 @@ func TestTurnOnNeverHurtsOutgoing(t *testing.T) {
 
 // TestSkipRulesSound verifies the Appendix C.4 skip rules never change
 // outcomes: projected utilities computed with the rules must equal a
-// brute-force recomputation without them.
+// brute-force recomputation without them, in every StubsBreakTies ×
+// ProjectStubUpgrades corner. Under ProjectStubUpgrades a deploying ISP
+// brings its insecure stub customers along, in the brute force as in
+// the projection. Each corner's trials must fire every skip rule and
+// find some projection unchanged, or the comparison would not exercise
+// the rules at all (the N=2,500 games never fire the dest-flip rule).
 func TestSkipRulesSound(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 12; trial++ {
-		g := asgraphtest.Random(rng, 5+rng.Intn(15), 0.15, 0.1, 0.25)
-		secure := make([]bool, g.N())
-		for i := range secure {
-			secure[i] = rng.Float64() < 0.5
+	for _, corner := range []struct{ stubsBreakTies, projectStubs bool }{
+		{true, false}, {true, true}, {false, false}, {false, true},
+	} {
+		rng := rand.New(rand.NewSource(41))
+		var sum RoundStats
+		for trial := 0; trial < 12; trial++ {
+			g := asgraphtest.Random(rng, 5+rng.Intn(15), 0.15, 0.1, 0.25)
+			secure := make([]bool, g.N())
+			for i := range secure {
+				secure[i] = rng.Float64() < 0.5
+			}
+			for _, model := range []UtilityModel{Outgoing, Incoming} {
+				cfg := Config{Model: model, StubsBreakTies: corner.stubsBreakTies,
+					ProjectStubUpgrades: corner.projectStubs, Tiebreaker: routing.HashTiebreaker{Seed: 7}}
+				for i := int32(0); i < int32(g.N()); i++ {
+					if !g.IsISP(i) {
+						continue
+					}
+					_, proj, err := EvaluateFlip(g, secure, cfg, i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// Brute force: utility of i in the fully flipped state.
+					flipped := append([]bool(nil), secure...)
+					flipped[i] = !flipped[i]
+					if cfg.ProjectStubUpgrades && !secure[i] {
+						for _, s := range g.Customers(i) {
+							if g.IsStub(s) {
+								flipped[s] = true
+							}
+						}
+					}
+					u, err := Utilities(g, flipped, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Abs(u[i]-proj) > 1e-6 {
+						t.Fatalf("%+v trial %d model %v node %d: skip-rule projection %v != brute force %v",
+							corner, trial, model, i, proj, u[i])
+					}
+				}
+				cfg.RecordStats = true
+				_, _, st, err := MustNew(g, cfg).RoundUtilities(secure, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum.SkipZeroUtil += st.SkipZeroUtil
+				sum.SkipDestFlip += st.SkipDestFlip
+				sum.SkipInsecureDest += st.SkipInsecureDest
+				sum.SkipTurnOff += st.SkipTurnOff
+				sum.SkipTurnOn += st.SkipTurnOn
+				sum.ProjUnchanged += st.ProjUnchanged
+			}
 		}
-		for _, model := range []UtilityModel{Outgoing, Incoming} {
-			cfg := Config{Model: model, StubsBreakTies: true, Tiebreaker: routing.HashTiebreaker{Seed: 7}}
-			for i := int32(0); i < int32(g.N()); i++ {
-				if !g.IsISP(i) {
-					continue
-				}
-				_, proj, err := EvaluateFlip(g, secure, cfg, i)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Brute force: utility of i in the fully flipped state.
-				flipped := append([]bool(nil), secure...)
-				flipped[i] = !flipped[i]
-				u, err := Utilities(g, flipped, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if math.Abs(u[i]-proj) > 1e-6 {
-					t.Fatalf("trial %d model %v node %d: skip-rule projection %v != brute force %v",
-						trial, model, i, proj, u[i])
-				}
+		for name, v := range map[string]int64{
+			"SkipZeroUtil": sum.SkipZeroUtil, "SkipDestFlip": sum.SkipDestFlip,
+			"SkipInsecureDest": sum.SkipInsecureDest, "SkipTurnOff": sum.SkipTurnOff,
+			"SkipTurnOn": sum.SkipTurnOn, "ProjUnchanged": sum.ProjUnchanged,
+		} {
+			if v == 0 {
+				t.Errorf("%+v: %s never fired", corner, name)
 			}
 		}
 	}

@@ -163,7 +163,7 @@ const scanAhead = 4
 // static routing information (built routing.BatchWidth destinations at
 // a time by routing.Workspace.Sweep), base resolution and base
 // accumulation are paid once and every scanned node is read off them,
-// with the engine's per-candidate pruning (see scanDest) deciding which
+// with the engine's per-candidate ladder (see project) deciding which
 // pairs need a projected tree at all.
 //
 // fold is called once per destination, in ascending destination order,
@@ -231,74 +231,29 @@ func ScanFlips(g *asgraph.Graph, secure []bool, cfg Config, nodes []int32, fold 
 // scanDest appends to rows one FlipRow per scanned node for the
 // destination of stc, its PrepareDest static built in wk.ws. The base
 // side is one ResolveInto and one accumulate for the whole destination.
-// The projected side runs processDest's per-candidate ladder: the
-// zero-utility skip, the Appendix C.4 rules (flipCanChangeTree), the
-// batched move predictor (FlipChangesTree) and ApplyFlips change
-// propagation — and only a
-// projection that actually moves a parent pays accumulateAt over the
-// node's own subtree; every other pair has proj == base, because an
+// The projected side is the engine's per-candidate ladder (project), and
+// only a projection that actually moves a parent pays accumulateAt over
+// the node's own subtree; every other pair has proj == base, because an
 // identically-routed tree accumulates to the same bits. Unlike
 // processDest's deltaAt, accumulateAt is bit-identical to a full
 // accumulate + contribution over the projected tree, so every row
 // equals what resolving the explicitly flipped state would give.
 func (wk *worker) scanDest(stc *routing.Static, st *deployState, cfg *Config, weights []float64, nodes []int32, rows []FlipRow) []FlipRow {
-	n := wk.ws.Graph().N()
-	d := stc.Dest
 	tree := &wk.baseTree
 	wk.ws.ResolveInto(tree, stc, st.secure, st.breaks, nil, nil, cfg.Tiebreaker)
 	accumulate(stc, tree, weights, wk.accBase, wk.incBase)
-
-	anySecurePath := false
-	for _, i := range stc.Order() {
-		if tree.Secure[i] {
-			anySecurePath = true
-			break
-		}
-	}
-
-	// The dependents index and the move predictor are built together
-	// when the first node survives the skip rules — processDest instead
-	// defers the index until indexAfterPropagations propagations — and
-	// the projection tree and child index when one also needs change
-	// propagation.
-	predReady := false
-	projReady := false
+	pj := projection{stc: stc, tree: tree}
 	for _, c := range nodes {
-		if cfg.Model == Outgoing {
-			if stc.Type[c] != routing.CustomerRoute {
-				continue
-			}
-		} else if !stc.IsProviderParent(c) {
+		moved, ok := wk.project(&pj, st, cfg, c)
+		if !ok {
 			continue
 		}
 		base := wk.contribution(cfg.Model, stc, wk.accBase, wk.incBase, weights, c)
 		proj := base
-		flips := wk.flipSetFor(st, cfg, c)
-		if wk.flipCanChangeTree(stc, tree, st, cfg, c, d, flips, anySecurePath) {
-			if !predReady {
-				wk.ws.PrepareDelta(stc)
-				wk.ws.PrepareFlipEffects(stc, tree, st.secure, st.breaks, cfg.Tiebreaker)
-				predReady = true
-			}
-			// FlipChangesTree assumes a node that turns on breaks ties;
-			// a stub under !StubsBreakTies does not, and propagates.
-			predictable := len(flips) == 1 && c != d && (st.secure[c] || wk.flipBreaks[c])
-			if !predictable || wk.ws.FlipChangesTree(stc, tree, st.secure, st.breaks, cfg.Tiebreaker, c) {
-				if !projReady {
-					wk.projTree.CopyFrom(tree)
-					wk.buildChildIndex(stc, tree, n)
-					projReady = true
-				}
-				parentsChanged, _ := wk.ws.ApplyFlips(&wk.projTree, stc,
-					st.secure, st.breaks, wk.flipMark, wk.flipBreaks, flips, cfg.Tiebreaker)
-				if parentsChanged {
-					wk.movedBuf = wk.ws.ParentMoves(&wk.projTree, wk.movedBuf[:0])
-					proj = wk.accumulateAt(cfg.Model, stc, &wk.projTree, weights, c, wk.movedBuf)
-				}
-				wk.ws.RevertFlips(&wk.projTree)
-			}
+		if moved != nil {
+			proj = wk.accumulateAt(cfg.Model, stc, &wk.projTree, weights, c, moved)
+			wk.ws.RevertFlips(&wk.projTree)
 		}
-		wk.clearFlips(flips)
 		rows = append(rows, FlipRow{Node: c, Base: base, Proj: proj})
 	}
 	return rows

@@ -241,13 +241,6 @@ func (e *ShardEngine) compute(rs RoundState, candList []int32, idx []int) []Shar
 		}
 		rc.candMark = e.candMark
 	}
-	rc.noSecure = true
-	for _, sec := range st.secure {
-		if sec {
-			rc.noSecure = false
-			break
-		}
-	}
 	if e.dynOn {
 		e.syncDyn(st, rc)
 	}

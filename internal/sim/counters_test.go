@@ -13,11 +13,14 @@ import (
 // every RoundStats field of the pristine pass and of every round, with
 // the timing and heap fields left out (they vary run to run), for
 // sbgpsim's default game at N=600 in both models, with and without
-// projected stub upgrades, and a cold then warm disk-store run. A
-// refactor of the serving ladder that claims to change no counter must
-// leave every digest as it is; a change that moves a counter on purpose
-// updates the constant and says why. A starved static budget is left
-// out: its pristine-pass admissions race between the workers.
+// projected stub upgrades, a cold then warm disk-store run, and a
+// one-worker run whose static budget forces the resident store to
+// repack (so the packed residency rule, rejected sidecars included,
+// decides what stays resident). A refactor of the serving ladder that
+// claims to change no counter must leave every digest as it is; a
+// change that moves a counter on purpose updates the constant and says
+// why. A starved budget with two workers is left out: its admissions
+// race between them.
 func TestRoundCountersPinned(t *testing.T) {
 	g := topogen.MustGenerate(topogen.Default(600, 42))
 	g.SetCPTrafficFraction(0.10)
@@ -27,10 +30,12 @@ func TestRoundCountersPinned(t *testing.T) {
 		"outgoing/project-stubs": "b21c17abfa1d60f8",
 		"outgoing/store-cold":    "e0556a2fc9443eee",
 		"outgoing/store-warm":    "58cf8016fe7cbbbf",
+		"outgoing/repacked":      "35e169537dc1f4de",
 		"incoming":               "637a65ee1deae95c",
 		"incoming/project-stubs": "9b3fc6a9515898aa",
 		"incoming/store-cold":    "7a8ed1165f76f108",
 		"incoming/store-warm":    "0186e0bc79022916",
+		"incoming/repacked":      "69bae960eb8e605e",
 	}
 	for _, model := range []UtilityModel{Outgoing, Incoming} {
 		base := Config{Model: model, Theta: 0.05, EarlyAdopters: adopters, StubsBreakTies: true,
@@ -49,6 +54,9 @@ func TestRoundCountersPinned(t *testing.T) {
 		store.StaticStoreDir = t.TempDir()
 		check("/store-cold", store)
 		check("/store-warm", store)
+		packed := base
+		packed.Workers, packed.StaticCacheBytes = 1, 300_000
+		check("/repacked", packed)
 	}
 }
 

@@ -140,13 +140,11 @@ func leafSymmetryEngine(t *testing.T) {
 							}
 						}
 						wk := newWorker(g, n)
-						wk.classes = newLeafClasses(leafProviders(g), 0, 1) // for the capture hook only
+						m := &classMemo{} // for the capture only
 						run := func(d int32) (base, delta []float64) {
 							wk.resetRound(n)
-							wk.kids = wk.kids[:0]
-							wk.classes.capturing = true
-							wk.processDest(d, rc, nil, false, false)
-							wk.classes.capturing = false
+							m.kids = m.kids[:0]
+							wk.processDest(d, rc, &destPlan{memo: m})
 							return append([]float64(nil), wk.uBase...), append([]float64(nil), wk.uDelta...)
 						}
 						label := fmt.Sprintf("%s/%s/sbt=%v/psu=%v/p=%v", name, model, sbt, psu, pSecure)
@@ -161,7 +159,7 @@ func leafSymmetryEngine(t *testing.T) {
 							p := g.Providers(grp[0])[0]
 							for _, f := range fillers {
 								fBase, fDelta := run(f)
-								kids := append([]leafKid(nil), wk.kids...)
+								kids := append([]leafKid(nil), m.kids...)
 								for _, d := range grp {
 									if d == f {
 										continue
@@ -308,20 +306,18 @@ func TestQuickLeafFold(t *testing.T) {
 		st := randomSimplexState(rng, g, 0.5, rng.Intn(2) == 0)
 		tb := routing.HashTiebreaker{Seed: uint64(seed)}
 		wk := newWorker(g, n)
-		wk.classes = newLeafClasses(leafProviders(g), 0, 1)
-		wk.classes.capturing = true
+		var captured []leafKid
 		accumulated := func(d int32) {
 			stc := wk.ws.PrepareDest(d, tb)
 			wk.baseTree.Clear(n)
 			wk.ws.ResolveInto(&wk.baseTree, stc, st.secure, st.breaks, nil, nil, tb)
 			accumulate(stc, &wk.baseTree, weights, wk.accBase, wk.incBase)
-			wk.kids = wk.kids[:0]
-			wk.captureKids(stc, &wk.baseTree)
+			captured = appendKids(captured[:0], stc, &wk.baseTree, wk.accBase)
 		}
 		for _, grp := range siblingGroups(g, st) {
 			for _, f := range grp {
 				accumulated(f)
-				kids := append([]leafKid(nil), wk.kids...)
+				kids := append([]leafKid(nil), captured...)
 				p := g.Providers(f)[0]
 				for _, d := range grp {
 					if d == f {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -453,5 +454,63 @@ func TestRecordMemStatsDecisions(t *testing.T) {
 	memOn := MustNew(g, cfg).Run()
 	if !reflect.DeepEqual(decisionsOf(ref), decisionsOf(memOn)) {
 		t.Error("RecordMemStats changed decisions")
+	}
+}
+
+// TestSyncDynPurgesOnBreaksOnlyChange: a tie-break flag that changes
+// without its secure flag cannot be advanced across as a flip, so
+// syncDyn purges every record and the round resolves afresh. No Run
+// produces such a state, but a RoundState from the dist wire can. Drive
+// ComputeRound from a state to one that differs only in tie-break flags
+// and require a fresh engine's partials bit for bit: in a base-only
+// round, where every record would otherwise replay clean, and in a
+// candidate round.
+func TestSyncDynPurgesOnBreaksOnlyChange(t *testing.T) {
+	g := topogen.MustGenerate(topogen.Default(300, 7))
+	g.SetCPTrafficFraction(0.10)
+	n := g.N()
+	type partial struct{ base, delta []float64 }
+	compute := func(e *ShardEngine, st RoundState, cands []int32) (out []partial, clean int64) {
+		for _, p := range e.ComputeRound(st, cands) {
+			out = append(out, partial{append([]float64(nil), p.UBase...), append([]float64(nil), p.UDelta...)})
+			clean += p.Stats.CleanDests
+		}
+		return out, clean
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, model := range []UtilityModel{Outgoing, Incoming} {
+		cfg := Config{Model: model, StubsBreakTies: true}
+		st := randomSimplexState(rng, g, 0.5, true)
+		before := RoundState{Secure: st.secure, Breaks: st.breaks}
+		after := RoundState{Secure: st.secure, Breaks: make([]bool, n)} // no secure node breaks ties
+		for _, cands := range [][]int32{nil, g.ISPs()} {
+			label := fmt.Sprintf("%s/candidates=%d", model, len(cands))
+			newEngine := func() *ShardEngine {
+				e, err := NewShardEngine(g, cfg, []int{0, 1}, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return e
+			}
+			want, _ := compute(newEngine(), after, cands)
+			if stale, _ := compute(newEngine(), before, cands); reflect.DeepEqual(stale, want) {
+				t.Fatalf("%s: the tie-break change moves no utility: the purge goes untested", label)
+			}
+			e := newEngine()
+			compute(e, before, cands)
+			got, clean := compute(e, after, cands)
+			if clean != 0 {
+				t.Errorf("%s: %d destinations replayed clean across a tie-break change", label, clean)
+			}
+			for s := range want {
+				for i := range want[s].base {
+					if math.Float64bits(got[s].base[i]) != math.Float64bits(want[s].base[i]) ||
+						math.Float64bits(got[s].delta[i]) != math.Float64bits(want[s].delta[i]) {
+						t.Fatalf("%s: shard %d node %d: (%v, %v) after the change, a fresh engine gives (%v, %v)",
+							label, s, i, got[s].base[i], got[s].delta[i], want[s].base[i], want[s].delta[i])
+					}
+				}
+			}
+		}
 	}
 }

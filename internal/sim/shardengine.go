@@ -343,12 +343,9 @@ func (e *ShardEngine) syncDyn(st *deployState, rc *roundCtx) {
 	rc.bigJump = len(rc.flipList) > n/dynBigJumpFraction
 }
 
-// saveDyn snapshots st as the state the record trees now correspond to.
+// saveDyn snapshots st as the state the record trees now correspond to,
+// into the dynPrev that syncDyn has set by then.
 func (e *ShardEngine) saveDyn(st *deployState) {
-	if e.dynPrev == nil {
-		e.dynPrev = st.clone()
-		return
-	}
 	copy(e.dynPrev.secure, st.secure)
 	copy(e.dynPrev.breaks, st.breaks)
 }

@@ -314,3 +314,56 @@ func TestSharedStaticsWeightVariantsConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestUndecodableSidecarsFallBack: a stored sidecar that fails
+// DecodeSidecar is dropped, and its destination falls to processDest,
+// which records a good one in its place. Before the run, payloads that
+// cannot decode — another destination's, a truncated one, garbage — are
+// planted for every destination through the engine's bound
+// SharedStatics handle. The pristine pass, where every destination is
+// insecure and untouchable, must replay none of them and re-record every
+// one, and the Result must be bit-identical to the plain engine's.
+func TestUndecodableSidecarsFallBack(t *testing.T) {
+	g := topogen.MustGenerate(topogen.Default(300, 7))
+	g.SetCPTrafficFraction(0.10)
+	adopters := append(g.Nodes(asgraph.ContentProvider), asgraph.TopByDegree(g, 3, asgraph.ISP)...)
+	n := g.N()
+	for _, model := range []UtilityModel{Outgoing, Incoming} {
+		base := Config{Model: model, Theta: 0.05, EarlyAdopters: adopters, StubsBreakTies: true,
+			Workers: 1, RecordUtilities: true, RecordStats: true}
+		ref := MustNew(g, base).Run()
+
+		store := routing.NewSharedStaticCache(0)
+		cfg := base
+		cfg.SharedStatics = store
+		s := MustNew(g, cfg) // binds store
+		kind := uint8(model)
+		for d := int32(0); d < int32(n); d++ {
+			var bad []byte
+			switch d % 3 {
+			case 0:
+				bad = routing.AppendSidecar(nil, (d+1)%int32(n), n, kind, nil)
+			case 1:
+				good := routing.AppendSidecar(nil, d, n, kind, []routing.SidecarEntry{{Node: 0, Bits: 1}})
+				bad = good[:len(good)-1]
+			default:
+				bad = []byte{0xff, 0, 0, 0, 0, 0}
+			}
+			if !store.SidecarPut(kind, d, bad) {
+				t.Fatalf("%s: planting a payload for %d was rejected", model, d)
+			}
+		}
+		got := s.Run()
+		requireBitIdentical(t, model.String()+"/undecodable sidecars", ref, got)
+		ps := got.PristineStats
+		if ps.PristineReplays != 0 || ps.PristineRecords != int64(n) || ref.PristineStats.PristineRecords != int64(n) {
+			t.Errorf("%s: pristine pass replayed %d and re-recorded %d sidecars (plain engine recorded %d), want 0 and %d",
+				model, ps.PristineReplays, ps.PristineRecords, ref.PristineStats.PristineRecords, n)
+		}
+		for d := int32(0); d < int32(n); d++ {
+			if _, ok := routing.DecodeSidecar(store.SidecarGet(kind, d), d, n, kind, nil); !ok {
+				t.Fatalf("%s: the sidecar of %d still fails to decode after the run", model, d)
+			}
+		}
+	}
+}

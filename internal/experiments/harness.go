@@ -39,7 +39,8 @@ type BatchOptions struct {
 	Options
 	// IDs selects which experiments run (nil = all, in registry order).
 	IDs []string
-	// Parallel bounds how many experiments run concurrently (0 = 4).
+	// Parallel bounds how many experiments run concurrently (0 = 4);
+	// they start in IDs order.
 	// Simulations remain globally gated by the store's worker budget,
 	// so raising Parallel overlaps graph analysis and report rendering,
 	// never oversubscribes simulation workers.
@@ -149,13 +150,16 @@ func RunBatch(b BatchOptions) ([]RunStatus, error) {
 	}
 
 	statuses := make([]RunStatus, len(ids))
+	// Experiments start in the order requested, each as a slot frees:
+	// which of them run side by side — and so the batch's memory peak —
+	// then depends on their durations, not on goroutine scheduling.
 	sem := make(chan struct{}, parallel)
 	var wg sync.WaitGroup
 	for i, id := range ids {
+		sem <- struct{}{}
 		wg.Add(1)
 		go func(i int, id string) {
 			defer wg.Done()
-			sem <- struct{}{}
 			defer func() { <-sem }()
 			st := runExperiment(b, opt, id)
 			statuses[i] = st

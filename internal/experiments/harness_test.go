@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -300,6 +301,21 @@ func TestRunBatchContinuesPastFailures(t *testing.T) {
 	}
 	if _, err := RunBatch(BatchOptions{Options: goldenOptions(), IDs: []string{"nope"}}); err == nil {
 		t.Errorf("unknown id accepted by RunBatch")
+	}
+}
+
+// TestRunBatchStartsInOrder: experiments start in the order requested,
+// so with one slot they finish in it too.
+func TestRunBatchStartsInOrder(t *testing.T) {
+	ids := []string{"fig16", "table1", "fig15", "fig3"}
+	var finished []string
+	_, err := RunBatch(BatchOptions{Options: goldenOptions(), IDs: ids, Parallel: 1,
+		Progress: func(st RunStatus) { finished = append(finished, st.ID) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(finished, ids) {
+		t.Errorf("experiments finished in order %v, want %v", finished, ids)
 	}
 }
 

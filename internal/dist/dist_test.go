@@ -2,10 +2,12 @@ package dist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -242,43 +244,53 @@ func TestPipeWorkers(t *testing.T) {
 	}
 }
 
-// TestPipeStaticStoreStats: each worker's engine reports its resident
-// static store in the partials it returns, so a distributed run's round
-// stats count the statics every process holds — as many as the
-// in-process run at the same shard count, where one engine holds them
-// all. Stats are instrumentation, never bits, so only this catches an
-// engine that stops reporting.
+// TestPipeStaticStoreStats: a distributed run's round stats equal the
+// in-process run's at the same shard count, counter for counter, in the
+// pristine pass and every round of both models. Each worker's engine
+// reports its resident static store in the partials it returns, so the
+// static counts sum to what one in-process engine holds. Only the
+// timing and heap fields are left out. Stats are instrumentation, never
+// bits, so only this catches an engine that stops reporting a counter
+// or a wire that drops one.
 func TestPipeStaticStoreStats(t *testing.T) {
 	g, adopters := testGraph(t, 300, 5)
-	cfg := sim.Config{
-		Theta:         0.05,
-		EarlyAdopters: adopters,
-		Workers:       4,
-		RecordStats:   true,
-	}
-	ref := runLocal(t, g, cfg)
-	coord, err := NewCoordinator(g, cfg, pipeWorkers(t, serveOpts{}, serveOpts{}), Options{RoundTimeout: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	cfg.Executor = coord
-	res, err := sim.MustNew(g, cfg).RunE()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rounds) != len(ref.Rounds) || len(res.Rounds) == 0 {
-		t.Fatalf("%d rounds distributed, %d in-process", len(res.Rounds), len(ref.Rounds))
-	}
-	check := func(pass string, got, want *sim.RoundStats) {
-		if got.StaticCacheEntries == 0 || got.StaticCacheEntries != want.StaticCacheEntries {
-			t.Errorf("%s: %d static entries distributed, %d in-process; want equal and nonzero",
-				pass, got.StaticCacheEntries, want.StaticCacheEntries)
+	for _, model := range []sim.UtilityModel{sim.Outgoing, sim.Incoming} {
+		cfg := sim.Config{
+			Model:         model,
+			Theta:         0.05,
+			EarlyAdopters: adopters,
+			Workers:       4,
+			RecordStats:   true,
 		}
-	}
-	check("pristine pass", res.PristineStats, ref.PristineStats)
-	for r := range res.Rounds {
-		check(fmt.Sprintf("round %d", r+1), res.Rounds[r].Stats, ref.Rounds[r].Stats)
+		ref := runLocal(t, g, cfg)
+		coord, err := NewCoordinator(g, cfg, pipeWorkers(t, serveOpts{}, serveOpts{}), Options{RoundTimeout: time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Executor = coord
+		res, err := sim.MustNew(g, cfg).RunE()
+		coord.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rounds) != len(ref.Rounds) || len(res.Rounds) == 0 {
+			t.Fatalf("%s: %d rounds distributed, %d in-process", model, len(res.Rounds), len(ref.Rounds))
+		}
+		check := func(pass string, got, want sim.RoundStats) {
+			if got.StaticCacheEntries == 0 {
+				t.Errorf("%s %s: no static entries reported", model, pass)
+			}
+			for _, st := range []*sim.RoundStats{&got, &want} {
+				st.Wall, st.ShardWallMax, st.ShardWallMin, st.StragglerRatio, st.AllocBytes = 0, 0, 0, 0, 0
+			}
+			if got != want {
+				t.Errorf("%s %s: counters differ\ndistributed %+v\n in-process %+v", model, pass, got, want)
+			}
+		}
+		check("pristine pass", *res.PristineStats, *ref.PristineStats)
+		for r := range res.Rounds {
+			check(fmt.Sprintf("round %d", r+1), *res.Rounds[r].Stats, *ref.Rounds[r].Stats)
+		}
 	}
 }
 
@@ -340,14 +352,42 @@ func TestPipeIdleWorkerRevived(t *testing.T) {
 	}
 }
 
-// TestWorkerRejectsBadCandidates speaks the raw protocol to one worker
-// session: a hello, then a round frame whose candidate list is out of
-// range or not strictly ascending. The worker must answer with an error
-// frame and end the session — not panic indexing its per-node marks,
-// and not sum a repeated candidate's delta twice.
-func TestWorkerRejectsBadCandidates(t *testing.T) {
-	g, _ := testGraph(t, 50, 1)
-	n := int32(g.N())
+// workerSession speaks the raw protocol to one worker session over an
+// in-memory pipe. It returns the coordinator's end of the pipe, a reader
+// of the worker's next frame other than a heartbeat, and the session's
+// outcome, which arrives before the worker's end closes, so a read that
+// fails on the closed pipe can report it.
+func workerSession(t *testing.T) (a net.Conn, next func() []byte, done <-chan error) {
+	a, b := net.Pipe()
+	t.Cleanup(func() { a.Close() })
+	out := make(chan error, 1)
+	go func() {
+		defer b.Close()
+		defer func() {
+			if r := recover(); r != nil {
+				out <- fmt.Errorf("worker panicked: %v", r)
+			}
+		}()
+		out <- serveConn(b, serveOpts{})
+	}()
+	next = func() []byte {
+		t.Helper()
+		for {
+			p, err := readFrame(a, nil)
+			if err != nil {
+				t.Fatalf("reading from worker: %v (session ended with: %v)", err, <-out)
+			}
+			if p[0] != frameHeartbeat {
+				return p
+			}
+		}
+	}
+	return a, next, out
+}
+
+// handshake opens a worker session on g with a one-shard hello.
+func handshake(t *testing.T, g *asgraph.Graph) (a net.Conn, next func() []byte, done <-chan error) {
+	t.Helper()
 	cfgw, err := encodeConfig(sim.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +396,40 @@ func TestWorkerRejectsBadCandidates(t *testing.T) {
 	if err := asgraph.Write(&gw, g); err != nil {
 		t.Fatal(err)
 	}
-	hi := encodeHello(&hello{N: int(n), TotalShards: 1, Shards: []int{0}, Config: cfgw, Graph: gw.Bytes()})
+	a, next, done = workerSession(t)
+	if err := writeFrame(a, encodeHello(&hello{N: g.N(), TotalShards: 1, Shards: []int{0}, Config: cfgw, Graph: gw.Bytes()})); err != nil {
+		t.Fatal(err)
+	}
+	if p := next(); p[0] != frameHelloAck {
+		t.Fatalf("handshake answered with frame type %d", p[0])
+	}
+	return a, next, done
+}
+
+// wantRefusal requires the worker to answer what it was just sent with
+// an error frame and to end the session with the error it reported,
+// which it returns.
+func wantRefusal(t *testing.T, a net.Conn, next func() []byte, done <-chan error, what string) string {
+	t.Helper()
+	p := next()
+	if p[0] != frameError {
+		t.Fatalf("%s answered with frame type %d, want an error frame", what, p[0])
+	}
+	msg, _ := decodeError(p)
+	a.Close()
+	if err := <-done; err == nil || err.Error() != msg {
+		t.Fatalf("%s: session ended with %v, want the reported error %q", what, err, msg)
+	}
+	return msg
+}
+
+// TestWorkerRejectsBadCandidates: a round frame whose candidate list is
+// out of range or not strictly ascending ends the session with an error
+// frame — not a panic indexing the worker's per-node marks, and not a
+// repeated candidate's delta summed twice.
+func TestWorkerRejectsBadCandidates(t *testing.T) {
+	g, _ := testGraph(t, 50, 1)
+	n := int32(g.N())
 	for name, cands := range map[string][]int32{
 		"too large":  {1, n},
 		"negative":   {-1, 2},
@@ -364,52 +437,56 @@ func TestWorkerRejectsBadCandidates(t *testing.T) {
 		"descending": {5, 2},
 	} {
 		t.Run(name, func(t *testing.T) {
-			a, b := net.Pipe()
-			defer a.Close()
-			// done receives the session's outcome before b closes, so a
-			// read that fails on the closed pipe can report it.
-			done := make(chan error, 1)
-			go func() {
-				defer b.Close()
-				defer func() {
-					if r := recover(); r != nil {
-						done <- fmt.Errorf("worker panicked: %v", r)
-					}
-				}()
-				done <- serveConn(b, serveOpts{})
-			}()
-			// next returns the worker's next frame other than a heartbeat.
-			next := func() []byte {
-				t.Helper()
-				for {
-					p, err := readFrame(a, nil)
-					if err != nil {
-						t.Fatalf("reading from worker: %v (session ended with: %v)", err, <-done)
-					}
-					if p[0] != frameHeartbeat {
-						return p
-					}
-				}
-			}
-			if err := writeFrame(a, hi); err != nil {
-				t.Fatal(err)
-			}
-			if p := next(); p[0] != frameHelloAck {
-				t.Fatalf("handshake answered with frame type %d", p[0])
-			}
+			a, next, done := handshake(t, g)
 			if err := writeFrame(a, encodeRound(&roundMsg{Seq: 1, Cands: cands})); err != nil {
 				t.Fatal(err)
 			}
-			p := next()
-			if p[0] != frameError {
-				t.Fatalf("candidates %v answered with frame type %d, want an error frame", cands, p[0])
-			}
-			msg, _ := decodeError(p)
-			a.Close()
-			if err := <-done; err == nil || err.Error() != msg {
-				t.Fatalf("session ended with %v, want the reported error %q", err, msg)
-			}
+			wantRefusal(t, a, next, done, fmt.Sprintf("candidates %v", cands))
 		})
+	}
+}
+
+// TestWorkerRejectsShortSnapshot: a snapshot whose bitmaps do not each
+// cover every node ends the session with an error frame. A short Breaks
+// bitmap copied over the worker's state would leave the previous
+// state's tie-break flags in its tail, and the worker would compute its
+// partials on a mix of two states.
+func TestWorkerRejectsShortSnapshot(t *testing.T) {
+	g, _ := testGraph(t, 50, 1)
+	n := g.N()
+	for name, lens := range map[string][2]int{
+		"short breaks": {n, n - 1},
+		"short secure": {n - 1, n},
+		"both short":   {n - 1, n - 1},
+		"long breaks":  {n, n + 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			a, next, done := handshake(t, g)
+			snap := &snapshotMsg{Seq: 1, Secure: make([]bool, lens[0]), Breaks: make([]bool, lens[1])}
+			if err := writeFrame(a, encodeSnapshot(snap)); err != nil {
+				t.Fatal(err)
+			}
+			wantRefusal(t, a, next, done, fmt.Sprintf("snapshot of %d/%d bits", lens[0], lens[1]))
+		})
+	}
+}
+
+// TestWorkerRejectsCounterDigest: a worker refuses a hello whose stats
+// counter digest differs from its own, before it builds an engine, and
+// its error names both digests.
+func TestWorkerRejectsCounterDigest(t *testing.T) {
+	p := encodeHello(&hello{N: 3, TotalShards: 1, Shards: []int{0}})
+	other := counterDigest ^ 1
+	binary.LittleEndian.PutUint64(p[5:], other) // after the frame type and the version
+	a, next, done := workerSession(t)
+	if err := writeFrame(a, p); err != nil {
+		t.Fatal(err)
+	}
+	msg := wantRefusal(t, a, next, done, "hello with another counter digest")
+	for _, d := range []uint64{other, counterDigest} {
+		if want := fmt.Sprintf("%016x", d); !strings.Contains(msg, want) {
+			t.Errorf("error %q does not name digest %s", msg, want)
+		}
 	}
 }
 

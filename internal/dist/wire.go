@@ -30,30 +30,19 @@ package dist
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math"
 
 	"sbgp/internal/sim"
 )
 
-// protoVersion guards both sides against frame-format drift; bump on
-// any wire change. v2 added the drop frame (shard rebalancing) and a
-// config flag switching the batched projection predictor off. v3 added
-// the shard-statics frame (packed warm-handoff payload for migrations —
-// workers answer every drop with one), two packed-cache stats fields,
-// and a config flag switching packed storage off. v4 added the
-// StaticStoreDir config field and three disk-tier stats fields. v5
-// added the pristine-contribution sidecar list to the shard-statics
-// frame, three streaming-tier stats fields, and a config flag switching
-// the streaming tiers off. v6 removed the two prefetch stats fields
-// and, with the options behind them, those three config flags and the
-// prefetch depth (config wire v7). v7 added the ClassReplays stats
-// field (sibling-leaf destination classes). v8 removed the drop and
-// shard-statics frames with the shard rebalancing they served (frame
-// types 11 and 12 are retired) and added the round's candidate list to
-// the recompute frame. v9 removed the StreamResolves stats field with
-// the streaming-resolve rung it counted.
-const protoVersion = 9
+// protoVersion guards both sides against frame-format drift: bump it
+// on any change to a frame's layout. A change to the stats counters
+// (RoundStats' signed-integer fields) needs no bump: the hello carries
+// counterDigest, and a worker refuses a coordinator whose digest
+// differs. CHANGES.md records what each version changed.
+const protoVersion = 10
 
 // Frame types. Direction is fixed per type: the coordinator sends
 // hello/snapshot/round/assign/recompute/bye, workers send
@@ -288,6 +277,7 @@ func encodeHello(h *hello) []byte {
 	e := &enc{b: make([]byte, 0, 64+len(h.Config)+len(h.Graph))}
 	e.u8(frameHello)
 	e.u32(protoVersion)
+	e.u64(counterDigest)
 	e.u32(uint32(h.N))
 	e.u32(uint32(h.TotalShards))
 	e.ints(h.Shards)
@@ -303,6 +293,9 @@ func decodeHello(p []byte) (*hello, error) {
 	}
 	if v := d.u32(); d.err == nil && v != protoVersion {
 		return nil, fmt.Errorf("dist: protocol version %d, want %d", v, protoVersion)
+	}
+	if c := d.u64(); d.err == nil && c != counterDigest {
+		return nil, fmt.Errorf("dist: coordinator's stats counters have digest %016x, this worker's %016x", c, counterDigest)
 	}
 	h := &hello{
 		N:           int(d.u32()),
@@ -477,70 +470,21 @@ func decodeRecompute(p []byte, into *recomputeMsg) error {
 	return d.done()
 }
 
-// statsWireFields is the fixed field count of a ShardStats block.
-const statsWireFields = 28
+// A partial's stats travel as one int64 per RoundStats counter, in
+// RoundStats.Counters order. statsWireFields is that count, and
+// counterDigest hashes the counters' names in that order.
+var statsWireFields, counterDigest = func() (n int, digest uint64) {
+	h := fnv.New64a()
+	new(sim.RoundStats).Counters(func(name string, _ *int64) {
+		n++
+		fmt.Fprintln(h, name)
+	})
+	return n, h.Sum64()
+}()
 
-func encodeStats(e *enc, s *sim.ShardStats) {
-	e.i64(s.WallNS)
-	e.i64(s.StaticHits)
-	e.i64(s.StaticMisses)
-	e.i64(s.StaticCacheBytes)
-	e.i64(s.StaticCacheEntries)
-	e.i64(s.BaseResolutions)
-	e.i64(s.ProjResolutions)
-	e.i64(s.ProjUnchanged)
-	e.i64(s.SkipZeroUtil)
-	e.i64(s.SkipInsecureDest)
-	e.i64(s.SkipDestFlip)
-	e.i64(s.SkipTurnOff)
-	e.i64(s.SkipTurnOn)
-	e.i64(s.NodesReused)
-	e.i64(s.NodesRecomputed)
-	e.i64(s.DirtyDests)
-	e.i64(s.CleanDests)
-	e.i64(s.DynCacheBytes)
-	e.i64(s.DynCacheEntries)
-	e.i64(s.DynCacheEvictions)
-	e.i64(s.StaticPackedBytes)
-	e.i64(s.StaticPackedEntries)
-	e.i64(s.StaticDiskHits)
-	e.i64(s.StaticDiskBytesRead)
-	e.i64(s.StaticDiskWrites)
-	e.i64(s.PristineReplays)
-	e.i64(s.PristineRecords)
-	e.i64(s.ClassReplays)
-}
+func encodeStats(e *enc, s *sim.RoundStats) { s.Counters(func(_ string, v *int64) { e.i64(*v) }) }
 
-func decodeStats(d *dec, s *sim.ShardStats) {
-	s.WallNS = d.i64()
-	s.StaticHits = d.i64()
-	s.StaticMisses = d.i64()
-	s.StaticCacheBytes = d.i64()
-	s.StaticCacheEntries = d.i64()
-	s.BaseResolutions = d.i64()
-	s.ProjResolutions = d.i64()
-	s.ProjUnchanged = d.i64()
-	s.SkipZeroUtil = d.i64()
-	s.SkipInsecureDest = d.i64()
-	s.SkipDestFlip = d.i64()
-	s.SkipTurnOff = d.i64()
-	s.SkipTurnOn = d.i64()
-	s.NodesReused = d.i64()
-	s.NodesRecomputed = d.i64()
-	s.DirtyDests = d.i64()
-	s.CleanDests = d.i64()
-	s.DynCacheBytes = d.i64()
-	s.DynCacheEntries = d.i64()
-	s.DynCacheEvictions = d.i64()
-	s.StaticPackedBytes = d.i64()
-	s.StaticPackedEntries = d.i64()
-	s.StaticDiskHits = d.i64()
-	s.StaticDiskBytesRead = d.i64()
-	s.StaticDiskWrites = d.i64()
-	s.PristineReplays = d.i64()
-	s.PristineRecords = d.i64()
-	s.ClassReplays = d.i64()
-}
+func decodeStats(d *dec, s *sim.RoundStats) { s.Counters(func(_ string, v *int64) { *v = d.i64() }) }
 
 // partialsMsg returns one or more logical shards' partial sums for a
 // round. The float64 vectors travel as raw IEEE-754 bits, so the

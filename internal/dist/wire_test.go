@@ -120,10 +120,14 @@ func TestAssignRoundTrip(t *testing.T) {
 }
 
 // TestPartialsRoundTrip checks the float vectors survive bit-exactly —
-// including NaN payloads and signed zeros — and that every ShardStats
-// field travels.
+// including NaN payloads and signed zeros — and that every counter
+// travels: the stats value is built through RoundStats.Counters, with a
+// distinct value in every field, so a new counter is covered too.
 func TestPartialsRoundTrip(t *testing.T) {
 	mk := func(vals ...float64) []float64 { return vals }
+	var stats sim.RoundStats
+	next := int64(100)
+	stats.Counters(func(_ string, v *int64) { next++; *v = next })
 	in := &partialsMsg{
 		Seq: 17,
 		Parts: []sim.ShardPartial{
@@ -131,7 +135,7 @@ func TestPartialsRoundTrip(t *testing.T) {
 				Shard:  2,
 				UBase:  mk(1.5, math.NaN(), math.Inf(1), math.Copysign(0, -1)),
 				UDelta: mk(0, -2.25, 1e-308, 3),
-				Stats:  sim.ShardStats{WallNS: 123, StaticHits: 1, StaticMisses: 2, StaticCacheBytes: 3, StaticCacheEntries: 4, BaseResolutions: 5, ProjResolutions: 6, ProjUnchanged: 7, SkipZeroUtil: 8, SkipInsecureDest: 9, SkipDestFlip: 10, SkipTurnOff: 11, SkipTurnOn: 12, NodesReused: 13, NodesRecomputed: 14, DirtyDests: 15, CleanDests: 16, DynCacheBytes: 17, DynCacheEntries: 18, DynCacheEvictions: 19, StaticPackedBytes: 22, StaticPackedEntries: 23, StaticDiskHits: 24, StaticDiskBytesRead: 25, StaticDiskWrites: 26, PristineReplays: 27, PristineRecords: 28, ClassReplays: 29},
+				Stats:  stats,
 			},
 			{
 				Shard:  5,
@@ -139,6 +143,9 @@ func TestPartialsRoundTrip(t *testing.T) {
 				UDelta: mk(8, 9, 10, 11),
 			},
 		},
+	}
+	if got := int(next - 100); got == 0 || got != statsWireFields {
+		t.Fatalf("Counters visited %d fields, the wire carries %d", got, statsWireFields)
 	}
 	var out partialsMsg
 	if err := decodePartials(encodePartials(in), &out); err != nil {
@@ -269,7 +276,11 @@ func FuzzDecodePartials(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p []byte) {
 		var m partialsMsg
 		_ = decodePartials(p, &m)
-		_ = decodePartials(p, &m)
+		if decodePartials(p, &m) == nil {
+			if q := encodePartials(&m); !bytes.Equal(q, p) {
+				t.Fatalf("a decoded frame of %d bytes re-encodes to %d different bytes", len(p), len(q))
+			}
+		}
 	})
 }
 

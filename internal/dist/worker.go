@@ -133,8 +133,8 @@ func serveConn(conn io.ReadWriter, opts serveOpts) error {
 			if err := decodeSnapshot(buf, &snap); err != nil {
 				return bail(err)
 			}
-			if len(snap.Secure) != n {
-				return bail(fmt.Errorf("dist: snapshot of %d nodes, want %d", len(snap.Secure), n))
+			if len(snap.Secure) != n || len(snap.Breaks) != n {
+				return bail(fmt.Errorf("dist: snapshot of %d/%d nodes, want %d", len(snap.Secure), len(snap.Breaks), n))
 			}
 			copy(secure, snap.Secure)
 			copy(breaks, snap.Breaks)

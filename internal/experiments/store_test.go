@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"sync"
@@ -263,6 +264,57 @@ func TestStoreCorruptCacheRecomputes(t *testing.T) {
 		t.Fatalf("corrupt sim cache was not recomputed: %v", err)
 	} else if run.Cached {
 		t.Fatalf("corrupt sim cache entry was served as a hit")
+	}
+}
+
+// TestStoreRecomputesOutOfRangeResult: a cached simulation that parses
+// but lists a node outside its graph is recomputed rather than served to
+// a renderer that indexes by it (fig7 rebuilds each round's secure
+// bitmap from the Deployed lists), and the report is the golden one.
+func TestStoreRecomputesOutOfRangeResult(t *testing.T) {
+	outDir := t.TempDir()
+	batch := BatchOptions{Options: goldenOptions(), IDs: []string{"fig7"}, OutDir: outDir}
+	if _, err := RunBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(outDir, "cache", "sims")
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) == 0 {
+		t.Fatalf("no sims cache entries persisted (%v)", err)
+	}
+	for _, e := range entries {
+		path := filepath.Join(dir, e.Name())
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.ReadResult(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Rounds[0].Deployed = append(res.Rounds[0].Deployed, int32(len(res.FinalSecure)))
+		var buf bytes.Buffer
+		if err := sim.WriteResult(&buf, res); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch.Force = true
+	statuses, err := RunBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := statuses[0]
+	if st.Err != nil {
+		t.Fatalf("fig7 over the corrupted cache: %v", st.Err)
+	}
+	if st.SimExecs == 0 {
+		t.Error("the corrupted entries were served, not recomputed")
+	}
+	if !bytes.Equal(st.Report, readGolden(t, "fig7")) {
+		t.Error("fig7 over the corrupted cache differs from golden")
 	}
 }
 

@@ -470,7 +470,7 @@ func TestSyncDynPurgesOnBreaksOnlyChange(t *testing.T) {
 	g.SetCPTrafficFraction(0.10)
 	n := g.N()
 	type partial struct{ base, delta []float64 }
-	compute := func(e *ShardEngine, st RoundState, cands []int32) (out []partial, clean int64) {
+	compute := func(e *ShardEngine, st RoundState, cands []int32) (out []partial, clean int) {
 		for _, p := range e.ComputeRound(st, cands) {
 			out = append(out, partial{append([]float64(nil), p.UBase...), append([]float64(nil), p.UDelta...)})
 			clean += p.Stats.CleanDests

@@ -378,44 +378,15 @@ func (s *Sim) computeRound(st *deployState, candidates []bool) (uBase, uProj []f
 	}
 
 	if cfg.RecordStats {
-		stats = &RoundStats{
-			Wall:             time.Since(started),
-			Destinations:     n,
-			Candidates:       len(candList),
-			ShardsReassigned: info.ShardsReassigned,
-			WorkersLost:      info.WorkersLost,
-		}
-		var sum ShardStats
+		wall := time.Since(started)
+		stats = new(RoundStats)
 		for i := range partials {
-			sum.add(&partials[i].Stats)
+			stats.add(&partials[i].Stats)
 		}
-		stats.StaticHits = sum.StaticHits
-		stats.StaticMisses = sum.StaticMisses
-		stats.StaticCacheBytes = sum.StaticCacheBytes
-		stats.StaticCacheEntries = int(sum.StaticCacheEntries)
-		stats.BaseResolutions = sum.BaseResolutions
-		stats.ProjResolutions = sum.ProjResolutions
-		stats.ProjUnchanged = sum.ProjUnchanged
-		stats.SkipZeroUtil = sum.SkipZeroUtil
-		stats.SkipInsecureDest = sum.SkipInsecureDest
-		stats.SkipDestFlip = sum.SkipDestFlip
-		stats.SkipTurnOff = sum.SkipTurnOff
-		stats.SkipTurnOn = sum.SkipTurnOn
-		stats.NodesReused = sum.NodesReused
-		stats.NodesRecomputed = sum.NodesRecomputed
-		stats.DirtyDests = int(sum.DirtyDests)
-		stats.CleanDests = int(sum.CleanDests)
-		stats.DynCacheBytes = sum.DynCacheBytes
-		stats.DynCacheEntries = int(sum.DynCacheEntries)
-		stats.DynCacheEvictions = sum.DynCacheEvictions
-		stats.StaticPackedBytes = sum.StaticPackedBytes
-		stats.StaticPackedEntries = sum.StaticPackedEntries
-		stats.StaticDiskHits = sum.StaticDiskHits
-		stats.StaticDiskBytesRead = sum.StaticDiskBytesRead
-		stats.StaticDiskWrites = sum.StaticDiskWrites
-		stats.PristineReplays = sum.PristineReplays
-		stats.PristineRecords = sum.PristineRecords
-		stats.ClassReplays = sum.ClassReplays
+		// The round-level fields are set after the sum, so no partial
+		// can move them.
+		stats.Wall, stats.Destinations, stats.Candidates = wall, n, len(candList)
+		stats.ShardsReassigned, stats.WorkersLost = info.ShardsReassigned, info.WorkersLost
 		stats.ShardWallMax, stats.ShardWallMin, stats.StragglerRatio = shardTiming(partials)
 		if cfg.RecordMemStats {
 			var m runtime.MemStats
@@ -434,21 +405,21 @@ func shardTiming(partials []ShardPartial) (wallMax, wallMin time.Duration, strag
 	if len(partials) == 0 {
 		return 0, 0, 0
 	}
-	var sumNS, maxNS, minNS int64
+	var sum time.Duration
 	for i := range partials {
-		w := partials[i].Stats.WallNS
-		sumNS += w
-		if i == 0 || w > maxNS {
-			maxNS = w
+		w := partials[i].Stats.Wall
+		sum += w
+		if i == 0 || w > wallMax {
+			wallMax = w
 		}
-		if i == 0 || w < minNS {
-			minNS = w
+		if i == 0 || w < wallMin {
+			wallMin = w
 		}
 	}
-	if mean := sumNS / int64(len(partials)); mean > 0 {
-		straggler = float64(maxNS) / float64(mean)
+	if mean := sum / time.Duration(len(partials)); mean > 0 {
+		straggler = float64(wallMax) / float64(mean)
 	}
-	return time.Duration(maxNS), time.Duration(minNS), straggler
+	return wallMax, wallMin, straggler
 }
 
 // roundCtx bundles the inputs every worker reads during one round:
@@ -526,7 +497,7 @@ type worker struct {
 	// stats counts this worker's share of the round's work: plain
 	// increments on worker-private state, reported whole by compute,
 	// which adds the wall time and the dynamic cache's snapshot.
-	stats ShardStats
+	stats RoundStats
 
 	// contribs holds a destination's nonzero base contributions in
 	// ascending node order: a record's base, and a sidecar's entries.
@@ -586,7 +557,7 @@ func (wk *worker) resetRound(n int) {
 		wk.uBase[i] = 0
 		wk.uDelta[i] = 0
 	}
-	wk.stats = ShardStats{}
+	wk.stats = RoundStats{}
 	wk.plans, wk.lane = wk.plans[:0], 0
 	if wk.classes != nil {
 		wk.classes.stamp++ // class memos live for one compute call

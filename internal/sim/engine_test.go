@@ -521,7 +521,7 @@ func TestShardTimingZeroPartials(t *testing.T) {
 	if wallMax != 0 || wallMin != 0 || straggler != 0 {
 		t.Fatalf("shardTiming(empty) = %v/%v/%v, want zeros", wallMax, wallMin, straggler)
 	}
-	one := []ShardPartial{{Stats: ShardStats{WallNS: 40}}}
+	one := []ShardPartial{{Stats: RoundStats{Wall: 40}}}
 	wallMax, wallMin, straggler = shardTiming(one)
 	if wallMax != 40*time.Nanosecond || wallMin != 40*time.Nanosecond || straggler != 1.0 {
 		t.Fatalf("shardTiming(one) = %v/%v/%v, want 40ns/40ns/1.0", wallMax, wallMin, straggler)

@@ -24,82 +24,16 @@ type RoundState struct {
 // partial base-utility and projected-delta sums over the destinations
 // the shard owns, plus its share of the round's instrumentation.
 // UBase and UDelta have one entry per node and are owned by the
-// executor — valid until its next ExecRound call.
+// executor — valid until its next ExecRound call. Stats holds the
+// shard's counters, and its Wall is the shard's compute wall, measured
+// where the work ran (on a worker process in distributed mode), so
+// shard imbalance is visible even when network time hides it from the
+// coordinator. Its round-level fields stay zero: the Sim sets them.
 type ShardPartial struct {
 	Shard  int
 	UBase  []float64
 	UDelta []float64
-	Stats  ShardStats
-}
-
-// ShardStats counts one shard's share of a round's resolution work.
-// All fields are plain int64 counters so the struct round-trips through
-// the dist wire format as a fixed-width block. WallNS is the shard's
-// compute wall time in nanoseconds, measured where the work ran (on a
-// worker process in distributed mode), so shard imbalance is visible
-// even when network time hides it from the coordinator.
-type ShardStats struct {
-	WallNS              int64
-	StaticHits          int64
-	StaticMisses        int64
-	StaticCacheBytes    int64
-	StaticCacheEntries  int64
-	BaseResolutions     int64
-	ProjResolutions     int64
-	ProjUnchanged       int64
-	SkipZeroUtil        int64
-	SkipInsecureDest    int64
-	SkipDestFlip        int64
-	SkipTurnOff         int64
-	SkipTurnOn          int64
-	NodesReused         int64
-	NodesRecomputed     int64
-	DirtyDests          int64
-	CleanDests          int64
-	DynCacheBytes       int64
-	DynCacheEntries     int64
-	DynCacheEvictions   int64
-	StaticPackedBytes   int64
-	StaticPackedEntries int64
-	StaticDiskHits      int64
-	StaticDiskBytesRead int64
-	StaticDiskWrites    int64
-	PristineReplays     int64
-	PristineRecords     int64
-	ClassReplays        int64
-}
-
-// add accumulates o into s. WallNS is summed too; callers wanting
-// max/min track them separately.
-func (s *ShardStats) add(o *ShardStats) {
-	s.WallNS += o.WallNS
-	s.StaticHits += o.StaticHits
-	s.StaticMisses += o.StaticMisses
-	s.StaticCacheBytes += o.StaticCacheBytes
-	s.StaticCacheEntries += o.StaticCacheEntries
-	s.BaseResolutions += o.BaseResolutions
-	s.ProjResolutions += o.ProjResolutions
-	s.ProjUnchanged += o.ProjUnchanged
-	s.SkipZeroUtil += o.SkipZeroUtil
-	s.SkipInsecureDest += o.SkipInsecureDest
-	s.SkipDestFlip += o.SkipDestFlip
-	s.SkipTurnOff += o.SkipTurnOff
-	s.SkipTurnOn += o.SkipTurnOn
-	s.NodesReused += o.NodesReused
-	s.NodesRecomputed += o.NodesRecomputed
-	s.DirtyDests += o.DirtyDests
-	s.CleanDests += o.CleanDests
-	s.DynCacheBytes += o.DynCacheBytes
-	s.DynCacheEntries += o.DynCacheEntries
-	s.DynCacheEvictions += o.DynCacheEvictions
-	s.StaticPackedBytes += o.StaticPackedBytes
-	s.StaticPackedEntries += o.StaticPackedEntries
-	s.StaticDiskHits += o.StaticDiskHits
-	s.StaticDiskBytesRead += o.StaticDiskBytesRead
-	s.StaticDiskWrites += o.StaticDiskWrites
-	s.PristineReplays += o.PristineReplays
-	s.PristineRecords += o.PristineRecords
-	s.ClassReplays += o.ClassReplays
+	Stats  RoundStats
 }
 
 // ExecInfo reports executor-level events of one round that are not

@@ -172,13 +172,40 @@ func ReadResultFile(path string, n int) (*Result, error) {
 }
 
 // resultSanity rejects a deserialized Result that cannot belong to a
-// graph with n nodes (a stale or corrupted cache entry).
+// graph with n nodes (a stale or corrupted cache entry): renderers index
+// node arrays by every listed node and read utilities at every index,
+// so an entry that would make them panic is recomputed instead.
 func resultSanity(res *Result, n int) error {
 	if len(res.FinalSecure) != n {
 		return fmt.Errorf("sim: cached result has %d nodes, want %d", len(res.FinalSecure), n)
 	}
 	if len(res.PristineUtil) != n {
 		return fmt.Errorf("sim: cached result pristine utilities cover %d nodes, want %d", len(res.PristineUtil), n)
+	}
+	// outside returns the first entry of list that is not a node.
+	outside := func(list []int32) (int32, bool) {
+		for _, i := range list {
+			if i < 0 || int(i) >= n {
+				return i, true
+			}
+		}
+		return 0, false
+	}
+	if i, bad := outside(res.ISPs); bad {
+		return fmt.Errorf("sim: cached result lists ISP %d of %d nodes", i, n)
+	}
+	for r, rd := range res.Rounds {
+		for _, list := range [][]int32{rd.Deployed, rd.Disabled, rd.NewSimplexStubs} {
+			if i, bad := outside(list); bad {
+				return fmt.Errorf("sim: cached result round %d flips node %d of %d", r+1, i, n)
+			}
+		}
+		if (rd.UtilBase == nil) != (rd.UtilProj == nil) || rd.UtilBase != nil && (len(rd.UtilBase) != n || len(rd.UtilProj) != n) {
+			return fmt.Errorf("sim: cached result round %d utilities cover %d/%d nodes, want %d", r+1, len(rd.UtilBase), len(rd.UtilProj), n)
+		}
+	}
+	if res.Oscillated && (res.CycleStart < 0 || res.CycleLen < 1 || res.CycleStart+res.CycleLen > len(res.Rounds)) {
+		return fmt.Errorf("sim: cached result cycle of %d rounds from round %d, outside its %d rounds", res.CycleLen, res.CycleStart, len(res.Rounds))
 	}
 	return nil
 }

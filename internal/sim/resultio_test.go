@@ -142,6 +142,50 @@ func TestReadResultFile(t *testing.T) {
 	}
 }
 
+// TestReadResultFileRejectsOutOfRange: a cached Result that names a node
+// outside the graph, carries a round's utilities for fewer nodes, or
+// reports a cycle outside its rounds is refused, so the experiment
+// store recomputes it rather than a renderer indexing by it and
+// panicking. A cycle that ends on the last round is accepted.
+func TestReadResultFileRejectsOutOfRange(t *testing.T) {
+	_, n := ioResult(t)
+	cases := map[string]func(res *Result){
+		"ISPs":                  func(res *Result) { res.ISPs = append(res.ISPs, int32(n)) },
+		"Deployed":              func(res *Result) { res.Rounds[0].Deployed = append(res.Rounds[0].Deployed, int32(n)) },
+		"Deployed negative":     func(res *Result) { res.Rounds[0].Deployed = append(res.Rounds[0].Deployed, -1) },
+		"Disabled":              func(res *Result) { res.Rounds[0].Disabled = append(res.Rounds[0].Disabled, int32(n)) },
+		"NewSimplexStubs":       func(res *Result) { res.Rounds[0].NewSimplexStubs = append(res.Rounds[0].NewSimplexStubs, int32(n+7)) },
+		"UtilBase short":        func(res *Result) { res.Rounds[0].UtilBase = res.Rounds[0].UtilBase[:n-1] },
+		"UtilProj short":        func(res *Result) { res.Rounds[0].UtilProj = res.Rounds[0].UtilProj[:1] },
+		"UtilProj missing":      func(res *Result) { res.Rounds[0].UtilProj = nil },
+		"cycle past the rounds": func(res *Result) { res.Oscillated, res.CycleStart, res.CycleLen = true, len(res.Rounds)-1, 2 },
+		"cycle before round 0":  func(res *Result) { res.Oscillated, res.CycleStart, res.CycleLen = true, -1, 1 },
+		"empty cycle":           func(res *Result) { res.Oscillated, res.CycleStart, res.CycleLen = true, 0, 0 },
+		"":                      func(res *Result) { res.Oscillated, res.CycleStart, res.CycleLen = true, 0, len(res.Rounds) },
+	}
+	for name, corrupt := range cases {
+		res, _ := ioResult(t)
+		if len(res.Rounds) == 0 || res.Rounds[0].UtilBase == nil {
+			t.Fatal("fixture has no round with utilities")
+		}
+		corrupt(res)
+		var buf bytes.Buffer
+		if err := WriteResult(&buf, res); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "res.json")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadResultFile(path, n)
+		if name == "" && err != nil {
+			t.Errorf("a cycle ending on the last round: %v", err)
+		} else if name != "" && err == nil {
+			t.Errorf("%s: out-of-range entry accepted", name)
+		}
+	}
+}
+
 // TestRoundStatsSurviveRoundTrip pins that per-round stats (including
 // duration fields) reload exactly, since cached results feed the JSON
 // reports.

@@ -273,9 +273,9 @@ func (e *ShardEngine) compute(rs RoundState, candList []int32, idx []int) []Shar
 	for _, i := range idx {
 		wk := e.pool[i]
 		p := ShardPartial{Shard: e.shards[i], UBase: wk.uBase, UDelta: wk.uDelta, Stats: wk.stats}
-		p.Stats.WallNS = int64(e.wall[i])
+		p.Stats.Wall = e.wall[i]
 		p.Stats.DynCacheBytes = wk.dyn.bytesTotal()
-		p.Stats.DynCacheEntries = int64(wk.dyn.entryCount())
+		p.Stats.DynCacheEntries = wk.dyn.entryCount()
 		p.Stats.DynCacheEvictions = wk.dyn.evicted()
 		out = append(out, p)
 	}
@@ -287,7 +287,7 @@ func (e *ShardEngine) compute(rs RoundState, candList []int32, idx []int) []Shar
 	if len(out) > 0 && len(idx) == len(e.pool) {
 		st := &out[0].Stats
 		st.StaticCacheBytes = e.statics.Bytes()
-		st.StaticCacheEntries = int64(e.statics.Entries())
+		st.StaticCacheEntries = e.statics.Entries()
 		st.StaticPackedBytes = e.statics.PackedBytes()
 		st.StaticPackedEntries = e.statics.PackedEntries()
 	}

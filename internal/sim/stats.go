@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"time"
 )
 
@@ -162,6 +163,30 @@ type RoundStats struct {
 	// TotalAlloc delta; recorded only under Config.RecordMemStats, since
 	// the ReadMemStats pair stops the world).
 	AllocBytes uint64
+}
+
+// Counters calls f with the name and value of every signed-integer
+// field of st (the durations included), in declaration order, and
+// stores back what f leaves in *v. It is the one enumeration of the
+// counters: the round's reduce sums the shard partials through it and
+// the dist wire carries them with it, so a field added to RoundStats
+// reaches both with no other edit.
+func (st *RoundStats) Counters(f func(name string, v *int64)) {
+	sv := reflect.ValueOf(st).Elem()
+	for i := 0; i < sv.NumField(); i++ {
+		if fv := sv.Field(i); fv.CanInt() {
+			x := fv.Int()
+			f(sv.Type().Field(i).Name, &x)
+			fv.SetInt(x)
+		}
+	}
+}
+
+// add sums o's counters into st.
+func (st *RoundStats) add(o *RoundStats) {
+	var vs []int64
+	o.Counters(func(_ string, v *int64) { vs = append(vs, *v) })
+	st.Counters(func(_ string, v *int64) { *v += vs[0]; vs = vs[1:] })
 }
 
 // Skipped returns the total candidate resolutions avoided by the skip

@@ -26,7 +26,6 @@ import (
 	"sbgp/internal/dist"
 	"sbgp/internal/experiments"
 	"sbgp/internal/profiling"
-	"sbgp/internal/routing"
 )
 
 func main() {
@@ -66,9 +65,6 @@ func run() int {
 		return 2
 	}
 	defer stop()
-	// Flush the disk tier's index before exit so the next run opens it
-	// without a tail scan (the data itself is durable regardless).
-	defer routing.CloseSharedDiskStores()
 
 	if *list {
 		for _, id := range experiments.IDs() {

@@ -30,7 +30,6 @@ import (
 	"sbgp"
 	"sbgp/internal/dist"
 	"sbgp/internal/profiling"
-	"sbgp/internal/routing"
 	"sbgp/internal/sim"
 )
 
@@ -109,10 +108,6 @@ func run() int {
 		return fail(err)
 	}
 	defer stop()
-	// Flush the disk tier's index before exit so the next run scans
-	// nothing (purely an open-time optimization — the data is durable
-	// either way).
-	defer routing.CloseSharedDiskStores()
 
 	var g *sbgp.Graph
 	if *topo != "" {

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -31,7 +32,6 @@ import (
 //	<root>/statics-v1-<key16>/     key = sha256(graphFP ‖ 0 ‖ tbWire)
 //	    meta.json                  graph fingerprint + tiebreaker hex
 //	    seg-<pid>-<k>.log          append-only record segments
-//	    index.bin                  open-time index snapshot (optional)
 //
 // Segments are append-only and process-private: every store instance
 // creates its own O_EXCL-named segment and never writes another
@@ -45,16 +45,12 @@ import (
 // of that segment, so no store ever truncates (or otherwise mutates) a
 // file another process may still be appending to.
 //
-// index.bin is a rebuildable open-time optimization in the spirit of
-// the experiment store's atomic snapshot files: it records, per
-// segment, the byte range already validated and the (dest, offset,
-// length, crc) of every record in it, the whole file guarded by a
-// trailing CRC and replaced atomically (tmp + rename). Open loads a
-// valid index and then structurally walks only the uncovered segment
-// tails; a missing, stale or corrupt index just means a full walk. The
-// index is flushed every indexFlushEvery appends and on Close, so a
-// process killed without Close costs the next opener a scan, never
-// correctness.
+// The segments are the store's only index: open walks every segment's
+// record headers (one header read per record; the blobs stay unread)
+// and registers each record in one map keyed by its header's own
+// (magic, dest field) pair. Nothing but meta.json is written beside
+// them, so a crash leaves nothing to rebuild and Close nothing to
+// flush; an index.bin left by older builds is ignored.
 //
 // Everything read back is untrusted: a record is served only if its
 // blob matches the CRC recorded for it, and callers decode the bytes
@@ -62,11 +58,11 @@ import (
 // states the model: it skips only the cross-field level/class
 // revalidation the CRC already makes a 2^-32 event — nothing that can
 // panic or read out of bounds). Any validation failure
-// — bad meta, bad index, bad header, bad CRC, bad decode (reported via
-// Drop) — makes the affected records invisible, so the caller
-// recomputes and the store repairs itself by appending fresh records.
-// Results are therefore bit-identical with the store absent, cold,
-// warm, or arbitrarily corrupted.
+// — bad meta, bad header, bad CRC, bad decode (reported via Drop) —
+// makes the affected records invisible, so the caller recomputes and
+// the store repairs itself by appending fresh records. Results are
+// therefore bit-identical with the store absent, cold, warm, or
+// arbitrarily corrupted.
 //
 // Reads are mmap-backed where the platform allows (mmap_unix.go):
 // Lookup returns a slice of the page cache, so a warm store's resident
@@ -89,41 +85,27 @@ const (
 	// diskSidecarDestMax bounds a sidecar record's destination so it
 	// packs beside the kind in the header's dest field.
 	diskSidecarDestMax = 1 << 24
-	// diskIndexMagic starts index.bin ("SBSX").
-	diskIndexMagic = 0x58534253
 	// diskRecHeader is the fixed record header size: magic, dest,
 	// length, CRC-32C — four little-endian uint32s.
 	diskRecHeader = 16
-	// diskIndexVersion versions index.bin; bump on layout change.
-	// v2 added a per-record kind flag (0 = packed static, 1+kind =
-	// sidecar). A v1 index is discarded at open — the segments rescan,
-	// so the bump costs one scan, never correctness.
-	diskIndexVersion = 2
-	// indexFlushEvery bounds how many appended records an index
-	// snapshot may lag: a crash re-scans at most this many record
-	// headers per segment at next open. Rewriting the index is
-	// O(entries), so the amortized cost per append stays ~20 B of
-	// sequential index I/O per cached destination.
-	indexFlushEvery = 512
 )
 
 // castagnoli is the CRC-32C table; Castagnoli detects all single-bit
 // and single-byte errors, which is what the corruption sweep relies on.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// diskSegment is one on-disk segment file. name and f are immutable
-// after open; data is the read-only mapping (nil means pread via f).
+// diskSegment is one on-disk segment file. f is immutable after open;
+// data is the read-only mapping (nil means pread via f).
 // size is the validated byte range — records are only ever registered
 // inside it, and for the writer segment it advances under the store
 // mutex as records are appended.
 type diskSegment struct {
-	name string
 	f    *os.File
 	data []byte
 	size int64
 }
 
-// diskRec locates one destination's record inside a segment.
+// diskRec locates one record inside a segment.
 type diskRec struct {
 	seg *diskSegment
 	off int64 // header offset; blob starts at off+diskRecHeader
@@ -148,17 +130,39 @@ type StaticDiskStore struct {
 	dir string
 	n   int32
 
-	mu      sync.RWMutex
-	index   map[int32]diskRec
-	scIndex map[int64]diskRec // sidecar records, keyed int64(kind)<<32|dest
-	segs    []*diskSegment    // all open segments, writer last when present
-	w       *diskSegment      // this instance's append segment; nil until first Put
-	wOff    int64
-	wDead   bool // a write failed: this instance is read-only from now on
-	wbuf    []byte
-	dirty   int   // appends since the last index flush
-	writes  int64 // lifetime appends by this instance
-	closed  bool
+	mu     sync.RWMutex
+	recs   map[int64]diskRec // every served record, keyed by diskKey
+	segs   []*diskSegment    // all open segments, writer last when present
+	w      *diskSegment      // this instance's append segment; nil until first Put
+	wOff   int64
+	wDead  bool // a write failed: this instance is read-only from now on
+	wbuf   []byte
+	closed bool
+}
+
+// diskKey is a record's key in the store's one record map: its
+// header's own (magic, dest field) pair, so a static and the sidecars
+// of one destination never collide. Every real key is positive; -1
+// names no record.
+func diskKey(magic, field uint32) int64 {
+	return int64(magic)<<32 | int64(field)
+}
+
+// diskStaticKey is the key of destination d's packed static.
+func diskStaticKey(d int32) int64 {
+	if d < 0 {
+		return -1
+	}
+	return diskKey(diskRecMagic, uint32(d))
+}
+
+// diskSidecarKey is the key of destination d's sidecar of the given
+// kind; a destination that does not fit beside the kind has none.
+func diskSidecarKey(kind uint8, d int32) int64 {
+	if d < 0 || d >= diskSidecarDestMax {
+		return -1
+	}
+	return diskKey(diskSidecarMagic, uint32(kind)<<24|uint32(d))
 }
 
 // diskStoreKey derives the per-(graph, tiebreaker) subdirectory name.
@@ -173,8 +177,8 @@ func diskStoreKey(graphFP string, tbWire []byte) string {
 // OpenStaticDiskStore opens (creating as needed) the store for
 // (g, tb) under root. tb nil means HashTiebreaker{}; a tiebreaker
 // without a wire form (EncodeTiebreaker fails) cannot be keyed and is
-// an error. The caller owns the instance and should Close it to flush
-// the index snapshot; records themselves are durable at Put.
+// an error. The caller owns the instance and should Close it to release
+// its mappings and files; records themselves are durable at Put.
 func OpenStaticDiskStore(root string, g *asgraph.Graph, tb Tiebreaker) (*StaticDiskStore, error) {
 	return openDiskStore(root, g, asgraph.Fingerprint(g), tb)
 }
@@ -192,11 +196,10 @@ func openDiskStore(root string, g *asgraph.Graph, graphFP string, tb Tiebreaker)
 		return nil, fmt.Errorf("routing: disk store: %w", err)
 	}
 	st := &StaticDiskStore{
-		g:       g,
-		dir:     dir,
-		n:       int32(g.N()),
-		index:   make(map[int32]diskRec),
-		scIndex: make(map[int64]diskRec),
+		g:    g,
+		dir:  dir,
+		n:    int32(g.N()),
+		recs: make(map[int64]diskRec),
 	}
 
 	// Meta check: the directory name already keys (graph, tiebreaker),
@@ -226,12 +229,6 @@ func openDiskStore(root string, g *asgraph.Graph, graphFP string, tb Tiebreaker)
 		}
 	}
 
-	covered := map[string]int64{}
-	indexed := map[string][]indexRec{}
-	if trust {
-		loadDiskIndex(filepath.Join(dir, "index.bin"), covered, indexed)
-	}
-
 	names, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("routing: disk store: %w", err)
@@ -250,7 +247,7 @@ func openDiskStore(root string, g *asgraph.Graph, graphFP string, tb Tiebreaker)
 			// a fresh segment.
 			continue
 		}
-		seg, err := st.openSegment(nm, covered[nm], indexed[nm])
+		seg, err := st.openSegment(nm)
 		if err != nil {
 			continue // unreadable segment: its records recompute
 		}
@@ -259,11 +256,10 @@ func openDiskStore(root string, g *asgraph.Graph, graphFP string, tb Tiebreaker)
 	return st, nil
 }
 
-// openSegment opens one existing segment: registers the index-covered
-// records after bounds checks, then structurally scans the uncovered
-// tail. The segment is mmapped when the platform allows; the fd is
-// kept open either way for the pread fallback.
-func (st *StaticDiskStore) openSegment(name string, covered int64, recs []indexRec) (*diskSegment, error) {
+// openSegment opens one existing segment and scans it whole. The
+// segment is mmapped when the platform allows; the fd is kept open
+// either way for the pread fallback.
+func (st *StaticDiskStore) openSegment(name string) (*diskSegment, error) {
 	f, err := os.Open(filepath.Join(st.dir, name))
 	if err != nil {
 		return nil, err
@@ -278,91 +274,44 @@ func (st *StaticDiskStore) openSegment(name string, covered int64, recs []indexR
 	if err != nil {
 		data = nil
 	}
-	seg := &diskSegment{name: name, f: f, data: data, size: size}
-	if covered > size || covered < 0 {
-		// The index claims more than the file holds: stale or corrupt
-		// beyond its own CRC's reach (file replaced?). Rescan fully.
-		covered = 0
-		recs = nil
-	}
-	for _, r := range recs {
-		if r.off < 0 || r.len <= 0 || r.off+diskRecHeader+int64(r.len) > covered ||
-			r.dest < 0 || r.dest >= st.n {
-			continue
-		}
-		rec := diskRec{seg: seg, off: r.off, len: r.len, crc: r.crc}
-		if r.kflag == 0 {
-			st.index[r.dest] = rec
-		} else {
-			st.scIndex[diskSidecarKey(r.kflag-1, r.dest)] = rec
-		}
-	}
-	st.scanSegment(seg, covered, size)
+	seg := &diskSegment{f: f, data: data, size: size}
+	st.scanSegment(seg)
 	return seg, nil
 }
 
-// scanSegment structurally walks seg's records in [from, to),
-// registering each well-formed one (last record wins — by determinism
-// every valid blob for a destination is identical, and last-wins lets
-// repair appends supersede corrupt records). Static (SBS1) and sidecar
-// (SBS2) records interleave freely. The walk stops at the first
-// malformed header or overrun: everything beyond it is a torn tail (or
-// foreign garbage) and stays invisible.
-func (st *StaticDiskStore) scanSegment(seg *diskSegment, from, to int64) {
+// scanSegment structurally walks seg's records, registering each
+// well-formed one (last record wins — by determinism every valid blob
+// for a key is identical, and last-wins lets repair appends supersede
+// corrupt records). Static (SBS1) and sidecar (SBS2) records interleave
+// freely. The walk stops at the first malformed header or overrun:
+// everything beyond it is a torn tail (or foreign garbage) and stays
+// invisible.
+func (st *StaticDiskStore) scanSegment(seg *diskSegment) {
 	var hdr [diskRecHeader]byte
-	off := from
-	for off+diskRecHeader <= to {
-		if !seg.readAt(hdr[:], off) {
-			break
+	for off := int64(0); off+diskRecHeader <= seg.size; {
+		// Through the fd, not the mapping: a fault on the mapping also
+		// maps its cached neighbors (fault-around), so a mapped walk
+		// would make the whole segment resident in this process at open.
+		if _, err := seg.f.ReadAt(hdr[:], off); err != nil {
+			return
 		}
 		magic := binary.LittleEndian.Uint32(hdr[0:])
-		dest := binary.LittleEndian.Uint32(hdr[4:])
-		blen := binary.LittleEndian.Uint32(hdr[8:])
+		field := binary.LittleEndian.Uint32(hdr[4:])
+		blen := int64(binary.LittleEndian.Uint32(hdr[8:]))
+		dest := field
+		if magic == diskSidecarMagic {
+			dest &= diskSidecarDestMax - 1 // the kind rides in the top byte
+		}
+		// A length past int32 cannot be a record this store wrote (and
+		// would turn negative in diskRec.len): malformed, like the rest.
+		if magic != diskRecMagic && magic != diskSidecarMagic || dest >= uint32(st.n) ||
+			blen == 0 || blen > math.MaxInt32 || off+diskRecHeader+blen > seg.size {
+			return
+		}
 		crc := binary.LittleEndian.Uint32(hdr[12:])
-		if blen == 0 || off+diskRecHeader+int64(blen) > to {
-			break
-		}
-		rec := diskRec{seg: seg, off: off, len: int32(blen), crc: crc}
-		switch magic {
-		case diskRecMagic:
-			if dest >= uint32(st.n) {
-				off = to // malformed: stop
-				continue
-			}
-			st.index[int32(dest)] = rec
-		case diskSidecarMagic:
-			kind := uint8(dest >> 24)
-			d := int32(dest & (diskSidecarDestMax - 1))
-			if d >= st.n {
-				off = to
-				continue
-			}
-			st.scIndex[diskSidecarKey(kind, d)] = rec
-		default:
-			off = to
-			continue
-		}
-		off += diskRecHeader + int64(blen)
+		st.recs[diskKey(magic, field)] = diskRec{seg: seg, off: off, len: int32(blen), crc: crc}
+		off += diskRecHeader + blen
 	}
-}
-
-// diskSidecarKey packs a sidecar record's (kind, dest) identity into
-// one index key.
-func diskSidecarKey(kind uint8, d int32) int64 {
-	return int64(kind)<<32 | int64(uint32(d))
-}
-
-// readAt fills buf from the segment at off, via the mapping or pread.
-func (seg *diskSegment) readAt(buf []byte, off int64) bool {
-	if seg.data != nil {
-		if off < 0 || off+int64(len(buf)) > int64(len(seg.data)) {
-			return false
-		}
-		copy(buf, seg.data[off:])
-		return true
-	}
-	_, err := seg.f.ReadAt(buf, off)
-	return err == nil
 }
 
 // Lookup returns the packed blob stored for destination d, or nil. The
@@ -373,11 +322,36 @@ func (seg *diskSegment) readAt(buf []byte, off int64) bool {
 // and report a decode failure via Drop so the record can be repaired.
 // A nil store always misses.
 func (st *StaticDiskStore) Lookup(d int32) []byte {
+	return st.lookup(diskStaticKey(d), func(b []byte) bool {
+		pd, ok := PackedDest(b)
+		return ok && pd == d
+	})
+}
+
+// LookupSidecar returns the sidecar payload stored for (kind, d), or
+// nil. Same trust discipline as Lookup: the CRC is verified here, the
+// payload's own embedded (dest, kind) are cross-checked against the
+// key, and callers still run the fully validating DecodeSidecar — any
+// failure there is reported via DropSidecar so the record can be
+// repaired. A nil store always misses.
+func (st *StaticDiskStore) LookupSidecar(kind uint8, d int32) []byte {
+	return st.lookup(diskSidecarKey(kind, d), func(b []byte) bool {
+		sd, sk, ok := SidecarDest(b)
+		return ok && sd == d && sk == kind
+	})
+}
+
+// lookup serves the record under key once its blob passes its CRC and
+// owns, the embedded-destination check of the record's kind: the CRC
+// covers only the blob, so a flipped dest byte in the header would
+// register a perfectly valid blob under the wrong key. A record that
+// fails either is dropped.
+func (st *StaticDiskStore) lookup(key int64, owns func([]byte) bool) []byte {
 	if st == nil {
 		return nil
 	}
 	st.mu.RLock()
-	rec, ok := st.index[d]
+	rec, ok := st.recs[key]
 	closed := st.closed
 	st.mu.RUnlock()
 	if !ok || closed {
@@ -388,20 +362,13 @@ func (st *StaticDiskStore) Lookup(d int32) []byte {
 		b = rec.seg.data[rec.off+diskRecHeader : rec.off+diskRecHeader+int64(rec.len)]
 	} else {
 		b = make([]byte, rec.len)
-		if !rec.seg.readAt(b, rec.off+diskRecHeader) {
-			st.Drop(d)
+		if _, err := rec.seg.f.ReadAt(b, rec.off+diskRecHeader); err != nil {
+			st.drop(key)
 			return nil
 		}
 	}
-	if crc32.Checksum(b, castagnoli) != rec.crc {
-		st.Drop(d)
-		return nil
-	}
-	// The CRC covers only the blob, so a flipped destination byte in the
-	// record header would register a perfectly valid blob under the
-	// wrong key — cross-check the blob's own embedded destination.
-	if pd, ok := PackedDest(b); !ok || pd != d {
-		st.Drop(d)
+	if crc32.Checksum(b, castagnoli) != rec.crc || !owns(b) {
+		st.drop(key)
 		return nil
 	}
 	return b
@@ -409,26 +376,40 @@ func (st *StaticDiskStore) Lookup(d int32) []byte {
 
 // Has reports whether a record for d is registered (without verifying
 // its CRC). A nil store has nothing.
-func (st *StaticDiskStore) Has(d int32) bool {
+func (st *StaticDiskStore) Has(d int32) bool { return st.has(diskStaticKey(d)) }
+
+// HasSidecar reports whether a sidecar record for (kind, d) is
+// registered (without verifying its CRC). A nil store has nothing.
+func (st *StaticDiskStore) HasSidecar(kind uint8, d int32) bool {
+	return st.has(diskSidecarKey(kind, d))
+}
+
+func (st *StaticDiskStore) has(key int64) bool {
 	if st == nil {
 		return false
 	}
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	_, ok := st.index[d]
+	_, ok := st.recs[key]
 	return ok && !st.closed
 }
 
 // Drop forgets the record for d — a failed CRC or decode — so a later
 // Put appends a fresh one: the self-repair path. The bytes on disk are
 // left alone (another process may be reading the file).
-func (st *StaticDiskStore) Drop(d int32) {
+func (st *StaticDiskStore) Drop(d int32) { st.drop(diskStaticKey(d)) }
+
+// DropSidecar forgets the sidecar record for (kind, d) — a failed CRC
+// or decode — so a later PutSidecar appends a fresh one.
+func (st *StaticDiskStore) DropSidecar(kind uint8, d int32) { st.drop(diskSidecarKey(kind, d)) }
+
+func (st *StaticDiskStore) drop(key int64) {
 	if st == nil {
 		return
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	delete(st.index, d)
+	delete(st.recs, key)
 }
 
 // Put appends a record for destination d unless one is already
@@ -436,7 +417,21 @@ func (st *StaticDiskStore) Drop(d int32) {
 // (disk full, unwritable directory) disable this instance's writer and
 // report false — the store degrades to read-only, never errors out.
 func (st *StaticDiskStore) Put(d int32, blob []byte) bool {
-	if st == nil || len(blob) == 0 || d < 0 || d >= st.n {
+	return st.put(diskStaticKey(d), d, blob)
+}
+
+// PutSidecar appends a pristine-contribution sidecar record for
+// (kind, d) unless one is already registered, reporting whether bytes
+// were written. The destination must fit beside the kind in the header
+// (d < 2^24 — comfortably above any graph this simulator runs).
+func (st *StaticDiskStore) PutSidecar(kind uint8, d int32, payload []byte) bool {
+	return st.put(diskSidecarKey(kind, d), d, payload)
+}
+
+// put appends blob as the record under key (destination d's) to this
+// instance's segment and registers it.
+func (st *StaticDiskStore) put(key int64, d int32, blob []byte) bool {
+	if st == nil || len(blob) == 0 || key < 0 || d >= st.n {
 		return false
 	}
 	st.mu.Lock()
@@ -444,31 +439,18 @@ func (st *StaticDiskStore) Put(d int32, blob []byte) bool {
 	if st.closed {
 		return false
 	}
-	if _, ok := st.index[d]; ok {
+	if _, ok := st.recs[key]; ok {
 		return false
 	}
-	rec, ok := st.appendLocked(diskRecMagic, uint32(d), blob)
-	if !ok {
-		return false
-	}
-	st.index[d] = rec
-	st.afterAppendLocked()
-	return true
-}
-
-// appendLocked writes one record (header + blob) to this instance's
-// segment, returning its location. Callers hold the mutex, have
-// checked closed, and register the returned record themselves.
-func (st *StaticDiskStore) appendLocked(magic, destField uint32, blob []byte) (diskRec, bool) {
 	if st.w == nil {
 		if st.wDead || !st.openWriterLocked() {
 			st.wDead = true
-			return diskRec{}, false
+			return false
 		}
 	}
 	st.wbuf = st.wbuf[:0]
-	st.wbuf = binary.LittleEndian.AppendUint32(st.wbuf, magic)
-	st.wbuf = binary.LittleEndian.AppendUint32(st.wbuf, destField)
+	st.wbuf = binary.LittleEndian.AppendUint32(st.wbuf, uint32(key>>32))
+	st.wbuf = binary.LittleEndian.AppendUint32(st.wbuf, uint32(key))
 	st.wbuf = binary.LittleEndian.AppendUint32(st.wbuf, uint32(len(blob)))
 	crc := crc32.Checksum(blob, castagnoli)
 	st.wbuf = binary.LittleEndian.AppendUint32(st.wbuf, crc)
@@ -477,120 +459,12 @@ func (st *StaticDiskStore) appendLocked(magic, destField uint32, blob []byte) (d
 		// A partial append is a torn tail: scans stop at it, and this
 		// instance stops appending to avoid interleaving garbage.
 		st.closeWriterLocked()
-		return diskRec{}, false
+		return false
 	}
-	rec := diskRec{seg: st.w, off: st.wOff, len: int32(len(blob)), crc: crc}
+	st.recs[key] = diskRec{seg: st.w, off: st.wOff, len: int32(len(blob)), crc: crc}
 	st.wOff += int64(len(st.wbuf))
 	st.w.size = st.wOff
-	return rec, true
-}
-
-// afterAppendLocked advances the write counters and flushes the index
-// snapshot when due.
-func (st *StaticDiskStore) afterAppendLocked() {
-	st.writes++
-	st.dirty++
-	if st.dirty >= indexFlushEvery {
-		st.flushIndexLocked()
-	}
-}
-
-// PutSidecar appends a pristine-contribution sidecar record for
-// (kind, d) unless one is already registered, reporting whether bytes
-// were written. The destination must fit beside the kind in the header
-// (d < 2^24 — comfortably above any graph this simulator runs).
-func (st *StaticDiskStore) PutSidecar(kind uint8, d int32, payload []byte) bool {
-	if st == nil || len(payload) == 0 || d < 0 || d >= st.n || d >= diskSidecarDestMax {
-		return false
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed {
-		return false
-	}
-	key := diskSidecarKey(kind, d)
-	if _, ok := st.scIndex[key]; ok {
-		return false
-	}
-	rec, ok := st.appendLocked(diskSidecarMagic, uint32(kind)<<24|uint32(d), payload)
-	if !ok {
-		return false
-	}
-	st.scIndex[key] = rec
-	st.afterAppendLocked()
 	return true
-}
-
-// LookupSidecar returns the sidecar payload stored for (kind, d), or
-// nil. Same trust discipline as Lookup: the CRC is verified here, the
-// payload's own embedded (dest, kind) are cross-checked against the
-// index key, and callers still run the fully validating DecodeSidecar
-// — any failure there is reported via DropSidecar so the record can be
-// repaired. A nil store always misses.
-func (st *StaticDiskStore) LookupSidecar(kind uint8, d int32) []byte {
-	if st == nil {
-		return nil
-	}
-	st.mu.RLock()
-	rec, ok := st.scIndex[diskSidecarKey(kind, d)]
-	closed := st.closed
-	st.mu.RUnlock()
-	if !ok || closed {
-		return nil
-	}
-	var b []byte
-	if rec.seg.data != nil {
-		b = rec.seg.data[rec.off+diskRecHeader : rec.off+diskRecHeader+int64(rec.len)]
-	} else {
-		b = make([]byte, rec.len)
-		if !rec.seg.readAt(b, rec.off+diskRecHeader) {
-			st.DropSidecar(kind, d)
-			return nil
-		}
-	}
-	if crc32.Checksum(b, castagnoli) != rec.crc {
-		st.DropSidecar(kind, d)
-		return nil
-	}
-	if sd, sk, ok := SidecarDest(b); !ok || sd != d || sk != kind {
-		st.DropSidecar(kind, d)
-		return nil
-	}
-	return b
-}
-
-// HasSidecar reports whether a sidecar record for (kind, d) is
-// registered (without verifying its CRC). A nil store has nothing.
-func (st *StaticDiskStore) HasSidecar(kind uint8, d int32) bool {
-	if st == nil {
-		return false
-	}
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	_, ok := st.scIndex[diskSidecarKey(kind, d)]
-	return ok && !st.closed
-}
-
-// DropSidecar forgets the sidecar record for (kind, d) — a failed CRC
-// or decode — so a later PutSidecar appends a fresh one.
-func (st *StaticDiskStore) DropSidecar(kind uint8, d int32) {
-	if st == nil {
-		return
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	delete(st.scIndex, diskSidecarKey(kind, d))
-}
-
-// SidecarEntries returns the number of sidecar records currently
-// served.
-func (st *StaticDiskStore) SidecarEntries() int {
-	if st == nil {
-		return 0
-	}
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return len(st.scIndex)
 }
 
 // PutStatic encodes s (which must carry winners — a PrepareDest or
@@ -627,7 +501,7 @@ func (st *StaticDiskStore) openWriterLocked() bool {
 			}
 			return false
 		}
-		st.w = &diskSegment{name: name, f: f}
+		st.w = &diskSegment{f: f}
 		st.wOff = 0
 		st.segs = append(st.segs, st.w)
 		return true
@@ -644,14 +518,15 @@ func (st *StaticDiskStore) closeWriterLocked() {
 	st.wDead = true
 }
 
-// Entries returns the number of destinations currently served.
+// Entries returns the number of records currently served, statics and
+// sidecars alike.
 func (st *StaticDiskStore) Entries() int {
 	if st == nil {
 		return 0
 	}
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	return len(st.index)
+	return len(st.recs)
 }
 
 // BytesOnDisk returns the total size of all known segment files.
@@ -676,22 +551,8 @@ func (st *StaticDiskStore) Dir() string {
 	return st.dir
 }
 
-// Flush writes the index snapshot if appends happened since the last
-// one. Records are durable without it; the snapshot only spares the
-// next opener the segment scan.
-func (st *StaticDiskStore) Flush() {
-	if st == nil {
-		return
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if !st.closed && st.dirty > 0 {
-		st.flushIndexLocked()
-	}
-}
-
-// Close flushes the index, unmaps and closes every segment. Lookup and
-// Put on a closed store miss and refuse silently.
+// Close unmaps and closes every segment. Lookup and Put on a closed
+// store miss and refuse silently.
 func (st *StaticDiskStore) Close() error {
 	if st == nil {
 		return nil
@@ -701,149 +562,15 @@ func (st *StaticDiskStore) Close() error {
 	if st.closed {
 		return nil
 	}
-	if st.dirty > 0 {
-		st.flushIndexLocked()
-	}
 	st.closed = true
 	for _, seg := range st.segs {
 		munmap(seg.data)
 		seg.data = nil
 		seg.f.Close()
 	}
-	st.index = map[int32]diskRec{}
-	st.scIndex = map[int64]diskRec{}
+	st.recs = nil
 	st.w = nil
 	return nil
-}
-
-// indexRec is one record entry in index.bin. kflag distinguishes the
-// record kinds: 0 is a packed static, k+1 is a sidecar of kind k.
-type indexRec struct {
-	dest  int32
-	off   int64
-	len   int32
-	crc   uint32
-	kflag uint8
-}
-
-// flushIndexLocked atomically replaces index.bin with a snapshot of
-// the current in-memory index, recording per segment the validated
-// byte range and its records.
-func (st *StaticDiskStore) flushIndexLocked() {
-	bySeg := map[*diskSegment][]indexRec{}
-	for d, r := range st.index {
-		bySeg[r.seg] = append(bySeg[r.seg], indexRec{dest: d, off: r.off, len: r.len, crc: r.crc})
-	}
-	for k, r := range st.scIndex {
-		bySeg[r.seg] = append(bySeg[r.seg], indexRec{
-			dest: int32(uint32(k)), off: r.off, len: r.len, crc: r.crc, kflag: uint8(k>>32) + 1,
-		})
-	}
-	segs := append([]*diskSegment(nil), st.segs...)
-	sort.Slice(segs, func(i, j int) bool { return segs[i].name < segs[j].name })
-
-	buf := make([]byte, 0, 16+21*(len(st.index)+len(st.scIndex)))
-	buf = binary.LittleEndian.AppendUint32(buf, diskIndexMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, diskIndexVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(segs)))
-	for _, seg := range segs {
-		recs := bySeg[seg]
-		sort.Slice(recs, func(i, j int) bool { return recs[i].off < recs[j].off })
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(seg.name)))
-		buf = append(buf, seg.name...)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(seg.size))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(recs)))
-		for _, r := range recs {
-			buf = append(buf, r.kflag)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(r.dest))
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(r.off))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(r.len))
-			buf = binary.LittleEndian.AppendUint32(buf, r.crc)
-		}
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-	if writeDiskFileAtomic(filepath.Join(st.dir, "index.bin"), buf) == nil {
-		st.dirty = 0
-	}
-}
-
-// loadDiskIndex parses index.bin into per-segment covered ranges and
-// record lists. Any structural problem or CRC mismatch discards the
-// whole index — open falls back to scanning, never to trusting.
-func loadDiskIndex(path string, covered map[string]int64, indexed map[string][]indexRec) {
-	raw, err := os.ReadFile(path)
-	if err != nil || len(raw) < 16 {
-		return
-	}
-	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(tail) {
-		return
-	}
-	off := 0
-	u32 := func() (uint32, bool) {
-		if off+4 > len(body) {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint32(body[off:])
-		off += 4
-		return v, true
-	}
-	u64 := func() (uint64, bool) {
-		if off+8 > len(body) {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint64(body[off:])
-		off += 8
-		return v, true
-	}
-	magic, ok1 := u32()
-	ver, ok2 := u32()
-	nSegs, ok3 := u32()
-	if !ok1 || !ok2 || !ok3 || magic != diskIndexMagic || ver != diskIndexVersion || nSegs > 1<<20 {
-		return
-	}
-	cov := map[string]int64{}
-	idx := map[string][]indexRec{}
-	for s := uint32(0); s < nSegs; s++ {
-		nameLen, ok := u32()
-		if !ok || nameLen > 256 || off+int(nameLen) > len(body) {
-			return
-		}
-		name := string(body[off : off+int(nameLen)])
-		off += int(nameLen)
-		cvd, ok1 := u64()
-		nRecs, ok2 := u32()
-		if !ok1 || !ok2 || cvd > 1<<62 || nRecs > 1<<28 {
-			return
-		}
-		recs := make([]indexRec, 0, nRecs)
-		for r := uint32(0); r < nRecs; r++ {
-			if off >= len(body) {
-				return
-			}
-			kf := body[off]
-			off++
-			dest, ok1 := u32()
-			ro, ok2 := u64()
-			rl, ok3 := u32()
-			rc, ok4 := u32()
-			if !ok1 || !ok2 || !ok3 || !ok4 || ro > 1<<62 || rl > 1<<31-1 {
-				return
-			}
-			recs = append(recs, indexRec{dest: int32(dest), off: int64(ro), len: int32(rl), crc: rc, kflag: kf})
-		}
-		cov[name] = int64(cvd)
-		idx[name] = recs
-	}
-	if off != len(body) {
-		return
-	}
-	for k, v := range cov {
-		covered[k] = v
-	}
-	for k, v := range idx {
-		indexed[k] = v
-	}
 }
 
 // writeDiskFileAtomic writes data to path via a same-directory temp
@@ -925,11 +652,10 @@ func SharedStaticDiskStore(root string, g *asgraph.Graph, tb Tiebreaker) (*Stati
 	return st, nil
 }
 
-// CloseSharedDiskStores flushes and closes every store
-// SharedStaticDiskStore opened in this process, and forgets them so
-// later calls reopen fresh instances. CLIs call it at exit so the next
-// process opens against an index snapshot instead of a segment scan;
-// tests use it to simulate a restart. Callers must ensure no
+// CloseSharedDiskStores closes every store SharedStaticDiskStore
+// opened in this process, and forgets them so later calls reopen fresh
+// instances that scan the segments as a new process would: tests and
+// benchmarks use it to simulate a restart. Callers must ensure no
 // simulation is mid-round.
 func CloseSharedDiskStores() {
 	sharedDisk.mu.Lock()

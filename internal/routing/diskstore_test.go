@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -48,47 +50,36 @@ func populate(t *testing.T, root string, g *asgraph.Graph, tb Tiebreaker, blobs 
 }
 
 // TestDiskStoreRoundTrip: blobs survive Put/Close/Open/Lookup
-// byte-for-byte, whether the reopen goes through the index snapshot or
-// a raw segment scan.
+// byte-for-byte, found again by the open-time segment scan.
 func TestDiskStoreRoundTrip(t *testing.T) {
 	g, tb, blobs, root := diskTestSetup(t, 24, 31)
-	dir := populate(t, root, g, tb, blobs)
+	populate(t, root, g, tb, blobs)
 
-	check := func(label string) {
-		t.Helper()
-		st, err := OpenStaticDiskStore(root, g, tb)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		defer st.Close()
-		if st.Entries() != len(blobs) {
-			t.Fatalf("%s: %d entries, want %d", label, st.Entries(), len(blobs))
-		}
-		w := NewWorkspace(g)
-		for d, want := range blobs {
-			got := st.Lookup(int32(d))
-			if string(got) != string(want) {
-				t.Fatalf("%s: dest %d: blob differs (%d vs %d bytes)", label, d, len(got), len(want))
-			}
-			if _, err := w.DecodePacked(got); err != nil {
-				t.Fatalf("%s: dest %d: decode failed: %v", label, d, err)
-			}
-		}
-	}
-	check("indexed open")
-
-	if err := os.Remove(filepath.Join(dir, "index.bin")); err != nil {
+	st, err := OpenStaticDiskStore(root, g, tb)
+	if err != nil {
 		t.Fatal(err)
 	}
-	check("scan open")
+	defer st.Close()
+	if st.Entries() != len(blobs) {
+		t.Fatalf("%d entries, want %d", st.Entries(), len(blobs))
+	}
+	w := NewWorkspace(g)
+	for d, want := range blobs {
+		got := st.Lookup(int32(d))
+		if string(got) != string(want) {
+			t.Fatalf("dest %d: blob differs (%d vs %d bytes)", d, len(got), len(want))
+		}
+		if _, err := w.DecodePacked(got); err != nil {
+			t.Fatalf("dest %d: decode failed: %v", d, err)
+		}
+	}
 }
 
 // TestDiskStoreCorruptionSweep mirrors TestPackedCorruptBlob one layer
 // up: every single-byte flip and every truncation of the segment file
 // must leave the store serving only byte-exact blobs — a mutated
 // record either disappears (Lookup nil → the caller recomputes) or is
-// indistinguishable from the original. The same sweep runs over
-// index.bin, which must never make wrong records visible either.
+// indistinguishable from the original.
 func TestDiskStoreCorruptionSweep(t *testing.T) {
 	g, tb, blobs, root := diskTestSetup(t, 10, 37)
 	dir := populate(t, root, g, tb, blobs)
@@ -107,21 +98,16 @@ func TestDiskStoreCorruptionSweep(t *testing.T) {
 		t.Fatal("no segment file written")
 	}
 	segPath := filepath.Join(dir, segName)
-	idxPath := filepath.Join(dir, "index.bin")
 	segBytes, err := os.ReadFile(segPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idxBytes, err := os.ReadFile(idxPath)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	// sweep opens the store against a mutated file and asserts every
+	// sweep opens the store against a mutated segment and asserts every
 	// surviving Lookup is byte-exact; missing records are fine.
-	sweep := func(path string, mutated []byte, what string, at int) {
+	sweep := func(mutated []byte, what string, at int) {
 		t.Helper()
-		if err := os.WriteFile(path, mutated, 0o644); err != nil {
+		if err := os.WriteFile(segPath, mutated, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		st, err := OpenStaticDiskStore(root, g, tb)
@@ -137,35 +123,18 @@ func TestDiskStoreCorruptionSweep(t *testing.T) {
 		st.Close()
 	}
 
-	// Segment sweep: flips and truncations. index.bin is removed so the
-	// mutated bytes themselves are what the open validates.
-	if err := os.Remove(idxPath); err != nil {
-		t.Fatal(err)
-	}
+	// Segment sweep: flips and truncations.
 	for at := 0; at < len(segBytes); at++ {
 		mutated := append([]byte(nil), segBytes...)
 		mutated[at] ^= 0xFF
-		sweep(segPath, mutated, "seg flip", at)
-		sweep(segPath, segBytes[:at], "seg truncation", at)
+		sweep(mutated, "seg flip", at)
+		sweep(segBytes[:at], "seg truncation", at)
 	}
 	if err := os.WriteFile(segPath, segBytes, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	// Index sweep against the pristine segment: a lying index must not
-	// surface wrong bytes (flips that survive its CRC are bounded by
-	// the per-record CRCs and the segment's own contents).
-	for at := 0; at < len(idxBytes); at++ {
-		mutated := append([]byte(nil), idxBytes...)
-		mutated[at] ^= 0xFF
-		sweep(idxPath, mutated, "index flip", at)
-		sweep(idxPath, idxBytes[:at], "index truncation", at)
-	}
-
-	// After all that: pristine files serve everything again.
-	if err := os.WriteFile(idxPath, idxBytes, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// After all that: the pristine segment serves everything again.
 	st, err := OpenStaticDiskStore(root, g, tb)
 	if err != nil {
 		t.Fatal(err)
@@ -175,6 +144,101 @@ func TestDiskStoreCorruptionSweep(t *testing.T) {
 		if got := st.Lookup(int32(d)); string(got) != string(want) {
 			t.Fatalf("dest %d lost after sweep", d)
 		}
+	}
+}
+
+// TestDiskStoreIgnoresStaleIndex: older builds kept an index.bin beside
+// the segments. A leftover one is never read — even one that claims
+// records the segment lacks (here: every destination, at the first
+// record's place) registers nothing, and the store serves exactly what
+// its segment scan found.
+func TestDiskStoreIgnoresStaleIndex(t *testing.T) {
+	g, tb, blobs, root := diskTestSetup(t, 12, 65)
+	half := len(blobs) / 2
+	dir := populate(t, root, g, tb, blobs[:half])
+	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if len(segs) != 1 {
+		t.Fatalf("got %d segments, want 1", len(segs))
+	}
+	fi, err := os.Stat(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The layout older builds wrote: magic "SBSX", version 2, then per
+	// segment its name, covered bytes and (kind, dest, off, len, crc)
+	// records, the whole guarded by a trailing CRC-32C.
+	le := binary.LittleEndian
+	idx := le.AppendUint32(nil, 0x58534253)
+	idx = le.AppendUint32(idx, 2)
+	idx = le.AppendUint32(idx, 1)
+	name := filepath.Base(segs[0])
+	idx = le.AppendUint32(idx, uint32(len(name)))
+	idx = append(idx, name...)
+	idx = le.AppendUint64(idx, uint64(fi.Size()))
+	idx = le.AppendUint32(idx, uint32(len(blobs)))
+	for d := range blobs {
+		idx = append(idx, 0)
+		idx = le.AppendUint32(idx, uint32(d))
+		idx = le.AppendUint64(idx, 0)
+		idx = le.AppendUint32(idx, uint32(len(blobs[0])))
+		idx = le.AppendUint32(idx, crc32.Checksum(blobs[0], castagnoli))
+	}
+	idx = le.AppendUint32(idx, crc32.Checksum(idx, castagnoli))
+	if err := os.WriteFile(filepath.Join(dir, "index.bin"), idx, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := OpenStaticDiskStore(root, g, tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if st.Entries() != half {
+		t.Fatalf("%d entries, want the segment's %d", st.Entries(), half)
+	}
+	for d, want := range blobs {
+		got := st.Lookup(int32(d))
+		if d < half && string(got) != string(want) {
+			t.Fatalf("dest %d: stored blob not served byte-exactly", d)
+		}
+		if d >= half && (got != nil || st.Has(int32(d))) {
+			t.Fatalf("dest %d: served from the stale index", d)
+		}
+	}
+}
+
+// TestDiskStoreOversizedLength: a header whose length field is 2^31 or
+// more cannot be a record this store wrote, and registering it would
+// make its length negative and panic Lookup. The scan stops at it. The
+// segment is sparse: it claims 2 GiB but holds one header.
+func TestDiskStoreOversizedLength(t *testing.T) {
+	g, tb, _, root := diskTestSetup(t, 8, 67)
+	st, err := OpenStaticDiskStore(root, g, tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := st.Dir()
+	st.Close()
+	seg := filepath.Join(dir, "seg-00000000-000.log")
+	hdr := binary.LittleEndian.AppendUint32(nil, diskRecMagic)
+	hdr = binary.LittleEndian.AppendUint32(hdr, 0)          // dest 0
+	hdr = binary.LittleEndian.AppendUint32(hdr, 0x80000000) // length 2^31
+	hdr = binary.LittleEndian.AppendUint32(hdr, 0)
+	if err := os.WriteFile(seg, hdr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(seg, diskRecHeader+0x80000000); err != nil {
+		t.Skipf("no sparse 2 GiB file here: %v", err)
+	}
+
+	st, err = OpenStaticDiskStore(root, g, tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if st.Lookup(0) != nil || st.Has(0) {
+		t.Fatal("a 2^31-byte length registered a record")
 	}
 }
 
@@ -193,9 +257,6 @@ func TestDiskStoreTornTail(t *testing.T) {
 	}
 	dir := st.Dir()
 	st.Close()
-	if err := os.Remove(filepath.Join(dir, "index.bin")); err != nil {
-		t.Fatal(err)
-	}
 
 	// Tear: append a header that promises more bytes than exist.
 	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.log"))
@@ -240,9 +301,6 @@ func TestDiskStoreTornTail(t *testing.T) {
 func TestDiskStoreDropRepair(t *testing.T) {
 	g, tb, blobs, root := diskTestSetup(t, 12, 43)
 	dir := populate(t, root, g, tb, blobs)
-	if err := os.Remove(filepath.Join(dir, "index.bin")); err != nil {
-		t.Fatal(err)
-	}
 	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.log"))
 	raw, err := os.ReadFile(segs[0])
 	if err != nil {
@@ -446,7 +504,6 @@ func TestDiskStoreNilSafety(t *testing.T) {
 		t.Fatal("nil store did something")
 	}
 	st.Drop(0)
-	st.Flush()
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}

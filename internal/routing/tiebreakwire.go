@@ -91,6 +91,11 @@ func DecodeTiebreaker(data []byte) (Tiebreaker, error) {
 		if nn > tbWireMaxEntry {
 			return nil, fmt.Errorf("routing: preference-order table of %d nodes exceeds limit", nn)
 		}
+		// Every row takes at least its 8-byte header, so a count the
+		// payload cannot hold is refused before it sizes the map.
+		if uint64(len(rest)) < 8*uint64(nn) {
+			return nil, fmt.Errorf("routing: truncated preference-order tiebreaker")
+		}
 		rank := make(map[int32]map[int32]int, nn)
 		for i := uint32(0); i < nn; i++ {
 			if len(rest) < 8 {

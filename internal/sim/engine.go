@@ -674,6 +674,12 @@ func (wk *worker) processDest(d int32, rc *roundCtx, pl *destPlan) {
 	// Run reset (bigJump) would propagate more changes than a fresh
 	// resolution: the rebuild handles it, same bits either way.
 	tree, rec, baseValid := &wk.baseTree, pl.rec, false
+	// fill is d's class memo when d fills it (see fillClass): every
+	// addend below is recorded there too.
+	var fill *classMemo
+	if m := pl.memo; m != nil && len(m.kids) == 0 {
+		fill = m
+	}
 	if rec != nil && !rc.bigJump {
 		baseValid = !wk.advanceRecord(rec, tree, stc, rc)
 	} else {
@@ -699,6 +705,7 @@ func (wk *worker) processDest(d int32, rc *roundCtx, pl *destPlan) {
 		for _, e := range rec.base {
 			wk.uBase[e.node] += e.val
 		}
+		fill.addBase(rec.base)
 	} else {
 		// Base utility contributions, over the destination's memoized
 		// utility support list — the ascending subset of the ISP index
@@ -716,9 +723,9 @@ func (wk *worker) processDest(d int32, rc *roundCtx, pl *destPlan) {
 		}
 		accumulate(stc, tree, weights, wk.accBase, wk.incBase)
 		var kids []leafKid
-		if m := pl.memo; m != nil && len(m.kids) == 0 { // d fills its class
-			m.kids = appendKids(m.kids, stc, tree, wk.accBase)
-			kids = m.kids
+		if fill != nil {
+			fill.kids = appendKids(fill.kids, stc, tree, wk.accBase)
+			kids = fill.kids
 		}
 		wk.contribs = wk.contribs[:0]
 		for _, i := range support {
@@ -728,6 +735,7 @@ func (wk *worker) processDest(d int32, rc *roundCtx, pl *destPlan) {
 				wk.contribs = append(wk.contribs, contribEntry{i, v})
 			}
 		}
+		fill.addBase(wk.contribs)
 		if rec != nil {
 			rec.base = append(rec.base[:0], wk.contribs...)
 			rec.kids = append(rec.kids[:0], kids...)
@@ -757,7 +765,9 @@ func (wk *worker) processDest(d int32, rc *roundCtx, pl *destPlan) {
 	pj := projection{stc: stc, tree: tree}
 	for _, c := range rc.candList {
 		if moved, _ := wk.project(&pj, st, cfg, c); moved != nil {
-			wk.uDelta[c] += wk.deltaAt(cfg.Model, stc, tree, &wk.projTree, weights, c, moved)
+			v := wk.deltaAt(cfg.Model, stc, tree, &wk.projTree, weights, c, moved)
+			wk.uDelta[c] += v
+			fill.addDelta(c, v)
 			wk.ws.RevertFlips(&wk.projTree)
 		}
 	}

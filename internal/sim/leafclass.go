@@ -13,11 +13,11 @@ import (
 // it computed for d, except p's own base contribution, which counts the
 // other leaf among p's children. Within one shard and one compute call
 // the first leaf of a class (p, secure, breaks) is its *filler*: its
-// own rung runs for it into zeroed scratch accumulators, whose nonzeros
-// are memoized. Every later sibling is *replayed*: the memo added
-// verbatim, p's entry re-folded over the filler's child list with the
-// two leaves swapped. A pure performance layer, pinned by
-// TestLeafSiblingSymmetry and the tier lattice.
+// own rung runs for it and records in the memo every addend it adds.
+// Every later sibling is *replayed*: the memo added verbatim, p's entry
+// re-folded over the filler's child list with the two leaves swapped. A
+// pure performance layer, pinned by TestLeafSiblingSymmetry and the tier
+// lattice.
 
 // leafProviders returns, per node, the provider of a leaf and -1 for
 // every other node. Built once per graph by NewShardEngine.
@@ -48,6 +48,7 @@ type classKey struct { // a class within one shard
 // classMemo is what one filler left for its siblings this round.
 type classMemo struct {
 	stamp  uint64 // leafClasses.stamp of the plan that named its filler
+	prov   int32  // the class's provider
 	filler int32
 	base   []contribEntry // nonzero uBase contributions, ascending node, p's excluded
 	delta  []contribEntry // nonzero uDelta contributions, candidate order
@@ -55,15 +56,12 @@ type classMemo struct {
 }
 
 // leafClasses is a worker's share of the tier: its shard's leaves that
-// have a sibling in the shard, the stamped per-class memos of the current
-// compute call, and the zeroed scratch accumulators a filler runs into.
+// have a sibling in the shard and the stamped per-class memos of the
+// current compute call.
 type leafClasses struct {
-	prov   []int32 // provider of each replayable leaf of this shard, else -1
-	memos  map[classKey]*classMemo
-	stamp  uint64
-	base   []float64 // scratch uBase / uDelta: all-zero between fillers
-	delta  []float64
-	onFill func() // test hook: runs after every filler
+	prov  []int32 // provider of each replayable leaf of this shard, else -1
+	memos map[classKey]*classMemo
+	stamp uint64
 }
 
 // newLeafClasses builds the tier for the shard striping d ≡ shard (mod
@@ -81,8 +79,6 @@ func newLeafClasses(leafProv []int32, shard, total int) *leafClasses {
 		prov:  make([]int32, n),
 		memos: make(map[classKey]*classMemo),
 		stamp: 1, // a fresh memo's zero stamp is never current
-		base:  make([]float64, n),
-		delta: make([]float64, n),
 	}
 	for d := range lc.prov {
 		lc.prov[d] = -1
@@ -99,10 +95,31 @@ func newLeafClasses(leafProv []int32, shard, total int) *leafClasses {
 func (lc *leafClasses) memo(key classKey) *classMemo {
 	m := lc.memos[key]
 	if m == nil {
-		m = &classMemo{}
+		m = &classMemo{prov: key.prov}
 		lc.memos[key] = m
 	}
 	return m
+}
+
+// addBase records base contributions its filler adds, minus the
+// provider's, which every sibling re-folds. A nil memo — the destination
+// fills no class — records nothing.
+func (m *classMemo) addBase(entries []contribEntry) {
+	if m == nil {
+		return
+	}
+	for _, e := range entries {
+		if e.node != m.prov {
+			m.base = append(m.base, e)
+		}
+	}
+}
+
+// addDelta records candidate c's projected delta v its filler adds.
+func (m *classMemo) addDelta(c int32, v float64) {
+	if m != nil && v != 0 {
+		m.delta = append(m.delta, contribEntry{c, v})
+	}
 }
 
 // appendKids is processDest's capture at its accumulation site when d
@@ -119,41 +136,21 @@ func appendKids(kids []leafKid, s *routing.Static, t *routing.Tree, acc []float6
 }
 
 // fillClass serves d on its own rung — a clean replay or processDest,
-// which captures the provider's child list into the memo — with the
-// worker's accumulators swapped for the zeroed scratch pair, then moves
-// the nonzeros into the real accumulators and the class memo. Both add
-// to each index at most once per destination, so scratch holds the
-// addends themselves and adding them on is the float operation the
-// direct path performs. A path that did not accumulate captured nothing:
-// the list recorded with rec.base serves instead. With neither, the memo
-// stays unfilled and the next sibling fills it.
+// which captures the provider's child list into the memo — and the rung
+// records each addend in the memo as it adds it: the nonzero base
+// contributions (ascending node) and candidate deltas (candidate order)
+// a sibling replays. Every index takes one += per destination, so the
+// memo holds the addends themselves. A path that did not accumulate
+// captured nothing: the list recorded with rec.base serves instead.
+// With neither, the memo stays unfilled and the next sibling fills it.
 func (wk *worker) fillClass(d int32, rc *roundCtx, pl *destPlan) {
-	lc, m, p := wk.classes, pl.memo, wk.classes.prov[d]
-	uBase, uDelta := wk.uBase, wk.uDelta
-	wk.uBase, wk.uDelta = lc.base, lc.delta
+	m := pl.memo
+	m.base, m.delta = m.base[:0], m.delta[:0]
 	if pl.clean {
 		wk.replayClean(pl.rec)
+		m.addBase(pl.rec.base)
 	} else {
 		wk.processDest(d, rc, pl)
-	}
-	wk.uBase, wk.uDelta = uBase, uDelta
-
-	m.base, m.delta = m.base[:0], m.delta[:0]
-	for _, i := range wk.isps {
-		if v := lc.base[i]; v != 0 {
-			lc.base[i] = 0
-			uBase[i] += v
-			if i != p {
-				m.base = append(m.base, contribEntry{i, v})
-			}
-		}
-	}
-	for _, c := range rc.candList {
-		if v := lc.delta[c]; v != 0 {
-			lc.delta[c] = 0
-			uDelta[c] += v
-			m.delta = append(m.delta, contribEntry{c, v})
-		}
 	}
 	// Re-read the record: processDest may have admitted or evicted it.
 	if rec := wk.dyn.get(d); len(m.kids) == 0 && rec != nil {
@@ -161,9 +158,6 @@ func (wk *worker) fillClass(d int32, rc *roundCtx, pl *destPlan) {
 	}
 	if len(m.kids) > 0 {
 		m.filler = d
-	}
-	if lc.onFill != nil {
-		lc.onFill()
 	}
 }
 

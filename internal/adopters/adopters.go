@@ -19,9 +19,6 @@ import (
 	"sbgp/internal/sim"
 )
 
-// None returns the empty early-adopter set.
-func None() []int32 { return nil }
-
 // ContentProviders returns all content-provider nodes (the paper's
 // "5 CPs" set).
 func ContentProviders(g *asgraph.Graph) []int32 {

@@ -14,12 +14,6 @@ func testGraph(t *testing.T) *asgraph.Graph {
 	return topogen.MustGenerate(topogen.Default(300, 5))
 }
 
-func TestNone(t *testing.T) {
-	if got := None(); len(got) != 0 {
-		t.Errorf("None() = %v", got)
-	}
-}
-
 func TestContentProviders(t *testing.T) {
 	g := testGraph(t)
 	cps := ContentProviders(g)

@@ -261,16 +261,6 @@ func SameTopology(a, b *Graph) bool {
 		slices.Equal(a.provOff, b.provOff) && slices.Equal(a.provAdj, b.provAdj)
 }
 
-// TotalWeight returns the sum of all node weights (total originated
-// traffic volume).
-func (g *Graph) TotalWeight() float64 {
-	var w float64
-	for _, x := range g.weight {
-		w += x
-	}
-	return w
-}
-
 // SetCPTrafficFraction assigns traffic weights per the paper's model
 // (Section 3.1): all stubs and ISPs originate unit weight, and the
 // content providers collectively originate fraction x of all traffic,

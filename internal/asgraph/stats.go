@@ -131,18 +131,3 @@ func TopByDegree(g *Graph, k int, classes ...Class) []int32 {
 	}
 	return cand[:k]
 }
-
-// DegreeHistogram returns counts of nodes per degree, indexed by degree.
-func DegreeHistogram(g *Graph) []int {
-	maxd := 0
-	for i := int32(0); i < int32(g.N()); i++ {
-		if d := g.Degree(i); d > maxd {
-			maxd = d
-		}
-	}
-	h := make([]int, maxd+1)
-	for i := int32(0); i < int32(g.N()); i++ {
-		h[g.Degree(i)]++
-	}
-	return h
-}

@@ -505,7 +505,8 @@ func TestCoordinatorRejectsEmpty(t *testing.T) {
 // answer must fail within the configured timeout, not hang. Three
 // shapes: a blackhole address (the dial itself must be bounded), a
 // connection-refused address, and a listener that accepts but never
-// speaks the protocol (the handshake read must be bounded).
+// speaks the protocol (the handshake read must be bounded). The
+// blackhole is simulated by the dialer, so the test stays on loopback.
 func TestTCPCoordinatorTimeout(t *testing.T) {
 	g, adopters := testGraph(t, 50, 1)
 	cfg := sim.Config{Theta: 0.05, EarlyAdopters: adopters, Workers: 2}
@@ -523,9 +524,21 @@ func TestTCPCoordinatorTimeout(t *testing.T) {
 		}
 	}
 
-	// TEST-NET-1 is reserved and unrouted: without a dial timeout this
-	// blocks for the kernel's SYN-retry budget (minutes).
-	check("blackhole", "192.0.2.1:9")
+	// A dial to an unrouted host blocks for the kernel's SYN-retry
+	// budget (minutes) unless bounded. The stand-in dialer records the
+	// bound it is given, waits it out and times out as such a dial would.
+	var bound time.Duration
+	dialTimeout = func(network, addr string, timeout time.Duration) (net.Conn, error) {
+		bound = timeout
+		time.Sleep(timeout)
+		return nil, &net.OpError{Op: "dial", Net: network, Err: os.ErrDeadlineExceeded}
+	}
+	defer func() { dialTimeout = net.DialTimeout }()
+	check("blackhole", "blackhole.invalid:9")
+	dialTimeout = net.DialTimeout
+	if bound <= 0 || bound > opts.RoundTimeout {
+		t.Errorf("blackhole: dial bounded by %v, want within (0, %v]", bound, opts.RoundTimeout)
+	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -44,6 +44,10 @@ func ListenAndServe(addr string) error {
 	}
 }
 
+// dialTimeout dials a worker. Tests swap it to exercise an unreachable
+// address without sending anything off the host.
+var dialTimeout = net.DialTimeout
+
 // NewTCPCoordinator dials one worker per address and returns a
 // Coordinator over them. Shard s lives on addrs[s mod len(addrs)].
 // Dialing and the handshake are bounded by opts.RoundTimeout (default
@@ -68,7 +72,7 @@ func NewTCPCoordinator(g *asgraph.Graph, cfg sim.Config, addrs []string, opts Op
 	}
 	tcpConns := make([]net.Conn, 0, len(addrs))
 	for _, addr := range addrs {
-		conn, err := net.DialTimeout("tcp", addr, time.Until(deadline))
+		conn, err := dialTimeout("tcp", addr, time.Until(deadline))
 		if err != nil {
 			return fail(fmt.Errorf("dist: dialing worker %s: %w", addr, err))
 		}

@@ -2,8 +2,6 @@
 // figures and appendix proofs, so that tests and examples can reproduce
 // the exact mechanisms the paper argues from:
 //
-//   - Diamond (Fig. 2): two ISPs competing for a traffic source's
-//     equally-good paths to a multihomed stub.
 //   - BuyersRemorse (Fig. 13): an ISP with an incoming-utility incentive
 //     to turn S*BGP off.
 //   - PartialAttack (Fig. 15 / App. B): why preferring partially-secure
@@ -12,38 +10,15 @@
 //     early-adopter choice is NP-hard.
 //   - Oscillator (App. F): a state that never stabilizes under the
 //     incoming utility model.
+//
+// The Fig. 2 diamond, two ISPs competing for a traffic source's
+// equally-good paths to a multihomed stub, is a fixture of this
+// package's tests (Diamond).
 package gadgets
 
 import (
 	"sbgp/internal/asgraph"
 )
-
-// Diamond is the Figure 2 competition scenario.
-//
-//	  T          traffic source (early adopter, heavy weight)
-//	 / \
-//	A   B        competing ISPs
-//	 \ /
-//	  S          multihomed stub
-//
-// With a lowest-index tie-break T prefers A when security is moot.
-type Diamond struct {
-	Graph      *asgraph.Graph
-	T, A, B, S int32
-}
-
-// NewDiamond builds the diamond with the given traffic weight at T.
-func NewDiamond(sourceWeight float64) *Diamond {
-	g := asgraph.NewBuilder().
-		AddCustomer(1, 2).AddCustomer(1, 3).
-		AddCustomer(2, 4).AddCustomer(3, 4).
-		SetWeight(1, sourceWeight).
-		MustBuild()
-	return &Diamond{
-		Graph: g,
-		T:     g.Index(1), A: g.Index(2), B: g.Index(3), S: g.Index(4),
-	}
-}
 
 // BuyersRemorse is the Figure 13 scenario: ISP N (the paper's AS 4755)
 // transits a content provider's traffic to its stub customers. While N

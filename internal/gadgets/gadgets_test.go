@@ -4,9 +4,37 @@ import (
 	"reflect"
 	"testing"
 
+	"sbgp/internal/asgraph"
 	"sbgp/internal/routing"
 	"sbgp/internal/sim"
 )
+
+// Diamond is the Figure 2 competition scenario.
+//
+//	  T          traffic source (early adopter, heavy weight)
+//	 / \
+//	A   B        competing ISPs
+//	 \ /
+//	  S          multihomed stub
+//
+// With a lowest-index tie-break T prefers A when security is moot.
+type Diamond struct {
+	Graph      *asgraph.Graph
+	T, A, B, S int32
+}
+
+// NewDiamond builds the diamond with the given traffic weight at T.
+func NewDiamond(sourceWeight float64) *Diamond {
+	g := asgraph.NewBuilder().
+		AddCustomer(1, 2).AddCustomer(1, 3).
+		AddCustomer(2, 4).AddCustomer(3, 4).
+		SetWeight(1, sourceWeight).
+		MustBuild()
+	return &Diamond{
+		Graph: g,
+		T:     g.Index(1), A: g.Index(2), B: g.Index(3), S: g.Index(4),
+	}
+}
 
 func TestDiamondStealRegainCycle(t *testing.T) {
 	d := NewDiamond(10)

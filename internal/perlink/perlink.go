@@ -38,9 +38,6 @@ func NewState(g *asgraph.Graph) *State {
 	return st
 }
 
-// Graph returns the underlying graph.
-func (s *State) Graph() *asgraph.Graph { return s.g }
-
 // Enable turns on a's side of the link to b.
 func (s *State) Enable(a, b int32) { s.enabled[a][b] = true }
 
@@ -59,9 +56,6 @@ func (s *State) EnableAll(i int32) {
 		s.Enable(i, p)
 	}
 }
-
-// DisableAll turns off every link of node i.
-func (s *State) DisableAll(i int32) { s.enabled[i] = make(map[int32]bool) }
 
 // LinkSecured reports whether the link between a and b is secured by
 // both endpoints.

@@ -11,6 +11,9 @@ import (
 	"sbgp/internal/sim"
 )
 
+// DisableAll turns off every link of node i.
+func (s *State) DisableAll(i int32) { s.enabled[i] = make(map[int32]bool) }
+
 // TestFullEnablementMatchesNodeLevel: enabling every link of a node set
 // S must reproduce the node-level engine exactly — same trees, same
 // secure flags (link security with full enablement degenerates to node

@@ -29,7 +29,6 @@ func requireLanesMatch(t *testing.T, label string, g *asgraph.Graph, b *StaticBa
 	}
 	rng := rand.New(rand.NewSource(int64(len(dests))))
 	sec, brk := asgraphtest.RandomState(rng, g.N(), 0.5, 0.6)
-	st := &BoolState{Sec: sec, Brk: brk}
 	for k := len(dests) - 1; k >= 0; k-- {
 		d := dests[k]
 		got := w.PrepareLane(b, k, tb)
@@ -37,8 +36,8 @@ func requireLanesMatch(t *testing.T, label string, g *asgraph.Graph, b *StaticBa
 			t.Fatalf("%s width %d lane %d (dest %d): PrepareLane differs from PrepareDest", label, len(dests), k, d)
 		}
 		if ref {
-			fast := w.Resolve(got, st, tb)
-			want, err := Reference(g, d, st, tb)
+			fast := resolve(w, got, sec, brk, tb)
+			want, err := Reference(g, d, sec, brk, tb)
 			if err != nil {
 				t.Fatalf("%s dest %d: %v", label, d, err)
 			}

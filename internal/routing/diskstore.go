@@ -53,14 +53,12 @@ import (
 // flush; an index.bin left by older builds is ignored.
 //
 // Everything read back is untrusted: a record is served only if its
-// blob matches the CRC recorded for it, and callers decode the bytes
-// with every structural and bounds check live (DecodePackedTrusted
-// states the model: it skips only the cross-field level/class
-// revalidation the CRC already makes a 2^-32 event — nothing that can
-// panic or read out of bounds). Any validation failure
-// — bad meta, bad header, bad CRC, bad decode (reported via Drop) —
-// makes the affected records invisible, so the caller recomputes and
-// the store repairs itself by appending fresh records. Results are
+// blob matches the CRC recorded for it, and the engine decodes a served
+// static with every check live (DecodePacked; DecodePackedTrusted
+// states the model). Any validation failure — bad meta, bad header, bad
+// CRC, bad decode (reported via Drop) — makes the affected records
+// invisible, so the caller recomputes and the store repairs itself by
+// appending fresh records. Results are
 // therefore bit-identical with the store absent, cold, warm, or
 // arbitrarily corrupted.
 //
@@ -318,8 +316,8 @@ func (st *StaticDiskStore) scanSegment(seg *diskSegment) {
 // returned bytes are read-only and — on mmap platforms — alias the
 // page cache; callers must not retain them past the store's Close.
 // The blob's CRC is verified here (catching every single-byte flip);
-// callers decode it trusted — the model DecodePackedTrusted states —
-// and report a decode failure via Drop so the record can be repaired.
+// callers decode it with full validation (DecodePacked) and report a
+// decode failure via Drop so the record can be repaired.
 // A nil store always misses.
 func (st *StaticDiskStore) Lookup(d int32) []byte {
 	return st.lookup(diskStaticKey(d), func(b []byte) bool {

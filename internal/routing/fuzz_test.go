@@ -139,17 +139,15 @@ func FuzzDecodeSidecar(f *testing.F) {
 // EncodeTiebreaker writes for it decode to the same policy, by
 // TiebreakerFingerprint.
 func FuzzDecodeTiebreaker(f *testing.F) {
-	for _, tb := range []Tiebreaker{
-		HashTiebreaker{Seed: 71},
-		LowestIndex{},
-		PreferenceOrder{Rank: map[int32]map[int32]int{0: {1: 2, 3: -1}, 5: {}}},
-	} {
+	for _, tb := range []Tiebreaker{HashTiebreaker{Seed: 71}, LowestIndex{}} {
 		wire, err := EncodeTiebreaker(tb)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(wire)
 	}
+	// A payload of the retired kind 3, a per-node rank table header.
+	f.Add([]byte{3, 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tb, err := DecodeTiebreaker(data)
 		if err != nil {

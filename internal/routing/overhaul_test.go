@@ -17,7 +17,7 @@ import (
 	"sbgp/internal/asgraph/asgraphtest"
 )
 
-// requireMatchesReference diffs the fast Static+Resolve pipeline against
+// requireMatchesReference diffs the fast Static+ResolveInto pipeline against
 // the path-vector reference for the given destinations (all when nil).
 func requireMatchesReference(t *testing.T, label string, g *asgraph.Graph, dests []int32, seed uint64) {
 	t.Helper()
@@ -29,13 +29,12 @@ func requireMatchesReference(t *testing.T, label string, g *asgraph.Graph, dests
 	}
 	rng := rand.New(rand.NewSource(int64(seed)))
 	sec, brk := asgraphtest.RandomState(rng, g.N(), 0.5, 0.6)
-	st := &BoolState{Sec: sec, Brk: brk}
 	tb := HashTiebreaker{Seed: seed}
 	w := NewWorkspace(g)
 	for _, d := range dests {
 		s := w.PrepareDest(d, tb)
-		fast := w.Resolve(s, st, tb)
-		ref, err := Reference(g, d, st, tb)
+		fast := resolve(w, s, sec, brk, tb)
+		ref, err := Reference(g, d, sec, brk, tb)
 		if err != nil {
 			t.Fatalf("%s dest %d: %v", label, d, err)
 		}

@@ -195,16 +195,17 @@ func (w *Workspace) DecodePacked(blob []byte) (*Static, error) {
 // loads dominate a decode of a known-good blob.
 //
 // This is the trust model of every packed blob the engine reads, and
-// the one place it is stated. A blob is either encoded by this process
-// or read from the disk store, whose Lookup verifies its CRC; the
-// resident store publishes both kinds alike. Every decode then runs
-// the structural checks (header, ids and adjacency indexes in range,
-// duplicates, level counts, trailing bytes; StreamStatic's walk runs
-// the same ones), so malformed input errors cleanly with the workspace
-// restored, and the runtime's bounds checks guard every access. What is
-// skipped, the cross-field level/class relation, can only be wrong in a
-// disk blob whose corruption the CRC missed: a 2^-32 event that yields
-// a wrong static, never a panic or an out-of-bounds read.
+// the one place it is stated. Disk bytes enter the engine at one place,
+// its static fetch, which checks them twice: the disk store's Lookup
+// verifies the record's CRC, and DecodePacked runs every check,
+// cross-field ones included, so even a CRC-valid foreign record whose
+// fields disagree is refused and recomputed. The resident store thus
+// publishes only blobs this process encoded or validated, and its Get
+// decodes them trusted. A trusted decode still runs the structural
+// checks (header, ids and adjacency indexes in range, duplicates,
+// level counts, trailing bytes; StreamStatic's walk runs the same
+// ones), so malformed input errors cleanly with the workspace
+// restored, and the runtime's bounds checks guard every access.
 func (w *Workspace) DecodePackedTrusted(blob []byte) (*Static, error) {
 	return w.decodePacked(blob, true)
 }

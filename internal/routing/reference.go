@@ -10,11 +10,13 @@ import (
 // synchronous path-vector iteration: every node repeatedly selects its
 // best route among the paths its neighbors currently announce (subject to
 // the GR2 export rule and loop freedom) until a fixed point is reached.
-// It is deliberately independent of the fast Static/Resolve pipeline and
-// exists to differential-test it; convergence is guaranteed for this
+// The deployment state is the one ResolveInto takes: secure[i] marks a
+// deployed AS, breaks[i] one that applies the SecP tie-break step.
+// It is deliberately independent of the fast Static/ResolveInto pipeline
+// and exists to differential-test it; convergence is guaranteed for this
 // policy class (Appendix G). It is O(rounds·E·pathlen) and intended for
 // small graphs only.
-func Reference(g *asgraph.Graph, d int32, st SecureState, tb Tiebreaker) (*Tree, error) {
+func Reference(g *asgraph.Graph, d int32, secure, breaks []bool, tb Tiebreaker) (*Tree, error) {
 	n := int32(g.N())
 	paths := make([][]int32, n) // current chosen path, node..dest; nil = none
 	paths[d] = []int32{d}
@@ -48,7 +50,7 @@ func Reference(g *asgraph.Graph, d int32, st SecureState, tb Tiebreaker) (*Tree,
 	}
 	fullySecure := func(path []int32) bool {
 		for _, x := range path {
-			if !st.Secure(x) {
+			if !secure[x] {
 				return false
 			}
 		}
@@ -94,7 +96,7 @@ func Reference(g *asgraph.Graph, d int32, st SecureState, tb Tiebreaker) (*Tree,
 				bestLen  int
 				bestSec  bool
 			)
-			useSecP := st.Secure(i) && st.BreaksTies(i)
+			useSecP := secure[i] && breaks[i]
 			for _, nb := range neighbors[i] {
 				if paths[nb.id] == nil || !exports(nb.id, i, nb.rel) || containsNode(paths[nb.id], i) {
 					continue

@@ -42,48 +42,12 @@ func (t *Tree) CopyFrom(src *Tree) {
 	copy(t.Secure, src.Secure)
 }
 
-// SecureState is the per-node security information Resolve needs:
-// which ASes have deployed S*BGP (including simplex stubs) and which of
-// them apply the SecP tie-break step when selecting routes (per Section
-// 6.7 stubs may run simplex S*BGP without breaking ties on security).
-type SecureState interface {
-	// Secure reports whether AS i has deployed S*BGP (full or simplex).
-	Secure(i int32) bool
-	// BreaksTies reports whether AS i prefers fully-secure paths among
-	// its equally-good routes. Implies nothing unless Secure(i).
-	BreaksTies(i int32) bool
-}
-
-// Resolve runs the paper's fast routing tree algorithm (Appendix C.2):
-// given the static per-destination information and a deployment state,
-// it determines every node's chosen next hop and secure-path flag by
-// processing nodes in ascending path length, in O(t·V) for average
-// tiebreak-set size t. The returned Tree is owned by the workspace and
-// invalidated by the next Resolve call on it; use ResolveInto for
-// allocation-free repeated resolution.
-func (w *Workspace) Resolve(s *Static, st SecureState, tb Tiebreaker) *Tree {
-	w.materialize(st)
-	w.tree.Clear(w.g.N())
-	w.ResolveInto(&w.tree, s, w.secScratch, w.brkScratch, nil, nil, tb)
-	return &w.tree
-}
-
-// materialize copies a SecureState into the workspace's scratch slices
-// for the slice-based fast path.
-func (w *Workspace) materialize(st SecureState) {
-	n := w.g.N()
-	if w.secScratch == nil {
-		w.secScratch = make([]bool, n)
-		w.brkScratch = make([]bool, n)
-	}
-	for i := 0; i < n; i++ {
-		w.secScratch[i] = st.Secure(int32(i))
-		w.brkScratch[i] = st.BreaksTies(int32(i))
-	}
-}
-
-// ResolveInto is the allocation-free hot path of Resolve, writing into a
-// caller-owned tree. The deployment state is given as raw slices —
+// ResolveInto runs the paper's fast routing tree algorithm (Appendix
+// C.2): given the static per-destination information and a deployment
+// state, it determines every node's chosen next hop and secure-path flag
+// by processing nodes in ascending path length, in O(t·V) for average
+// tiebreak-set size t, writing into a caller-owned tree without
+// allocating. The deployment state is given as raw slices —
 // secure[i] for deployment, breaks[i] for SecP tie-breaking — plus an
 // optional flip bitmap (nil for none): nodes marked in it have their
 // deployment flag treated as inverted, which realizes the projected
@@ -236,46 +200,4 @@ func decideNode(t *Tree, s *Static, cands []int32, secure, breaks []bool, flippe
 	}
 	// Without SecP the path may still happen to be secure.
 	return best, iSecure && t.Secure[best], true
-}
-
-// PathTo reconstructs node i's AS path to the tree's destination as a
-// sequence of node indices starting at i and ending at the destination.
-// It returns nil if i has no route.
-func (t *Tree) PathTo(i int32) []int32 {
-	if i != t.Dest && t.Parent[i] < 0 {
-		return nil
-	}
-	var path []int32
-	for {
-		path = append(path, i)
-		if i == t.Dest {
-			return path
-		}
-		i = t.Parent[i]
-		if len(path) > len(t.Parent) {
-			panic("routing: parent cycle in tree")
-		}
-	}
-}
-
-// Weights accumulates, for every node, the total traffic weight of the
-// subtree rooted at that node (the node's own weight plus everything that
-// routes through it), using the static ascending-length order in reverse.
-// The acc slice must have length N; it is overwritten.
-func (t *Tree) Weights(s *Static, nodeWeight []float64, acc []float64) {
-	for i := range acc {
-		acc[i] = 0
-	}
-	for i := int32(0); i < int32(len(acc)); i++ {
-		if i == t.Dest || t.Parent[i] >= 0 {
-			acc[i] = nodeWeight[i]
-		}
-	}
-	order := s.Order()
-	for k := len(order) - 1; k >= 0; k-- {
-		i := order[k]
-		if p := t.Parent[i]; p >= 0 {
-			acc[p] += acc[i]
-		}
-	}
 }

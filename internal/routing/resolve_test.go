@@ -25,13 +25,31 @@ func diamond(t *testing.T) *asgraph.Graph {
 		MustBuild()
 }
 
+// resolve is a one-off resolution: ResolveInto on a cleared tree.
+func resolve(w *Workspace, s *Static, secure, breaks []bool, tb Tiebreaker) *Tree {
+	t := &Tree{}
+	t.Clear(len(secure))
+	w.ResolveInto(t, s, secure, breaks, nil, nil, tb)
+	return t
+}
+
+// deployed returns the state of n nodes where exactly the given nodes
+// are secure and break ties on security.
+func deployed(n int, nodes ...int32) (secure, breaks []bool) {
+	secure, breaks = make([]bool, n), make([]bool, n)
+	for _, i := range nodes {
+		secure[i], breaks[i] = true, true
+	}
+	return secure, breaks
+}
+
 func TestResolveInsecureUsesTiebreak(t *testing.T) {
 	g := diamond(t)
 	w := NewWorkspace(g)
 	d := idx(t, g, 40)
 	s := w.ComputeStatic(d)
-	st := NewBoolState(g.N())
-	tree := w.Resolve(s, st, LowestIndex{})
+	sec, brk := deployed(g.N())
+	tree := resolve(w, s, sec, brk, LowestIndex{})
 	iS, iA := idx(t, g, 10), idx(t, g, 20)
 	if tree.Parent[iS] != iA {
 		t.Errorf("S chose %d, want A (lowest index)", g.ASN(tree.Parent[iS]))
@@ -50,11 +68,8 @@ func TestResolveSecPOverridesTiebreak(t *testing.T) {
 
 	// Secure: S, B, d. A (the tie-break favorite) is insecure, so secure
 	// S must route through B.
-	st := NewBoolState(g.N())
-	st.SetSecure(iS)
-	st.SetSecure(iB)
-	st.SetSecure(d)
-	tree := w.Resolve(s, st, LowestIndex{})
+	sec, brk := deployed(g.N(), iS, iB, d)
+	tree := resolve(w, s, sec, brk, LowestIndex{})
 	if tree.Parent[iS] != iB {
 		t.Errorf("S chose AS %d, want B (secure path)", g.ASN(tree.Parent[iS]))
 	}
@@ -75,10 +90,8 @@ func TestResolveSecPRequiresFullySecurePath(t *testing.T) {
 
 	// S and B secure but d insecure: the B path is only partially secure,
 	// so SecP must not fire and S keeps the tie-break favorite A.
-	st := NewBoolState(g.N())
-	st.SetSecure(iS)
-	st.SetSecure(iB)
-	tree := w.Resolve(s, st, LowestIndex{})
+	sec, brk := deployed(g.N(), iS, iB)
+	tree := resolve(w, s, sec, brk, LowestIndex{})
 	if tree.Parent[iS] != iA {
 		t.Errorf("S chose AS %d, want A (no fully secure alternative)", g.ASN(tree.Parent[iS]))
 	}
@@ -95,11 +108,8 @@ func TestResolveInsecureDecidersIgnoreSecurity(t *testing.T) {
 	iS, iA, iB := idx(t, g, 10), idx(t, g, 20), idx(t, g, 30)
 
 	// Everything secure except S: S still uses plain tie-break.
-	st := NewBoolState(g.N())
-	st.SetSecure(iA)
-	st.SetSecure(iB)
-	st.SetSecure(d)
-	tree := w.Resolve(s, st, LowestIndex{})
+	sec, brk := deployed(g.N(), iA, iB, d)
+	tree := resolve(w, s, sec, brk, LowestIndex{})
 	if tree.Parent[iS] != iA {
 		t.Errorf("insecure S chose AS %d, want tie-break favorite A", g.ASN(tree.Parent[iS]))
 	}
@@ -114,11 +124,9 @@ func TestResolveSimplexStubNoTiebreak(t *testing.T) {
 
 	// S secure but does NOT break ties (simplex stub mode, Section 6.7):
 	// it keeps tie-break favorite A even though the B path is secure.
-	st := NewBoolState(g.N())
-	st.Sec[iS] = true // secure, Brk stays false
-	st.SetSecure(iB)
-	st.SetSecure(d)
-	tree := w.Resolve(s, st, LowestIndex{})
+	sec, brk := deployed(g.N(), iB, d)
+	sec[iS] = true // secure, brk stays false
+	tree := resolve(w, s, sec, brk, LowestIndex{})
 	if tree.Parent[iS] != iA {
 		t.Errorf("non-tie-breaking S chose AS %d, want A", g.ASN(tree.Parent[iS]))
 	}
@@ -139,11 +147,11 @@ func TestResolveSecurityPropagatesAlongChain(t *testing.T) {
 	w := NewWorkspace(g)
 	d := idx(t, g, 4)
 	s := w.ComputeStatic(d)
-	st := NewBoolState(g.N())
-	for i := 0; i < g.N(); i++ {
-		st.SetSecure(int32(i))
+	sec, brk := deployed(g.N())
+	for i := range sec {
+		sec[i], brk[i] = true, true
 	}
-	tree := w.Resolve(s, st, LowestIndex{})
+	tree := resolve(w, s, sec, brk, LowestIndex{})
 	i1 := idx(t, g, 1)
 	if !tree.Secure[i1] {
 		t.Error("fully secure chain should give node 1 a secure path")
@@ -165,7 +173,8 @@ func TestPathToUnreachable(t *testing.T) {
 	w := NewWorkspace(g)
 	d := idx(t, g, 2)
 	s := w.ComputeStatic(d)
-	tree := w.Resolve(s, NewBoolState(g.N()), LowestIndex{})
+	sec, brk := deployed(g.N())
+	tree := resolve(w, s, sec, brk, LowestIndex{})
 	if p := tree.PathTo(idx(t, g, 4)); p != nil {
 		t.Errorf("PathTo(unreachable) = %v, want nil", p)
 	}
@@ -174,12 +183,35 @@ func TestPathToUnreachable(t *testing.T) {
 	}
 }
 
+// Weights accumulates, for every node, the total traffic weight of the
+// subtree rooted at that node (the node's own weight plus everything that
+// routes through it), using the static ascending-length order in reverse.
+// The acc slice must have length N; it is overwritten.
+func (t *Tree) Weights(s *Static, nodeWeight []float64, acc []float64) {
+	for i := range acc {
+		acc[i] = 0
+	}
+	for i := int32(0); i < int32(len(acc)); i++ {
+		if i == t.Dest || t.Parent[i] >= 0 {
+			acc[i] = nodeWeight[i]
+		}
+	}
+	order := s.Order()
+	for k := len(order) - 1; k >= 0; k-- {
+		i := order[k]
+		if p := t.Parent[i]; p >= 0 {
+			acc[p] += acc[i]
+		}
+	}
+}
+
 func TestTreeWeights(t *testing.T) {
 	g := figure1(t)
 	w := NewWorkspace(g)
 	d := idx(t, g, 8)
 	s := w.ComputeStatic(d)
-	tree := w.Resolve(s, NewBoolState(g.N()), LowestIndex{})
+	sec, brk := deployed(g.N())
+	tree := resolve(w, s, sec, brk, LowestIndex{})
 
 	weights := make([]float64, g.N())
 	for i := range weights {
@@ -246,29 +278,8 @@ func TestHashTiebreakerSeedVaries(t *testing.T) {
 	}
 }
 
-func TestPreferenceOrder(t *testing.T) {
-	p := PreferenceOrder{Rank: map[int32]map[int32]int{
-		5: {7: 0, 3: 1},
-	}}
-	if !p.Less(5, 7, 3) {
-		t.Error("ranked 7 should beat ranked 3")
-	}
-	if !p.Less(5, 7, 9) {
-		t.Error("ranked should beat unranked")
-	}
-	if p.Less(5, 9, 7) {
-		t.Error("unranked should lose to ranked")
-	}
-	if !p.Less(5, 2, 9) {
-		t.Error("two unranked fall back to index order")
-	}
-	if !p.Less(6, 1, 2) {
-		t.Error("node without ranks falls back to index order")
-	}
-}
-
 // TestResolveMatchesReference is the core differential test: the fast
-// Static+Resolve pipeline must agree exactly with the naive path-vector
+// Static+ResolveInto pipeline must agree exactly with the naive path-vector
 // reference on random graphs and random deployment states.
 func TestResolveMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -277,14 +288,13 @@ func TestResolveMatchesReference(t *testing.T) {
 		n := 4 + rng.Intn(22)
 		g := asgraphtest.Random(rng, n, 0.12, 0.10, 0.3)
 		sec, brk := asgraphtest.RandomState(rng, g.N(), 0.5, 0.7)
-		st := &BoolState{Sec: sec, Brk: brk}
 		tb := HashTiebreaker{Seed: uint64(trial)}
 		w := NewWorkspace(g)
 
 		for d := int32(0); d < int32(g.N()); d++ {
 			s := w.ComputeStatic(d)
-			fast := w.Resolve(s, st, tb)
-			ref, err := Reference(g, d, st, tb)
+			fast := resolve(w, s, sec, brk, tb)
+			ref, err := Reference(g, d, sec, brk, tb)
 			if err != nil {
 				t.Fatalf("trial %d dest %d: %v", trial, d, err)
 			}
@@ -311,12 +321,11 @@ func TestStaticMatchesReferenceLengths(t *testing.T) {
 		n := 5 + rng.Intn(15)
 		g := asgraphtest.Random(rng, n, 0.15, 0.08, 0.2)
 		sec, brk := asgraphtest.RandomState(rng, g.N(), 0.6, 0.5)
-		st := &BoolState{Sec: sec, Brk: brk}
 		tb := HashTiebreaker{Seed: 99}
 		w := NewWorkspace(g)
 		for d := int32(0); d < int32(g.N()); d++ {
 			s := w.ComputeStatic(d)
-			ref, err := Reference(g, d, st, tb)
+			ref, err := Reference(g, d, sec, brk, tb)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -350,7 +359,7 @@ func TestObservationC1(t *testing.T) {
 		var baseLens []int
 		for stateTrial := 0; stateTrial < 6; stateTrial++ {
 			sec, brk := asgraphtest.RandomState(rng, g.N(), 0.5, 0.5)
-			ref, err := Reference(g, d, &BoolState{Sec: sec, Brk: brk}, tb)
+			ref, err := Reference(g, d, sec, brk, tb)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -369,24 +378,5 @@ func TestObservationC1(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestFlippedState(t *testing.T) {
-	st := NewBoolState(4)
-	st.SetSecure(1)
-	f := st.Flipped(2)
-	if !f.Secure(1) || f.Secure(3) {
-		t.Error("flipped view must preserve other nodes")
-	}
-	if !f.Secure(2) {
-		t.Error("flipping insecure node 2 must make it secure")
-	}
-	if !f.BreaksTies(2) {
-		t.Error("flipped-on node must break ties")
-	}
-	f1 := st.Flipped(1)
-	if f1.Secure(1) {
-		t.Error("flipping secure node 1 must make it insecure")
 	}
 }

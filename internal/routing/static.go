@@ -16,7 +16,7 @@
 // they are computed once per destination (Static, a three-stage BFS in
 // O(V+E)); the security-dependent choice among the equally-good next hops
 // (the "tiebreak set") is then resolved per deployment state by an O(t·V)
-// pass (Resolve, the paper's "fast routing tree algorithm").
+// pass (ResolveInto, the paper's "fast routing tree algorithm").
 package routing
 
 import (
@@ -80,7 +80,7 @@ type Static struct {
 	tbAdj []int32
 	// order lists all reachable nodes except the destination in
 	// ascending Len (ascending node id within a length), the processing
-	// order for Resolve.
+	// order for ResolveInto.
 	order []int32
 	// pos[i] is node i's index in order (-1 for the destination and
 	// unreachable nodes), used by change propagation to schedule
@@ -253,11 +253,9 @@ type Workspace struct {
 	// sparse sort) for differential tests; zero picks by reachable size.
 	forceFinalize int
 
-	// scratch for Resolve
-	tree       Tree
-	secScratch []bool
-	brkScratch []bool
-	winBuf     []int32
+	// winBuf backs the precomputed tiebreak winners of the prepared
+	// static (PrepareDest, DecodePacked).
+	winBuf []int32
 
 	// scratch for delta resolution (PrepareDelta / ApplyFlips):
 	// counting-sort cursor, pending-position bitset and undo log. The
@@ -296,10 +294,6 @@ func NewWorkspace(g *asgraph.Graph) *Workspace {
 	for i := range w.winBuf {
 		w.winBuf[i] = -1
 		w.neg1[i] = -1
-	}
-	w.tree = Tree{
-		Parent: make([]int32, n),
-		Secure: make([]bool, n),
 	}
 	return w
 }

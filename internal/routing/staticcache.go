@@ -251,8 +251,8 @@ func (c *staticCache) add(snap *Static) *Static {
 
 // addBlob admits a copy of an already-encoded packed blob for d, before
 // or after the repack, reporting whether it was admitted. The blob must
-// be self-encoded or a disk blob that passed Lookup: readers decode it
-// trusted (see DecodePackedTrusted for what that relies on).
+// be self-encoded or a disk blob that passed DecodePacked: readers
+// decode it trusted (see DecodePackedTrusted for what that relies on).
 func (c *staticCache) addBlob(d int32, blob []byte) bool {
 	if _, ok := c.entries[d]; ok {
 		return false
@@ -465,7 +465,7 @@ func (sc *SharedStaticCache) Get(d int32, w *Workspace) *Static {
 	}
 	if e.blob != nil {
 		// Published blobs are self-encoded or disk blobs that passed
-		// Lookup's CRC: the trusted decode's model (DecodePackedTrusted).
+		// DecodePacked: the trusted decode's model (DecodePackedTrusted).
 		s, err := w.DecodePackedTrusted(e.blob)
 		if err != nil {
 			return nil
@@ -544,8 +544,8 @@ func (sc *SharedStaticCache) Add(w *Workspace, s *Static) *Static {
 // permitting, before or after the repack: a disk blob is admitted as
 // its bytes, never re-encoded or snapshotted. The bytes are copied into
 // the core's arena; the caller keeps ownership of blob. The blob must
-// have passed the disk store's Lookup (or be self-encoded): Get trusts
-// it as DecodePackedTrusted describes.
+// have passed DecodePacked (or be self-encoded): Get trusts it as
+// DecodePackedTrusted describes.
 func (sc *SharedStaticCache) AddBlob(d int32, blob []byte) bool {
 	return onCore(sc, true, func(c *staticCache) bool { return c.addBlob(d, blob) })
 }

@@ -1,10 +1,6 @@
 package routing
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // Tiebreaker is the final TB step of route selection (Appendix A): given
 // the deciding node and two candidate next hops, it reports whether a is
@@ -56,66 +52,16 @@ func (LowestIndex) Less(node, a, b int32) bool { return a < b }
 
 // TiebreakerFingerprint renders a tiebreaker as a canonical string for
 // content-addressed caching: two tiebreakers with equal fingerprints make
-// identical choices. The built-in tiebreakers render deterministically
-// (PreferenceOrder sorts its rank maps); unknown implementations fall
-// back to fmt's struct rendering, which is canonical only if the type
-// has no map or pointer fields.
+// identical choices. Unknown implementations fall back to fmt's struct
+// rendering, which is canonical only if the type has no map or pointer
+// fields.
 func TiebreakerFingerprint(tb Tiebreaker) string {
 	switch t := tb.(type) {
 	case HashTiebreaker:
 		return fmt.Sprintf("hash(seed=%d)", t.Seed)
 	case LowestIndex:
 		return "lowestindex"
-	case PreferenceOrder:
-		nodes := make([]int32, 0, len(t.Rank))
-		for n := range t.Rank {
-			nodes = append(nodes, n)
-		}
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-		var b strings.Builder
-		b.WriteString("preforder(")
-		for _, n := range nodes {
-			ranks := t.Rank[n]
-			cands := make([]int32, 0, len(ranks))
-			for c := range ranks {
-				cands = append(cands, c)
-			}
-			sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
-			fmt.Fprintf(&b, "%d:[", n)
-			for _, c := range cands {
-				fmt.Fprintf(&b, "%d=%d,", c, ranks[c])
-			}
-			b.WriteString("]")
-		}
-		b.WriteString(")")
-		return b.String()
 	default:
 		return fmt.Sprintf("%T%+v", tb, tb)
 	}
-}
-
-// PreferenceOrder breaks ties according to an explicit per-node ranking:
-// Rank[node][cand] (lower is better), falling back to lowest index for
-// unranked candidates. It is used to reconstruct the appendix gadgets
-// whose proofs fix particular tie-break outcomes.
-type PreferenceOrder struct {
-	Rank map[int32]map[int32]int
-}
-
-// Less compares candidates by explicit rank, then by index.
-func (p PreferenceOrder) Less(node, a, b int32) bool {
-	ranks := p.Rank[node]
-	ra, oka := ranks[a]
-	rb, okb := ranks[b]
-	switch {
-	case oka && okb:
-		if ra != rb {
-			return ra < rb
-		}
-	case oka:
-		return true
-	case okb:
-		return false
-	}
-	return a < b
 }

@@ -98,11 +98,6 @@ type Config struct {
 	// ThetaSeed seeds the per-ISP threshold draw.
 	ThetaSeed int64
 
-	// ThetaByNode, when non-nil, gives every node an explicit threshold
-	// (indexed by node id), overriding Theta and ThetaJitter for the
-	// nodes it covers (NaN entries fall back to the global rule).
-	ThetaByNode []float64
-
 	// ProjectStubUpgrades changes the projection semantics of update
 	// rule (3): when an ISP evaluates deploying, its insecure stub
 	// customers are treated as simplex-upgraded in the projected state
@@ -245,9 +240,6 @@ func (c Config) validate(n int) error {
 	}
 	if c.ThetaJitter < 0 || c.ThetaJitter > 1 {
 		return fmt.Errorf("sim: threshold jitter %v outside [0,1]", c.ThetaJitter)
-	}
-	if c.ThetaByNode != nil && len(c.ThetaByNode) != n {
-		return fmt.Errorf("sim: ThetaByNode has %d entries for %d ASes", len(c.ThetaByNode), n)
 	}
 	for _, a := range c.EarlyAdopters {
 		if a < 0 || int(a) >= n {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -155,5 +156,83 @@ func TestDiskStoreUnusablePath(t *testing.T) {
 	if got.PristineStats.StaticDiskHits != 0 || got.PristineStats.StaticDiskWrites != 0 {
 		t.Errorf("unusable path reported disk traffic: %d hits, %d writes",
 			got.PristineStats.StaticDiskHits, got.PristineStats.StaticDiskWrites)
+	}
+}
+
+// TestDiskStoreValidatesForeignBlob: a disk record whose CRC is valid is
+// still decoded with every check live. The test finds a single-byte
+// mutation of a real blob that the trusted decode accepts and the full
+// one refuses — a wrong static, not a malformed one — and stores it for
+// its destination the way a foreign writer would, with a valid CRC. A
+// game on that store must match a run without one, and must leave the
+// record repaired: Lookup returns the recomputed, pristine bytes.
+func TestDiskStoreValidatesForeignBlob(t *testing.T) {
+	g := topogen.MustGenerate(topogen.Default(200, 7))
+	g.SetCPTrafficFraction(0.10)
+	tb := routing.HashTiebreaker{Seed: 42}
+	cfg := Config{
+		Model:          Outgoing,
+		Theta:          0.05,
+		EarlyAdopters:  append(g.Nodes(asgraph.ContentProvider), asgraph.TopByDegree(g, 3, asgraph.ISP)...),
+		StubsBreakTies: true,
+		Tiebreaker:     tb,
+		Workers:        2,
+		RecordStats:    true,
+	}
+	ref := MustNew(g, cfg).Run()
+
+	w := routing.NewWorkspace(g)
+	var (
+		dest            int32 = -1
+		pristine, wrong []byte
+	)
+search:
+	for d := int32(0); d < int32(g.N()); d++ {
+		blob := routing.AppendPacked(nil, w.PrepareDest(d, tb), g)
+		for at := range blob {
+			for bit := 0; bit < 8; bit++ {
+				mut := append([]byte(nil), blob...)
+				mut[at] ^= 1 << bit
+				if pd, ok := routing.PackedDest(mut); !ok || pd != d {
+					continue
+				}
+				if _, err := w.DecodePackedTrusted(mut); err != nil {
+					continue
+				}
+				if _, err := w.DecodePacked(mut); err == nil {
+					continue
+				}
+				dest, pristine, wrong = d, blob, mut
+				break search
+			}
+		}
+	}
+	if dest < 0 {
+		t.Fatal("no single-byte mutation passes the trusted decode and fails the full one")
+	}
+
+	root := t.TempDir()
+	defer routing.CloseSharedDiskStores()
+	st, err := routing.OpenStaticDiskStore(root, g, tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Put(dest, wrong) {
+		t.Fatal("Put refused the mutated blob")
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.StaticStoreDir = root
+	got := MustNew(g, cfg).Run()
+	requireBitIdentical(t, "foreign-blob", ref, got)
+	shared, err := routing.SharedStaticDiskStore(root, g, tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := shared.Lookup(dest); !bytes.Equal(b, pristine) {
+		t.Errorf("dest %d: store holds %d bytes after the game, want the %d recomputed ones (mutated: %v)",
+			dest, len(b), len(pristine), bytes.Equal(b, wrong))
 	}
 }

@@ -74,7 +74,8 @@ func New(g *asgraph.Graph, cfg Config) (*Sim, error) {
 }
 
 // nodeThetas resolves every node's deployment threshold per the
-// Theta/ThetaJitter/ThetaByNode configuration.
+// Theta/ThetaJitter configuration. Jitter is at most 1, so every θ_i
+// stays non-negative.
 func (s *Sim) nodeThetas() []float64 {
 	n := s.g.N()
 	out := make([]float64, n)
@@ -83,12 +84,6 @@ func (s *Sim) nodeThetas() []float64 {
 		th := s.cfg.Theta
 		if j := s.cfg.ThetaJitter; j > 0 {
 			th = s.cfg.Theta * (1 + j*(2*rng.Float64()-1))
-		}
-		if s.cfg.ThetaByNode != nil && !math.IsNaN(s.cfg.ThetaByNode[i]) {
-			th = s.cfg.ThetaByNode[i]
-		}
-		if th < 0 {
-			th = 0
 		}
 		out[i] = th
 	}
@@ -781,7 +776,7 @@ func (wk *worker) processDest(d int32, rc *roundCtx, pl *destPlan) {
 // between the two tiers this (graph, tiebreaker, destination) pays the
 // BFS once. Same bytes on every rung: a decoded blob reproduces
 // PrepareDest's output exactly (see packed.go), Lookup CRC-checks disk
-// blobs and the decode validates their structure, and a blob that fails
+// blobs and DecodePacked validates them in full, and a blob that fails
 // is dropped and recomputed (the write-through repairs it) — corruption
 // can cost time, never bits.
 func (wk *worker) fetchStatic(d int32, rc *roundCtx) (stc *routing.Static, blob []byte, fresh bool) {
@@ -790,10 +785,10 @@ func (wk *worker) fetchStatic(d int32, rc *roundCtx) (stc *routing.Static, blob 
 		return stc, nil, false
 	}
 	if b := wk.disk.Lookup(d); b != nil {
-		// Trusted decode: the 2^-32 residual risk of an in-range-but-
-		// wrong field is carried by Lookup's checksum, not by per-member
-		// revalidation.
-		if s, err := wk.ws.DecodePackedTrusted(b); err == nil {
+		// Full validation: disk bytes enter the engine only here, so
+		// the resident tier they are admitted to holds nothing
+		// unvalidated and decodes trusted from then on.
+		if s, err := wk.ws.DecodePacked(b); err == nil {
 			// The BFS was skipped: a disk hit, not a static miss.
 			wk.stats.StaticDiskHits++
 			wk.stats.StaticDiskBytesRead += int64(len(b))

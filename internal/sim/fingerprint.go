@@ -73,14 +73,6 @@ func (c Config) Fingerprint() string {
 	if c.ThetaJitter > 0 {
 		fmt.Fprintf(&b, "jitter=%s|seed=%d|", ffmt(c.ThetaJitter), c.ThetaSeed)
 	}
-	if c.ThetaByNode != nil {
-		b.WriteString("thetabynode=")
-		for _, th := range c.ThetaByNode {
-			b.WriteString(ffmt(th))
-			b.WriteString(",")
-		}
-		b.WriteString("|")
-	}
 	fmt.Fprintf(&b, "projectstubs=%t", c.ProjectStubUpgrades)
 
 	sum := sha256.Sum256([]byte(b.String()))

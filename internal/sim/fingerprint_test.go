@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"encoding/hex"
+	"os"
 	"testing"
 
+	"sbgp/internal/asgraph"
 	"sbgp/internal/routing"
 )
 
@@ -38,7 +41,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 		"tb-kind":       func(c *Config) { c.Tiebreaker = routing.LowestIndex{} },
 		"maxrounds":     func(c *Config) { c.MaxRounds = 10 },
 		"jitter":        func(c *Config) { c.ThetaJitter = 0.01 },
-		"thetabynode":   func(c *Config) { c.ThetaByNode = []float64{0.1, 0.2} },
 		"projectstubs":  func(c *Config) { c.ProjectStubUpgrades = true },
 	}
 	for name, mutate := range mutations {
@@ -88,5 +90,63 @@ func TestFingerprintNormalization(t *testing.T) {
 	j2.ThetaJitter, j2.ThetaSeed = 0.01, 2
 	if j1.Fingerprint() == j2.Fingerprint() {
 		t.Errorf("ThetaSeed should be fingerprinted when jitter is on")
+	}
+}
+
+// TestCacheKeysPinned pins the content keys that outlive a process —
+// the experiment cache's Config fingerprints, the tiebreaker's
+// fingerprint and wire bytes, and the static store's directory name —
+// so caches and stores written by earlier builds stay addressable.
+func TestCacheKeysPinned(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		mutate func(*Config)
+		want   string
+	}{
+		{"base", func(*Config) {}, "908d1bd7d9df932f237ac811adb4712b"},
+		{"lowestindex", func(c *Config) { c.Tiebreaker = routing.LowestIndex{} }, "bdef1785b42fadeca5c485242bd3f36a"},
+		{"jitter", func(c *Config) { c.ThetaJitter, c.ThetaSeed = 0.02, 7 }, "941a22fc593fd2712ce65640372d0d18"},
+		{"projectstubs", func(c *Config) { c.ProjectStubUpgrades = true }, "05466cddd5046f0a73a495735492bc5b"},
+	} {
+		cfg := fpBase()
+		c.mutate(&cfg)
+		if got := cfg.Fingerprint(); got != c.want {
+			t.Errorf("%s: Config fingerprint %s, want %s", c.name, got, c.want)
+		}
+	}
+	for _, c := range []struct {
+		tb       routing.Tiebreaker
+		fp, wire string
+	}{
+		{routing.HashTiebreaker{Seed: 42}, "hash(seed=42)", "012a00000000000000"},
+		{routing.LowestIndex{}, "lowestindex", "02"},
+	} {
+		wire, err := routing.EncodeTiebreaker(c.tb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := routing.TiebreakerFingerprint(c.tb); got != c.fp {
+			t.Errorf("%T: fingerprint %q, want %q", c.tb, got, c.fp)
+		}
+		if got := hex.EncodeToString(wire); got != c.wire {
+			t.Errorf("%T: wire %s, want %s", c.tb, got, c.wire)
+		}
+	}
+	g := asgraph.NewBuilder().
+		AddCustomer(1, 2).AddCustomer(1, 3).AddCustomer(2, 4).AddCustomer(3, 4).
+		AddPeer(2, 3).SetWeight(1, 10).
+		MustBuild()
+	root := t.TempDir()
+	st, err := routing.OpenStaticDiskStore(root, g, routing.HashTiebreaker{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	ents, err := os.ReadDir(root)
+	if err != nil || len(ents) != 1 {
+		t.Fatalf("store root holds %v (%v), want one directory", ents, err)
+	}
+	if got, want := ents[0].Name(), "statics-v1-9b0a7bd41a875646"; got != want {
+		t.Errorf("static store directory %s, want %s", got, want)
 	}
 }

@@ -241,11 +241,11 @@ func leafSymmetryReference(t *testing.T) {
 					}
 					return x
 				}
-				td, err := routing.Reference(g, d, st, tb)
+				td, err := routing.Reference(g, d, st.secure, st.breaks, tb)
 				if err != nil {
 					t.Fatal(err)
 				}
-				te, err := routing.Reference(g, e, st, tb)
+				te, err := routing.Reference(g, e, st.secure, st.breaks, tb)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -98,18 +98,6 @@ func (r *Result) SecureFractionISPs() float64 {
 	return float64(r.Final.SecureISPs) / float64(len(r.ISPs))
 }
 
-// AdoptionCurve returns the cumulative number of secure ASes and ISPs
-// after each round, starting with the initial seeding (index 0).
-func (r *Result) AdoptionCurve() (ases, isps []int) {
-	ases = append(ases, r.Initial.SecureASes)
-	isps = append(isps, r.Initial.SecureISPs)
-	for _, rd := range r.Rounds {
-		ases = append(ases, rd.After.SecureASes)
-		isps = append(isps, rd.After.SecureISPs)
-	}
-	return ases, isps
-}
-
 // NewPerRound returns the number of ASes and ISPs that became secure in
 // each round (the paper's Figure 3 series).
 func (r *Result) NewPerRound() (ases, isps []int) {

@@ -23,18 +23,11 @@ func TestResultHelpers(t *testing.T) {
 		Tiebreaker:     routing.LowestIndex{},
 	}).Run()
 
-	ases, isps := res.AdoptionCurve()
-	if len(ases) != res.NumRounds()+1 || len(isps) != len(ases) {
-		t.Fatalf("curve lengths %d/%d, want %d", len(ases), len(isps), res.NumRounds()+1)
-	}
-	if ases[0] != res.Initial.SecureASes {
-		t.Errorf("curve[0] = %d, want initial %d", ases[0], res.Initial.SecureASes)
-	}
-	if last := ases[len(ases)-1]; last != res.Final.SecureASes {
-		t.Errorf("curve end = %d, want final %d", last, res.Final.SecureASes)
-	}
 	// Per-round news sum to final minus initial.
-	newA, _ := res.NewPerRound()
+	newA, isps := res.NewPerRound()
+	if len(newA) != res.NumRounds() || len(isps) != len(newA) {
+		t.Fatalf("per-round lengths %d/%d, want %d", len(newA), len(isps), res.NumRounds())
+	}
 	sum := res.Initial.SecureASes
 	for _, x := range newA {
 		sum += x

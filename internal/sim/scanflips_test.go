@@ -255,7 +255,6 @@ func TestFlipHelpersValidateBeforeIndexing(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"negative θ":            {Theta: -1},
 		"jitter above 1":        {ThetaJitter: 2},
-		"short ThetaByNode":     {ThetaByNode: make([]float64, 1)},
 		"early adopter outside": {EarlyAdopters: []int32{99}},
 	} {
 		if err := ScanFlips(g, ok, cfg, []int32{0}, noFold); err == nil {

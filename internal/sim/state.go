@@ -18,12 +18,6 @@ func newDeployState(n int) *deployState {
 	return &deployState{secure: make([]bool, n), breaks: make([]bool, n)}
 }
 
-// Secure implements routing.SecureState.
-func (s *deployState) Secure(i int32) bool { return s.secure[i] }
-
-// BreaksTies implements routing.SecureState.
-func (s *deployState) BreaksTies(i int32) bool { return s.breaks[i] }
-
 // set marks node i secure; stubs break ties only when stubsBreakTies.
 func (s *deployState) set(g *asgraph.Graph, i int32, stubsBreakTies bool) {
 	s.secure[i] = true

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"testing"
 
 	"sbgp/internal/asgraph"
@@ -18,40 +17,6 @@ func thetaTestGraph(t *testing.T) *asgraph.Graph {
 		AddCustomer(2, 6).
 		SetWeight(1, 10).
 		MustBuild()
-}
-
-func TestThetaByNodeOverrides(t *testing.T) {
-	g := thetaTestGraph(t)
-	iT, iA, iB := g.Index(1), g.Index(2), g.Index(3)
-
-	// Global θ would allow A to deploy, but A's personal threshold is
-	// prohibitive.
-	byNode := make([]float64, g.N())
-	for i := range byNode {
-		byNode[i] = math.NaN()
-	}
-	byNode[iA] = 5.0
-	cfg := Config{
-		Model:          Outgoing,
-		Theta:          0.05,
-		ThetaByNode:    byNode,
-		EarlyAdopters:  []int32{iT, iB},
-		StubsBreakTies: true,
-		Tiebreaker:     routing.LowestIndex{},
-	}
-	res := MustNew(g, cfg).Run()
-	if res.FinalSecure[iA] {
-		t.Error("A deployed despite a prohibitive personal threshold")
-	}
-
-	// And the reverse: a permissive personal threshold under a
-	// prohibitive global one.
-	byNode[iA] = 0.05
-	cfg.Theta = 5.0
-	res = MustNew(g, cfg).Run()
-	if !res.FinalSecure[iA] {
-		t.Error("A should deploy on its permissive personal threshold")
-	}
 }
 
 func TestThetaJitterZeroMatchesUniform(t *testing.T) {
@@ -111,9 +76,6 @@ func TestThetaJitterValidation(t *testing.T) {
 	}
 	if _, err := New(g, Config{ThetaJitter: 1.5}); err == nil {
 		t.Error("jitter > 1 accepted")
-	}
-	if _, err := New(g, Config{ThetaByNode: make([]float64, 2)}); err == nil {
-		t.Error("short ThetaByNode accepted")
 	}
 }
 

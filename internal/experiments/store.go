@@ -417,14 +417,6 @@ func (s *Store) graphFingerprint(g *asgraph.Graph) string {
 	return fp
 }
 
-// Stats reports how many simulation requests the store served and how
-// many required an actual execution.
-func (s *Store) Stats() (requests, execs int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.requests, s.execs
-}
-
 // graphFileName keys a graph cache file by generator version and
 // generation inputs.
 func graphFileName(key GraphKey) string {

@@ -62,10 +62,14 @@ import (
 // therefore bit-identical with the store absent, cold, warm, or
 // arbitrarily corrupted.
 //
-// Reads are mmap-backed where the platform allows (mmap_unix.go):
-// Lookup returns a slice of the page cache, so a warm store's resident
-// blobs cost no heap at all. The process's own growing segment (and
-// every segment on platforms without mmap) is served by pread.
+// Every read is a pread (os.File.ReadAt) into a slice the caller owns:
+// the engine copies what it keeps into the resident tier or decodes
+// and drops it, so a mapping would save one small copy per hit and
+// cost residency instead. Faulting a mapped segment also maps the
+// cached pages around each fault, so reading one small sidecar every
+// few kilobytes would make the whole segment resident in the process;
+// and a foreign segment truncated under a mapping would fault fatally
+// where a pread comes back short and the record is dropped.
 
 const (
 	// diskRecMagic starts every packed-static segment record
@@ -93,13 +97,11 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // diskSegment is one on-disk segment file. f is immutable after open;
-// data is the read-only mapping (nil means pread via f).
 // size is the validated byte range — records are only ever registered
 // inside it, and for the writer segment it advances under the store
 // mutex as records are appended.
 type diskSegment struct {
 	f    *os.File
-	data []byte
 	size int64
 }
 
@@ -176,7 +178,7 @@ func diskStoreKey(graphFP string, tbWire []byte) string {
 // (g, tb) under root. tb nil means HashTiebreaker{}; a tiebreaker
 // without a wire form (EncodeTiebreaker fails) cannot be keyed and is
 // an error. The caller owns the instance and should Close it to release
-// its mappings and files; records themselves are durable at Put.
+// its files; records themselves are durable at Put.
 func OpenStaticDiskStore(root string, g *asgraph.Graph, tb Tiebreaker) (*StaticDiskStore, error) {
 	return openDiskStore(root, g, asgraph.Fingerprint(g), tb)
 }
@@ -254,9 +256,8 @@ func openDiskStore(root string, g *asgraph.Graph, graphFP string, tb Tiebreaker)
 	return st, nil
 }
 
-// openSegment opens one existing segment and scans it whole. The
-// segment is mmapped when the platform allows; the fd is kept open
-// either way for the pread fallback.
+// openSegment opens one existing segment and scans it whole; the fd
+// stays open to serve its records.
 func (st *StaticDiskStore) openSegment(name string) (*diskSegment, error) {
 	f, err := os.Open(filepath.Join(st.dir, name))
 	if err != nil {
@@ -267,12 +268,7 @@ func (st *StaticDiskStore) openSegment(name string) (*diskSegment, error) {
 		f.Close()
 		return nil, err
 	}
-	size := fi.Size()
-	data, err := mmapFile(f, size)
-	if err != nil {
-		data = nil
-	}
-	seg := &diskSegment{f: f, data: data, size: size}
+	seg := &diskSegment{f: f, size: fi.Size()}
 	st.scanSegment(seg)
 	return seg, nil
 }
@@ -287,9 +283,6 @@ func (st *StaticDiskStore) openSegment(name string) (*diskSegment, error) {
 func (st *StaticDiskStore) scanSegment(seg *diskSegment) {
 	var hdr [diskRecHeader]byte
 	for off := int64(0); off+diskRecHeader <= seg.size; {
-		// Through the fd, not the mapping: a fault on the mapping also
-		// maps its cached neighbors (fault-around), so a mapped walk
-		// would make the whole segment resident in this process at open.
 		if _, err := seg.f.ReadAt(hdr[:], off); err != nil {
 			return
 		}
@@ -312,13 +305,11 @@ func (st *StaticDiskStore) scanSegment(seg *diskSegment) {
 	}
 }
 
-// Lookup returns the packed blob stored for destination d, or nil. The
-// returned bytes are read-only and — on mmap platforms — alias the
-// page cache; callers must not retain them past the store's Close.
-// The blob's CRC is verified here (catching every single-byte flip);
-// callers decode it with full validation (DecodePacked) and report a
-// decode failure via Drop so the record can be repaired.
-// A nil store always misses.
+// Lookup returns the packed blob stored for destination d, or nil, in
+// a fresh slice the caller owns. The blob's CRC is verified here
+// (catching every single-byte flip); callers decode it with full
+// validation (DecodePacked) and report a decode failure via Drop so the
+// record can be repaired. A nil store always misses.
 func (st *StaticDiskStore) Lookup(d int32) []byte {
 	return st.lookup(diskStaticKey(d), func(b []byte) bool {
 		pd, ok := PackedDest(b)
@@ -343,7 +334,9 @@ func (st *StaticDiskStore) LookupSidecar(kind uint8, d int32) []byte {
 // owns, the embedded-destination check of the record's kind: the CRC
 // covers only the blob, so a flipped dest byte in the header would
 // register a perfectly valid blob under the wrong key. A record that
-// fails either is dropped.
+// fails either is dropped, and so is one that no longer reads whole (a
+// foreign segment truncated under this store, or a store closed
+// mid-read).
 func (st *StaticDiskStore) lookup(key int64, owns func([]byte) bool) []byte {
 	if st == nil {
 		return nil
@@ -355,15 +348,10 @@ func (st *StaticDiskStore) lookup(key int64, owns func([]byte) bool) []byte {
 	if !ok || closed {
 		return nil
 	}
-	var b []byte
-	if rec.seg.data != nil {
-		b = rec.seg.data[rec.off+diskRecHeader : rec.off+diskRecHeader+int64(rec.len)]
-	} else {
-		b = make([]byte, rec.len)
-		if _, err := rec.seg.f.ReadAt(b, rec.off+diskRecHeader); err != nil {
-			st.drop(key)
-			return nil
-		}
+	b := make([]byte, rec.len)
+	if _, err := rec.seg.f.ReadAt(b, rec.off+diskRecHeader); err != nil {
+		st.drop(key)
+		return nil
 	}
 	if crc32.Checksum(b, castagnoli) != rec.crc || !owns(b) {
 		st.drop(key)
@@ -508,23 +496,12 @@ func (st *StaticDiskStore) openWriterLocked() bool {
 }
 
 // closeWriterLocked retires a failed writer; records already appended
-// stay served via pread. The fd stays open — registered records still
-// read through it — but this instance appends no more.
+// stay served. The fd stays open — registered records still read
+// through it — but this instance appends no more.
 func (st *StaticDiskStore) closeWriterLocked() {
 	st.w = nil
 	st.wOff = 0
 	st.wDead = true
-}
-
-// Entries returns the number of records currently served, statics and
-// sidecars alike.
-func (st *StaticDiskStore) Entries() int {
-	if st == nil {
-		return 0
-	}
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return len(st.recs)
 }
 
 // BytesOnDisk returns the total size of all known segment files.
@@ -541,16 +518,8 @@ func (st *StaticDiskStore) BytesOnDisk() int64 {
 	return b
 }
 
-// Dir returns the store's keyed directory (under the caller's root).
-func (st *StaticDiskStore) Dir() string {
-	if st == nil {
-		return ""
-	}
-	return st.dir
-}
-
-// Close unmaps and closes every segment. Lookup and Put on a closed
-// store miss and refuse silently.
+// Close closes every segment. Lookup and Put on a closed store miss and
+// refuse silently; a Lookup that overlaps Close may still be served.
 func (st *StaticDiskStore) Close() error {
 	if st == nil {
 		return nil
@@ -562,8 +531,6 @@ func (st *StaticDiskStore) Close() error {
 	}
 	st.closed = true
 	for _, seg := range st.segs {
-		munmap(seg.data)
-		seg.data = nil
 		seg.f.Close()
 	}
 	st.recs = nil
@@ -600,7 +567,7 @@ func writeDiskFileAtomic(path string, data []byte) error {
 
 // Shared per-process instances. Engines have no Close hook and many
 // Sims typically run on one graph, so each (root, graph, tiebreaker)
-// triple gets one memoized instance — avoiding an fd and mapping per
+// triple gets one memoized instance — avoiding an fd per segment per
 // Sim, and letting later Sims see records the earlier ones appended
 // without reopening. The graph fingerprint is memoized by pointer
 // under the same contract the experiment store uses: a graph must not

@@ -6,11 +6,16 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sbgp/internal/asgraph"
 	"sbgp/internal/asgraph/asgraphtest"
+	"sbgp/internal/topogen"
 )
 
 // diskTestSetup builds a small graph, its reference blobs, and an empty
@@ -507,4 +512,184 @@ func TestDiskStoreNilSafety(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDiskStoreTruncatedUnderOpenStore: a segment that shrinks under an
+// open store (another process's file, cut mid-record) reads back short.
+// Every record past the new end misses and is dropped, so the caller
+// recomputes it, and the records before the cut are still served.
+func TestDiskStoreTruncatedUnderOpenStore(t *testing.T) {
+	g, tb, blobs, root := diskTestSetup(t, 64, 71)
+	dir := populate(t, root, g, tb, blobs)
+	st, err := OpenStaticDiskStore(root, g, tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if len(segs) != 1 {
+		t.Fatalf("got %d segments, want 1", len(segs))
+	}
+
+	// populate appended the records in destination order: cut through
+	// the middle of the blob of destination `cut`.
+	cut := 4
+	var end int64
+	for d := 0; d < cut; d++ {
+		end += diskRecHeader + int64(len(blobs[d]))
+	}
+	end += diskRecHeader + int64(len(blobs[cut]))/2
+	if err := os.Truncate(segs[0], end); err != nil {
+		t.Fatal(err)
+	}
+	for d, want := range blobs {
+		got := st.Lookup(int32(d))
+		if d < cut {
+			if string(got) != string(want) {
+				t.Fatalf("dest %d before the cut not served byte-exactly", d)
+			}
+			continue
+		}
+		if got != nil || st.Has(int32(d)) {
+			t.Fatalf("dest %d past the cut: served %d bytes or still registered", d, len(got))
+		}
+	}
+	if st.Entries() != cut {
+		t.Fatalf("%d entries after the cut, want %d", st.Entries(), cut)
+	}
+}
+
+// TestDiskStoreCloseDuringLookups: Close may run while other goroutines
+// look records up (run under -race). Lookups that overlap it serve
+// exact bytes or miss, and every lookup after it misses.
+func TestDiskStoreCloseDuringLookups(t *testing.T) {
+	g, tb, blobs, root := diskTestSetup(t, 24, 73)
+	const kind = 1
+	sidecars := make([][]byte, len(blobs))
+	st, err := OpenStaticDiskStore(root, g, tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d := range blobs {
+		sidecars[d] = AppendSidecar(nil, int32(d), g.N(), kind, []SidecarEntry{{Node: int32(d), Bits: uint64(d + 1)}})
+		if !st.Put(int32(d), blobs[d]) || !st.PutSidecar(kind, int32(d), sidecars[d]) {
+			t.Fatalf("dest %d: Put refused", d)
+		}
+	}
+	st.Close()
+	// A second instance reads the first one's segment as a foreign one.
+	st, err = OpenStaticDiskStore(root, g, tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	var passes atomic.Int64
+	stop := make(chan struct{})
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for d := range blobs {
+					if got := st.Lookup(int32(d)); got != nil && string(got) != string(blobs[d]) {
+						t.Errorf("dest %d: wrong static bytes", d)
+					}
+					if got := st.LookupSidecar(kind, int32(d)); got != nil && string(got) != string(sidecars[d]) {
+						t.Errorf("dest %d: wrong sidecar bytes", d)
+					}
+				}
+				passes.Add(1)
+			}
+		}()
+	}
+	for passes.Load() < 8 {
+		runtime.Gosched()
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for d := range blobs {
+		if st.Lookup(int32(d)) != nil || st.LookupSidecar(kind, int32(d)) != nil {
+			t.Fatalf("dest %d served after Close", d)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestDiskStoreLookupsStayOutOfRSS: a lookup copies its record out of
+// the page cache and leaves the segment there. After a lookup of every
+// sidecar of an N=2,000 store, the process's file-backed resident set
+// (RssFile, plus RssShmem for a temp directory on tmpfs) has grown by
+// less than a quarter of the segment's bytes. A mapped segment grew it
+// by about the whole segment: faulting in one small sidecar every few
+// kilobytes maps the cached pages around each one too.
+func TestDiskStoreLookupsStayOutOfRSS(t *testing.T) {
+	if _, err := os.Stat("/proc/self/status"); err != nil {
+		t.Skipf("no /proc/self/status: %v", err)
+	}
+	g := topogen.MustGenerate(topogen.Default(2000, 42))
+	tb := HashTiebreaker{Seed: 42}
+	root := t.TempDir()
+	const kind = 0
+	w := NewWorkspace(g)
+	st, err := OpenStaticDiskStore(root, g, tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d := int32(0); d < int32(g.N()); d++ {
+		sc := AppendSidecar(nil, d, g.N(), kind, []SidecarEntry{{Node: d, Bits: uint64(d) + 1}})
+		if !st.PutStatic(w.PrepareDest(d, tb)) || !st.PutSidecar(kind, d, sc) {
+			t.Fatalf("dest %d: Put refused", d)
+		}
+	}
+	st.Close()
+	st, err = OpenStaticDiskStore(root, g, tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	segBytes := st.BytesOnDisk()
+
+	st.LookupSidecar(kind, 0) // fault in the lookup path's code first
+	before := fileRSS(t)
+	for d := int32(0); d < int32(g.N()); d++ {
+		if st.LookupSidecar(kind, d) == nil {
+			t.Fatalf("dest %d: sidecar missed", d)
+		}
+	}
+	grew := fileRSS(t) - before
+	t.Logf("segment %d KB, file-backed RSS grew %d KB", segBytes>>10, grew>>10)
+	if grew >= segBytes/4 {
+		t.Fatalf("file-backed RSS grew %d KB over a %d KB segment", grew>>10, segBytes>>10)
+	}
+}
+
+// fileRSS returns the process's file-backed and shared-memory resident
+// bytes from /proc/self/status.
+func fileRSS(t *testing.T) int64 {
+	t.Helper()
+	raw, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, line := range strings.Split(string(raw), "\n") {
+		name, val, ok := strings.Cut(line, ":")
+		if !ok || name != "RssFile" && name != "RssShmem" {
+			continue
+		}
+		kb, err := strconv.ParseInt(strings.TrimSuffix(strings.TrimSpace(val), " kB"), 10, 64)
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		total += kb << 10
+	}
+	return total
 }

@@ -252,3 +252,32 @@ func TestPackedSizeRatio(t *testing.T) {
 			ratio, float64(packed)/float64(n), float64(unpacked)/float64(n))
 	}
 }
+
+// BenchmarkDecodePacked times the decode of benchSample's packed blobs
+// per destination both ways the engine decodes: trusted, as the
+// resident tier serves what this process encoded or validated, and
+// validating, as every disk hit is decoded before it is trusted.
+func BenchmarkDecodePacked(b *testing.B) {
+	g, sample := benchSample(b)
+	tb := HashTiebreaker{Seed: 42}
+	w := NewWorkspace(g)
+	blobs := make([][]byte, len(sample))
+	for k, d := range sample {
+		blobs[k] = AppendPacked(nil, w.PrepareDest(d, tb), g)
+	}
+	for _, dec := range []struct {
+		name   string
+		decode func([]byte) (*Static, error)
+	}{{"trusted", w.DecodePackedTrusted}, {"validating", w.DecodePacked}} {
+		b.Run(dec.name, func(b *testing.B) {
+			for it := 0; it < b.N; it++ {
+				for _, blob := range blobs {
+					if _, err := dec.decode(blob); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(blobs)), "us/dest")
+		})
+	}
+}

@@ -148,8 +148,8 @@ type Config struct {
 
 	// StaticStoreDir, when non-empty, roots the persistent L2 static
 	// tier (routing.StaticDiskStore): packed static snapshots are
-	// written through to an append-only, checksummed, mmap-read on-disk
-	// store keyed by (graph fingerprint, tiebreaker wire form,
+	// written through to an append-only, checksummed, pread-served
+	// on-disk store keyed by (graph fingerprint, tiebreaker wire form,
 	// destination), and static cache misses consult it — decoding a
 	// stored blob in ~O(reachable) — before paying the three-stage BFS.
 	// One root directory serves any number of graphs; statics persist

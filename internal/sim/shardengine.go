@@ -111,8 +111,8 @@ func NewShardEngine(g *asgraph.Graph, cfg Config, shards []int, total int) (*Sha
 		}
 	}
 	// The persistent L2 tier. Process-wide shared instance so every Sim
-	// on this (graph, tiebreaker) reuses one set of file descriptors and
-	// mappings — and immediately sees statics earlier Sims persisted. An
+	// on this (graph, tiebreaker) reuses one set of file descriptors —
+	// and immediately sees statics earlier Sims persisted. An
 	// unusable store (missing dir on a dist worker host, foreign meta,
 	// unkeyable tiebreaker) degrades silently to today's behavior.
 	if cfg.StaticStoreDir != "" {

@@ -235,3 +235,45 @@ func BenchmarkPrepareDest(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(sample)), "us/dest")
 }
+
+// BenchmarkSpliceLeaf times SpliceLeafBlob per leaf over the leaves of
+// benchSample that have a sibling, each spliced from the blob of its
+// provider's lowest other leaf: what a class replay pays, against
+// BenchmarkPrepareDest plus the pack, to put a leaf's blob on disk.
+func BenchmarkSpliceLeaf(b *testing.B) {
+	g, sample := benchSample(b)
+	tb := HashTiebreaker{Seed: 42}
+	w := NewWorkspace(g)
+	type pair struct {
+		filler, leaf, p int32
+		blob            []byte
+	}
+	var pairs []pair
+	for _, d := range sample {
+		prov := g.Providers(d)
+		if len(prov) != 1 || !leafOf(g, d, prov[0]) {
+			continue
+		}
+		for _, f := range g.Customers(prov[0]) {
+			if f != d && leafOf(g, f, prov[0]) {
+				pairs = append(pairs, pair{f, d, prov[0], AppendPacked(nil, w.PrepareDest(f, tb), g)})
+				break
+			}
+		}
+	}
+	if len(pairs) == 0 {
+		b.Fatal("no sampled leaf has a sibling")
+	}
+	var dst []byte
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		for _, pr := range pairs {
+			var ok bool
+			if dst, ok = SpliceLeafBlob(dst[:0], pr.blob, g, pr.filler, pr.leaf, pr.p); !ok {
+				b.Fatalf("splice %d→%d refused", pr.filler, pr.leaf)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(pairs)), "us/leaf")
+	b.ReportMetric(float64(len(pairs)), "leaves")
+}

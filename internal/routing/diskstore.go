@@ -62,10 +62,10 @@ import (
 // therefore bit-identical with the store absent, cold, warm, or
 // arbitrarily corrupted.
 //
-// Every read is a pread (os.File.ReadAt) into a slice the caller owns:
-// the engine copies what it keeps into the resident tier or decodes
-// and drops it, so a mapping would save one small copy per hit and
-// cost residency instead. Faulting a mapped segment also maps the
+// Every read is a pread (os.File.ReadAt) into a buffer the caller owns
+// and reuses: the engine copies what it keeps into the resident tier or
+// decodes and drops it, so a mapping would save one small copy per hit
+// and cost residency instead. Faulting a mapped segment also maps the
 // cached pages around each fault, so reading one small sidecar every
 // few kilobytes would make the whole segment resident in the process;
 // and a foreign segment truncated under a mapping would fault fatally
@@ -306,38 +306,46 @@ func (st *StaticDiskStore) scanSegment(seg *diskSegment) {
 }
 
 // Lookup returns the packed blob stored for destination d, or nil, in
-// a fresh slice the caller owns. The blob's CRC is verified here
+// a fresh slice the caller owns: LookupInto with no buffer.
+func (st *StaticDiskStore) Lookup(d int32) []byte { return st.LookupInto(d, nil) }
+
+// LookupInto returns the packed blob stored for destination d, or nil,
+// read into the caller's buffer *buf: the blob is a prefix of *buf,
+// which is replaced by a larger slice when its capacity is short, so a
+// caller that reads every record into one buffer allocates only while
+// the buffer grows. The blob stays valid until the next read into *buf;
+// a nil buf reads into a fresh slice. The blob's CRC is verified here
 // (catching every single-byte flip); callers decode it with full
 // validation (DecodePacked) and report a decode failure via Drop so the
 // record can be repaired. A nil store always misses.
-func (st *StaticDiskStore) Lookup(d int32) []byte {
-	return st.lookup(diskStaticKey(d), func(b []byte) bool {
+func (st *StaticDiskStore) LookupInto(d int32, buf *[]byte) []byte {
+	return st.lookup(diskStaticKey(d), buf, func(b []byte) bool {
 		pd, ok := PackedDest(b)
 		return ok && pd == d
 	})
 }
 
 // LookupSidecar returns the sidecar payload stored for (kind, d), or
-// nil. Same trust discipline as Lookup: the CRC is verified here, the
-// payload's own embedded (dest, kind) are cross-checked against the
-// key, and callers still run the fully validating DecodeSidecar — any
-// failure there is reported via DropSidecar so the record can be
-// repaired. A nil store always misses.
-func (st *StaticDiskStore) LookupSidecar(kind uint8, d int32) []byte {
-	return st.lookup(diskSidecarKey(kind, d), func(b []byte) bool {
+// nil, read into *buf as LookupInto reads a blob. Same trust discipline:
+// the CRC is verified here, the payload's own embedded (dest, kind) are
+// cross-checked against the key, and callers still run the fully
+// validating DecodeSidecar — any failure there is reported via
+// DropSidecar so the record can be repaired. A nil store always misses.
+func (st *StaticDiskStore) LookupSidecar(kind uint8, d int32, buf *[]byte) []byte {
+	return st.lookup(diskSidecarKey(kind, d), buf, func(b []byte) bool {
 		sd, sk, ok := SidecarDest(b)
 		return ok && sd == d && sk == kind
 	})
 }
 
-// lookup serves the record under key once its blob passes its CRC and
-// owns, the embedded-destination check of the record's kind: the CRC
-// covers only the blob, so a flipped dest byte in the header would
-// register a perfectly valid blob under the wrong key. A record that
-// fails either is dropped, and so is one that no longer reads whole (a
-// foreign segment truncated under this store, or a store closed
-// mid-read).
-func (st *StaticDiskStore) lookup(key int64, owns func([]byte) bool) []byte {
+// lookup serves the record under key, read into *buf, once its blob
+// passes its CRC and owns, the embedded-destination check of the
+// record's kind: the CRC covers only the blob, so a flipped dest byte in
+// the header would register a perfectly valid blob under the wrong key.
+// A record that fails either is dropped, and so is one that no longer
+// reads whole (a foreign segment truncated under this store, or a store
+// closed mid-read).
+func (st *StaticDiskStore) lookup(key int64, buf *[]byte, owns func([]byte) bool) []byte {
 	if st == nil {
 		return nil
 	}
@@ -348,7 +356,13 @@ func (st *StaticDiskStore) lookup(key int64, owns func([]byte) bool) []byte {
 	if !ok || closed {
 		return nil
 	}
-	b := make([]byte, rec.len)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	if cap(*buf) < int(rec.len) {
+		*buf = make([]byte, rec.len)
+	}
+	b := (*buf)[:rec.len]
 	if _, err := rec.seg.f.ReadAt(b, rec.off+diskRecHeader); err != nil {
 		st.drop(key)
 		return nil

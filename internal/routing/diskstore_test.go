@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"math/rand"
@@ -77,6 +78,48 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 		if _, err := w.DecodePacked(got); err != nil {
 			t.Fatalf("dest %d: decode failed: %v", d, err)
 		}
+	}
+}
+
+// TestDiskStoreLookupIntoReusesBuffer: a hit read into a buffer with
+// room allocates nothing and returns the buffer's own memory, holding
+// the stored bytes; a buffer too small is replaced by a larger one, not
+// overrun. Lookup, with no buffer, allocates its blob.
+func TestDiskStoreLookupIntoReusesBuffer(t *testing.T) {
+	g, tb, blobs, root := diskTestSetup(t, 24, 31)
+	populate(t, root, g, tb, blobs)
+	st, err := OpenStaticDiskStore(root, g, tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	const kind = 1
+	sc := AppendSidecar(nil, 5, g.N(), kind, []SidecarEntry{{Node: 2, Bits: 9}})
+	if !st.PutSidecar(kind, 5, sc) {
+		t.Fatal("PutSidecar refused")
+	}
+	buf := make([]byte, 0, 1<<16)
+	for d, want := range blobs {
+		got := st.LookupInto(int32(d), &buf)
+		if !bytes.Equal(got, want) || &got[0] != &buf[:1][0] {
+			t.Fatalf("dest %d: LookupInto returned %d bytes, in its buffer: %v", d, len(got), &got[0] == &buf[:1][0])
+		}
+	}
+	short := make([]byte, 1)
+	if got := st.LookupInto(3, &short); !bytes.Equal(got, blobs[3]) || &short[0] != &got[0] {
+		t.Fatal("LookupInto with a short buffer differs, or did not grow it")
+	}
+	if got := st.LookupSidecar(kind, 5, &buf); !bytes.Equal(got, sc) || &got[0] != &buf[:1][0] {
+		t.Fatal("LookupSidecar did not read into its buffer")
+	}
+	if a := testing.AllocsPerRun(50, func() { st.LookupInto(7, &buf) }); a != 0 {
+		t.Errorf("LookupInto hit allocates %v times", a)
+	}
+	if a := testing.AllocsPerRun(50, func() { st.LookupSidecar(kind, 5, &buf) }); a != 0 {
+		t.Errorf("LookupSidecar hit allocates %v times", a)
+	}
+	if a := testing.AllocsPerRun(50, func() { st.Lookup(7) }); a != 1 {
+		t.Errorf("Lookup hit allocates %v times, want its one blob", a)
 	}
 }
 
@@ -600,7 +643,7 @@ func TestDiskStoreCloseDuringLookups(t *testing.T) {
 					if got := st.Lookup(int32(d)); got != nil && string(got) != string(blobs[d]) {
 						t.Errorf("dest %d: wrong static bytes", d)
 					}
-					if got := st.LookupSidecar(kind, int32(d)); got != nil && string(got) != string(sidecars[d]) {
+					if got := st.LookupSidecar(kind, int32(d), nil); got != nil && string(got) != string(sidecars[d]) {
 						t.Errorf("dest %d: wrong sidecar bytes", d)
 					}
 				}
@@ -615,7 +658,7 @@ func TestDiskStoreCloseDuringLookups(t *testing.T) {
 		t.Fatal(err)
 	}
 	for d := range blobs {
-		if st.Lookup(int32(d)) != nil || st.LookupSidecar(kind, int32(d)) != nil {
+		if st.Lookup(int32(d)) != nil || st.LookupSidecar(kind, int32(d), nil) != nil {
 			t.Fatalf("dest %d served after Close", d)
 		}
 	}
@@ -657,10 +700,10 @@ func TestDiskStoreLookupsStayOutOfRSS(t *testing.T) {
 	defer st.Close()
 	segBytes := st.BytesOnDisk()
 
-	st.LookupSidecar(kind, 0) // fault in the lookup path's code first
+	st.LookupSidecar(kind, 0, nil) // fault in the lookup path's code first
 	before := fileRSS(t)
 	for d := int32(0); d < int32(g.N()); d++ {
-		if st.LookupSidecar(kind, d) == nil {
+		if st.LookupSidecar(kind, d, nil) == nil {
 			t.Fatalf("dest %d: sidecar missed", d)
 		}
 	}

@@ -3,10 +3,12 @@ package routing
 import (
 	"bytes"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"sbgp/internal/asgraph"
 	"sbgp/internal/asgraph/asgraphtest"
+	"sbgp/internal/topogen"
 )
 
 // fuzzGraph builds the fixed small graph both fuzz targets decode
@@ -163,6 +165,57 @@ func FuzzDecodeTiebreaker(f *testing.F) {
 		}
 		if a, b := TiebreakerFingerprint(tb), TiebreakerFingerprint(again); a != b {
 			t.Fatalf("accepted %x as %s, which round-trips to %s", data, a, b)
+		}
+	})
+}
+
+// FuzzSpliceLeaf: the splice walks a disk record's bytes with varint
+// reads and indexes by what it reads, so it must never panic on
+// arbitrary or mutated bytes. A filler's own blob must splice to the
+// leaf's built bytes, and whatever it splices from a blob that decodes
+// as the filler's static must decode as the leaf's: the swap of two
+// leaves preserves every relation DecodePacked checks.
+func FuzzSpliceLeaf(f *testing.F) {
+	g := topogen.MustGenerate(topogen.Default(120, 9))
+	tb := HashTiebreaker{Seed: 9}
+	w := NewWorkspace(g)
+	var pairs [][2]int32 // (filler, leaf)
+	blobs := map[int32][]byte{}
+	for _, leaves := range siblingLeaves(g) {
+		for _, d := range leaves {
+			blobs[d] = AppendPacked(nil, w.PrepareDest(d, tb), g)
+		}
+		pairs = append(pairs, [2]int32{leaves[0], leaves[1]}, [2]int32{leaves[len(leaves)-1], leaves[0]})
+	}
+	sort.Slice(pairs, func(a, b int) bool { return pairs[a][0] < pairs[b][0] })
+	if len(pairs) == 0 {
+		f.Fatal("the fuzz graph has no sibling leaves")
+	}
+	for k, pr := range pairs {
+		f.Add(blobs[pr[0]], uint16(k))
+	}
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte{packedMagic}, uint16(1))
+	f.Fuzz(func(t *testing.T, data []byte, sel uint16) {
+		pr := pairs[int(sel)%len(pairs)]
+		filler, leaf := pr[0], pr[1]
+		got, ok := SpliceLeafBlob(nil, data, g, filler, leaf, g.Providers(leaf)[0])
+		switch {
+		case bytes.Equal(data, blobs[filler]):
+			if !ok || !bytes.Equal(got, blobs[leaf]) {
+				t.Fatalf("splice %d→%d of the filler's own blob: ok=%v, differs from the build", filler, leaf, ok)
+			}
+		case !ok:
+			if len(got) != 0 {
+				t.Fatalf("refused splice wrote %d bytes", len(got))
+			}
+		default:
+			if _, err := w.DecodePacked(data); err != nil {
+				return
+			}
+			if _, err := w.DecodePacked(got); err != nil {
+				t.Fatalf("splice %d→%d of a valid blob does not decode: %v", filler, leaf, err)
+			}
 		}
 	})
 }

@@ -196,7 +196,8 @@ func (w *Workspace) DecodePacked(blob []byte) (*Static, error) {
 //
 // This is the trust model of every packed blob the engine reads, and
 // the one place it is stated. Disk bytes enter the engine at one place,
-// its static fetch, which checks them twice: the disk store's Lookup
+// its static fetch (a class replay reads a filler's blob only to splice
+// it back to disk), which checks them twice: the disk store's Lookup
 // verifies the record's CRC, and DecodePacked runs every check,
 // cross-field ones included, so even a CRC-valid foreign record whose
 // fields disagree is refused and recomputed. The resident store thus

@@ -366,7 +366,7 @@ func TestDiskStoreSidecarCorruptionSweep(t *testing.T) {
 			t.Fatalf("%s at %d: open failed: %v", what, at, err)
 		}
 		for key, want := range payloads {
-			got := st.LookupSidecar(uint8(key[0]), key[1])
+			got := st.LookupSidecar(uint8(key[0]), key[1], nil)
 			if got != nil && string(got) != string(want) {
 				t.Fatalf("%s at %d: kind %d dest %d served %d wrong bytes",
 					what, at, key[0], key[1], len(got))
@@ -394,7 +394,7 @@ func TestDiskStoreSidecarCorruptionSweep(t *testing.T) {
 	}
 	defer st.Close()
 	for key, want := range payloads {
-		if got := st.LookupSidecar(uint8(key[0]), key[1]); string(got) != string(want) {
+		if got := st.LookupSidecar(uint8(key[0]), key[1], nil); string(got) != string(want) {
 			t.Fatalf("kind %d dest %d lost after sweep", key[0], key[1])
 		}
 	}

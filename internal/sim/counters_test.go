@@ -28,12 +28,12 @@ func TestRoundCountersPinned(t *testing.T) {
 	want := map[string]string{
 		"outgoing":               "686e42bea03410a6",
 		"outgoing/project-stubs": "b21c17abfa1d60f8",
-		"outgoing/store-cold":    "e0556a2fc9443eee",
+		"outgoing/store-cold":    "ef55a9a6fea326a0",
 		"outgoing/store-warm":    "58cf8016fe7cbbbf",
 		"outgoing/repacked":      "35e169537dc1f4de",
 		"incoming":               "637a65ee1deae95c",
 		"incoming/project-stubs": "9b3fc6a9515898aa",
-		"incoming/store-cold":    "7a8ed1165f76f108",
+		"incoming/store-cold":    "dd4e6c2ef790c195",
 		"incoming/store-warm":    "0186e0bc79022916",
 		"incoming/repacked":      "69bae960eb8e605e",
 	}

@@ -499,10 +499,13 @@ type worker struct {
 	contribs []contribEntry
 
 	// Pristine-replay state (see replaySidecar): the sidecar record, decode
-	// and encode buffers.
+	// and encode buffers. diskBuf takes every disk read, each copied,
+	// decoded or spliced before the next; spliceBuf a spliced blob.
 	scEntries []routing.SidecarEntry
 	scBuf     []routing.SidecarEntry
 	scPayload []byte
+	diskBuf   []byte
+	spliceBuf []byte
 
 	// The serving plan (see plan): the worker serves d ≡ shard (mod
 	// stride), and plans[k] is the rung of its k-th destination, shard +
@@ -576,7 +579,7 @@ func (wk *worker) resetRound(n int) {
 // destinations that will run the BFS — those a sidecar or class replay
 // does not serve, holding no record (a record's static is kept
 // resident) and no stored static — for buildStatic to batch; a class
-// replay builds only to complete the disk store.
+// replay never builds.
 func (wk *worker) plan(rc *roundCtx) {
 	st, lc := rc.st, wk.classes
 	kind := uint8(rc.cfg.Model)
@@ -601,13 +604,7 @@ func (wk *worker) plan(rc *roundCtx) {
 				classReplay = p.rec == nil
 			}
 		}
-		switch {
-		case p.sidecar:
-		case classReplay:
-			p.build = wk.disk != nil && !wk.disk.Has(d)
-		default:
-			p.build = p.rec == nil && !wk.statics.Has(d) && !wk.disk.Has(d)
-		}
+		p.build = !p.sidecar && !classReplay && p.rec == nil && !wk.statics.Has(d) && !wk.disk.Has(d)
 		wk.plans = append(wk.plans, p)
 	}
 	if wk.onPlan != nil {
@@ -772,7 +769,8 @@ func (wk *worker) processDest(d int32, rc *roundCtx, pl *destPlan) {
 // every static read takes: the resident tier, then a disk blob, then
 // the three-stage BFS, writing fresh results through to disk. fresh
 // reports a static that is not resident — decoded from blob, or built
-// when blob is nil — for processDest to admit by the residency rule;
+// when blob is nil — for processDest to admit by the residency rule
+// (blob is the worker's disk buffer, valid until its next disk read);
 // between the two tiers this (graph, tiebreaker, destination) pays the
 // BFS once. Same bytes on every rung: a decoded blob reproduces
 // PrepareDest's output exactly (see packed.go), Lookup CRC-checks disk
@@ -784,7 +782,7 @@ func (wk *worker) fetchStatic(d int32, rc *roundCtx) (stc *routing.Static, blob 
 		wk.stats.StaticHits++
 		return stc, nil, false
 	}
-	if b := wk.disk.Lookup(d); b != nil {
+	if b := wk.disk.LookupInto(d, &wk.diskBuf); b != nil {
 		// Full validation: disk bytes enter the engine only here, so
 		// the resident tier they are admitted to holds nothing
 		// unvalidated and decodes trusted from then on.
@@ -938,7 +936,7 @@ func (wk *worker) replaySidecar(d int32, rc *roundCtx) (served, wanted bool) {
 	payload := wk.statics.SidecarGet(kind, d)
 	fromDisk := false
 	if payload == nil {
-		payload = wk.disk.LookupSidecar(kind, d)
+		payload = wk.disk.LookupSidecar(kind, d, &wk.diskBuf)
 		fromDisk = payload != nil
 	}
 	if payload == nil {

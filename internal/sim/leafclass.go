@@ -164,9 +164,9 @@ func (wk *worker) fillClass(d int32, rc *roundCtx, pl *destPlan) {
 // replayClass serves leaf d from its class memo, and keeps the durable
 // side effects of the path it skipped: its own sidecar when the plan
 // says one is wanted (so later rounds, Runs and processes replay d
-// without the class) and, with a disk tier attached, its blob — the
-// store stays complete for every destination, at the price of the BFS
-// once.
+// without the class) and, with a disk tier attached, its blob, spliced
+// from the filler's (routing.SpliceLeafBlob) — never built, so no BFS
+// and no pack. Without the filler's blob on disk d waits for a miss.
 func (wk *worker) replayClass(d int32, rc *roundCtx, pl *destPlan) {
 	m, p := pl.memo, wk.classes.prov[d]
 	for _, e := range m.base {
@@ -198,11 +198,12 @@ func (wk *worker) replayClass(d int32, rc *roundCtx, pl *destPlan) {
 		}
 		wk.storeSidecar(uint8(rc.cfg.Model), d, wk.contribs)
 	}
-	if wk.disk != nil && !wk.disk.Has(d) {
-		if wk.statics != nil {
-			wk.stats.StaticMisses++ // a BFS ran, counted as fetchStatic counts it
-		}
-		if wk.disk.PutStatic(wk.buildStatic(d, rc)) {
+	if wk.disk == nil || wk.disk.Has(d) {
+		return
+	}
+	if fb := wk.disk.LookupInto(m.filler, &wk.diskBuf); fb != nil {
+		b, ok := routing.SpliceLeafBlob(wk.spliceBuf[:0], fb, g, m.filler, d, p)
+		if wk.spliceBuf = b; ok && wk.disk.Put(d, b) {
 			wk.stats.StaticDiskWrites++
 		}
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -345,8 +346,9 @@ func TestQuickLeafFold(t *testing.T) {
 // TestDiskStoreCompleteAfterGame: a class-replayed leaf never fetches a
 // static, yet "BFS once per graph, ever" and every reader of the store
 // need a blob for every destination — so a replayed leaf still writes
-// its own. After one cold game the store holds all N, and a second
-// process's worth of game (store reopened) misses nothing.
+// its own, spliced from its filler's. After one cold game the store
+// holds all N, and a second process's worth of game (store reopened)
+// misses nothing.
 func TestDiskStoreCompleteAfterGame(t *testing.T) {
 	defer routing.CloseSharedDiskStores()
 	g := topogen.MustGenerate(topogen.Default(400, 9))
@@ -385,6 +387,138 @@ func TestDiskStoreCompleteAfterGame(t *testing.T) {
 		for r, st := range passes {
 			if st.StaticMisses != 0 || st.StaticDiskWrites != 0 {
 				t.Errorf("%s: warm pass %d ran %d BFSs and wrote %d records", model, r, st.StaticMisses, st.StaticDiskWrites)
+			}
+		}
+	}
+}
+
+// TestLeafSpliceStoreEquivalence: a store populated with the class rung
+// on, where every replayed leaf's blob is spliced from its filler's,
+// holds the same bytes as one populated with the rung off, where every
+// leaf builds and packs its own: every static and every sidecar, both
+// models. The splice also spares the BFS of every replayed leaf.
+func TestLeafSpliceStoreEquivalence(t *testing.T) {
+	defer routing.CloseSharedDiskStores()
+	g := topogen.MustGenerate(topogen.Default(600, 42))
+	g.SetCPTrafficFraction(0.10)
+	tb := routing.HashTiebreaker{Seed: 3}
+	for _, model := range []UtilityModel{Outgoing, Incoming} {
+		cfg := Config{Model: model, Theta: 0.05, StubsBreakTies: true, Tiebreaker: tb, Workers: 2, RecordStats: true,
+			EarlyAdopters: append(g.Nodes(asgraph.ContentProvider), asgraph.TopByDegree(g, 5, asgraph.ISP)...)}
+		on, off := cfg, cfg
+		on.StaticStoreDir, off.StaticStoreDir = t.TempDir(), t.TempDir()
+		resOn := MustNew(g, on).Run()
+		resOff := withoutLeafClasses(MustNew(g, off)).Run()
+		requireBitIdentical(t, model.String(), resOff, resOn)
+		if ps := resOn.PristineStats; ps.ClassReplays == 0 || ps.StaticMisses+ps.ClassReplays != resOff.PristineStats.StaticMisses {
+			t.Errorf("%s: pristine pass with classes ran %d BFSs and %d class replays, without %d BFSs",
+				model, ps.StaticMisses, ps.ClassReplays, resOff.PristineStats.StaticMisses)
+		}
+		stOn, errOn := routing.SharedStaticDiskStore(on.StaticStoreDir, g, tb)
+		stOff, errOff := routing.SharedStaticDiskStore(off.StaticStoreDir, g, tb)
+		if errOn != nil || errOff != nil {
+			t.Fatal(errOn, errOff)
+		}
+		for d := int32(0); d < int32(g.N()); d++ {
+			if a, b := stOn.Lookup(d), stOff.Lookup(d); a == nil || !bytes.Equal(a, b) {
+				t.Fatalf("%s: static of %d differs (%d bytes with classes, %d without)", model, d, len(a), len(b))
+			}
+			for _, kind := range []uint8{uint8(Outgoing), uint8(Incoming)} {
+				a, b := stOn.LookupSidecar(kind, d, nil), stOff.LookupSidecar(kind, d, nil)
+				if !bytes.Equal(a, b) || (a == nil) != (kind != uint8(model)) {
+					t.Fatalf("%s: sidecar %d of %d differs or is missing (%d and %d bytes)", model, kind, d, len(a), len(b))
+				}
+			}
+		}
+	}
+}
+
+// TestLeafSpliceWithoutFillerBlob: a replayed leaf whose filler's blob
+// is not on disk writes nothing — its class replay never builds — and a
+// later run that serves it on its own rung fills it through the normal
+// miss path. A first pass populates the store and leaves every static
+// resident; then the class's statics and sidecars are dropped from the
+// store, so a second pass serves the filler from the resident tier and
+// replays its siblings with no filler blob to splice. A third pass, its
+// class rung off, builds each of them on a miss.
+func TestLeafSpliceWithoutFillerBlob(t *testing.T) {
+	defer routing.CloseSharedDiskStores()
+	g := topogen.MustGenerate(topogen.Default(600, 42))
+	g.SetCPTrafficFraction(0.10)
+	tb := routing.HashTiebreaker{Seed: 3}
+	n := g.N()
+	var members []int32 // the leaves of the provider with the most
+	byProv := map[int32][]int32{}
+	for d, p := range leafProviders(g) {
+		if p >= 0 {
+			if byProv[p] = append(byProv[p], int32(d)); len(byProv[p]) > len(members) {
+				members = byProv[p]
+			}
+		}
+	}
+	if len(members) < 3 {
+		t.Fatalf("largest leaf class has %d members", len(members))
+	}
+	insecure := make([]bool, n)
+	for _, model := range []UtilityModel{Outgoing, Incoming} {
+		cfg := Config{Model: model, Tiebreaker: tb, Workers: 1, RecordStats: true, StaticStoreDir: t.TempDir()}
+		ref := cfg
+		ref.StaticStoreDir, ref.StaticCacheBytes = "", -1
+		want, _, _, err := withoutLeafClasses(MustNew(g, ref)).RoundUtilities(insecure, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pass := func(label string, c Config, classes bool) *RoundStats {
+			s := MustNew(g, c)
+			if !classes {
+				withoutLeafClasses(s)
+			}
+			got, _, stats, err := s.RoundUtilities(insecure, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s/%s: uBase[%d] = %v, want %v", model, label, i, got[i], want[i])
+				}
+			}
+			return stats
+		}
+		store, err := routing.SharedStaticDiskStore(cfg.StaticStoreDir, g, tb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dropClass := func() {
+			for _, d := range members {
+				store.Drop(d)
+				store.DropSidecar(uint8(model), d)
+			}
+		}
+
+		resident := routing.NewSharedStaticCache(1 << 30)
+		populate := cfg
+		populate.SharedStatics = resident
+		pass("populate", populate, true)
+		dropClass()
+		noFiller := cfg
+		noFiller.SharedStatics = resident.Share() // the statics, none of the sidecars
+		if st := pass("no-filler-blob", noFiller, true); st.ClassReplays < int64(len(members)-1) {
+			t.Errorf("%s: %d class replays, want every sibling of the class's %d", model, st.ClassReplays, len(members))
+		}
+		for _, d := range members {
+			if store.Has(d) {
+				t.Errorf("%s: leaf %d was written with no filler blob to splice", model, d)
+			}
+		}
+
+		dropClass() // the second pass recorded the sidecars again
+		if st := pass("miss", cfg, false); st.StaticMisses != int64(len(members)) {
+			t.Errorf("%s: %d static misses, want the class's %d", model, st.StaticMisses, len(members))
+		}
+		w := routing.NewWorkspace(g)
+		for _, d := range members {
+			if got, want := store.Lookup(d), routing.AppendPacked(nil, w.PrepareDest(d, tb), g); !bytes.Equal(got, want) {
+				t.Errorf("%s: leaf %d holds %d bytes after its miss, want its %d built ones", model, d, len(got), len(want))
 			}
 		}
 	}

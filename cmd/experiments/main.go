@@ -50,8 +50,7 @@ func run() int {
 		force    = flag.Bool("force", false, "rerun experiments even when -out holds completed results")
 		quiet    = flag.Bool("quiet", false, "suppress report bodies on stdout (summaries still print)")
 
-		staticCache = flag.Int64("static-cache", 0, "resident static store budget in bytes, for statics and for sidecars each (0 = engine default, negative = disable)")
-		dynCache    = flag.Int64("dyn-cache", 0, "per-simulation dynamic contribution cache budget in bytes (0 = engine default, negative = disable)")
+		cacheBytes  = flag.Int64("cache-bytes", 0, "budget in bytes of each resident cache tier: statics, sidecars and each simulation's dynamic records (0 = engine default; 1 = cache nothing)")
 		staticStore = flag.String("static-store", "", "persistent packed-static disk tier directory (default <out>/cache/statics with -out; 'off' disables; bit-identical results)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile  = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -91,7 +90,7 @@ func run() int {
 	// a post-hoc rewrite of zero values).
 	var mu sync.Mutex
 	batch := experiments.BatchOptions{
-		Options:  experiments.Options{N: *n, Seed: *seed, X: *x, Workers: *workers, DistWorkers: *distWork, StaticCacheBytes: *staticCache, DynamicCacheBytes: *dynCache, StaticStoreDir: *staticStore},
+		Options:  experiments.Options{N: *n, Seed: *seed, X: *x, Workers: *workers, DistWorkers: *distWork, CacheBytes: *cacheBytes, StaticStoreDir: *staticStore},
 		IDs:      ids,
 		Parallel: *parallel,
 		OutDir:   *outDir,

@@ -60,9 +60,8 @@ func run() int {
 		projectStub = flag.Bool("project-stubs", false, "projection bundles the ISP's simplex stub upgrades")
 		workers     = flag.Int("workers", 0, "logical shard count (0 = GOMAXPROCS; pin for cross-machine reproducibility)")
 		maxRounds   = flag.Int("max-rounds", 0, "round cap (0 = default)")
-		staticCache = flag.Int64("static-cache", 0, "resident static store budget in bytes, for statics and for sidecars each (0 = default, negative = disable)")
+		cacheBytes  = flag.Int64("cache-bytes", 0, "budget in bytes of each resident cache tier: statics, sidecars and dynamic records (0 = default 1 GiB; 1 = cache nothing)")
 		staticStore = flag.String("static-store", "", "persist packed static snapshots under this directory so reruns skip the static BFS (bit-identical results)")
-		dynCache    = flag.Int64("dyn-cache", 0, "dynamic contribution cache budget in bytes (0 = default, negative = disable)")
 		stats       = flag.Bool("stats", false, "print per-round engine statistics")
 		memStats    = flag.Bool("memstats", false, "sample per-round heap allocation (stop-the-world; implies nothing without -stats)")
 		quiet       = flag.Bool("q", false, "summary only")
@@ -144,8 +143,7 @@ func run() int {
 		Tiebreaker:          sbgp.HashTiebreaker{Seed: uint64(*seed)},
 		Workers:             *workers,
 		MaxRounds:           *maxRounds,
-		StaticCacheBytes:    *staticCache,
-		DynamicCacheBytes:   *dynCache,
+		CacheBytes:          *cacheBytes,
 		StaticStoreDir:      *staticStore,
 		RecordStats:         *stats,
 		RecordMemStats:      *memStats,

@@ -9,7 +9,7 @@ import (
 
 // Config wire codec. A worker's ShardEngine reads exactly these Config
 // fields: Model, StubsBreakTies, ProjectStubUpgrades, Tiebreaker, the
-// two cache budgets and the static disk-store root — so exactly these
+// cache budget and the static disk-store root — so exactly these
 // travel. Decision-side fields (Theta*, EarlyAdopters, MaxRounds) stay
 // with the coordinator, which is the only party applying update rule
 // (3); Workers is superseded by the explicit shard assignment in the
@@ -19,12 +19,13 @@ import (
 // diverge — which the differential tests in dist_test.go exist to
 // catch.
 //
-// The static budget applies per engine: each worker process builds its
-// own resident store of StaticCacheBytes for statics (and as much for
-// sidecars), so K processes may hold up to K budgets. The dynamic
-// budget is split per logical shard, so its total stays one budget.
-// Each engine reports its store in its partials, and the coordinator's
-// RoundStats sum them.
+// CacheBytes bounds each worker process's own resident store (its
+// statics, and as much again for its sidecars), so K processes may hold
+// up to K static budgets; the records' budget is split per logical
+// shard, so their total stays one budget. NewShardEngine refuses a
+// negative budget from the wire as New refuses it locally. Each engine
+// reports its store in its partials, and the coordinator's RoundStats
+// sum them.
 //
 // StaticStoreDir ships as a path string that each worker resolves
 // against its own filesystem: local fork-exec workers share the
@@ -34,7 +35,7 @@ import (
 // produce identical bits, since the disk tier is validated-or-recompute
 // by construction.
 
-const configWireVersion = 7
+const configWireVersion = 8
 
 // encodeConfig renders the engine-relevant Config fields.
 func encodeConfig(cfg sim.Config) ([]byte, error) {
@@ -57,8 +58,7 @@ func encodeConfig(cfg sim.Config) ([]byte, error) {
 		flags |= 2
 	}
 	e.u8(flags)
-	e.i64(cfg.StaticCacheBytes)
-	e.i64(cfg.DynamicCacheBytes)
+	e.i64(cfg.CacheBytes)
 	e.bytes([]byte(cfg.StaticStoreDir))
 	e.bytes(tbw)
 	return e.b, nil
@@ -75,8 +75,7 @@ func decodeConfig(p []byte) (sim.Config, error) {
 	flags := d.u8()
 	cfg.StubsBreakTies = flags&1 != 0
 	cfg.ProjectStubUpgrades = flags&2 != 0
-	cfg.StaticCacheBytes = d.i64()
-	cfg.DynamicCacheBytes = d.i64()
+	cfg.CacheBytes = d.i64()
 	cfg.StaticStoreDir = string(d.bytes())
 	tbw := d.bytes()
 	if err := d.done(); err != nil {

@@ -490,6 +490,28 @@ func TestWorkerRejectsCounterDigest(t *testing.T) {
 	}
 }
 
+// TestWorkerRejectsNegativeBudget: a worker builds its engine from the
+// wire, not through sim.New, so a negative cache budget in the hello's
+// config must be refused there, with an error frame that names it.
+func TestWorkerRejectsNegativeBudget(t *testing.T) {
+	g, _ := testGraph(t, 50, 1)
+	cfgw, err := encodeConfig(sim.Config{CacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gw bytes.Buffer
+	if err := asgraph.Write(&gw, g); err != nil {
+		t.Fatal(err)
+	}
+	a, next, done := workerSession(t)
+	if err := writeFrame(a, encodeHello(&hello{N: g.N(), TotalShards: 1, Shards: []int{0}, Config: cfgw, Graph: gw.Bytes()})); err != nil {
+		t.Fatal(err)
+	}
+	if msg := wantRefusal(t, a, next, done, "hello with a negative cache budget"); !strings.Contains(msg, "negative cache budget") {
+		t.Errorf("error %q does not name the negative budget", msg)
+	}
+}
+
 // TestCoordinatorRejectsEmpty covers constructor validation.
 func TestCoordinatorRejectsEmpty(t *testing.T) {
 	g, _ := testGraph(t, 50, 1)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sbgp/internal/routing"
@@ -198,8 +199,9 @@ func TestErrorRoundTrip(t *testing.T) {
 func TestConfigRoundTrip(t *testing.T) {
 	cfgs := []sim.Config{
 		{},
-		{Model: sim.Incoming, StubsBreakTies: true, StaticCacheBytes: -1, DynamicCacheBytes: -1},
-		{ProjectStubUpgrades: true, StaticCacheBytes: 1 << 20, DynamicCacheBytes: 1 << 21, Tiebreaker: routing.HashTiebreaker{Seed: 99}},
+		{Model: sim.Incoming, StubsBreakTies: true, CacheBytes: 1},
+		{ProjectStubUpgrades: true, CacheBytes: 1 << 20, Tiebreaker: routing.HashTiebreaker{Seed: 99}},
+		{CacheBytes: -1}, // carried as sent: the worker's NewShardEngine refuses it
 		{Tiebreaker: routing.LowestIndex{}},
 	}
 	for i, in := range cfgs {
@@ -218,6 +220,19 @@ func TestConfigRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(want, out) {
 			t.Fatalf("cfg %d: got %+v, want %+v", i, out, want)
 		}
+	}
+
+	// A v7 frame carried two budgets where v8 carries one; a worker must
+	// refuse it by its version, not misread the second budget as the
+	// store path's length.
+	p, err := encodeConfig(cfgs[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	v7 := append([]byte{7}, p[1:11]...)            // model, flags, the static budget
+	v7 = append(append(v7, p[3:11]...), p[11:]...) // the dynamic budget, then the rest
+	if _, err := decodeConfig(v7); err == nil || !strings.Contains(err.Error(), "config wire version 7, want 8") {
+		t.Fatalf("v7 config frame: got %v, want the version error", err)
 	}
 }
 
@@ -284,7 +299,11 @@ func FuzzDecodePartials(f *testing.F) {
 }
 
 func FuzzDecodeHello(f *testing.F) {
-	f.Add(encodeHello(&hello{N: 3, TotalShards: 2, Shards: []int{0, 1}, Config: []byte{1}, Graph: []byte("g")}))
+	cfgw, err := encodeConfig(sim.Config{CacheBytes: 1 << 20})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(encodeHello(&hello{N: 3, TotalShards: 2, Shards: []int{0, 1}, Config: cfgw, Graph: []byte("g")}))
 	f.Fuzz(func(t *testing.T, p []byte) {
 		_, _ = decodeHello(p)
 		if c, err := decodeHelloAck(p); err == nil {

@@ -37,17 +37,12 @@ type Options struct {
 	X float64
 	// Workers caps simulation parallelism (0 = GOMAXPROCS).
 	Workers int
-	// StaticCacheBytes bounds the resident static stores
-	// (sim.Config.StaticCacheBytes): 0 keeps the engine default, positive
-	// caps each store's statics and, separately, its sidecars, negative
-	// disables the stores. Performance knob only — results are
-	// bit-identical for every setting.
-	StaticCacheBytes int64
-	// DynamicCacheBytes bounds each simulation's cross-round dynamic
-	// contribution cache (sim.Config.DynamicCacheBytes) with the same
-	// convention: 0 default, positive cap, negative off. Performance
-	// knob only — results are bit-identical for every setting.
-	DynamicCacheBytes int64
+	// CacheBytes bounds each resident cache tier of every simulation
+	// (sim.Config.CacheBytes): its shared statics core, separately its
+	// sidecars, and its records. 0 keeps the engine default; negative
+	// is an error. Performance knob only — results are bit-identical
+	// for every setting.
+	CacheBytes int64
 	// StaticStoreDir, when non-empty, persists packed static snapshots
 	// under this directory (sim.Config.StaticStoreDir) so reruns skip
 	// the per-destination static BFS entirely. Performance knob only —
@@ -93,8 +88,7 @@ func (o Options) withDefaults() Options {
 	if o.store == nil {
 		// NewStore cannot fail without a cache directory.
 		o.store, _ = NewStore("", o.Workers)
-		o.store.StaticCacheBytes = o.StaticCacheBytes
-		o.store.DynamicCacheBytes = o.DynamicCacheBytes
+		o.store.CacheBytes = o.CacheBytes
 		o.store.StaticStoreDir = o.StaticStoreDir
 		o.store.DistWorkers = o.DistWorkers
 	}
@@ -114,6 +108,9 @@ func (o Options) Validate() error {
 	}
 	if o.Workers < 0 {
 		return fmt.Errorf("experiments: Workers must be non-negative, got %d", o.Workers)
+	}
+	if o.CacheBytes < 0 {
+		return fmt.Errorf("experiments: CacheBytes must be non-negative, got %d", o.CacheBytes)
 	}
 	return nil
 }

@@ -127,8 +127,7 @@ func RunBatch(b BatchOptions) ([]RunStatus, error) {
 	if err != nil {
 		return nil, err
 	}
-	store.StaticCacheBytes = opt.StaticCacheBytes
-	store.DynamicCacheBytes = opt.DynamicCacheBytes
+	store.CacheBytes = opt.CacheBytes
 	// Persistent disk tier for packed statics: defaults to a directory
 	// inside the batch cache, so a rerun (or resumed crash) skips every
 	// static BFS the previous run already paid. "off" opts out; an

@@ -3,11 +3,14 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
+
+	"sbgp/internal/routing"
 )
 
 // goldenOptions matches the options testdata/golden was generated
@@ -97,56 +100,55 @@ func TestGoldenReports(t *testing.T) {
 	}
 }
 
-// TestGoldenReportsCacheInvariant: the static routing cache must be
-// invisible in experiment output — disabling it outright and strangling
-// its budget (a few snapshots' worth, forcing most destinations to
-// recompute every round) both reproduce every golden byte for byte.
+// TestGoldenReportsCacheInvariant: the resident cache tiers must be
+// invisible in experiment output — a 1-byte budget, which holds no
+// static, sidecar or record, and a strangled one (a few snapshots'
+// worth, forcing most destinations to recompute every round) both
+// reproduce every golden byte for byte.
 func TestGoldenReportsCacheInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment twice more")
 	}
-	for _, budget := range []int64{-1, 64 << 10} {
+	for _, budget := range []int64{1, 64 << 10} {
 		opt := goldenOptions()
-		opt.StaticCacheBytes = budget
-		statuses, err := RunBatch(BatchOptions{Options: opt})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, st := range statuses {
-			if st.Err != nil {
-				t.Fatalf("budget %d: %s failed: %v", budget, st.ID, st.Err)
-			}
-			if !bytes.Equal(st.Report, readGolden(t, st.ID)) {
-				t.Errorf("budget %d: %s report differs from golden", budget, st.ID)
-			}
-		}
+		opt.CacheBytes = budget
+		checkGoldenBatch(t, fmt.Sprintf("budget %d", budget), opt)
 	}
 }
 
-// TestGoldenReportsDynCacheInvariant: the cross-round dynamic
-// contribution cache must be equally invisible — disabled, and under a
-// budget of a handful of record floors (N=1200 puts one record's floor
-// at ≈6.3 KB, so 64 KB holds ~10 destinations and every simulation
-// recomputes the rest each round) — every golden reproduces byte for
-// byte, cold and over a warm store.
+// TestGoldenReportsDynCacheInvariant: the cross-round dynamic records
+// must be equally invisible next to the disk store. A 64 KB budget,
+// which holds only part of a graph's statics, runs over a cold store,
+// and a 1-byte budget then runs over the store it filled, where the
+// disk serves the statics and sidecars and nothing stays resident.
+// Every golden reproduces byte for byte.
 func TestGoldenReportsDynCacheInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment twice more")
 	}
-	for _, budget := range []int64{-1, 64 << 10} {
+	dir := t.TempDir()
+	defer routing.CloseSharedDiskStores()
+	for _, budget := range []int64{64 << 10, 1} {
 		opt := goldenOptions()
-		opt.DynamicCacheBytes = budget
-		statuses, err := RunBatch(BatchOptions{Options: opt})
-		if err != nil {
-			t.Fatal(err)
+		opt.CacheBytes, opt.StaticStoreDir = budget, dir
+		checkGoldenBatch(t, fmt.Sprintf("budget %d over %s store", budget, map[int64]string{1: "a warm", 64 << 10: "a cold"}[budget]), opt)
+	}
+}
+
+// checkGoldenBatch runs every experiment under opt and compares each
+// report with its golden.
+func checkGoldenBatch(t *testing.T, label string, opt Options) {
+	t.Helper()
+	statuses, err := RunBatch(BatchOptions{Options: opt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range statuses {
+		if st.Err != nil {
+			t.Fatalf("%s: %s failed: %v", label, st.ID, st.Err)
 		}
-		for _, st := range statuses {
-			if st.Err != nil {
-				t.Fatalf("budget %d: %s failed: %v", budget, st.ID, st.Err)
-			}
-			if !bytes.Equal(st.Report, readGolden(t, st.ID)) {
-				t.Errorf("budget %d: %s report differs from golden", budget, st.ID)
-			}
+		if !bytes.Equal(st.Report, readGolden(t, st.ID)) {
+			t.Errorf("%s: %s report differs from golden", label, st.ID)
 		}
 	}
 }
@@ -331,6 +333,7 @@ func TestOptionsValidate(t *testing.T) {
 		{N: 250, X: 1.0},
 		{N: 250, X: 1.5},
 		{N: 250, X: 0.1, Workers: -1},
+		{N: 250, X: 0.1, CacheBytes: -1},
 	}
 	for _, opt := range bad {
 		if err := opt.Validate(); err == nil {

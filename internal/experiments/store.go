@@ -37,19 +37,14 @@ type Store struct {
 	budget  *workerBudget
 	workers int // resolved worker budget (for sims run through the store)
 
-	// StaticCacheBytes, when non-zero, overrides the static budget
-	// (sim.Config.StaticCacheBytes) of every simulation executed through
-	// the store: positive caps it, negative disables the resident
-	// store. With the cache on, it is the budget of each
-	// shared statics core and, separately, of each handle's sidecars (see
-	// sharedStatics). It is a performance knob only — excluded from
+	// CacheBytes, when non-zero, sets the cache budget
+	// (sim.Config.CacheBytes) of every simulation executed through the
+	// store: the budget of each shared statics core, separately of each
+	// handle's sidecars (see sharedStatics), and of each simulation's
+	// records. It is a performance knob only — excluded from
 	// Config.Fingerprint, so it never changes cache keys or Results. Set
 	// it before the first Sim call.
-	StaticCacheBytes int64
-	// DynamicCacheBytes does the same for the cross-round dynamic
-	// contribution cache (sim.Config.DynamicCacheBytes) — also excluded
-	// from Config.Fingerprint, also bit-identical at any setting.
-	DynamicCacheBytes int64
+	CacheBytes int64
 	// StaticStoreDir, when non-empty, gives every simulation executed
 	// through the store a persistent on-disk static snapshot tier
 	// (sim.Config.StaticStoreDir): each distinct (graph, tiebreaker)
@@ -188,7 +183,7 @@ func (s *Store) sharedStatics(g *asgraph.Graph, cfg sim.Config) *routing.SharedS
 		}
 	}
 	if sc == nil {
-		sc = routing.NewSharedStaticCache(s.StaticCacheBytes)
+		sc = routing.NewSharedStaticCache(s.CacheBytes)
 	}
 	s.statics[k] = sc
 	return sc
@@ -291,21 +286,15 @@ func (s *Store) Sim(g *asgraph.Graph, cfg sim.Config) (*sim.Result, SimRun, erro
 	// Normalize: superset instrumentation, worker budget, cache policy.
 	cfg.RecordUtilities = true
 	cfg.RecordStats = true
-	if s.StaticCacheBytes != 0 {
-		cfg.StaticCacheBytes = s.StaticCacheBytes
-	}
-	if s.DynamicCacheBytes != 0 {
-		cfg.DynamicCacheBytes = s.DynamicCacheBytes
+	if s.CacheBytes != 0 {
+		cfg.CacheBytes = s.CacheBytes
 	}
 	if s.StaticStoreDir != "" {
 		cfg.StaticStoreDir = s.StaticStoreDir
 	}
 	// Serve statics through the graph's shared handle (statics core per
-	// topology, sidecars per graph) unless static caching is disabled
-	// outright (negative budget).
-	if s.StaticCacheBytes >= 0 {
-		cfg.SharedStatics = s.sharedStatics(g, cfg)
-	}
+	// topology, sidecars per graph).
+	cfg.SharedStatics = s.sharedStatics(g, cfg)
 
 	gfp := s.graphFingerprint(g)
 	cfp := cfg.Fingerprint()

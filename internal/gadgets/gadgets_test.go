@@ -331,7 +331,7 @@ func TestOscillatorDynCacheInvariant(t *testing.T) {
 		MaxRounds:      40,
 	}
 	cfgOff := base
-	cfgOff.DynamicCacheBytes = -1
+	cfgOff.CacheBytes, cfgOff.SharedStatics = 1, routing.NewSharedStaticCache(0) // records off, statics on
 	ref := sim.MustNew(o.Graph, cfgOff).Run()
 	got := sim.MustNew(o.Graph, base).Run() // budget 0: cache on at the default
 

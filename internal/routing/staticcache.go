@@ -42,20 +42,20 @@ import (
 // rather than copying a budget's worth of snapshots only to re-encode
 // them all.
 
-// DefaultStaticCacheBytes is the default static budget: 1 GiB for a
-// store's statics, and as much again for each handle's sidecars. A
-// published snapshot costs ≈26–35 bytes per node (Type, Len, pos,
-// winners, order and the tiebreak CSR, plus the delta-dependents index,
-// provider parents and support lists it is published with), so N
-// destinations of N nodes need ≈26·N²–35·N² bytes: the full unpacked
-// set fits up to N≈5000. Beyond that the store (see above) holds ≈3–5
-// B/node — packed from the first entry when the graph's N says so — and
-// only the statics a later round reads: the record holders', not those of
-// destinations served by their pristine sidecars. At the paper's
-// N=36,964 that is ≈7,200 destinations in ≈1.0 GB, just inside the
-// budget; a graph whose record set outgrows it caches a pinned prefix
-// of them and recomputes the rest each round.
-const DefaultStaticCacheBytes = int64(1) << 30
+// DefaultCacheBytes is the default budget of every resident tier: 1 GiB
+// for a store's statics, as much again for each handle's sidecars (and,
+// in sim, for the dynamic records). A published snapshot costs ≈26–35
+// bytes per node (Type, Len, pos, winners, order and the tiebreak CSR,
+// plus the delta-dependents index, provider parents and support lists
+// it is published with), so N destinations of N nodes need
+// ≈26·N²–35·N² bytes: the full unpacked set fits up to N≈5000. Beyond
+// that the store (see above) holds ≈3–5 B/node — packed from the first
+// entry when the graph's N says so — and only the statics a later round
+// reads: the record holders', not those of destinations served by their
+// pristine sidecars. At the paper's N=36,964 that is ≈7,200 destinations
+// in ≈1.0 GB, just inside the budget; a graph whose record set outgrows
+// it caches a pinned prefix of them and recomputes the rest each round.
+const DefaultCacheBytes = int64(1) << 30
 
 // MemBytes returns the heap footprint of s, counting exactly what is
 // materialized right now: the always-present base arrays, plus the
@@ -374,11 +374,11 @@ type staticsCore struct {
 // NewSharedStaticCache returns an unbound handle over a fresh core. The
 // core admits statics until adding one would exceed budget bytes, and
 // the handle's sidecars have a budget of their own of the same size;
-// budget 0 means DefaultStaticCacheBytes. The core repacks on overflow
+// budget 0 means DefaultCacheBytes. The core repacks on overflow
 // (see the package comment) once bound to its topology.
 func NewSharedStaticCache(budget int64) *SharedStaticCache {
 	if budget == 0 {
-		budget = DefaultStaticCacheBytes
+		budget = DefaultCacheBytes
 	}
 	return &SharedStaticCache{
 		core: &staticsCore{c: staticCache{budget: budget}},
@@ -446,16 +446,12 @@ func sameWeights(a, b *asgraph.Graph) bool {
 	return true
 }
 
-// Get returns the published static for destination d, or nil. A nil
-// store always misses. Packed entries decode into w's scratch (owned
-// by the calling goroutine) and the result is invalidated by w's next
-// build or decode; unpacked entries are immutable shared snapshots —
-// either way the result is safe to resolve against without further
-// synchronization.
+// Get returns the published static for destination d, or nil. Packed
+// entries decode into w's scratch (owned by the calling goroutine) and
+// the result is invalidated by w's next build or decode; unpacked
+// entries are immutable shared snapshots — either way the result is
+// safe to resolve against without further synchronization.
 func (sc *SharedStaticCache) Get(d int32, w *Workspace) *Static {
-	if sc == nil {
-		return nil
-	}
 	c := sc.core
 	c.mu.RLock()
 	e, ok := c.c.entries[d]
@@ -476,14 +472,11 @@ func (sc *SharedStaticCache) Get(d int32, w *Workspace) *Static {
 }
 
 // Has reports whether a static for destination d is published — Get's
-// lock and lookup without the decode. A nil store has none. Like
-// SidecarGet it locks by hand rather than through onCore: the engine's
-// serving plan calls each at most once per destination, and inlined
-// there onCore's closure escapes, an allocation per call.
+// lock and lookup without the decode. Like SidecarGet it locks by hand
+// rather than through onCore: the engine's serving plan calls each at
+// most once per destination, and inlined there onCore's closure
+// escapes, an allocation per call.
 func (sc *SharedStaticCache) Has(d int32) bool {
-	if sc == nil {
-		return false
-	}
 	c := sc.core
 	c.mu.RLock()
 	_, ok := c.c.entries[d]
@@ -504,9 +497,6 @@ func (sc *SharedStaticCache) Has(d int32) bool {
 // snapshot, or nil when the caller should keep resolving against its
 // own workspace static (packed core, duplicate, or budget exhausted).
 func (sc *SharedStaticCache) Add(w *Workspace, s *Static) *Static {
-	if sc == nil {
-		return nil
-	}
 	c := sc.core
 	c.mu.RLock()
 	e, dup := c.c.entries[s.Dest]
@@ -563,9 +553,6 @@ func (sc *SharedStaticCache) SidecarPut(kind uint8, d int32, payload []byte) boo
 // (kind, d), or nil. Published payloads are immutable — safe to read
 // lock-free after return.
 func (sc *SharedStaticCache) SidecarGet(kind uint8, d int32) []byte {
-	if sc == nil {
-		return nil
-	}
 	sc.mu.RLock()
 	p := sc.side.payloads[sidecarKey(kind, d)]
 	sc.mu.RUnlock()
@@ -613,22 +600,13 @@ func (sc *SharedStaticCache) Full() bool {
 }
 
 // onCore runs f on the core's statics under the core's lock — exclusive
-// when write is set — and returns f's result, or the zero value for a
-// nil handle.
+// when write is set — and returns f's result.
 func onCore[T any](sc *SharedStaticCache, write bool, f func(*staticCache) T) T {
-	if sc == nil {
-		var zero T
-		return zero
-	}
 	return locked(&sc.core.mu, write, &sc.core.c, f)
 }
 
 // onSide is onCore for the handle's sidecars, under the handle's lock.
 func onSide[T any](sc *SharedStaticCache, write bool, f func(*sidecarSet) T) T {
-	if sc == nil {
-		var zero T
-		return zero
-	}
 	return locked(&sc.mu, write, &sc.side, f)
 }
 

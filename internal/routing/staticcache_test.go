@@ -219,24 +219,6 @@ func TestSharedStaticCacheFullAddAllocsNothing(t *testing.T) {
 	}
 }
 
-// TestStaticCacheNil: a nil store is a valid always-miss store.
-func TestStaticCacheNil(t *testing.T) {
-	var c *SharedStaticCache
-	if c.Get(0, nil) != nil || c.SidecarGet(0, 0) != nil {
-		t.Error("nil store serves an entry")
-	}
-	if c.Add(nil, &Static{}) != nil || c.AddBlob(0, []byte{packedMagic}) || c.SidecarPut(0, 0, []byte{1}) {
-		t.Error("nil store admits an entry")
-	}
-	c.SidecarDrop(0, 0)
-	if c.Bytes() != 0 || c.Entries() != 0 || c.Full() {
-		t.Error("nil store reports non-empty state")
-	}
-	if c.Repacked() || c.PackedBytes() != 0 || c.PackedEntries() != 0 {
-		t.Error("nil store reports packed state")
-	}
-}
-
 // TestSnapshotMemBytes: MemBytes counts exactly what is materialized —
 // the accounted size must match the summed array footprints within the
 // fixed header overhead, and materialization must grow it by exactly

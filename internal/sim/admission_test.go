@@ -73,12 +73,13 @@ func wantsRecord(g *asgraph.Graph, cfg *Config, st *deployState, d int32) bool {
 // checkAdmissionTrajectory replays res's deployment states next to its
 // per-round stats, restating the serving ladder over plain state: a
 // recorded destination keeps its record; a record-less one the rule does
-// not want replays its sidecar; of the rest, a leaf whose class (shard,
-// provider, flags) already has a filler this round is class-replayed and
-// admits nothing, and everything else is admitted. Each round must
-// report exactly those sidecar replays, class replays and records. It
-// reports whether a round after the first admitted anything.
-func checkAdmissionTrajectory(t *testing.T, label string, g *asgraph.Graph, cfg *Config, res *Result) (grewMidGame bool) {
+// not want replays its sidecar, when sidecars fit the store; of the
+// rest, a leaf whose class (shard, provider, flags) already has a filler
+// this round is class-replayed and admits nothing, and every wanted
+// destination left is admitted. Each round must report exactly those
+// sidecar replays, class replays and records. It reports whether a round
+// after the first admitted anything.
+func checkAdmissionTrajectory(t *testing.T, label string, g *asgraph.Graph, cfg *Config, res *Result, sidecars bool) (grewMidGame bool) {
 	t.Helper()
 	n := g.N()
 	sbt := cfg.StubsBreakTies
@@ -114,13 +115,13 @@ func checkAdmissionTrajectory(t *testing.T, label string, g *asgraph.Graph, cfg 
 			key := classKey{shard, classProv[shard][d], st.secure[d]}
 			switch want := wantsRecord(g, cfg, st, d); {
 			case recorded[d]:
-			case !want:
+			case !want && sidecars:
 				replays++
 				continue
 			case key.prov >= 0 && filled[key]:
 				classReplays++
 				continue
-			default:
+			case want:
 				recorded[d] = true
 				records++
 			}
@@ -155,19 +156,19 @@ func checkAdmissionTrajectory(t *testing.T, label string, g *asgraph.Graph, cfg 
 }
 
 // TestDynAdmissionDemandDriven: a cold game across Model ×
-// StubsBreakTies × ProjectStubUpgrades × static cache on/off. Every
-// Result equals the golden. With a tier to hold sidecars the pristine
-// pass admits no record, every round replays exactly the insecure
-// untouchable destinations from their sidecars, and the recorded set is
+// StubsBreakTies × ProjectStubUpgrades × a default or a starved static
+// store (a caller-owned one of 1 byte, which holds no static and no
+// sidecar, beside default-budget records). Every Result equals the
+// golden. The pristine pass admits no record, and the recorded set is
 // exactly the destinations that were secure or touchable in some round
-// so far — so one that turns secure mid-game is admitted that round.
-// A wanted leaf behind a filler of its class is class-replayed instead
-// and holds no record. With no tier to hold a sidecar, every destination
-// is recorded or class-replayed in the pristine pass.
+// so far — so one that turns secure mid-game is admitted that round. A
+// leaf behind a filler of its class is class-replayed instead and holds
+// no record. With the default store every round replays exactly the
+// insecure untouchable destinations from their sidecars; with the
+// starved one none, and they are recomputed, never recorded.
 func TestDynAdmissionDemandDriven(t *testing.T) {
 	g := topogen.MustGenerate(topogen.Default(400, 21))
 	g.SetCPTrafficFraction(0.10)
-	n := g.N()
 	adopters := append(g.Nodes(asgraph.ContentProvider),
 		asgraph.TopByDegree(g, 3, asgraph.ISP)...)
 
@@ -176,36 +177,30 @@ func TestDynAdmissionDemandDriven(t *testing.T) {
 		for _, sbt := range []bool{true, false} {
 			for _, psu := range []bool{false, true} {
 				key := fmt.Sprintf("%s/sbt=%v/psu=%v", model, sbt, psu)
-				for _, staticBudget := range []int64{0, -1} {
+				for _, sidecars := range []bool{true, false} {
 					cfg := Config{
 						Model:               model,
 						Theta:               0.05,
 						EarlyAdopters:       adopters,
 						StubsBreakTies:      sbt,
 						ProjectStubUpgrades: psu,
-						StaticCacheBytes:    staticBudget,
 						Workers:             2,
 						RecordUtilities:     true,
 						RecordStats:         true,
 					}
-					label := fmt.Sprintf("%s/static=%d", key, staticBudget)
+					if !sidecars {
+						cfg.SharedStatics = routing.NewSharedStaticCache(1)
+					}
+					label := fmt.Sprintf("%s/sidecars=%v", key, sidecars)
 					res := MustNew(g, cfg).Run()
 					if got := resultDigest(t, res); got != admissionGolden[key] {
 						t.Errorf("%s: result digest %s, golden %s", label, got, admissionGolden[key])
 						continue
 					}
-					if staticBudget < 0 {
-						ps := res.PristineStats
-						if got := ps.DynCacheEntries + int(ps.ClassReplays); got != n || ps.ClassReplays == 0 {
-							t.Errorf("%s: pristine pass recorded %d and class-replayed %d destinations, want all %d between them",
-								label, ps.DynCacheEntries, ps.ClassReplays, n)
-						}
-						continue
-					}
 					if got := res.PristineStats.DynCacheEntries; got != 0 {
 						t.Errorf("%s: pristine pass admitted %d records, want none", label, got)
 					}
-					if checkAdmissionTrajectory(t, label, g, &cfg, res) {
+					if checkAdmissionTrajectory(t, label, g, &cfg, res, sidecars) {
 						grewMidGame = true
 					}
 				}
@@ -317,7 +312,7 @@ func TestSidecarMissTakesNormalPath(t *testing.T) {
 	for _, model := range []UtilityModel{Outgoing, Incoming} {
 		cfg := Config{Model: model, Workers: 1, RecordStats: true}
 		plainCfg := cfg
-		plainCfg.StaticCacheBytes, plainCfg.DynamicCacheBytes = -1, -1
+		plainCfg.CacheBytes = 1
 		want, _, _, err := withoutLeafClasses(MustNew(g, plainCfg)).RoundUtilities(mid, false)
 		if err != nil {
 			t.Fatal(err)

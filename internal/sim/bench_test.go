@@ -23,18 +23,17 @@ func benchSim(b *testing.B, n int, model UtilityModel) (*Sim, *deployState) {
 	g.SetCPTrafficFraction(0.10)
 	adopters := append(g.Nodes(asgraph.ContentProvider),
 		asgraph.TopByDegree(g, 5, asgraph.ISP)...)
-	cfg := Config{
+	// Dynamic records would turn every iteration after the first into a
+	// pure replay of an unchanged state; with records off the Round
+	// series keeps measuring the cold per-round engine, statics still
+	// cached. These are micro-benchmarks for profiling one layer; the
+	// benchmark of record is sbgpbench (benchmarks/).
+	cfg := recordsOff(Config{
 		Model:          model,
 		Theta:          0.05,
 		EarlyAdopters:  adopters,
 		StubsBreakTies: true,
-		// The dynamic cache would turn every iteration after the first
-		// into a pure replay of an unchanged state; disable it so the
-		// Round series keeps measuring the cold per-round engine. These
-		// are micro-benchmarks for profiling one layer; the benchmark of
-		// record is sbgpbench (benchmarks/).
-		DynamicCacheBytes: -1,
-	}
+	})
 	s := MustNew(g, cfg)
 	st := newDeployState(g.N())
 	for _, a := range adopters {
@@ -99,19 +98,19 @@ func BenchmarkRoundIncoming2500(b *testing.B) { benchComputeRound(b, 2500, Incom
 // as a sweep's first simulation warms it for the rest. The Cold
 // variants pass no store — every iteration's engine builds its own and
 // pays the full per-Sim static cold start — and the DynOff variants
-// disable the dynamic cache, so the three series separate the two
-// contributions.
+// give the records a 1-byte budget, which holds none, so the three
+// series separate the two contributions.
 //
 //	go test ./internal/sim -bench 'Run' -benchmem
-func benchRun(b *testing.B, n int, model UtilityModel, dynBudget int64, sharedStatics, seeded bool) {
+func benchRun(b *testing.B, n int, model UtilityModel, budget int64, sharedStatics, seeded bool) {
 	b.Helper()
 	g := topogen.MustGenerate(topogen.Default(n, 42))
 	g.SetCPTrafficFraction(0.10)
 	cfg := Config{
-		Model:             model,
-		Theta:             0.05,
-		StubsBreakTies:    true,
-		DynamicCacheBytes: dynBudget,
+		Model:          model,
+		Theta:          0.05,
+		StubsBreakTies: true,
+		CacheBytes:     budget,
 	}
 	if sharedStatics {
 		cfg.SharedStatics = routing.NewSharedStaticCache(0)
@@ -141,10 +140,11 @@ func BenchmarkRunIncoming2500(b *testing.B) { benchRun(b, 2500, Incoming, 0, tru
 func BenchmarkRunOutgoing2500Cold(b *testing.B) { benchRun(b, 2500, Outgoing, 0, false, true) }
 func BenchmarkRunIncoming2500Cold(b *testing.B) { benchRun(b, 2500, Incoming, 0, false, true) }
 
-// DynOff variants run the headline workloads with the dynamic cache
-// disabled — the in-tree control for what that cache buys.
-func BenchmarkRunOutgoing2500DynOff(b *testing.B) { benchRun(b, 2500, Outgoing, -1, true, true) }
-func BenchmarkRunIncoming2500DynOff(b *testing.B) { benchRun(b, 2500, Incoming, -1, true, true) }
+// DynOff variants run the headline workloads with no dynamic record
+// (the shared store keeps its own default budget) — the in-tree control
+// for what the records buy.
+func BenchmarkRunOutgoing2500DynOff(b *testing.B) { benchRun(b, 2500, Outgoing, 1, true, true) }
+func BenchmarkRunIncoming2500DynOff(b *testing.B) { benchRun(b, 2500, Incoming, 1, true, true) }
 
 // BenchmarkRunBaseOnly10000 is the paper-scale smoke: with no early
 // adopters nothing ever deploys, so the run is the pristine base sweep

@@ -107,44 +107,29 @@ type Config struct {
 	// stubs upgrade after the fact.
 	ProjectStubUpgrades bool
 
-	// StaticCacheBytes bounds the memory of the engine's resident static
-	// store (a routing.SharedStaticCache of its own, one per engine
-	// whatever its worker count): per-destination snapshots of the
-	// state-independent routing information (Observation C.1) that let
-	// steady-state rounds skip the three-stage BFS entirely, and the
-	// pristine sidecars that let them skip insecure destinations. Statics
-	// and sidecars are budgeted separately, each to this size. 0 means
-	// the default budget (routing.DefaultStaticCacheBytes, 1 GiB — enough
-	// to cache graphs of up to ~5000 ASes fully); negative disables the
-	// store. A store that overflows repacks into blobs and from then on
-	// admits only statics a later round reads (destinations served by
-	// their pristine sidecars read none); on budget exhaustion the
-	// destinations cached first stay pinned and the rest recompute each
-	// round. Ignored when SharedStatics is set.
+	// CacheBytes bounds each of the engine's three resident tiers: its
+	// static store's statics (per-destination snapshots of the
+	// state-independent routing information, Observation C.1, that let
+	// steady-state rounds skip the three-stage BFS), the store's pristine
+	// sidecars (that let rounds skip insecure destinations), and the
+	// cross-round dynamic records (each destination's routing tree and
+	// memoized base contributions, advanced across the realized flips
+	// instead of resolved afresh). The statics and the sidecars each get
+	// the whole budget; the records split it evenly across the logical
+	// shards, so a shard's capacity is the same wherever it runs. 0 means
+	// routing.DefaultCacheBytes (1 GiB, enough to cache graphs of up to
+	// ~5000 ASes fully); negative is an error. A static store that
+	// overflows repacks into blobs and from then on admits only statics a
+	// later round reads; on budget exhaustion every tier keeps what it
+	// admitted first and the rest recompute each round. A budget no entry
+	// fits (1 byte) leaves every tier empty: the plain engine. With
+	// SharedStatics set, CacheBytes bounds only the records.
 	//
-	// Purely a performance/memory knob: cache hits are byte-identical to
-	// cold computation, so every Result is bit-equal at any setting and
-	// the field is excluded from Fingerprint.
-	StaticCacheBytes int64
-
-	// DynamicCacheBytes bounds the memory of the cross-round dynamic
-	// contribution cache: per-destination records (routing tree plus
-	// memoized base utility contributions) that let a round advance a
-	// destination's tree across the realized flips instead of resolving
-	// it afresh, and replay its base contributions while no parent moved.
-	// Projections are always recomputed. 0 means the default budget
-	// (DefaultDynamicCacheBytes, 1 GiB); negative disables the cache and
-	// falls back to full per-destination recomputation each round. On
-	// budget exhaustion the destinations recorded first stay pinned; a
-	// record that outgrows the budget when refreshed is evicted and its
-	// destination recomputed from then on.
-	//
-	// Like StaticCacheBytes this is purely a performance/memory knob:
-	// replayed contributions are the recorded float64 bits and re-summed
-	// in the same order, so every Result is bit-equal at any setting
-	// (enabled, disabled, or forced eviction) and the field is excluded
-	// from Fingerprint.
-	DynamicCacheBytes int64
+	// Purely a performance/memory knob: cache hits and replayed
+	// contributions are byte-identical to cold computation, so every
+	// Result is bit-equal at any setting and the field is excluded from
+	// Fingerprint.
+	CacheBytes int64
 
 	// StaticStoreDir, when non-empty, roots the persistent L2 static
 	// tier (routing.StaticDiskStore): packed static snapshots are
@@ -170,13 +155,13 @@ type Config struct {
 	// SharedStatics, when non-nil, is the resident static store in place
 	// of the one the engine would build for itself: a caller-owned store
 	// shared across simulations, whose statics and sidecars carry their
-	// own budgets (StaticCacheBytes is then ignored). Every simulation
+	// own budgets (CacheBytes then bounds only the dynamic records). Every simulation
 	// sharing a handle must run on a graph of the same topology, with the
 	// same tiebreaker and traffic weights (routing.SharedStaticCache.Share
 	// makes a handle for other weights); New reports an error otherwise.
 	// The store is safe for concurrent simulations.
 	//
-	// Like the cache budgets this is purely a performance knob: a shared
+	// Like CacheBytes this is purely a performance knob: a shared
 	// snapshot is bit-identical to cold computation (see
 	// TestSharedStaticsResultInvariant), so the field is excluded from
 	// Fingerprint. Use it when many simulations run on one graph — a θ
@@ -190,10 +175,9 @@ type Config struct {
 	// fixes its own logical shard count; results are bit-identical to an
 	// in-process run whose Shards(n) equals it (see Executor). The Sim
 	// does not manage the executor's lifecycle: callers create it first
-	// and close it after the last run. SharedStatics, StaticCacheBytes,
-	// DynamicCacheBytes and Workers do not reach an external executor's
-	// workers through this Sim — the executor was built from its own
-	// Config copy.
+	// and close it after the last run. SharedStatics, CacheBytes and
+	// Workers do not reach an external executor's workers through this
+	// Sim — the executor was built from its own Config copy.
 	//
 	// Purely an execution-placement knob, excluded from Fingerprint.
 	Executor Executor
@@ -237,6 +221,9 @@ func (c Config) withDefaults() Config {
 func (c Config) validate(n int) error {
 	if c.Theta < 0 {
 		return fmt.Errorf("sim: negative threshold θ=%v", c.Theta)
+	}
+	if c.CacheBytes < 0 {
+		return fmt.Errorf("sim: negative cache budget %d", c.CacheBytes)
 	}
 	if c.ThetaJitter < 0 || c.ThetaJitter > 1 {
 		return fmt.Errorf("sim: threshold jitter %v outside [0,1]", c.ThetaJitter)

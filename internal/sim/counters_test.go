@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sbgp/internal/asgraph"
+	"sbgp/internal/routing"
 	"sbgp/internal/topogen"
 )
 
@@ -14,7 +15,7 @@ import (
 // the timing and heap fields left out (they vary run to run), for
 // sbgpsim's default game at N=600 in both models, with and without
 // projected stub upgrades, a cold then warm disk-store run, and a
-// one-worker run whose static budget forces the resident store to
+// one-worker run whose caller-owned static store is small enough to
 // repack (so the packed residency rule, rejected sidecars included,
 // decides what stays resident). A refactor of the serving ladder that
 // claims to change no counter must leave every digest as it is; a
@@ -55,7 +56,7 @@ func TestRoundCountersPinned(t *testing.T) {
 		check("/store-cold", store)
 		check("/store-warm", store)
 		packed := base
-		packed.Workers, packed.StaticCacheBytes = 1, 300_000
+		packed.Workers, packed.SharedStatics = 1, routing.NewSharedStaticCache(300_000)
 		check("/repacked", packed)
 	}
 }

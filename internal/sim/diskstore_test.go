@@ -46,12 +46,15 @@ func TestDiskStoreResultInvariant(t *testing.T) {
 		ref := MustNew(g, base).Run()
 		refs = append(refs, ref)
 
-		for _, budget := range []int64{0, tinyBudget, -1} {
+		// A caller-owned resident store of its own budget, beside
+		// default-budget records: 1 byte holds nothing, so the disk tier
+		// serves every static and sidecar read.
+		for _, budget := range []int64{0, tinyBudget, 1} {
 			cfg := base
-			cfg.StaticCacheBytes = budget
+			cfg.SharedStatics = routing.NewSharedStaticCache(budget)
 			cfg.StaticStoreDir = root
 			got := MustNew(g, cfg).Run()
-			label := map[int64]string{0: "default", -1: "disabled", tinyBudget: "tiny"}[budget]
+			label := map[int64]string{0: "default", 1: "starved", tinyBudget: "tiny"}[budget]
 			label = fmt.Sprintf("workers=%d/budget=%s", workers, label)
 			requireBitIdentical(t, label, ref, got)
 			if base.Fingerprint() != cfg.Fingerprint() {

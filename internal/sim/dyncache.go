@@ -42,20 +42,19 @@ import "sbgp/internal/routing"
 // The fixed-shard-order merge (Sim.computeRound) then reproduces the
 // exact global summation sequence, so uBase/uProj are bit-identical at
 // any worker count and any budget — which is what lets
-// Config.Fingerprint exclude DynamicCacheBytes.
+// Config.Fingerprint exclude CacheBytes.
 
-// DefaultDynamicCacheBytes is the default dynamic-cache budget: 1 GiB.
-// A record costs a fixed overhead, 8 bytes per parent SecP moved off its
-// winner, N/8 bytes of Secure bitset once any path to its destination is
-// secure, and 16 bytes per nonzero base contribution (and per child a
-// leaf-class filler captured), and only destinations whose tree can
-// matter hold one (processDest's wantRecord: secure destinations and
+// Record sizes. A record costs a fixed overhead, 8 bytes per parent
+// SecP moved off its winner, N/8 bytes of Secure bitset once any path to
+// its destination is secure, and 16 bytes per nonzero base contribution
+// (and per child a leaf-class filler captured), and only destinations
+// whose tree can matter hold one (wantRecord: secure destinations and
 // those a candidate can flip — insecure untouchable ones are
 // sidecar-replayed instead). The N=10,000 outgoing game's 1,915 round-1
-// records take ≈4.3 KB each (8.3 MB in all), so the budget binds only
-// far beyond the paper's N=36,964; a graph that fills it keeps a pinned
-// prefix of records and recomputes the rest each round.
-const DefaultDynamicCacheBytes = int64(1) << 30
+// records take ≈4.3 KB each (8.3 MB in all), so the default budget
+// (Config.CacheBytes, split per shard) binds only far beyond the
+// paper's N=36,964; a graph that fills it keeps a pinned prefix of
+// records and recomputes the rest each round.
 
 // contribEntry memoizes one node's utility contribution for one
 // destination: the exact float64 the cold engine would have added.
@@ -125,12 +124,8 @@ func newDynCache(budget int64) *dynCache {
 	}
 }
 
-// get returns the record for destination d, or nil. A nil cache always
-// misses.
+// get returns the record for destination d, or nil.
 func (c *dynCache) get(d int32) *destRecord {
-	if c == nil {
-		return nil
-	}
 	return c.entries[d]
 }
 
@@ -140,7 +135,7 @@ func (c *dynCache) get(d int32) *destRecord {
 // its diff and fills the entries, then must call resize to account for
 // them.
 func (c *dynCache) admit(d int32) *destRecord {
-	if c == nil || c.blocked[d] {
+	if c.blocked[d] {
 		return nil
 	}
 	if c.bytes+dynRecordMinimum > c.budget {
@@ -174,36 +169,8 @@ func (c *dynCache) resize(rec *destRecord) (evicted bool) {
 // without its security flag), which change propagation cannot advance
 // across.
 func (c *dynCache) purge() {
-	if c == nil {
-		return
-	}
 	for d := range c.entries {
 		delete(c.entries, d)
 	}
 	c.bytes = 0
-}
-
-// evicted returns the number of records evicted over the cache's
-// lifetime.
-func (c *dynCache) evicted() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.evictions
-}
-
-// bytesTotal returns the accounted size of all records.
-func (c *dynCache) bytesTotal() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.bytes
-}
-
-// entryCount returns the number of recorded destinations.
-func (c *dynCache) entryCount() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.entries)
 }

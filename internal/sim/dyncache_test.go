@@ -33,10 +33,14 @@ func assertDynActivity(t *testing.T, label string, res *Result, ok func(clean, d
 }
 
 // TestDynCacheResultInvariant: the cross-round dynamic cache is a pure
-// memoization — enabled, disabled, or strangled to a budget that forces
-// evictions, the Result is bit-identical to the non-incremental engine,
-// including every recorded utility. This is the invariant that lets
-// Config.Fingerprint exclude DynamicCacheBytes.
+// memoization — at the default budget, at 1 byte (which holds no
+// record), or strangled to a budget that forces evictions, the Result is
+// bit-identical to the non-incremental engine, including every recorded
+// utility. The statics are held apart in a default-budget store of the
+// caller's own, so only the records' budget moves. Beside the N=300
+// ladder, sbgpsim's default N=1,000 game over two shards runs with
+// records on and off. This is the invariant that lets
+// Config.Fingerprint exclude CacheBytes.
 func TestDynCacheResultInvariant(t *testing.T) {
 	g := topogen.MustGenerate(topogen.Default(300, 7))
 	g.SetCPTrafficFraction(0.10)
@@ -68,10 +72,8 @@ func TestDynCacheResultInvariant(t *testing.T) {
 				return fmt.Sprintf("%s/projectstubs=%v/dyn=%d", model, projectStubs, budget)
 			}
 
-			cfgRef := base
-			cfgRef.DynamicCacheBytes = -1 // the non-incremental engine
-			ref := MustNew(g, cfgRef).Run()
-			assertDynActivity(t, label(-1), ref, func(clean, dirty, ev int64) bool {
+			ref := MustNew(g, recordsOff(base)).Run() // the non-incremental engine
+			assertDynActivity(t, label(1), ref, func(clean, dirty, ev int64) bool {
 				return clean == 0 && dirty == 0 && ev == 0
 			})
 
@@ -91,7 +93,8 @@ func TestDynCacheResultInvariant(t *testing.T) {
 			for k := int64(1); k <= 16; k++ {
 				budget := k*floor + 8
 				cfg = base
-				cfg.DynamicCacheBytes = budget
+				cfg.CacheBytes = budget
+				cfg.SharedStatics = routing.NewSharedStaticCache(0)
 				got = MustNew(g, cfg).Run()
 				requireBitIdentical(t, label(budget), ref, got)
 				assertDynActivity(t, label(budget), got, func(clean, dirty, ev int64) bool {
@@ -106,6 +109,38 @@ func TestDynCacheResultInvariant(t *testing.T) {
 					model, projectStubs)
 			}
 		}
+	}
+
+	cg, cli := cliGame()
+	cli.RecordUtilities = true
+	for _, model := range []UtilityModel{Outgoing, Incoming} {
+		cli.Model = model
+		requireBitIdentical(t, "cli/"+model.String(), MustNew(cg, recordsOff(cli)).Run(), MustNew(cg, cli).Run())
+	}
+}
+
+// recordsOff returns cfg with a cache budget of 1 byte, which holds no
+// dynamic record, beside a default-budget static store of the caller's
+// own: the records-off, statics-on engine.
+func recordsOff(cfg Config) Config {
+	cfg.CacheBytes = 1
+	cfg.SharedStatics = routing.NewSharedStaticCache(0)
+	return cfg
+}
+
+// cliGame is sbgpsim's default game at -n 1000 -workers 2: the seed-42
+// topology at x=0.10, the content providers and top five ISPs as early
+// adopters, θ=0.05, stubs breaking ties and the seed-42 hash tiebreaker.
+func cliGame() (*asgraph.Graph, Config) {
+	g := topogen.MustGenerate(topogen.Default(1000, 42))
+	g.SetCPTrafficFraction(0.10)
+	return g, Config{
+		Theta:          0.05,
+		EarlyAdopters:  append(g.Nodes(asgraph.ContentProvider), asgraph.TopByDegree(g, 5, asgraph.ISP)...),
+		StubsBreakTies: true,
+		Tiebreaker:     routing.HashTiebreaker{Seed: 42},
+		Workers:        2,
+		RecordStats:    true,
 	}
 }
 
@@ -154,9 +189,9 @@ func TestDynCacheAccounting(t *testing.T) {
 	if rec == nil {
 		t.Fatal("admit within budget returned nil")
 	}
-	if c.bytesTotal() != floor || c.entryCount() != 1 {
+	if c.bytes != floor || len(c.entries) != 1 {
 		t.Fatalf("after admit: %d bytes, %d entries, want %d bytes, 1 entry",
-			c.bytesTotal(), c.entryCount(), floor)
+			c.bytes, len(c.entries), floor)
 	}
 	if c.get(3) != rec {
 		t.Fatal("get did not return the admitted record")
@@ -170,8 +205,8 @@ func TestDynCacheAccounting(t *testing.T) {
 	if c.resize(rec) {
 		t.Fatal("resize within budget evicted")
 	}
-	if want := floor + 10*dynEntryBytes; c.bytesTotal() != want {
-		t.Fatalf("after resize: %d bytes, want %d", c.bytesTotal(), want)
+	if want := floor + 10*dynEntryBytes; c.bytes != want {
+		t.Fatalf("after resize: %d bytes, want %d", c.bytes, want)
 	}
 
 	// One more entry breaks the budget: evict and block.
@@ -179,9 +214,9 @@ func TestDynCacheAccounting(t *testing.T) {
 	if !c.resize(rec) {
 		t.Fatal("resize past budget did not evict")
 	}
-	if c.bytesTotal() != 0 || c.entryCount() != 0 || c.evicted() != 1 {
+	if c.bytes != 0 || len(c.entries) != 0 || c.evictions != 1 {
 		t.Fatalf("after eviction: %d bytes, %d entries, %d evictions, want 0/0/1",
-			c.bytesTotal(), c.entryCount(), c.evicted())
+			c.bytes, len(c.entries), c.evictions)
 	}
 	if c.get(3) != nil {
 		t.Error("evicted record still retrievable")
@@ -196,30 +231,23 @@ func TestDynCacheAccounting(t *testing.T) {
 		t.Fatal("fresh destination refused after eviction freed the budget")
 	}
 	c.purge()
-	if c.bytesTotal() != 0 || c.entryCount() != 0 {
-		t.Fatalf("after purge: %d bytes, %d entries", c.bytesTotal(), c.entryCount())
+	if c.bytes != 0 || len(c.entries) != 0 {
+		t.Fatalf("after purge: %d bytes, %d entries", c.bytes, len(c.entries))
 	}
-	if c.evicted() != 1 {
-		t.Errorf("purge reset the lifetime eviction count: %d", c.evicted())
+	if c.evictions != 1 {
+		t.Errorf("purge reset the lifetime eviction count: %d", c.evictions)
 	}
 	if c.admit(3) != nil {
 		t.Error("purge unblocked an evicted destination")
 	}
-
-	// A nil cache misses and counts nothing.
-	var nc *dynCache
-	if nc.get(1) != nil || nc.admit(1) != nil || nc.evicted() != 0 || nc.bytesTotal() != 0 || nc.entryCount() != 0 {
-		t.Error("nil cache is not inert")
-	}
-	nc.purge()
 }
 
 // TestDynCacheQuickDifferential property-tests bit-identity over random
 // graphs: for arbitrary model / tie-break / projection / worker-count
-// combinations, the dynamic cache at the default budget and under a
-// budget tiny enough to evict must reproduce the disabled engine's
-// Result bit for bit — decisions, oscillation verdicts, and every
-// recorded utility.
+// combinations, the caches at the default budget and under a budget
+// tiny enough to evict must reproduce the plain engine's (a 1-byte
+// budget, which holds nothing) Result bit for bit — decisions,
+// oscillation verdicts, and every recorded utility.
 func TestDynCacheQuickDifferential(t *testing.T) {
 	property := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -242,11 +270,11 @@ func TestDynCacheQuickDifferential(t *testing.T) {
 			RecordUtilities:     true,
 		}
 		cfgOff := cfg
-		cfgOff.DynamicCacheBytes = -1
+		cfgOff.CacheBytes = 1
 		ref := MustNew(g, cfgOff).Run()
 		for _, budget := range []int64{0, 2048} {
 			c := cfg
-			c.DynamicCacheBytes = budget
+			c.CacheBytes = budget
 			got := MustNew(g, c).Run()
 			if !reflect.DeepEqual(decisionsOf(ref), decisionsOf(got)) {
 				t.Logf("seed %d budget %d: decisions diverge", seed, budget)
@@ -353,23 +381,46 @@ func TestDynCacheRepeatedRoundReplay(t *testing.T) {
 // base tree and base contributions and nothing else, so with records on
 // or off every round runs the same projections — the same C.4 skips,
 // the same predictor verdicts, the same change propagations over the
-// same nodes — across Model × StubsBreakTies × ProjectStubUpgrades and
-// at one and three workers.
+// same nodes — across Model × StubsBreakTies × ProjectStubUpgrades at
+// N=600 on one and three workers, and in sbgpsim's default N=1,000
+// game on two workers by default, with projected stub upgrades and with
+// stubs that do not break ties.
 func TestDynRecordsKeepProjectionWork(t *testing.T) {
-	g := topogen.MustGenerate(topogen.Default(600, 42))
-	g.SetCPTrafficFraction(0.10)
-	adopters := append(g.Nodes(asgraph.ContentProvider), asgraph.TopByDegree(g, 5, asgraph.ISP)...)
 	projWork := func(st *RoundStats) [8]int64 {
 		return [8]int64{st.ProjResolutions, st.ProjUnchanged,
 			st.SkipZeroUtil, st.SkipInsecureDest, st.SkipDestFlip, st.SkipTurnOff, st.SkipTurnOn,
 			st.NodesRecomputed}
 	}
+	compare := func(label string, g *asgraph.Graph, cfg Config) {
+		on := MustNew(g, cfg).Run()
+		off := MustNew(g, recordsOff(cfg)).Run()
+		if len(on.Rounds) != len(off.Rounds) {
+			t.Fatalf("%s: %d rounds with records, %d without", label, len(on.Rounds), len(off.Rounds))
+		}
+		recorded := false
+		for r := range on.Rounds {
+			a, b := on.Rounds[r].Stats, off.Rounds[r].Stats
+			recorded = recorded || a.DynCacheEntries > 0
+			if b.DynCacheEntries != 0 {
+				t.Errorf("%s round %d: %d records at a 1-byte budget", label, r, b.DynCacheEntries)
+			}
+			if projWork(a) != projWork(b) {
+				t.Errorf("%s round %d: projection counters %v with records, %v without", label, r, projWork(a), projWork(b))
+			}
+		}
+		if !recorded {
+			t.Errorf("%s: no round held a record", label)
+		}
+	}
+
+	g := topogen.MustGenerate(topogen.Default(600, 42))
+	g.SetCPTrafficFraction(0.10)
+	adopters := append(g.Nodes(asgraph.ContentProvider), asgraph.TopByDegree(g, 5, asgraph.ISP)...)
 	for _, model := range []UtilityModel{Outgoing, Incoming} {
 		for _, breaks := range []bool{true, false} {
 			for _, projectStubs := range []bool{false, true} {
 				for _, workers := range []int{1, 3} {
-					label := fmt.Sprintf("%s/breaks=%v/projectstubs=%v/workers=%d", model, breaks, projectStubs, workers)
-					cfg := Config{
+					compare(fmt.Sprintf("%s/breaks=%v/projectstubs=%v/workers=%d", model, breaks, projectStubs, workers), g, Config{
 						Model:               model,
 						Theta:               0.05,
 						EarlyAdopters:       adopters,
@@ -377,42 +428,37 @@ func TestDynRecordsKeepProjectionWork(t *testing.T) {
 						ProjectStubUpgrades: projectStubs,
 						Workers:             workers,
 						RecordStats:         true,
-					}
-					on := MustNew(g, cfg).Run()
-					cfg.DynamicCacheBytes = -1
-					off := MustNew(g, cfg).Run()
-					if len(on.Rounds) != len(off.Rounds) {
-						t.Fatalf("%s: %d rounds with records, %d without", label, len(on.Rounds), len(off.Rounds))
-					}
-					recorded := false
-					for r := range on.Rounds {
-						a, b := on.Rounds[r].Stats, off.Rounds[r].Stats
-						recorded = recorded || a.DynCacheEntries > 0
-						if projWork(a) != projWork(b) {
-							t.Errorf("%s round %d: projection counters %v with records, %v without", label, r, projWork(a), projWork(b))
-						}
-					}
-					if !recorded {
-						t.Errorf("%s: no round held a record", label)
-					}
+					})
 				}
 			}
 		}
 	}
-}
 
-// TestDynCacheFingerprintExcluded: DynamicCacheBytes and the
-// observability toggles must not enter the config fingerprint.
-func TestDynCacheFingerprintExcluded(t *testing.T) {
-	base := Config{Model: Incoming, Theta: 0.1, EarlyAdopters: []int32{1, 2}}
-	for _, budget := range []int64{-1, 1 << 20, 1 << 40} {
-		c := base
-		c.DynamicCacheBytes = budget
-		if c.Fingerprint() != base.Fingerprint() {
-			t.Errorf("DynamicCacheBytes=%d changed the fingerprint", budget)
+	cg, cli := cliGame()
+	policies := []struct {
+		flag                 string
+		breaks, projectStubs bool
+	}{{"", true, false}, {"/project-stubs", true, true}, {"/stubs-break-ties=false", false, false}}
+	for _, model := range []UtilityModel{Outgoing, Incoming} {
+		for _, p := range policies {
+			cfg := cli
+			cfg.Model, cfg.StubsBreakTies, cfg.ProjectStubUpgrades = model, p.breaks, p.projectStubs
+			compare("cli/"+model.String()+p.flag, cg, cfg)
 		}
 	}
+}
+
+// TestDynCacheFingerprintExcluded: a caller-owned static store, which
+// with CacheBytes decides every tier's budget, and the observability
+// toggles must not enter the config fingerprint.
+func TestDynCacheFingerprintExcluded(t *testing.T) {
+	base := Config{Model: Incoming, Theta: 0.1, EarlyAdopters: []int32{1, 2}}
 	c := base
+	c.CacheBytes, c.SharedStatics = 1, routing.NewSharedStaticCache(0)
+	if c.Fingerprint() != base.Fingerprint() {
+		t.Error("a records-off, statics-on budget changed the fingerprint")
+	}
+	c = base
 	c.RecordMemStats = true
 	if c.Fingerprint() != base.Fingerprint() {
 		t.Error("RecordMemStats changed the fingerprint")

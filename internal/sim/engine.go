@@ -464,12 +464,12 @@ func (rc *roundCtx) treeStill(d int32) bool {
 type worker struct {
 	ws *routing.Workspace
 	// The static tiers, one handle each, shared by the engine's workers.
-	// Every method the serving ladder calls on them is nil-safe, so a
-	// disabled tier is a no-op.
-	statics     *routing.SharedStaticCache // resident tier; nil = disabled
-	disk        *routing.StaticDiskStore   // persistent L2 tier; nil = disabled
-	dyn         *dynCache                  // per-worker contribution records; nil = disabled
-	classes     *leafClasses               // sibling-leaf class memos (leafclass.go); nil = disabled
+	// Every method the serving ladder calls on the disk store is
+	// nil-safe, so an unset store is a no-op.
+	statics     *routing.SharedStaticCache // resident tier
+	disk        *routing.StaticDiskStore   // persistent L2 tier; nil = none
+	dyn         *dynCache                  // per-worker contribution records
+	classes     *leafClasses               // sibling-leaf class memos (leafclass.go); nil only in tests
 	isps        []int32                    // shared class index list (asgraph.Graph.ISPs)
 	baseTree    routing.Tree
 	projTree    routing.Tree
@@ -590,7 +590,7 @@ func (wk *worker) plan(rc *roundCtx) {
 		} else {
 			p.untouchable = len(rc.candList) == 0 || wk.destUntouchable(d, rc)
 			// No sidecar for a secure d: its tree depends on the state.
-			if !st.secure[d] && wk.hasSidecarTier() {
+			if !st.secure[d] {
 				p.recordSC = wk.sidecarWanted(kind, d)
 				p.sidecar = p.untouchable && !p.recordSC
 			}
@@ -773,8 +773,8 @@ func (wk *worker) processDest(d int32, rc *roundCtx, pl *destPlan) {
 // (blob is the worker's disk buffer, valid until its next disk read);
 // between the two tiers this (graph, tiebreaker, destination) pays the
 // BFS once. Same bytes on every rung: a decoded blob reproduces
-// PrepareDest's output exactly (see packed.go), Lookup CRC-checks disk
-// blobs and DecodePacked validates them in full, and a blob that fails
+// PrepareDest's output exactly (see packed.go), LookupInto CRC-checks
+// disk blobs and DecodePacked validates them in full, and a blob that fails
 // is dropped and recomputed (the write-through repairs it) — corruption
 // can cost time, never bits.
 func (wk *worker) fetchStatic(d int32, rc *roundCtx) (stc *routing.Static, blob []byte, fresh bool) {
@@ -795,9 +795,7 @@ func (wk *worker) fetchStatic(d int32, rc *roundCtx) (stc *routing.Static, blob 
 		wk.disk.Drop(d)
 	}
 	stc = wk.buildStatic(d, rc)
-	if wk.statics != nil {
-		wk.stats.StaticMisses++
-	}
+	wk.stats.StaticMisses++
 	if wk.disk.PutStatic(stc) {
 		wk.stats.StaticDiskWrites++
 	}
@@ -866,19 +864,11 @@ func (wk *worker) admitStatic(stc *routing.Static, blob []byte) *routing.Static 
 // serve it instead. A record exists to keep a tree current, and an
 // insecure destination's tree is the static winner tree in every state
 // — all it ever needs is its pristine contributions, which a sidecar
-// replays without a tree or a static. So: secure destinations; insecure
-// ones a surviving candidate projection can flip (!untouchable: they
-// need projection scratch this round); and everything when there is
-// nowhere to hold a sidecar, where the record's replay is the only
-// cross-round memo left.
+// replays without a tree or a static. So: secure destinations, and
+// insecure ones a surviving candidate projection can flip
+// (!untouchable: they need projection scratch this round).
 func (wk *worker) wantRecord(d int32, rc *roundCtx, untouchable bool) bool {
-	if wk.dyn == nil {
-		return false
-	}
-	if rc.st.secure[d] || !wk.hasSidecarTier() {
-		return true
-	}
-	return !untouchable
+	return rc.st.secure[d] || !untouchable
 }
 
 // destUntouchable reports whether, in a candidate round, every
@@ -908,16 +898,9 @@ func (wk *worker) destUntouchable(d int32, rc *roundCtx) bool {
 	return true
 }
 
-// hasSidecarTier reports whether any tier — resident or disk — exists
-// to hold a pristine-contribution sidecar.
-func (wk *worker) hasSidecarTier() bool {
-	return wk.statics != nil || wk.disk != nil
-}
-
 // sidecarWanted reports whether (kind, d)'s pristine-contribution
 // sidecar is absent from every tier that could serve it — the signal
-// for the normal path to record one. Its callers have a tier to store
-// it in.
+// for the normal path to record one.
 func (wk *worker) sidecarWanted(kind uint8, d int32) bool {
 	return wk.statics.SidecarGet(kind, d) == nil && !wk.disk.HasSidecar(kind, d)
 }
@@ -940,7 +923,7 @@ func (wk *worker) replaySidecar(d int32, rc *roundCtx) (served, wanted bool) {
 		fromDisk = payload != nil
 	}
 	if payload == nil {
-		return false, wk.hasSidecarTier()
+		return false, true
 	}
 	n := wk.ws.Graph().N()
 	entries, ok := routing.DecodeSidecar(payload, d, n, kind, wk.scBuf[:0])

@@ -435,6 +435,15 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(g, Config{EarlyAdopters: []int32{99}}); err == nil {
 		t.Error("out-of-range early adopter accepted")
 	}
+	if _, err := New(g, Config{CacheBytes: -1}); err == nil {
+		t.Error("negative cache budget accepted")
+	}
+	if _, err := NewShardEngine(g, Config{CacheBytes: -1}, []int{0}, 1); err == nil {
+		t.Error("negative cache budget accepted by NewShardEngine")
+	}
+	if _, err := New(g, Config{CacheBytes: 1}); err != nil {
+		t.Errorf("1-byte cache budget rejected: %v", err)
+	}
 	if _, err := New(g, Config{}); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}

@@ -30,11 +30,10 @@ import (
 //   - RecordUtilities, RecordStats, RecordMemStats: observability only.
 //     Callers that cache Results should record superset instrumentation
 //     so one entry serves every requester.
-//   - StaticCacheBytes: a performance/memory knob. Cached statics are
-//     byte-identical to cold computation (see TestStaticCacheResultInvariant),
-//     so the budget cannot change any Result.
-//   - DynamicCacheBytes: likewise — replayed contributions are the
-//     recorded bits re-summed in the cold engine's order (see
+//   - CacheBytes: a performance/memory knob. Cached statics are
+//     byte-identical to cold computation (see
+//     TestStaticCacheResultInvariant), and replayed contributions are
+//     the recorded bits re-summed in the cold engine's order (see
 //     TestDynCacheResultInvariant), so no budget, including forced
 //     eviction, can change any Result.
 //   - SharedStatics: likewise — a caller's store serves the same bits

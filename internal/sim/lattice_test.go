@@ -9,32 +9,32 @@ import (
 	"sbgp/internal/topogen"
 )
 
-// tierVariant is one point of the static-serving lattice: the two
-// budgets, the disk store's state, and whether the resident store is a
-// caller-owned one (Config.SharedStatics, whose budget is then the
-// static budget) or the one the engine builds for itself.
+// tierVariant is one point of the static-serving lattice: the cache
+// budget, the disk store's state, and whether the resident store is a
+// caller-owned one (Config.SharedStatics, here of the same budget) or
+// the one the engine builds for itself.
 type tierVariant struct {
-	static, dyn int64
-	store       string // "none", "cold" (fresh directory) or "warm" (populated, reopened)
-	shared      bool
+	budget int64
+	store  string // "none", "cold" (fresh directory) or "warm" (populated, reopened)
+	shared bool
 }
 
 // TestTierLatticeResultInvariant: every tier of the serving ladder — the
 // resident static store in its snapshot, repacked and full phases,
 // engine-owned and caller-owned, the disk store cold and reopened warm,
-// the sidecar replay that rides on them, and the dynamic cache —
-// is a pure performance layer, and so is the sibling-leaf class rung in
-// front of them. The reference is the plain Appendix C engine: both
-// caches disabled, no store, no shared statics, and — through the
-// package's test hook, since the class rung is a property of the graph
-// and has no setting — no leaf classes, so every destination takes
-// BFS → ResolveInto → accumulate with no record, no sidecar, no blob and
-// no sibling's memo. Every lattice point runs with the classes on, the
-// scratch accumulators checked all-zero after every filler, and must
-// reproduce the reference Result bit for bit (compared at
-// equal shard count — float merges are only bit-stable per shard count)
-// and leave Config.Fingerprint unchanged: the invariant that lets
-// Fingerprint exclude all four settings.
+// the sidecar replay that rides on them, and the dynamic records — is a
+// pure performance layer, and so is the sibling-leaf class rung in front
+// of them. The reference is the plain Appendix C engine: a 1-byte cache
+// budget, which no entry of any tier fits, no store, no shared statics,
+// and — through the package's test hook, since the class rung is a
+// property of the graph and has no setting — no leaf classes, so every
+// destination takes BFS → ResolveInto → accumulate with no record, no
+// sidecar, no blob and no sibling's memo. Every lattice point runs with
+// the classes on, the scratch accumulators checked all-zero after every
+// filler, and must reproduce the reference Result bit for bit (compared
+// at equal shard count — float merges are only bit-stable per shard
+// count) and leave Config.Fingerprint unchanged: the invariant that lets
+// Fingerprint exclude all three settings.
 func TestTierLatticeResultInvariant(t *testing.T) {
 	g := topogen.MustGenerate(topogen.Default(300, 13))
 	g.SetCPTrafficFraction(0.10)
@@ -42,34 +42,29 @@ func TestTierLatticeResultInvariant(t *testing.T) {
 	adopters := append(g.Nodes(asgraph.ContentProvider),
 		asgraph.TopByDegree(g, 3, asgraph.ISP)...)
 
-	// ~10 KB per unpacked snapshot at N=300: the tiny static budget
-	// overflows at once, repacks, and fills; the tiny dynamic budget
-	// holds a few records and evicts.
-	const tinyStatic, tinyDyn = 40_000, 20_000
-	budgets := func(tiny int64) []int64 { return []int64{0, tiny, -1} }
+	// ~10 KB per unpacked snapshot at N=300: the tiny budget overflows
+	// the static store at once, repacks, and fills; each shard's share
+	// of it holds a few dozen records and evicts.
+	const tiny = 40_000
+	budgets := []int64{0, tiny, 1}
 
 	// The full product at workers=3 under every model and policy…
 	var full []tierVariant
-	for _, static := range budgets(tinyStatic) {
-		for _, dyn := range budgets(tinyDyn) {
-			for _, store := range []string{"none", "cold", "warm"} {
-				for _, shared := range []bool{false, true} {
-					if shared && static < 0 {
-						continue // a caller's store has no "disabled" budget
-					}
-					full = append(full, tierVariant{static, dyn, store, shared})
-				}
+	for _, budget := range budgets {
+		for _, store := range []string{"none", "cold", "warm"} {
+			for _, shared := range []bool{false, true} {
+				full = append(full, tierVariant{budget, store, shared})
 			}
 		}
 	}
 	// …and at the other worker counts a walk that visits each value of
 	// each axis.
 	walk := []tierVariant{
-		{0, 0, "none", false},
-		{tinyStatic, tinyDyn, "cold", false},
-		{-1, 0, "warm", false},
-		{tinyStatic, -1, "warm", true},
-		{0, tinyDyn, "none", true},
+		{0, "none", false},
+		{tiny, "cold", false},
+		{1, "warm", false},
+		{tiny, "warm", true},
+		{1, "cold", true},
 	}
 
 	defer routing.CloseSharedDiskStores()
@@ -93,7 +88,7 @@ func TestTierLatticeResultInvariant(t *testing.T) {
 					RecordStats:         true,
 				}
 				plain := base
-				plain.StaticCacheBytes, plain.DynamicCacheBytes = -1, -1
+				plain.CacheBytes = 1
 				ref := withoutLeafClasses(MustNew(g, plain)).Run()
 				if ref.PristineStats.ClassReplays != 0 {
 					t.Fatal("the plain reference ran with leaf classes on")
@@ -109,9 +104,9 @@ func TestTierLatticeResultInvariant(t *testing.T) {
 
 				for _, v := range variants {
 					cfg := base
-					cfg.StaticCacheBytes, cfg.DynamicCacheBytes = v.static, v.dyn
+					cfg.CacheBytes = v.budget
 					if v.shared {
-						cfg.SharedStatics = routing.NewSharedStaticCache(v.static)
+						cfg.SharedStatics = routing.NewSharedStaticCache(v.budget)
 					}
 					switch v.store {
 					case "cold":
@@ -120,7 +115,7 @@ func TestTierLatticeResultInvariant(t *testing.T) {
 						routing.CloseSharedDiskStores()
 						cfg.StaticStoreDir = warmRoot
 					}
-					label := fmt.Sprintf("%s/static=%d/dyn=%d/store=%s/shared=%v", corner, v.static, v.dyn, v.store, v.shared)
+					label := fmt.Sprintf("%s/budget=%d/store=%s/shared=%v", corner, v.budget, v.store, v.shared)
 					got := MustNew(g, cfg).Run()
 					requireBitIdentical(t, label, ref, got)
 					classReplays += got.PristineStats.ClassReplays
@@ -130,12 +125,12 @@ func TestTierLatticeResultInvariant(t *testing.T) {
 					if plain.Fingerprint() != cfg.Fingerprint() {
 						t.Errorf("%s: a tier setting changed the fingerprint", label)
 					}
-					// The tiny static budget must actually exercise the
+					// The tiny budget must actually exercise the
 					// packed phase: caches overflow, repack, and report
 					// blob residency in the round stats. (Not on a warm
 					// store, whose replayed sidecars may fill the budget
 					// before any static is fetched.)
-					if v.static == tinyStatic && v.store != "warm" {
+					if v.budget == tiny && v.store != "warm" {
 						var packedEntries int64
 						for _, rd := range got.Rounds {
 							packedEntries += rd.Stats.StaticPackedEntries
@@ -144,7 +139,7 @@ func TestTierLatticeResultInvariant(t *testing.T) {
 							t.Errorf("%s: tiny budget never repacked", label)
 						}
 					}
-					if model == Outgoing && sbt && !psu && workers == 3 && v == (tierVariant{0, 0, "warm", false}) {
+					if model == Outgoing && sbt && !psu && workers == 3 && v == (tierVariant{0, "warm", false}) {
 						checkRestartWarm(t, got, n)
 					}
 				}

@@ -98,8 +98,8 @@ func siblingGroups(g *asgraph.Graph, st *deployState) [][]int32 {
 }
 
 // TestLeafSiblingSymmetry pins the theorem the class rung rests on, on
-// the unmodified processDest of a plain worker (no cache, no record, no
-// class memo): for sibling leaves d, d' of provider p with equal flags,
+// the unmodified processDest of a plain worker (tiers too small to hold
+// a static, sidecar or record, and no class memo): for sibling leaves d, d' of provider p with equal flags,
 // processDest(d) and processDest(d') into zeroed accumulators agree bit
 // for bit at every index of uDelta and every index of uBase but p, and
 // foldLeaf over the child list captured from d's tree reproduces
@@ -141,6 +141,10 @@ func leafSymmetryEngine(t *testing.T) {
 							}
 						}
 						wk := newWorker(g, n)
+						wk.statics, wk.dyn = routing.NewSharedStaticCache(1), newDynCache(1)
+						if err := wk.statics.Bind(g, cfg.Tiebreaker); err != nil {
+							t.Fatal(err)
+						}
 						m := &classMemo{} // for the capture only
 						run := func(d int32) (base, delta []float64) {
 							wk.resetRound(n)
@@ -463,7 +467,7 @@ func TestLeafSpliceWithoutFillerBlob(t *testing.T) {
 	for _, model := range []UtilityModel{Outgoing, Incoming} {
 		cfg := Config{Model: model, Tiebreaker: tb, Workers: 1, RecordStats: true, StaticStoreDir: t.TempDir()}
 		ref := cfg
-		ref.StaticStoreDir, ref.StaticCacheBytes = "", -1
+		ref.StaticStoreDir, ref.SharedStatics = "", routing.NewSharedStaticCache(1)
 		want, _, _, err := withoutLeafClasses(MustNew(g, ref)).RoundUtilities(insecure, false)
 		if err != nil {
 			t.Fatal(err)

@@ -38,10 +38,9 @@ type ShardEngine struct {
 
 	// statics is the resident static tier every shard serves through:
 	// Config.SharedStatics, or the engine's own store. disk is the
-	// persistent L2 tier (Config.StaticStoreDir). Both are
-	// concurrency-safe and keyed by destination, so neither needs a
-	// per-shard split. nil when the tier is disabled (or, for disk,
-	// unusable).
+	// persistent L2 tier (Config.StaticStoreDir), nil when unset or
+	// unusable. Both are concurrency-safe and keyed by destination, so
+	// neither needs a per-shard split.
 	statics *routing.SharedStaticCache
 	disk    *routing.StaticDiskStore
 
@@ -53,8 +52,7 @@ type ShardEngine struct {
 	// keeps the invariant under arbitrary state jumps: repeated Run
 	// calls, RoundUtilities probes, the pristine pass, a distributed
 	// worker resuming from a snapshot after a reassignment.
-	dynOn         bool
-	dynBudget     int64 // per-shard dynamic budget, for AddShards
+	dynBudget     int64 // per-shard record budget, for AddShards
 	dynPrev       *deployState
 	dynFlips      []int32
 	dynFlipMark   []bool
@@ -67,15 +65,19 @@ type ShardEngine struct {
 }
 
 // NewShardEngine builds an engine owning the given shard ids out of
-// total. The static budget is the engine's, one store for all its
-// shards; the dynamic budget is split per logical shard (budget/total),
-// so a shard's record capacity is the same wherever it is placed.
-// cfg.Workers and cfg.Executor are ignored: the partitioning is
-// explicit here.
+// total. cfg.CacheBytes bounds the engine's own static store, one for
+// all its shards, and the records, split per logical shard
+// (budget/total) so a shard's record capacity is the same wherever it
+// is placed. A dist worker builds its engine here from the wire, not
+// through New, so the Config is validated here too. cfg.Workers and
+// cfg.Executor are ignored: the partitioning is explicit here.
 func NewShardEngine(g *asgraph.Graph, cfg Config, shards []int, total int) (*ShardEngine, error) {
 	cfg = cfg.withDefaults()
 	if total < 1 {
 		return nil, fmt.Errorf("sim: shard engine needs total ≥ 1, got %d", total)
+	}
+	if err := cfg.validate(g.N()); err != nil {
+		return nil, err
 	}
 	e := &ShardEngine{g: g, cfg: cfg, total: total}
 	n := g.N()
@@ -83,32 +85,22 @@ func NewShardEngine(g *asgraph.Graph, cfg Config, shards []int, total int) (*Sha
 	for i := int32(0); i < int32(n); i++ {
 		e.weights[i] = g.Weight(i)
 	}
-	// Dynamic-cache budget: split evenly across the S logical shards.
 	// Shard-private records mean admission differs across shard counts,
 	// but replay is bit-identical to recomputation, so only performance
 	// varies.
-	dynBudget := cfg.DynamicCacheBytes
-	if dynBudget == 0 {
-		dynBudget = DefaultDynamicCacheBytes
+	budget := cfg.CacheBytes
+	if budget == 0 {
+		budget = routing.DefaultCacheBytes
 	}
-	if dynBudget > 0 {
-		e.dynBudget = dynBudget / int64(total)
-		if e.dynBudget == 0 {
-			e.dynBudget = 1
-		}
-	}
-	e.dynOn = e.dynBudget > 0
+	e.dynBudget = max(budget/int64(total), 1)
 	// The resident static tier: a caller's store, which must be serving
-	// this graph and tiebreaker, or one of the engine's own under
-	// StaticCacheBytes (0 = the default, negative = none).
+	// this graph and tiebreaker, or one of the engine's own.
 	e.statics = cfg.SharedStatics
-	if e.statics == nil && cfg.StaticCacheBytes >= 0 {
-		e.statics = routing.NewSharedStaticCache(cfg.StaticCacheBytes)
+	if e.statics == nil {
+		e.statics = routing.NewSharedStaticCache(budget)
 	}
-	if e.statics != nil {
-		if err := e.statics.Bind(g, cfg.Tiebreaker); err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
+	if err := e.statics.Bind(g, cfg.Tiebreaker); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	// The persistent L2 tier. Process-wide shared instance so every Sim
 	// on this (graph, tiebreaker) reuses one set of file descriptors —
@@ -153,9 +145,7 @@ func (e *ShardEngine) AddShards(ids []int) error {
 		wk.shard, wk.stride = int32(s), int32(e.total)
 		wk.statics = e.statics
 		wk.disk = e.disk
-		if e.dynBudget > 0 {
-			wk.dyn = newDynCache(e.dynBudget)
-		}
+		wk.dyn = newDynCache(e.dynBudget)
 		wk.classes = newLeafClasses(e.leafProv, s, e.total)
 		e.shards = append(e.shards, s)
 		e.pool = append(e.pool, wk)
@@ -241,9 +231,7 @@ func (e *ShardEngine) compute(rs RoundState, candList []int32, idx []int) []Shar
 		}
 		rc.candMark = e.candMark
 	}
-	if e.dynOn {
-		e.syncDyn(st, rc)
-	}
+	e.syncDyn(st, rc)
 
 	// One goroutine per selected shard; destinations are striped
 	// statically (shard s handles d ≡ s mod S in ascending order), so a
@@ -265,18 +253,16 @@ func (e *ShardEngine) compute(rs RoundState, candList []int32, idx []int) []Shar
 		}(i)
 	}
 	wg.Wait()
-	if e.dynOn {
-		e.saveDyn(st)
-	}
+	e.saveDyn(st)
 
 	out := e.partials[:0]
 	for _, i := range idx {
 		wk := e.pool[i]
 		p := ShardPartial{Shard: e.shards[i], UBase: wk.uBase, UDelta: wk.uDelta, Stats: wk.stats}
 		p.Stats.Wall = e.wall[i]
-		p.Stats.DynCacheBytes = wk.dyn.bytesTotal()
-		p.Stats.DynCacheEntries = wk.dyn.entryCount()
-		p.Stats.DynCacheEvictions = wk.dyn.evicted()
+		p.Stats.DynCacheBytes = wk.dyn.bytes
+		p.Stats.DynCacheEntries = len(wk.dyn.entries)
+		p.Stats.DynCacheEvictions = wk.dyn.evictions
 		out = append(out, p)
 	}
 	// The resident store is the engine's, not a shard's: it is reported

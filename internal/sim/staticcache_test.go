@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sbgp/internal/asgraph"
+	"sbgp/internal/routing"
 	"sbgp/internal/topogen"
 )
 
@@ -47,10 +48,11 @@ func requireBitIdentical(t *testing.T, label string, ref, got *Result) {
 }
 
 // TestStaticCacheResultInvariant: the static cache is a pure
-// memoization — any budget (default, disabled, or one small enough to
-// force constant recomputation) produces bit-identical Results,
+// memoization — any budget (default, starved to 1 byte, or one small
+// enough to force constant recomputation), here that of a caller-owned
+// store beside default-budget records, produces bit-identical Results,
 // including every recorded utility. This is the invariant that lets
-// Config.Fingerprint exclude StaticCacheBytes.
+// Config.Fingerprint exclude CacheBytes and SharedStatics.
 func TestStaticCacheResultInvariant(t *testing.T) {
 	g := topogen.MustGenerate(topogen.Default(300, 7))
 	g.SetCPTrafficFraction(0.10)
@@ -75,21 +77,21 @@ func TestStaticCacheResultInvariant(t *testing.T) {
 			}
 			label := func(budget int64) string {
 				return model.String() + "/projectstubs=" + map[bool]string{false: "off", true: "on"}[projectStubs] +
-					"/budget=" + map[int64]string{0: "default", -1: "disabled", tinyBudget: "tiny"}[budget]
+					"/budget=" + map[int64]string{0: "default", 1: "starved", tinyBudget: "tiny"}[budget]
 			}
 
 			cfgRef := base // budget 0: engine default, fully cached
 			ref := MustNew(g, cfgRef).Run()
 			assertCacheActivity(t, label(0), ref, func(hits, misses int64) bool { return hits > 0 })
 
-			for _, budget := range []int64{-1, tinyBudget} {
+			for _, budget := range []int64{1, tinyBudget} {
 				cfg := base
-				cfg.StaticCacheBytes = budget
+				cfg.SharedStatics = routing.NewSharedStaticCache(budget)
 				got := MustNew(g, cfg).Run()
 				requireBitIdentical(t, label(budget), ref, got)
-				if budget < 0 {
+				if budget == 1 {
 					assertCacheActivity(t, label(budget), got, func(hits, misses int64) bool {
-						return hits == 0 && misses == 0
+						return hits == 0 && misses > 0
 					})
 				} else {
 					// The tiny budget must actually force recomputation —
@@ -154,22 +156,22 @@ func TestStaticCacheSharedAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestSidecarRecordsCountStoredOnly: a static budget too small to admit
-// any sidecar, and no store, keeps none — so no round may report a
-// recorded one (each round recomputes and re-offers them instead) and
-// none can be replayed.
+// TestSidecarRecordsCountStoredOnly: a resident store too small to
+// admit any sidecar, and no disk store, keeps none — so no round may
+// report a recorded one (each round recomputes and re-offers them
+// instead) and none can be replayed.
 func TestSidecarRecordsCountStoredOnly(t *testing.T) {
 	g := topogen.MustGenerate(topogen.Default(300, 7))
 	g.SetCPTrafficFraction(0.10)
 	for _, model := range []UtilityModel{Outgoing, Incoming} {
 		cfg := Config{
-			Model:            model,
-			Theta:            0.05,
-			EarlyAdopters:    append(g.Nodes(asgraph.ContentProvider), asgraph.TopByDegree(g, 3, asgraph.ISP)...),
-			StubsBreakTies:   true,
-			StaticCacheBytes: 1,
-			Workers:          2,
-			RecordStats:      true,
+			Model:          model,
+			Theta:          0.05,
+			EarlyAdopters:  append(g.Nodes(asgraph.ContentProvider), asgraph.TopByDegree(g, 3, asgraph.ISP)...),
+			StubsBreakTies: true,
+			SharedStatics:  routing.NewSharedStaticCache(1),
+			Workers:        2,
+			RecordStats:    true,
 		}
 		res := MustNew(g, cfg).Run()
 		passes := []*RoundStats{res.PristineStats}
@@ -187,7 +189,8 @@ func TestSidecarRecordsCountStoredOnly(t *testing.T) {
 
 // TestPackedStaticsFollowReads: once the resident static tier has gone
 // packed, it keeps a static only where a later pass reads it. Under a
-// budget that forces the packed phase from the first admission, the
+// store budget that forces the packed phase from the first admission
+// (a caller-owned store, beside default-budget records), the
 // pristine pass keeps just that first static per worker — every
 // destination's sidecar serves it from then on, and none is starved —
 // and round 1 looks up exactly its record holders' statics, missing all
@@ -209,11 +212,11 @@ func TestPackedStaticsFollowReads(t *testing.T) {
 			RecordStats:     true,
 		}
 		plain := base
-		plain.StaticCacheBytes, plain.DynamicCacheBytes = -1, -1
+		plain.CacheBytes = 1
 		ref := MustNew(g, plain).Run()
 
 		packed := base
-		packed.StaticCacheBytes = 2_000_000
+		packed.SharedStatics = routing.NewSharedStaticCache(2_000_000)
 		got := MustNew(g, packed).Run()
 		requireBitIdentical(t, model.String()+"/packed", ref, got)
 		ps := got.PristineStats
@@ -246,16 +249,44 @@ func TestPackedStaticsFollowReads(t *testing.T) {
 	}
 }
 
-// TestStaticCacheFingerprintExcluded: StaticCacheBytes must not enter
-// the config fingerprint (any budget yields the same Result), while
+// TestPlainEngineCounters pins the plain-engine contract of a 1-byte
+// cache budget, which no static, sidecar or record fits: over a whole
+// game of sbgpsim's default N=1,000 setup, in both models, the pristine
+// pass and every round report no static hit, no pristine replay, no
+// clean destination and no record, and the Result is bit-identical to
+// the default budget's.
+func TestPlainEngineCounters(t *testing.T) {
+	g, cfg := cliGame()
+	cfg.RecordUtilities = true
+	for _, model := range []UtilityModel{Outgoing, Incoming} {
+		cfg.Model = model
+		plain := cfg
+		plain.CacheBytes = 1
+		got := MustNew(g, plain).Run()
+		requireBitIdentical(t, model.String(), MustNew(g, cfg).Run(), got)
+		passes := []*RoundStats{got.PristineStats}
+		for _, rd := range got.Rounds {
+			passes = append(passes, rd.Stats)
+		}
+		for p, st := range passes {
+			if st.StaticHits != 0 || st.PristineReplays != 0 || st.CleanDests != 0 || st.DynCacheEntries != 0 {
+				t.Errorf("%s pass %d: %d static hits, %d pristine replays, %d clean, %d records; want none",
+					model, p, st.StaticHits, st.PristineReplays, st.CleanDests, st.DynCacheEntries)
+			}
+		}
+	}
+}
+
+// TestStaticCacheFingerprintExcluded: CacheBytes must not enter the
+// config fingerprint (any budget yields the same Result), while
 // trajectory-shaping fields must.
 func TestStaticCacheFingerprintExcluded(t *testing.T) {
 	base := Config{Model: Incoming, Theta: 0.1, EarlyAdopters: []int32{1, 2}}
-	for _, budget := range []int64{-1, 1 << 20, 1 << 40} {
+	for _, budget := range []int64{1, 1 << 20, 1 << 40} {
 		c := base
-		c.StaticCacheBytes = budget
+		c.CacheBytes = budget
 		if c.Fingerprint() != base.Fingerprint() {
-			t.Errorf("StaticCacheBytes=%d changed the fingerprint", budget)
+			t.Errorf("CacheBytes=%d changed the fingerprint", budget)
 		}
 	}
 	c := base
@@ -269,7 +300,7 @@ func TestStaticCacheFingerprintExcluded(t *testing.T) {
 // which buildStatic cuts a worker's static batches, are only hints. A
 // plan that marks no build (every build width 1), one that marks every
 // stripe destination (every unneeded lane wasted) and the plan as made
-// all produce bit-identical Results, under the default static budget
+// all produce bit-identical Results, under the default cache budget
 // and under one that forces rebuilds every round.
 func TestStaticBatchHintsCostNoBits(t *testing.T) {
 	g := topogen.MustGenerate(topogen.Default(400, 11))
@@ -277,7 +308,7 @@ func TestStaticBatchHintsCostNoBits(t *testing.T) {
 	for _, model := range []UtilityModel{Outgoing, Incoming} {
 		for _, budget := range []int64{0, 40_000} {
 			cfg := Config{Model: model, Theta: 0.05, EarlyAdopters: adopters, StubsBreakTies: true,
-				Workers: 2, RecordUtilities: true, StaticCacheBytes: budget}
+				Workers: 2, RecordUtilities: true, CacheBytes: budget}
 			run := func(mark func(*destPlan)) (*Result, *Sim) {
 				s := MustNew(g, cfg)
 				for _, wk := range s.local.pool {

@@ -40,8 +40,8 @@ type RoundStats struct {
 	// StaticHits and StaticMisses count static-cache lookups this round:
 	// hits served a destination's state-independent routing information
 	// (Observation C.1) from a prior round's snapshot, misses ran the
-	// three-stage BFS. Both stay zero when the cache is disabled
-	// (Config.StaticCacheBytes < 0).
+	// three-stage BFS. Hits stay zero when the budget holds no static
+	// (Config.CacheBytes 1).
 	StaticHits   int64
 	StaticMisses int64
 	// StaticCacheBytes and StaticCacheEntries snapshot the resident
@@ -95,10 +95,10 @@ type RoundStats struct {
 	// contributions are re-recorded too. Clean + dirty counts recorded
 	// destinations only, so it is below Destinations whenever some hold
 	// no record: insecure destinations no candidate can flip are never
-	// admitted while a sidecar tier exists (PristineReplays serve them
-	// once their sidecar is recorded), nor are class-replayed leaves
-	// (ClassReplays), nor is anything once the budget is spent. Both stay
-	// zero when the cache is disabled (Config.DynamicCacheBytes < 0).
+	// admitted (PristineReplays serve them once their sidecar is
+	// recorded), nor are class-replayed leaves (ClassReplays), nor is
+	// anything once the budget is spent. Both stay zero when the budget
+	// holds no record (Config.CacheBytes 1).
 	DirtyDests int
 	CleanDests int
 	// DynCacheBytes and DynCacheEntries snapshot the dynamic cache's

@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"time"
@@ -32,51 +33,57 @@ func main() {
 	// With -dist-workers, this binary fork-execs copies of itself as
 	// stdio workers; a child serves here and exits.
 	dist.MaybeRunWorker()
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run parses args, runs what they ask for and returns the exit code:
+// reports and summaries go to stdout, errors to stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		list     = flag.Bool("list", false, "list experiment ids and exit")
-		runID    = flag.String("run", "", "experiment id to run, or 'all'")
-		n        = flag.Int("n", 1200, "synthetic graph size")
-		seed     = flag.Int64("seed", 42, "generator seed")
-		x        = flag.Float64("x", 0.10, "CP traffic fraction")
-		workers  = flag.Int("workers", 0, "simulation worker budget (0 = GOMAXPROCS)")
-		distWork = flag.Int("dist-workers", 0, "run each simulation over this many local worker processes (0 = in-process)")
-		parallel = flag.Int("parallel", 4, "experiments run concurrently")
-		outDir   = flag.String("out", "", "directory for reports, resume state and the artifact cache (default stdout only)")
-		jsonOut  = flag.Bool("json", false, "also write <id>.json machine-readable reports (requires -out)")
-		force    = flag.Bool("force", false, "rerun experiments even when -out holds completed results")
-		quiet    = flag.Bool("quiet", false, "suppress report bodies on stdout (summaries still print)")
+		list     = fs.Bool("list", false, "list experiment ids and exit")
+		runID    = fs.String("run", "", "experiment id to run, or 'all'")
+		n        = fs.Int("n", 1200, "synthetic graph size")
+		seed     = fs.Int64("seed", 42, "generator seed")
+		x        = fs.Float64("x", 0.10, "CP traffic fraction")
+		workers  = fs.Int("workers", 0, "simulation worker budget (0 = GOMAXPROCS)")
+		distWork = fs.Int("dist-workers", 0, "run each simulation over this many local worker processes (0 = in-process)")
+		parallel = fs.Int("parallel", 4, "experiments run concurrently")
+		outDir   = fs.String("out", "", "directory for reports, resume state and the artifact cache (default stdout only)")
+		jsonOut  = fs.Bool("json", false, "also write <id>.json machine-readable reports (requires -out)")
+		force    = fs.Bool("force", false, "rerun experiments even when -out holds completed results")
+		quiet    = fs.Bool("quiet", false, "suppress report bodies on stdout (summaries still print)")
 
-		cacheBytes  = flag.Int64("cache-bytes", 0, "budget in bytes of each resident cache tier: statics, sidecars and each simulation's dynamic records (0 = engine default; 1 = cache nothing)")
-		staticStore = flag.String("static-store", "", "persistent packed-static disk tier directory (default <out>/cache/statics with -out; 'off' disables; bit-identical results)")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile  = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		traceFile   = flag.String("trace", "", "write a runtime execution trace to this file (view with go tool trace)")
+		cacheBytes  = fs.Int64("cache-bytes", 0, "budget in bytes of each resident cache tier: statics, sidecars and each simulation's dynamic records (0 = engine default; 1 = cache nothing)")
+		staticStore = fs.String("static-store", "", "persistent packed-static disk tier directory (default <out>/cache/statics with -out; 'off' disables; bit-identical results)")
+		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile  = fs.String("memprofile", "", "write a heap profile to this file at exit")
+		traceFile   = fs.String("trace", "", "write a runtime execution trace to this file (view with go tool trace)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	stop, err := profiling.Start(*cpuProfile, *memProfile, *traceFile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
+		fmt.Fprintln(stderr, "experiments:", err)
 		return 2
 	}
 	defer stop()
 
 	if *list {
 		for _, id := range experiments.IDs() {
-			fmt.Printf("%-13s %s\n", id, experiments.Describe(id))
+			fmt.Fprintf(stdout, "%-13s %s\n", id, experiments.Describe(id))
 		}
 		return 0
 	}
 	if *runID == "" {
-		fmt.Fprintln(os.Stderr, "experiments: -run <id>|all required (see -list)")
+		fmt.Fprintln(stderr, "experiments: -run <id>|all required (see -list)")
 		return 2
 	}
 	if *jsonOut && *outDir == "" {
-		fmt.Fprintln(os.Stderr, "experiments: -json requires -out (JSON reports are written next to the text reports)")
+		fmt.Fprintln(stderr, "experiments: -json requires -out (JSON reports are written next to the text reports)")
 		return 2
 	}
 
@@ -103,15 +110,15 @@ func run() int {
 			defer mu.Unlock()
 			switch {
 			case st.Err != nil:
-				fmt.Printf("=== %s: FAILED: %v ===\n\n", st.ID, st.Err)
+				fmt.Fprintf(stdout, "=== %s: FAILED: %v ===\n\n", st.ID, st.Err)
 			case st.Resumed:
-				fmt.Printf("=== %s: resumed (already complete in %s) ===\n\n", st.ID, *outDir)
+				fmt.Fprintf(stdout, "=== %s: resumed (already complete in %s) ===\n\n", st.ID, *outDir)
 			default:
-				fmt.Printf("=== %s: %s ===\n", st.ID, st.Desc)
+				fmt.Fprintf(stdout, "=== %s: %s ===\n", st.ID, st.Desc)
 				if !*quiet {
-					os.Stdout.Write(st.Report)
+					stdout.Write(st.Report)
 				}
-				fmt.Printf("=== %s done in %v (%d sims, %d executed) ===\n\n",
+				fmt.Fprintf(stdout, "=== %s done in %v (%d sims, %d executed) ===\n\n",
 					st.ID, st.Wall.Round(time.Millisecond), len(st.Sims), st.SimExecs)
 			}
 		},
@@ -120,7 +127,8 @@ func run() int {
 	start := time.Now()
 	statuses, err := experiments.RunBatch(batch)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
+		// RunBatch's errors carry the experiments: prefix already.
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 
@@ -136,7 +144,7 @@ func run() int {
 			resumed++
 		}
 	}
-	fmt.Printf("%d experiments: %d ok, %d resumed, %d failed in %v\n",
+	fmt.Fprintf(stdout, "%d experiments: %d ok, %d resumed, %d failed in %v\n",
 		len(statuses), len(statuses)-failed-resumed, resumed, failed, time.Since(start).Round(time.Millisecond))
 	if failed > 0 {
 		return 1

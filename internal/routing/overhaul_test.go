@@ -2,15 +2,13 @@ package routing
 
 // Regression and differential tests for the O(reachable) ComputeStatic
 // overhaul: the clear-invariant un-marking, the compact stage-2/stage-3
-// passes, the dense/sparse finalize split and the fused tiebreak-CSR
-// build must agree with the naive path-vector reference on the graph
-// shapes that stress each mechanism — tiny reachable components inside
-// large graphs, paths long enough to saturate the byte-packed levels,
-// peer-only reachability, and isolated nodes.
+// passes and the claim-row tiebreak-CSR build must agree with the naive
+// path-vector reference on the graph shapes that stress each mechanism —
+// tiny reachable components inside large graphs, paths longer than 254
+// hops, peer-only reachability, and isolated nodes.
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 
 	"sbgp/internal/asgraph"
@@ -187,12 +185,10 @@ func TestStaticPeerOnlyReachability(t *testing.T) {
 }
 
 // TestStaticLongChainSaturatesLevels: a 280-rung provider ladder drives
-// path lengths past 254, saturating the byte-packed level encoding
-// (lvl8) and forcing the tiebreak-CSR build onto its full-width Len
-// comparisons. Two parallel rails keep every tiebreak set at width 2 the
-// whole way up, so a node comparing saturated byte levels where exact
-// lengths are required would build wrong sets far beyond the saturation
-// point.
+// path lengths past 254, where any byte-wide level encoding would
+// saturate. Two parallel rails keep every tiebreak set at width 2 the
+// whole way up, so a build comparing anything but exact lengths would
+// build wrong sets far beyond that point.
 func TestStaticLongChainSaturatesLevels(t *testing.T) {
 	const rungs = ladderRungs
 	g := ladderGraph()
@@ -206,7 +202,7 @@ func TestStaticLongChainSaturatesLevels(t *testing.T) {
 		t.Fatalf("top of ladder: len %d, want %d", s.Len[top], rungs-1)
 	}
 	if s.Len[top] < 255 {
-		t.Fatalf("ladder too short to saturate the byte levels (len %d)", s.Len[top])
+		t.Fatalf("ladder too short to run past 254 hops (len %d)", s.Len[top])
 	}
 	for _, i := range s.Order() {
 		if want := int32(2); s.Len[i] > 1 && int32(len(s.Tiebreak(i))) != want {
@@ -248,42 +244,12 @@ func TestStaticDisconnectedFuzz(t *testing.T) {
 	}
 }
 
-// TestStaticFinalizeDenseSparseIdentical: the dense counting-scatter and
-// the sparse key-sort finalize paths must produce byte-identical Statics
-// — order, positions, CSR rows and winners — on every graph, not just
-// the reachable-set sizes that naturally select them.
-func TestStaticFinalizeDenseSparseIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	tb := HashTiebreaker{Seed: 5}
-	for trial := 0; trial < 40; trial++ {
-		g := asgraphtest.Random(rng, 4+rng.Intn(30), 0.12, 0.10, 0.3)
-		wd, ws := NewWorkspace(g), NewWorkspace(g)
-		wd.forceFinalize = finalizeDense
-		ws.forceFinalize = finalizeSparse
-		for d := int32(0); d < int32(g.N()); d++ {
-			a := wd.PrepareDest(d, tb)
-			b := ws.PrepareDest(d, tb)
-			if !slices.Equal(a.order, b.order) {
-				t.Fatalf("trial %d dest %d: order differs\ndense:  %v\nsparse: %v", trial, d, a.order, b.order)
-			}
-			if !slices.Equal(a.pos, b.pos) || !slices.Equal(a.tbOff, b.tbOff) || !slices.Equal(a.tbAdj, b.tbAdj) {
-				t.Fatalf("trial %d dest %d: CSR differs", trial, d)
-			}
-			if !slices.Equal(a.win[:g.N()], b.win[:g.N()]) {
-				t.Fatalf("trial %d dest %d: winners differ", trial, d)
-			}
-		}
-	}
-}
-
-// TestComputeStaticNoAllocs is the regression test for the level-index
-// regrow bug: lvlOff is sized n+2 once at Workspace construction (path
-// lengths never exceed n-1), so no per-destination call may allocate —
-// in particular not when a deep destination (large maximum length)
-// follows a shallow one, the pattern that used to regrow the buffer
-// every other call. The batched builds keep the same promise: width-1
-// builds alternating with 64-lane batches that mix deep and shallow
-// lanes allocate nothing once their claim lists have grown.
+// TestComputeStaticNoAllocs: no per-destination call may allocate once
+// the buffers have grown — in particular not when a deep destination
+// (many levels) follows a shallow one, the pattern that once regrew a
+// level index every other call. The batched builds keep the same
+// promise: width-1 builds alternating with 64-lane batches that mix deep
+// and shallow lanes allocate nothing once their claim tables have grown.
 func TestComputeStaticNoAllocs(t *testing.T) {
 	b := asgraph.NewBuilder()
 	for i := int32(1); i < 120; i++ { // deep chain with a stub per link
@@ -311,13 +277,13 @@ func TestComputeStaticNoAllocs(t *testing.T) {
 	lanes[0], lanes[1] = deep, shallow
 	avg = testing.AllocsPerRun(20, func() {
 		w.PrepareDest(shallow, tb)
-		wide.Build(lanes)
+		wide.Build(lanes, tb)
 		for k := range lanes {
-			w.PrepareLane(wide, k, tb)
+			w.PrepareLane(wide, k)
 		}
 		w.PrepareDest(deep, tb)
-		wide.Build(lanes[:1])
-		w.finalize(wide, 0, nil, false)
+		wide.Build(lanes[:1], nil)
+		w.PrepareLane(wide, 0)
 	})
 	if avg != 0 {
 		t.Fatalf("width-1/width-64 alternation allocates %.1f times per round, want 0", avg)

@@ -14,8 +14,8 @@ import (
 // of AppendPacked over every destination of each graph, in ascending
 // destination order. The packed form carries every level, route type,
 // tiebreak row and winner, so any change to how statics are built —
-// batching, finalize order, the saturated-length fallback — that moves
-// a single bit fails here. The graphs are a topogen topology and the
+// the claim sort, the claim rows, lengths past 254 hops — that moves a
+// single bit fails here. The graphs are a topogen topology and the
 // adversarial shapes of overhaul_test.go: disconnected components,
 // peer-only reachability, a ladder whose paths run past 254 hops, and
 // the disconnected random graphs.

@@ -20,7 +20,7 @@
 package routing
 
 import (
-	"slices"
+	"math/bits"
 
 	"sbgp/internal/asgraph"
 )
@@ -222,13 +222,6 @@ func (s *Static) Pos(i int32) int32 { return s.pos[i] }
 // which needs no Tree.Clear when switching destinations.
 func (s *Static) HasWinners() bool { return s.win != nil }
 
-// Finalize-path overrides for differential tests (see finalize).
-const (
-	finalizeAuto = iota
-	finalizeDense
-	finalizeSparse
-)
-
 // Workspace holds reusable scratch buffers so that per-destination
 // computations do not allocate. A Workspace may be used by one goroutine
 // at a time; create one per worker.
@@ -238,20 +231,12 @@ type Workspace struct {
 	static Static
 
 	// The width-1 batch ComputeStatic and PrepareDest build through,
-	// made on first use; the finalize's level index (lvlOff, sized n+2
-	// once — path lengths never exceed n-1, so it is never regrown) and
-	// the packed sort keys of its sparse path.
+	// made on first use.
 	one     *StaticBatch
 	oneDest [1]int32
-	lvlOff  []int32
-	keys    []int64
 	// neg1 is a constant all:-1 template, so dense un-marking of the
 	// int32 arrays runs at memmove speed instead of a scalar fill loop.
 	neg1 []int32
-
-	// forceFinalize pins the finalize path (dense scan vs
-	// sparse sort) for differential tests; zero picks by reachable size.
-	forceFinalize int
 
 	// winBuf backs the precomputed tiebreak winners of the prepared
 	// static (PrepareDest, DecodePacked).
@@ -288,7 +273,6 @@ func NewWorkspace(g *asgraph.Graph) *Workspace {
 		w.static.Len[i] = -1
 		w.static.pos[i] = -1
 	}
-	w.lvlOff = make([]int32, n+2)
 	w.winBuf = make([]int32, n)
 	w.neg1 = make([]int32, n)
 	for i := range w.winBuf {
@@ -312,7 +296,7 @@ func (w *Workspace) Graph() *asgraph.Graph { return w.g }
 // O(reachable + incident edges) per destination, not O(N): the batch
 // and the workspace both un-mark exactly what the previous build marked.
 func (w *Workspace) ComputeStatic(d int32) *Static {
-	return w.finalize(w.buildOne(d), 0, nil, false)
+	return w.PrepareLane(w.buildOne(d, nil), 0)
 }
 
 // PrepareDest is ComputeStatic plus precomputation of every node's
@@ -327,26 +311,17 @@ func (w *Workspace) ComputeStatic(d int32) *Static {
 // workspace maintains the -1 entries across calls (the finalize's
 // un-marking covers the winner buffer), so no O(N) refill happens here.
 func (w *Workspace) PrepareDest(d int32, tb Tiebreaker) *Static {
-	return w.finalize(w.buildOne(d), 0, tb, true)
+	return w.PrepareLane(w.buildOne(d, tb), 0)
 }
 
 // buildOne runs the workspace's own width-1 batch for d.
-func (w *Workspace) buildOne(d int32) *StaticBatch {
+func (w *Workspace) buildOne(d int32, tb Tiebreaker) *StaticBatch {
 	if w.one == nil {
 		w.one = NewStaticBatch(w.g, 1)
 	}
 	w.oneDest[0] = d
-	w.one.Build(w.oneDest[:])
+	w.one.Build(w.oneDest[:], tb)
 	return w.one
-}
-
-// PrepareLane finalizes lane k of b's last Build into the workspace's
-// Static — what PrepareDest(b.Dests()[k], tb) returns, bit for bit — and
-// returns it, invalidated by the next build or decode on w. b must be
-// built on w's graph; its rows are only read, so its lanes finalize in
-// any order, any number of times.
-func (w *Workspace) PrepareLane(b *StaticBatch, k int, tb Tiebreaker) *Static {
-	return w.finalize(b, k, tb, true)
 }
 
 // Sweep calls fn with the static of every destination in dests, in
@@ -359,33 +334,31 @@ func (w *Workspace) Sweep(dests []int32, tb Tiebreaker, fn func(s *Static)) {
 	}
 	b := NewStaticBatch(w.g, min(len(dests), BatchWidth))
 	for lo := 0; lo < len(dests); lo += BatchWidth {
-		b.Build(dests[lo:min(lo+BatchWidth, len(dests))])
+		b.Build(dests[lo:min(lo+BatchWidth, len(dests))], tb)
 		for k := range b.Dests() {
-			fn(w.finalize(b, k, tb, tb != nil))
+			fn(w.PrepareLane(b, k))
 		}
 	}
 }
 
-// finalize turns lane k of b into the workspace's Static: the order
-// (ascending length, ascending node id within a length), positions,
-// tiebreak CSR rows and — with wantWin — the plain-TB winner of every
-// row under tb, fused into the CSR pass so the rows are scanned once.
+// PrepareLane finalizes lane k of b's last Build(dests, tb) into the
+// workspace's Static — what PrepareDest(dests[k], tb) returns bit for
+// bit, or ComputeStatic(dests[k]) when tb was nil — and returns it,
+// invalidated by the next build or decode on w. b must be built on w's
+// graph; its claims are only read, so its lanes finalize in any order,
+// any number of times.
 //
-// The workspace keeps Type/Len/pos/winBuf at their "no destination"
-// values (NoRoute/-1/-1/-1) outside the previous static's reachable
-// set, so each call un-marks exactly what the previous one wrote and
-// then marks only this lane's reachable nodes. The order comes from one
-// of two equivalent builds: a counting sort over the lane's level row
-// (one id-ascending scan, the dense form), or a sort of packed (Len, id)
-// keys gathered from the claim lists in O(claims + R log R), never
-// touching the other N-R nodes. A lane whose lengths saturate the byte
-// row always gathers, reading its exact int32 lengths off the level
-// lists; its tiebreak rows then compare those instead of the bytes.
-func (w *Workspace) finalize(b *StaticBatch, k int, tb Tiebreaker, wantWin bool) *Static {
-	g := w.g
-	n := int32(g.N())
+// The lane's rows are copied out: the order (ascending length,
+// ascending node id within a length, the order the lane's rows are
+// already in), positions, types and lengths, the tiebreak CSR rows and,
+// under a tiebreaker, every row's plain-TB winner. No graph adjacency is
+// read and no tiebreaker is called here. The workspace keeps
+// Type/Len/pos/winBuf at their "no destination" values
+// (NoRoute/-1/-1/-1) outside the previous static's reachable set, so
+// each call un-marks exactly what the previous one wrote and then marks
+// only this lane's reachable nodes.
+func (w *Workspace) PrepareLane(b *StaticBatch, k int) *Static {
 	s := &w.static
-
 	w.unmarkPrev()
 	d := b.dests[k]
 	s.Dest = d
@@ -397,159 +370,81 @@ func (w *Workspace) finalize(b *StaticBatch, k int, tb Tiebreaker, wantWin bool)
 	s.Type[d] = SelfRoute
 	s.Len[d] = 0
 
-	row8 := b.lvl8[k*int(n) : (k+1)*int(n)]
-	rowT := b.typ[k*int(n) : (k+1)*int(n)]
-	saturated := b.sat&(1<<uint(k)) != 0
-	nOrder := int(b.cnt[k]) - 1
-	if cap(s.order) < nOrder {
-		s.order = make([]int32, 0, nOrder)
+	nr := int(b.laneLen[k])
+	wantWin := b.tb != nil
+	rows, adj, winBuf := b.rows, b.adj, w.winBuf
+	pos, typ, length := s.pos, s.Type, s.Len
+	if cap(s.order) < nr {
+		s.order = make([]int32, 0, nr)
 	}
-	s.order = s.order[:nOrder]
-	dense := nOrder >= int(n)/8 || len(b.node) >= int(n)
-	switch w.forceFinalize {
-	case finalizeDense:
-		dense = true
-	case finalizeSparse:
-		dense = false
-	}
-	if dense && !saturated {
-		// lvl[l] counts, then cursors, the nodes of length l; row8 holds
-		// Len+1, and the destination (row8 1) is not in the order.
-		lvl := w.lvlOff[:b.maxLevel+2]
-		clear(lvl)
-		for _, v := range row8 {
-			lvl[v]++
-		}
-		lvl[0], lvl[1] = 0, 0
-		for l := 1; l < len(lvl); l++ {
-			lvl[l] += lvl[l-1]
-		}
-		// lvl[l] now counts the nodes of length below l: the first order
-		// position of length l. Scatter, reusing it as the cursor.
-		for i, v := range row8 {
-			if v > 1 {
-				l := int32(v) - 1
-				s.order[lvl[l]] = int32(i)
-				lvl[l]++
-				s.Type[i] = rowT[i]
-				s.Len[i] = l
+	order := s.order[:nr]
+	s.order = order
+	tbAdj := s.tbAdj[:0]
+	tbOff := s.tbOff[:nr+1]
+	tbOff[0] = 0
+	j := int32(0)
+	for c := 0; c*64 < len(b.rowLanes); c++ {
+		word := b.rowLanes[c*64+k]
+		if word == ^uint64(0) {
+			// 64 consecutive rows, every one in the lane (every word but
+			// the last at width 1): their members are one run of adj.
+			run := rows[c<<6 : c<<6+65]
+			shift := int32(len(tbAdj)) - run[0].lo
+			tbAdj = append(tbAdj, adj[run[0].lo:run[64].lo]...)
+			for q := range run[:64] {
+				r := &run[q]
+				i := r.node
+				order[j] = i
+				pos[i] = j
+				typ[i] = RouteType(r.lt & 7)
+				length[i] = r.lt >> 3
+				j++
+				tbOff[j] = run[q+1].lo + shift
 			}
-		}
-	} else {
-		keys := w.keys[:0]
-		bit := uint64(1) << uint(k)
-		for _, off := range [...][]int32{b.cust, b.peer, b.prov} {
-			for l := 1; l+1 < len(off); l++ {
-				key := int64(l) << 32
-				for idx := off[l]; idx < off[l+1]; idx++ {
-					if b.mask[idx]&bit != 0 {
-						keys = append(keys, key|int64(b.node[idx]))
-					}
+			if wantWin {
+				for _, r := range run[:64] {
+					winBuf[r.node] = r.win
 				}
 			}
+			continue
 		}
-		slices.Sort(keys)
-		for j, key := range keys {
-			i := int32(key & 0xffffffff)
-			s.order[j] = i
-			s.Type[i] = rowT[i]
-			s.Len[i] = int32(key >> 32)
-		}
-		w.keys = keys[:0]
-	}
-
-	// One fused pass over the order: position fill, tiebreak CSR rows
-	// (members of node i's set are the next hops consistent with
-	// (Type[i], Len[i])), and — for PrepareDest — the plain-TB winner of
-	// each freshly built row. The length-equality tests read the lane's
-	// byte levels (cache-compact at any graph size) whenever no length
-	// saturated the byte encoding; Len[p] == li ≥ 0 — equivalently
-	// row8[p] == li+1 — already implies p is reachable (both encodings
-	// are sentinels otherwise), so provider rows need no Type load at
-	// all: any reachable provider at length Len[i]-1 is a valid next hop
-	// (providers export their best route of any class to customers).
-	useLvl8 := !saturated
-	s.tbAdj = s.tbAdj[:0]
-	s.tbOff = s.tbOff[:nOrder+1]
-	s.tbOff[0] = 0
-	for k, i := range s.order {
-		s.pos[i] = int32(k)
-		start := len(s.tbAdj)
-		li8 := row8[i] - 1 // == pack8(Len[i]-1) when useLvl8
-		switch s.Type[i] {
-		case CustomerRoute:
-			if useLvl8 {
-				for _, c := range g.Customers(i) {
-					if row8[c] == li8 && (s.Type[c] == CustomerRoute || s.Type[c] == SelfRoute) {
-						s.tbAdj = append(s.tbAdj, c)
-					}
-				}
+		for ; word != 0; word &= word - 1 {
+			v := c<<6 | bits.TrailingZeros64(word)
+			r := &rows[v]
+			i := r.node
+			order[j] = i
+			pos[i] = j
+			typ[i] = RouteType(r.lt & 7)
+			length[i] = r.lt >> 3
+			// A singleton row's one member is its win: no read of adj.
+			// Wider rows are short, so they copy in a loop rather than
+			// through a memmove call.
+			if lo, hi := r.lo, rows[v+1].lo; hi-lo == 1 {
+				tbAdj = append(tbAdj, r.win)
 			} else {
-				li := s.Len[i] - 1
-				for _, c := range g.Customers(i) {
-					if s.Len[c] == li && (s.Type[c] == CustomerRoute || s.Type[c] == SelfRoute) {
-						s.tbAdj = append(s.tbAdj, c)
-					}
+				for _, p := range adj[lo:hi] {
+					tbAdj = append(tbAdj, p)
 				}
 			}
-		case PeerRoute:
-			if useLvl8 {
-				for _, p := range g.Peers(i) {
-					if row8[p] == li8 && (s.Type[p] == CustomerRoute || s.Type[p] == SelfRoute) {
-						s.tbAdj = append(s.tbAdj, p)
-					}
-				}
-			} else {
-				li := s.Len[i] - 1
-				for _, p := range g.Peers(i) {
-					if s.Len[p] == li && (s.Type[p] == CustomerRoute || s.Type[p] == SelfRoute) {
-						s.tbAdj = append(s.tbAdj, p)
-					}
-				}
+			if wantWin {
+				winBuf[i] = r.win
 			}
-		case ProviderRoute:
-			if useLvl8 {
-				for _, p := range g.Providers(i) {
-					if row8[p] == li8 {
-						s.tbAdj = append(s.tbAdj, p)
-					}
-				}
-			} else {
-				li := s.Len[i] - 1
-				for _, p := range g.Providers(i) {
-					if s.Len[p] == li {
-						s.tbAdj = append(s.tbAdj, p)
-					}
-				}
-			}
-		}
-		end := len(s.tbAdj)
-		s.tbOff[k+1] = int32(end)
-		if wantWin {
-			// Singleton rows (the overwhelming majority, paper Fig. 10)
-			// admit no choice; only wider rows pay a tiebreak scan.
-			best := s.tbAdj[start]
-			if end-start > 1 {
-				for _, b := range s.tbAdj[start+1 : end] {
-					if tb.Less(i, b, best) {
-						best = b
-					}
-				}
-			}
-			w.winBuf[i] = best
+			j++
+			tbOff[j] = int32(len(tbAdj))
 		}
 	}
+	s.tbAdj, s.tbOff = tbAdj, tbOff
 	if wantWin {
-		s.win = w.winBuf
+		s.win = winBuf
 	}
 	return s
 }
 
 // unmarkPrev un-marks the previous destination's entries, restoring
-// the all-clear invariant in O(previous reachable): every per-node
-// array back at its sentinel (NoRoute/-1/-1/-1, reach and lvl8 clear)
-// for exactly what the previous build — or packed decode — marked.
-// When the previous reachable set covered most of the graph,
+// the all-clear invariant in O(previous reachable): Type, Len, pos and
+// winBuf back at NoRoute/-1/-1/-1 for exactly the nodes the previous
+// PrepareLane — or packed decode — marked, the previous order plus its
+// destination. When that reachable set covered most of the graph,
 // sequential full clears are cheaper than scattered stores.
 func (w *Workspace) unmarkPrev() {
 	s := &w.static

@@ -810,7 +810,8 @@ func (wk *worker) fetchStatic(d int32, rc *roundCtx) (stc *routing.Static, blob 
 // the stripe's next destinations marked build, up to BatchWidth of
 // them. Destinations are served in ascending order, so a lane behind d
 // will never be asked for in this call (a later call may still use the
-// batch: a lane's static depends on the graph alone). Nothing here
+// batch: a lane's static depends on the graph and the tiebreaker alone,
+// and both are the engine's for its life). Nothing here
 // trusts the plan: a lane nobody asks for is wasted, a build it did not
 // foresee — or one with no plan at all — is width 1, and a lane's
 // static is PrepareDest's bit for bit either way.
@@ -822,7 +823,7 @@ func (wk *worker) buildStatic(d int32, rc *roundCtx) *routing.Static {
 			wk.lane++
 		}
 		if wk.lane < len(lanes) && lanes[wk.lane] == d {
-			return wk.ws.PrepareLane(wk.batch, wk.lane, tb)
+			return wk.ws.PrepareLane(wk.batch, wk.lane)
 		}
 	}
 	if len(wk.plans) == 0 || !wk.plans[d/wk.stride].build {
@@ -841,9 +842,9 @@ func (wk *worker) buildStatic(d int32, rc *roundCtx) *routing.Static {
 	if wk.batch == nil {
 		wk.batch = routing.NewStaticBatch(wk.ws.Graph(), routing.BatchWidth)
 	}
-	wk.batch.Build(cut)
+	wk.batch.Build(cut, tb)
 	wk.lane = 0
-	return wk.ws.PrepareLane(wk.batch, 0, tb)
+	return wk.ws.PrepareLane(wk.batch, 0)
 }
 
 // admitStatic admits stc — decoded from blob, when that is set — to the

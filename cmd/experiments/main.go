@@ -55,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		force    = fs.Bool("force", false, "rerun experiments even when -out holds completed results")
 		quiet    = fs.Bool("quiet", false, "suppress report bodies on stdout (summaries still print)")
 
-		cacheBytes  = fs.Int64("cache-bytes", 0, "budget in bytes of each resident cache tier: statics, sidecars and each simulation's dynamic records (0 = engine default; 1 = cache nothing)")
+		cacheBytes  = fs.Int64("cache-bytes", 0, "budget in bytes of each resident cache tier: statics, sidecars, the round memo and each simulation's dynamic records (0 = engine default; 1 = cache nothing)")
 		staticStore = fs.String("static-store", "", "persistent packed-static disk tier directory (default <out>/cache/statics with -out; 'off' disables; bit-identical results)")
 		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile  = fs.String("memprofile", "", "write a heap profile to this file at exit")
@@ -118,8 +118,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 				if !*quiet {
 					stdout.Write(st.Report)
 				}
-				fmt.Fprintf(stdout, "=== %s done in %v (%d sims, %d executed) ===\n\n",
-					st.ID, st.Wall.Round(time.Millisecond), len(st.Sims), st.SimExecs)
+				fmt.Fprintf(stdout, "=== %s done in %v (%d sims, %d executed, %d rounds shared) ===\n\n",
+					st.ID, st.Wall.Round(time.Millisecond), len(st.Sims), st.SimExecs, st.SharedRounds)
 			}
 		},
 	}

@@ -13,6 +13,8 @@ func TestRunErrorPrefix(t *testing.T) {
 	for _, args := range [][]string{
 		{"-run", "all", "-n", "3"},
 		{"-run", "all", "-cache-bytes", "-1"},
+		{"-run", "table4", "-dist-workers", "-1"},
+		{"-run", "table4", "-parallel", "-3"},
 		{"-run", "nosuch"},
 	} {
 		var stdout, stderr bytes.Buffer

@@ -39,7 +39,7 @@ type Options struct {
 	Workers int
 	// CacheBytes bounds each resident cache tier of every simulation
 	// (sim.Config.CacheBytes): its shared statics core, separately its
-	// sidecars, and its records. 0 keeps the engine default; negative
+	// sidecars and its round memo, and its records. 0 keeps the engine default; negative
 	// is an error. Performance knob only — results are bit-identical
 	// for every setting.
 	CacheBytes int64
@@ -50,7 +50,8 @@ type Options struct {
 	StaticStoreDir string
 	// DistWorkers, when positive, runs every simulation over that many
 	// fork-exec'd local worker processes (see internal/dist and
-	// Store.DistWorkers). Placement knob only — bit-identical results.
+	// Store.DistWorkers); negative is an error. Placement knob only —
+	// bit-identical results.
 	DistWorkers int
 	// Out receives the experiment's report (default io.Discard).
 	Out io.Writer
@@ -111,6 +112,9 @@ func (o Options) Validate() error {
 	}
 	if o.CacheBytes < 0 {
 		return fmt.Errorf("experiments: CacheBytes must be non-negative, got %d", o.CacheBytes)
+	}
+	if o.DistWorkers < 0 {
+		return fmt.Errorf("experiments: DistWorkers must be non-negative, got %d", o.DistWorkers)
 	}
 	return nil
 }

@@ -39,11 +39,11 @@ type BatchOptions struct {
 	Options
 	// IDs selects which experiments run (nil = all, in registry order).
 	IDs []string
-	// Parallel bounds how many experiments run concurrently (0 = 4);
-	// they start in IDs order.
-	// Simulations remain globally gated by the store's worker budget,
-	// so raising Parallel overlaps graph analysis and report rendering,
-	// never oversubscribes simulation workers.
+	// Parallel bounds how many experiments run concurrently (0 = 4;
+	// negative is an error); they start in IDs order. Simulations
+	// remain globally gated by the store's worker budget, so raising
+	// Parallel overlaps graph analysis and report rendering, never
+	// oversubscribes simulation workers.
 	Parallel int
 	// OutDir is where reports, status markers, and the artifact cache
 	// live ("" = run fully in memory: no persistence, no resume).
@@ -81,6 +81,9 @@ type RunStatus struct {
 	// SimExecs counts how many of those requests actually executed a
 	// simulation (the rest were cache hits).
 	SimExecs int
+	// SharedRounds sums the executed simulations' SharedRounds: the
+	// round computations the round memo served.
+	SharedRounds int
 }
 
 // statusFile is the persisted per-experiment completion marker.
@@ -105,6 +108,9 @@ func RunBatch(b BatchOptions) ([]RunStatus, error) {
 	opt := b.Options.withDefaults()
 	if err := opt.Validate(); err != nil {
 		return nil, err
+	}
+	if b.Parallel < 0 {
+		return nil, fmt.Errorf("experiments: Parallel must be non-negative, got %d", b.Parallel)
 	}
 	ids := b.IDs
 	if len(ids) == 0 {
@@ -144,7 +150,7 @@ func RunBatch(b BatchOptions) ([]RunStatus, error) {
 	opt.store = store
 
 	parallel := b.Parallel
-	if parallel <= 0 {
+	if parallel == 0 {
 		parallel = 4
 	}
 
@@ -198,6 +204,7 @@ func runExperiment(b BatchOptions, opt Options, id string) (st RunStatus) {
 		if !s.Cached {
 			st.SimExecs++
 		}
+		st.SharedRounds += s.SharedRounds
 	}
 	if st.Err != nil || b.OutDir == "" {
 		return st

@@ -334,6 +334,7 @@ func TestOptionsValidate(t *testing.T) {
 		{N: 250, X: 1.5},
 		{N: 250, X: 0.1, Workers: -1},
 		{N: 250, X: 0.1, CacheBytes: -1},
+		{N: 250, X: 0.1, DistWorkers: -1},
 	}
 	for _, opt := range bad {
 		if err := opt.Validate(); err == nil {
@@ -342,6 +343,9 @@ func TestOptionsValidate(t *testing.T) {
 		if err := Run("fig15", opt); err == nil {
 			t.Errorf("Run accepted %+v", opt)
 		}
+	}
+	if _, err := RunBatch(BatchOptions{Options: valid, IDs: []string{"fig15"}, Parallel: -3}); err == nil {
+		t.Errorf("RunBatch accepted Parallel -3")
 	}
 }
 

@@ -23,6 +23,10 @@ type SimRecord struct {
 	Cached bool   `json:"cached"`
 	// WallMS is the execution wall time in milliseconds (0 when Cached).
 	WallMS float64 `json:"wall_ms"`
+	// SharedRounds counts the round computations, the pristine pass
+	// included, that the round memo served to this execution (0 when
+	// Cached).
+	SharedRounds int `json:"shared_rounds"`
 	// Rounds is the number of best-response rounds the run took.
 	Rounds int `json:"rounds"`
 	// Final counts the end-state deployment; Stable/Oscillated classify
@@ -47,15 +51,16 @@ func (r *simRecorder) note(res *sim.Result, run SimRun) {
 		return
 	}
 	rec := SimRecord{
-		Key:        run.Key,
-		Graph:      run.Graph,
-		Config:     run.Config,
-		Cached:     run.Cached,
-		WallMS:     run.WallMS,
-		Rounds:     len(res.Rounds),
-		Final:      res.Final,
-		Stable:     res.Stable,
-		Oscillated: res.Oscillated,
+		Key:          run.Key,
+		Graph:        run.Graph,
+		Config:       run.Config,
+		Cached:       run.Cached,
+		WallMS:       run.WallMS,
+		SharedRounds: run.SharedRounds,
+		Rounds:       len(res.Rounds),
+		Final:        res.Final,
+		Stable:       res.Stable,
+		Oscillated:   res.Oscillated,
 	}
 	for _, rd := range res.Rounds {
 		if rd.Stats != nil {

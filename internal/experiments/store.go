@@ -40,10 +40,10 @@ type Store struct {
 	// CacheBytes, when non-zero, sets the cache budget
 	// (sim.Config.CacheBytes) of every simulation executed through the
 	// store: the budget of each shared statics core, separately of each
-	// handle's sidecars (see sharedStatics), and of each simulation's
-	// records. It is a performance knob only — excluded from
-	// Config.Fingerprint, so it never changes cache keys or Results. Set
-	// it before the first Sim call.
+	// handle's sidecars and of its round memo (see sharedStatics), and of
+	// each simulation's records. It is a performance knob only —
+	// excluded from Config.Fingerprint, so it never changes cache keys or
+	// Results. Set it before the first Sim call.
 	CacheBytes int64
 	// StaticStoreDir, when non-empty, gives every simulation executed
 	// through the store a persistent on-disk static snapshot tier
@@ -113,6 +113,8 @@ type simEntry struct {
 	// fromDisk reports the entry was loaded rather than executed.
 	fromDisk bool
 	wall     time.Duration
+	// shared counts the round computations the round memo served.
+	shared int
 }
 
 // NewStore creates a store. dir is the cache root ("" disables
@@ -160,8 +162,10 @@ type staticsKey struct {
 // handle whose graph has the same topology (asgraph.SameTopology) and
 // whose tiebreaker has the same fingerprint: fig12's x variants of the
 // base and augmented graphs hold two cores, not eight. Only the pristine
-// sidecars, which sum traffic weights, stay per handle. The topology
-// comparison runs here, once per new graph instance, and nowhere else.
+// sidecars and the round memo, which sum traffic weights, stay per
+// handle: a θ sweep's simulations replay each other's rounds through the
+// memo until their flip sets diverge. The topology comparison runs here,
+// once per new graph instance, and nowhere else.
 func (s *Store) sharedStatics(g *asgraph.Graph, cfg sim.Config) *routing.SharedStaticCache {
 	tb := cfg.Tiebreaker
 	if tb == nil {
@@ -271,6 +275,10 @@ type SimRun struct {
 	// in-memory hit; the original execution time for disk loads is in
 	// the per-round stats).
 	WallMS float64 `json:"wall_ms"`
+	// SharedRounds counts the round computations, the pristine pass
+	// included, that the graph handle's round memo served to this
+	// execution instead of the engine (0 when Cached).
+	SharedRounds int `json:"shared_rounds"`
 }
 
 // Sim returns the simulation Result for (g, cfg), executing it at most
@@ -312,7 +320,7 @@ func (s *Store) Sim(g *asgraph.Graph, cfg sim.Config) (*sim.Result, SimRun, erro
 	ranNow := false
 	e.once.Do(func() {
 		ranNow = true
-		e.res, e.fromDisk, e.wall, e.err = s.computeSim(key, g, cfg)
+		e.res, e.fromDisk, e.wall, e.shared, e.err = s.computeSim(key, g, cfg)
 		if e.err == nil && !e.fromDisk {
 			s.mu.Lock()
 			s.execs++
@@ -323,51 +331,34 @@ func (s *Store) Sim(g *asgraph.Graph, cfg sim.Config) (*sim.Result, SimRun, erro
 	run := SimRun{Key: key, Graph: gfp, Config: cfp, Cached: !ranNow || e.fromDisk}
 	if ranNow && !e.fromDisk {
 		run.WallMS = float64(e.wall) / float64(time.Millisecond)
+		run.SharedRounds = e.shared
 	}
 	return e.res, run, e.err
 }
 
 // computeSim loads the keyed result from disk or executes the
-// simulation under the worker budget and persists the outcome.
-func (s *Store) computeSim(key string, g *asgraph.Graph, cfg sim.Config) (res *sim.Result, fromDisk bool, wall time.Duration, err error) {
+// simulation under the worker budget and persists the outcome. shared
+// is the executed simulation's SharedRounds.
+func (s *Store) computeSim(key string, g *asgraph.Graph, cfg sim.Config) (res *sim.Result, fromDisk bool, wall time.Duration, shared int, err error) {
 	path := ""
 	if s.dir != "" {
 		path = filepath.Join(s.dir, "sims", key+".json")
 		if res, err := readResultFile(path, g.N()); err == nil {
-			return res, true, 0, nil
+			return res, true, 0, 0, nil
 		}
 		// Missing, stale or corrupted: recompute and overwrite.
 	}
 
-	// Distributed execution: the coordinator replaces the in-process
-	// shard engine for this one simulation. SharedStatics stays behind —
-	// it cannot cross a process boundary; each worker's engine builds a
-	// store of its own.
-	if s.DistWorkers > 0 {
-		coord, err := dist.NewLocalCoordinator(g, cfg, s.DistWorkers, dist.Options{})
-		if err != nil {
-			return nil, false, 0, err
-		}
-		defer coord.Close()
-		cfg.SharedStatics = nil
-		cfg.Executor = coord
-	}
-
-	sm, err := sim.New(g, cfg)
-	if err != nil {
-		return nil, false, 0, err
-	}
 	// Gate execution on the worker budget: each Sim spins up its own
 	// destination-parallel pool of cfg.Workers goroutines (or worker
 	// processes), so without this gate P concurrent experiments would
-	// run P×Workers busy goroutines.
+	// run P×Workers busy goroutines. The claim comes first, so that a
+	// simulation waiting for slots holds no worker processes either.
 	claim := s.acquireWorkers(cfg.Workers)
-	start := time.Now()
-	res, err = sm.RunE()
-	wall = time.Since(start)
+	res, wall, shared, err = s.execute(g, cfg)
 	s.budget.release(claim)
 	if err != nil {
-		return nil, false, 0, err
+		return nil, false, 0, 0, err
 	}
 
 	if path != "" {
@@ -375,7 +366,44 @@ func (s *Store) computeSim(key string, g *asgraph.Graph, cfg sim.Config) (res *s
 			_ = writeFileAtomic(path, data) // best effort
 		}
 	}
-	return res, false, wall, nil
+	return res, false, wall, shared, nil
+}
+
+// execute runs one simulation: in-process, or over DistWorkers worker
+// processes that live no longer than the run.
+func (s *Store) execute(g *asgraph.Graph, cfg sim.Config) (res *sim.Result, wall time.Duration, shared int, err error) {
+	// Distributed execution: the coordinator replaces the in-process
+	// shard engine for this one simulation. SharedStatics stays behind —
+	// it cannot cross a process boundary; each worker's engine builds a
+	// store of its own.
+	if s.DistWorkers > 0 {
+		coord, err := startCoordinator(g, cfg, s.DistWorkers)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		defer coord.Close()
+		cfg.SharedStatics = nil
+		cfg.Executor = coord
+	}
+	sm, err := sim.New(g, cfg)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	start := time.Now()
+	res, err = sm.RunE()
+	return res, time.Since(start), sm.SharedRounds(), err
+}
+
+// startCoordinator starts the worker processes of one distributed
+// simulation; tests wrap it to watch the coordinators live at once.
+var startCoordinator = func(g *asgraph.Graph, cfg sim.Config, procs int) (executor, error) {
+	return dist.NewLocalCoordinator(g, cfg, procs, dist.Options{})
+}
+
+// executor is a distributed simulation's executor, closed after its run.
+type executor interface {
+	sim.Executor
+	Close() error
 }
 
 // acquireWorkers blocks until want slots of the worker budget are free

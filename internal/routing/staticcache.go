@@ -339,6 +339,10 @@ func (c *sidecarSet) drop(kind uint8, d int32) {
 // itself, bound to the weights of the first graph it serves, and Share
 // makes another handle over the same core for another weight vector.
 //
+// A handle also carries a round memo (roundmemo.go): the rounds its
+// simulations computed, which depend on the weights like the sidecars
+// do, and so are kept per handle like them.
+//
 // Unpacked entries are fully materialized before insertion (tiebreak
 // winners, delta dependents index, provider parents, support lists), so
 // the *Static a reader receives is immutable: every lazy accessor — the
@@ -346,7 +350,7 @@ func (c *sidecarSet) drop(kind uint8, d int32) {
 // a no-op, and any goroutine may resolve against it without
 // synchronization. Packed entries are immutable bytes decoded into the
 // calling worker's own scratch. Only the maps are guarded: the statics
-// by the core's lock, the sidecars by the handle's.
+// by the core's lock, the sidecars and the rounds by the handle's.
 //
 // The core binds to one (topology, tiebreaker) pair on first use and a
 // handle to one weight vector; binding anything else is an error —
@@ -356,9 +360,10 @@ func (c *sidecarSet) drop(kind uint8, d int32) {
 type SharedStaticCache struct {
 	core *staticsCore
 
-	mu   sync.RWMutex
-	g    *asgraph.Graph // first graph bound: its weights are the sidecars'
-	side sidecarSet
+	mu     sync.RWMutex
+	g      *asgraph.Graph // first graph bound: its weights are the sidecars'
+	side   sidecarSet
+	rounds roundMemo
 }
 
 // staticsCore is the weight-independent half of a SharedStaticCache:
@@ -373,24 +378,27 @@ type staticsCore struct {
 
 // NewSharedStaticCache returns an unbound handle over a fresh core. The
 // core admits statics until adding one would exceed budget bytes, and
-// the handle's sidecars have a budget of their own of the same size;
-// budget 0 means DefaultCacheBytes. The core repacks on overflow
-// (see the package comment) once bound to its topology.
+// the handle's sidecars and its round memo each have a budget of their
+// own of the same size; budget 0 means DefaultCacheBytes. The core
+// repacks on overflow (see the package comment) once bound to its
+// topology.
 func NewSharedStaticCache(budget int64) *SharedStaticCache {
 	if budget == 0 {
 		budget = DefaultCacheBytes
 	}
 	return &SharedStaticCache{
-		core: &staticsCore{c: staticCache{budget: budget}},
-		side: sidecarSet{budget: budget},
+		core:   &staticsCore{c: staticCache{budget: budget}},
+		side:   sidecarSet{budget: budget},
+		rounds: roundMemo{budget: budget},
 	}
 }
 
 // Share returns a new handle over sc's statics core, with its own empty
-// sidecar store under the same budget: the handle for a graph of sc's
-// topology with other traffic weights.
+// sidecar store and round memo under the same budget: the handle for a
+// graph of sc's topology with other traffic weights.
 func (sc *SharedStaticCache) Share() *SharedStaticCache {
-	return &SharedStaticCache{core: sc.core, side: sidecarSet{budget: sc.side.budget}}
+	b := sc.side.budget
+	return &SharedStaticCache{core: sc.core, side: sidecarSet{budget: b}, rounds: roundMemo{budget: b}}
 }
 
 // Bind checks the handle against the (graph, tiebreaker) pair a caller

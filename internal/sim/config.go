@@ -166,7 +166,11 @@ type Config struct {
 	// TestSharedStaticsResultInvariant), so the field is excluded from
 	// Fingerprint. Use it when many simulations run on one graph — a θ
 	// sweep pays each destination's three-stage BFS once per graph
-	// instead of once per simulation.
+	// instead of once per simulation. The handle also carries a round
+	// memo (roundmemo.go): an in-process simulation is served any round
+	// that a simulation on the same handle already computed in the same
+	// state, under the same model, tie-break and projection policy and
+	// shard count, bit for bit (see TestRoundMemoResultInvariant).
 	SharedStatics *routing.SharedStaticCache
 
 	// Executor, when non-nil, runs the per-round utility computation in

@@ -37,6 +37,13 @@ type Sim struct {
 	candList []int32
 	candBuf  []bool
 	scratch  *deployState // state builder for RoundUtilities
+
+	// Round memo (roundmemo.go): the caller's shared handle, nil unless
+	// it is set and the rounds run in-process; the key buffer; and the
+	// rounds the memo served in the last run.
+	memo    *routing.SharedStaticCache
+	memoKey []byte
+	shared  int
 }
 
 // New validates the configuration against the graph and returns a
@@ -67,6 +74,7 @@ func New(g *asgraph.Graph, cfg Config) (*Sim, error) {
 		}
 		s.local = eng
 		s.exec = &localExecutor{eng: eng}
+		s.memo = cfg.SharedStatics
 	}
 	s.uBase = make([]float64, n)
 	s.uProj = make([]float64, n)
@@ -126,8 +134,9 @@ func (s *Sim) RunE() (*Result, error) {
 
 	// Starting utilities: the all-insecure world before any deployment,
 	// the baseline the paper normalizes utility trajectories by.
+	s.shared = 0
 	pristine := newDeployState(n)
-	prBase, _, prStats, err := s.computeRound(pristine, nil)
+	prBase, _, prStats, err := s.round(pristine, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +184,7 @@ func (s *Sim) RunE() (*Result, error) {
 
 	for round := 0; round < cfg.MaxRounds; round++ {
 		candidates := s.candidates(st)
-		uBase, uProj, stats, err := s.computeRound(st, candidates)
+		uBase, uProj, stats, err := s.round(st, candidates)
 		if err != nil {
 			return nil, err
 		}

@@ -26,7 +26,10 @@ import (
 //   - Workers: decisions are worker-count invariant (the engine's
 //     per-worker float merges differ only in final ulps, absorbed by
 //     decisionEpsilon; see TestRunDeterministicAcrossWorkers). Recorded
-//     utilities may therefore differ in the last ulp across pool sizes.
+//     utilities may therefore differ in the last ulp across pool sizes,
+//     which is why the round memo (roundmemo.go) keys its rounds by the
+//     logical shard count: a served round carries the bits of the shard
+//     count that computed it.
 //   - RecordUtilities, RecordStats, RecordMemStats: observability only.
 //     Callers that cache Results should record superset instrumentation
 //     so one entry serves every requester.

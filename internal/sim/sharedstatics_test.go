@@ -50,9 +50,16 @@ func TestSharedStaticsResultInvariant(t *testing.T) {
 		}
 
 		// A second simulation on the now-warm store must hit on every
-		// destination of every round and still reproduce the bits.
-		warm := MustNew(g, cfg).Run()
+		// destination of every round and still reproduce the bits. The
+		// round memo would serve it every round without a lookup, so it
+		// runs with the memo off here; served, it must still match.
+		warm := withoutRoundMemo(MustNew(g, cfg)).Run()
 		requireBitIdentical(t, model.String()+"/warm store", ref, warm)
+		served := MustNew(g, cfg)
+		requireBitIdentical(t, model.String()+"/round memo", ref, served.Run())
+		if got, want := served.SharedRounds(), len(ref.Rounds)+1; got != want {
+			t.Errorf("%s: the round memo served %d of %d round computations", model, got, want)
+		}
 		assertCacheActivity(t, model.String()+"/warm store", warm, func(hits, misses int64) bool {
 			return misses == 0 && hits > 0
 		})
@@ -91,6 +98,14 @@ func TestSharedStaticsResultInvariant(t *testing.T) {
 	}
 }
 
+// withoutRoundMemo is the test hook that keeps s from consulting its
+// handle's round memo, so that a test can watch the engine's own tiers
+// serve a simulation the memo could serve whole.
+func withoutRoundMemo(s *Sim) *Sim {
+	s.memo = nil
+	return s
+}
+
 // TestSharedStaticsBindErrors: a store is bound to one (graph,
 // tiebreaker) pair; New must refuse a simulation that would read
 // another graph's (or another tiebreaker's) snapshots.
@@ -117,8 +132,10 @@ func TestSharedStaticsBindErrors(t *testing.T) {
 // TestSharedStaticsConcurrentSims: the intended use is many
 // simulations on one graph, possibly at the same time (the experiment
 // harness runs a θ sweep concurrently). Racing simulations must both
-// populate and read the store safely and reproduce the bits of an
-// engine on its own store. Run under -race in CI.
+// populate and read the store safely — its statics, its sidecars and
+// its round memo, where the sweep's pristine pass and first round race
+// on one key — and reproduce the bits of an engine on its own store.
+// Run under -race in CI.
 func TestSharedStaticsConcurrentSims(t *testing.T) {
 	g := topogen.MustGenerate(topogen.Default(250, 11))
 	g.SetCPTrafficFraction(0.10)

@@ -24,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -37,51 +38,68 @@ func main() {
 	// When this process is a fork-exec'd stdio worker, serve and exit
 	// before touching flags.
 	dist.MaybeRunWorker()
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // paperN is the AS count of the paper's empirical graph (a UCLA
 // Cyclops snapshot from Dec 16, 2010).
 const paperN = 36964
 
-func run() int {
+// run parses args, runs the simulation they describe and returns the
+// exit code: the log and summary go to stdout, errors to stderr. A flag
+// that does not parse exits 2, any other error 1.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sbgpsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "sbgpsim:", err)
+		return 1
+	}
 	var (
-		topo        = flag.String("topo", "", "topology file (native text format); empty = generate")
-		n           = flag.Int("n", 2000, "synthetic graph size (ignored with -topo)")
-		seed        = flag.Int64("seed", 42, "generator / tiebreak seed")
-		preset      = flag.String("preset", "", "parameter preset: paper (N=36,964, 5 CPs, x=0.10, θ=0.05)")
-		augment     = flag.Float64("augment", 0, "per-CP peering fraction for the Section 6.8 augmented variant (0 = off)")
-		x           = flag.Float64("x", 0.10, "CP traffic fraction")
-		model       = flag.String("model", "outgoing", "utility model: outgoing|incoming")
-		theta       = flag.Float64("theta", 0.05, "deployment threshold θ")
-		adoptersStr = flag.String("adopters", "cps+top5", "early adopters: none|cps|topK|cps+topK|randomK")
-		adopterSeed = flag.Int64("adopter-seed", 1, "seed for randomK adopters")
-		stubsBT     = flag.Bool("stubs-break-ties", true, "stubs running simplex S*BGP break ties on security")
-		projectStub = flag.Bool("project-stubs", false, "projection bundles the ISP's simplex stub upgrades")
-		workers     = flag.Int("workers", 0, "logical shard count (0 = GOMAXPROCS; pin for cross-machine reproducibility)")
-		maxRounds   = flag.Int("max-rounds", 0, "round cap (0 = default)")
-		cacheBytes  = flag.Int64("cache-bytes", 0, "budget in bytes of each resident cache tier: statics, sidecars and dynamic records (0 = default 1 GiB; 1 = cache nothing)")
-		staticStore = flag.String("static-store", "", "persist packed static snapshots under this directory so reruns skip the static BFS (bit-identical results)")
-		stats       = flag.Bool("stats", false, "print per-round engine statistics")
-		memStats    = flag.Bool("memstats", false, "sample per-round heap allocation (stop-the-world; implies nothing without -stats)")
-		quiet       = flag.Bool("q", false, "summary only")
-		resultJSON  = flag.String("result-json", "", "write the full Result (with utilities) as JSON to this file")
-		distWorkers = flag.Int("dist-workers", 0, "distribute over this many local worker processes (fork-exec over stdio pipes)")
-		distConnect = flag.String("dist-connect", "", "distribute over TCP workers at these comma-separated addresses")
-		distListen  = flag.String("dist-listen", "", "run as a TCP worker listening on this address (serves coordinators forever)")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile  = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		traceFile   = flag.String("trace", "", "write a runtime execution trace to this file (view with go tool trace)")
+		topo        = fs.String("topo", "", "topology file (native text format); empty = generate")
+		n           = fs.Int("n", 2000, "synthetic graph size (ignored with -topo)")
+		seed        = fs.Int64("seed", 42, "generator / tiebreak seed")
+		preset      = fs.String("preset", "", "parameter preset: paper (N=36,964, 5 CPs, x=0.10, θ=0.05)")
+		augment     = fs.Float64("augment", 0, "per-CP peering fraction for the Section 6.8 augmented variant (0 = off)")
+		x           = fs.Float64("x", 0.10, "CP traffic fraction")
+		model       = fs.String("model", "outgoing", "utility model: outgoing|incoming")
+		theta       = fs.Float64("theta", 0.05, "deployment threshold θ")
+		adoptersStr = fs.String("adopters", "cps+top5", "early adopters: none|cps|topK|cps+topK|randomK")
+		adopterSeed = fs.Int64("adopter-seed", 1, "seed for randomK adopters")
+		stubsBT     = fs.Bool("stubs-break-ties", true, "stubs running simplex S*BGP break ties on security")
+		projectStub = fs.Bool("project-stubs", false, "projection bundles the ISP's simplex stub upgrades")
+		workers     = fs.Int("workers", 0, "logical shard count (0 = GOMAXPROCS; pin for cross-machine reproducibility)")
+		maxRounds   = fs.Int("max-rounds", 0, "round cap (0 = default)")
+		cacheBytes  = fs.Int64("cache-bytes", 0, "budget in bytes of each resident cache tier: statics, sidecars and dynamic records (0 = default 1 GiB; 1 = cache nothing)")
+		staticStore = fs.String("static-store", "", "persist packed static snapshots under this directory so reruns skip the static BFS (bit-identical results)")
+		stats       = fs.Bool("stats", false, "print per-round engine statistics")
+		quiet       = fs.Bool("q", false, "summary only")
+		resultJSON  = fs.String("result-json", "", "write the full Result (with utilities) as JSON to this file")
+		distWorkers = fs.Int("dist-workers", 0, "distribute over this many local worker processes (fork-exec over stdio pipes)")
+		distConnect = fs.String("dist-connect", "", "distribute over TCP workers at these comma-separated addresses")
+		distListen  = fs.String("dist-listen", "", "run as a TCP worker listening on this address (serves coordinators forever)")
+		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile  = fs.String("memprofile", "", "write a heap profile to this file at exit")
+		traceFile   = fs.String("trace", "", "write a runtime execution trace to this file (view with go tool trace)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *distListen != "" {
-		fmt.Fprintf(os.Stderr, "sbgpsim: worker listening on %s\n", *distListen)
+		fmt.Fprintf(stderr, "sbgpsim: worker listening on %s\n", *distListen)
 		return fail(dist.ListenAndServe(*distListen))
+	}
+	// Workers and MaxRounds are checked by the simulation itself.
+	switch {
+	case *x < 0 || *x >= 1:
+		return fail(fmt.Errorf("CP traffic fraction -x %v outside [0,1)", *x))
+	case *distWorkers < 0:
+		return fail(fmt.Errorf("negative -dist-workers %d", *distWorkers))
 	}
 
 	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	switch *preset {
 	case "":
 	case "paper":
@@ -120,7 +138,7 @@ func run() int {
 			return fail(err)
 		}
 	}
-	if *augment > 0 {
+	if *augment != 0 {
 		g, err = sbgp.AugmentTopology(g, *seed, *augment)
 		if err != nil {
 			return fail(err)
@@ -146,7 +164,6 @@ func run() int {
 		CacheBytes:          *cacheBytes,
 		StaticStoreDir:      *staticStore,
 		RecordStats:         *stats,
-		RecordMemStats:      *memStats,
 		RecordUtilities:     *resultJSON != "",
 	}
 	switch *model {
@@ -194,22 +211,22 @@ func run() int {
 	}
 
 	if !*quiet {
-		fmt.Printf("graph: %d ASes (%d ISPs, %d stubs, %d CPs); adopters: %d\n",
+		fmt.Fprintf(stdout, "graph: %d ASes (%d ISPs, %d stubs, %d CPs); adopters: %d\n",
 			g.N(), len(g.ISPs()), len(g.Stubs()), len(g.CPs()), len(adopters))
-		fmt.Printf("initial: %d secure ASes\n", res.Initial.SecureASes)
+		fmt.Fprintf(stdout, "initial: %d secure ASes\n", res.Initial.SecureASes)
 		if res.PristineStats != nil {
-			fmt.Printf("  pristine engine: %s\n", res.PristineStats)
+			fmt.Fprintf(stdout, "  pristine engine: %s\n", res.PristineStats)
 		}
 		newA, newI := res.NewPerRound()
 		for r := range newA {
-			fmt.Printf("round %3d: +%d ASes (+%d ISPs), total %d secure\n",
+			fmt.Fprintf(stdout, "round %3d: +%d ASes (+%d ISPs), total %d secure\n",
 				r+1, newA[r], newI[r], res.Rounds[r].After.SecureASes)
 			if st := res.Rounds[r].Stats; st != nil {
-				fmt.Printf("  engine: %s\n", st)
+				fmt.Fprintf(stdout, "  engine: %s\n", st)
 			}
 		}
 	}
-	fmt.Print(res.Summary(g))
+	fmt.Fprint(stdout, res.Summary(g))
 
 	if *resultJSON != "" {
 		f, err := os.Create(*resultJSON)
@@ -225,9 +242,4 @@ func run() int {
 		}
 	}
 	return 0
-}
-
-func fail(err error) int {
-	fmt.Fprintln(os.Stderr, "sbgpsim:", err)
-	return 1
 }

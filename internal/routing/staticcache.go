@@ -33,14 +33,13 @@ import (
 // them into the calling worker's Workspace on every hit, which costs
 // O(reachable) but stays far below the BFS it replaces. A core starts
 // in unpacked mode — small graphs whose full snapshot set fits the
-// budget never pay the decode — and repacks every entry in place the
-// first time an admission would overflow the budget, then admits packed
-// from there on: the 3–9x density buys paper-scale graphs residency
-// instead of admission stops. A core that knows how many destinations
-// it will be offered (the bound graph's N) skips the unpacked phase
-// outright when its first snapshot shows the full set cannot fit,
-// rather than copying a budget's worth of snapshots only to re-encode
-// them all.
+// budget never pay the decode — and switches its admissions to packed
+// the first time one would overflow the budget, keeping the snapshots
+// it holds: the 3–9x density buys the rest residency instead of an
+// admission stop. A core that knows how many destinations it will be
+// offered (the bound graph's N) admits packed from its first static
+// when that one shows the full set cannot fit: an N=10,000 graph under
+// the default budget never holds a snapshot.
 
 // DefaultCacheBytes is the default budget of every resident tier: 1 GiB
 // for a store's statics, as much again for each handle's sidecars (and,
@@ -182,10 +181,10 @@ const entryOverhead = 64
 // whatever it is offered, first-fit, and pins it: deterministic, and no
 // churn. Which statics are worth offering is the caller's decision —
 // the engine offers every static while the core is unpacked, and once
-// it has repacked only those a later round will read (sim's
-// fetchStatic: a destination served by its pristine sidecar never reads
-// its static again). The first overflow repacks every entry (see the
-// package comment above) instead of stopping admission.
+// it packs only those a later round will read (sim's processDest: a
+// destination served by its pristine sidecar never reads its static
+// again). The first overflow switches admissions to packed (see the
+// package comment above) instead of stopping them.
 type staticCache struct {
 	budget   int64
 	bytes    int64
@@ -201,27 +200,6 @@ type staticCache struct {
 	scratch       []byte
 }
 
-// repackAll converts every unpacked entry to its packed blob, rebasing
-// the accounted bytes on the packed sizes. A blob is far smaller than
-// the snapshot it replaces (≈3–5 against ≥26 B/node), so the repack
-// only frees bytes. This runs once, on the first overflow; from then on
-// admissions encode directly.
-func (c *staticCache) repackAll() {
-	c.repacked = true
-	for d, e := range c.entries {
-		if e.snap == nil {
-			continue
-		}
-		c.scratch = AppendPacked(c.scratch[:0], e.snap, c.g)
-		c.bytes -= e.charged
-		e = cacheEntry{blob: c.arena.place(c.scratch), charged: int64(len(c.scratch)) + entryOverhead}
-		c.entries[d] = e
-		c.bytes += e.charged
-		c.packedBytes += int64(len(e.blob))
-		c.packedEntries++
-	}
-}
-
 // add admits snap, a Snapshot of a fully materialized static, returning
 // it when it was stored as is, or nil when it went in packed or not at
 // all. Once an admission has been rejected for budget, packed ones are
@@ -230,13 +208,11 @@ func (c *staticCache) repackAll() {
 // the win.
 func (c *staticCache) add(snap *Static) *Static {
 	sz := snap.MemBytes()
-	if !c.repacked &&
-		(c.bytes+sz > c.budget || len(c.entries) == 0 && c.expected*sz > c.budget) {
+	if c.bytes+sz > c.budget || len(c.entries) == 0 && c.expected*sz > c.budget {
 		// This snapshot overflows the budget — or it is the first and
-		// the destinations still to come, at its size, will: switch to
-		// packed storage now (a no-op pass over an empty core) instead
-		// of snapshotting up to the budget and repacking it all.
-		c.repackAll()
+		// the destinations still to come, at its size, will: admit
+		// packed from here on, beside the snapshots already held.
+		c.repacked = true
 	}
 	if c.repacked {
 		if !c.full {
@@ -249,8 +225,8 @@ func (c *staticCache) add(snap *Static) *Static {
 	return snap
 }
 
-// addBlob admits a copy of an already-encoded packed blob for d, before
-// or after the repack, reporting whether it was admitted. The blob must
+// addBlob admits a copy of an already-encoded packed blob for d, in
+// either mode, reporting whether it was admitted. The blob must
 // be self-encoded or a disk blob that passed DecodePacked: readers
 // decode it trusted (see DecodePackedTrusted for what that relies on).
 func (c *staticCache) addBlob(d int32, blob []byte) bool {
@@ -380,8 +356,8 @@ type staticsCore struct {
 // core admits statics until adding one would exceed budget bytes, and
 // the handle's sidecars and its round memo each have a budget of their
 // own of the same size; budget 0 means DefaultCacheBytes. The core
-// repacks on overflow (see the package comment) once bound to its
-// topology.
+// packs its admissions from the first overflow on (see the package
+// comment).
 func NewSharedStaticCache(budget int64) *SharedStaticCache {
 	if budget == 0 {
 		budget = DefaultCacheBytes
@@ -498,8 +474,8 @@ func (sc *SharedStaticCache) Has(d int32) bool {
 // the caller's PrepareDest already computed the winners), snapshots it,
 // and publishes the immutable snapshot; two workers that computed the
 // same destination concurrently dedupe here, the loser getting the
-// winner's snapshot back — bit-identical to its own. Once the core has
-// repacked, Add instead encodes s into a pooled buffer and publishes
+// winner's snapshot back — bit-identical to its own. Once the core
+// packs, Add instead encodes s into a pooled buffer and publishes
 // the blob — or returns at once when the core is full. The snapshot
 // copy and the encode run outside the lock. Returns the usable shared
 // snapshot, or nil when the caller should keep resolving against its
@@ -539,7 +515,7 @@ func (sc *SharedStaticCache) Add(w *Workspace, s *Static) *Static {
 }
 
 // AddBlob publishes already-packed bytes for destination d, budget
-// permitting, before or after the repack: a disk blob is admitted as
+// permitting, in either mode: a disk blob is admitted as
 // its bytes, never re-encoded or snapshotted. The bytes are copied into
 // the core's arena; the caller keeps ownership of blob. The blob must
 // have passed DecodePacked (or be self-encoded): Get trusts it as
@@ -596,7 +572,8 @@ func (sc *SharedStaticCache) PackedBytes() int64 {
 	return onCore(sc, false, func(c *staticCache) int64 { return c.packedBytes })
 }
 
-// Repacked reports whether the core has switched to packed storage.
+// Repacked reports whether the core has switched its admissions to
+// packed storage.
 func (sc *SharedStaticCache) Repacked() bool {
 	return onCore(sc, false, func(c *staticCache) bool { return c.repacked })
 }

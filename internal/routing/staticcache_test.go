@@ -142,8 +142,8 @@ func TestSnapshotSurvivesWorkspaceReuse(t *testing.T) {
 }
 
 // TestStaticCacheBudget: admission is first-fit under the byte budget —
-// the first overflow repacks, packed admissions continue until one is
-// rejected, entries already admitted are pinned, later ones are
+// a store the first static shows too small for the set packs from the
+// start, packed admissions continue until one is rejected, entries already admitted are pinned, later ones are
 // rejected, and the accounted size never exceeds the budget.
 func TestStaticCacheBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -257,10 +257,10 @@ func TestSnapshotMemBytes(t *testing.T) {
 }
 
 // TestStaticCachePackedRepack: a store that does not know its
-// destination count starts unpacked, repacks on its first overflow
-// keeping everything resident when the packed set fits, places the
-// blobs in its arena, and serves bit-exact statics from them — and a
-// budget below the packed set stops admission without exceeding it.
+// destination count starts unpacked and, on its first overflow, packs
+// every later admission while it keeps the snapshots it holds — no
+// repack. Bytes stay within the budget, the blobs sit in the arena, and
+// Get serves both forms bit-exact.
 func TestStaticCachePackedRepack(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := asgraphtest.Random(rng, 40, 0.15, 0.1, 0.25)
@@ -269,54 +269,55 @@ func TestStaticCachePackedRepack(t *testing.T) {
 	w := NewWorkspace(g)
 	wRef := NewWorkspace(g)
 
-	var packedTotal, unpackedTotal int64
+	var unpackedTotal int64
 	for d := int32(0); d < n; d++ {
-		s := w.PrepareDest(d, tb)
-		packedTotal += int64(len(AppendPacked(nil, s, g)))
-		unpackedTotal += published(w, s)
+		unpackedTotal += published(w, w.PrepareDest(d, tb))
 	}
-	// Sized so the unpacked set overflows but the packed set (with per-
-	// entry overhead) fits comfortably: the overflow must trigger one
-	// repack and lose nothing.
-	budget := 3 * (packedTotal + int64(n)*entryOverhead)
-	if budget >= unpackedTotal {
-		t.Fatalf("graph too small to force repack: packed budget %d >= unpacked %d", budget, unpackedTotal)
-	}
+	// Half the unpacked set: snapshots fill about half of it, and the
+	// room left beside them takes a few blobs.
+	budget := unpackedTotal / 2
 	untold := func(budget int64) *SharedStaticCache {
 		c := boundStore(t, g, tb, budget)
 		c.core.c.expected = 0
 		return c
 	}
 	c := untold(budget)
-	snaps := 0
+	snaps, packed := 0, 0
 	for d := int32(0); d < n; d++ {
-		if c.Add(w, w.PrepareDest(d, tb)) != nil {
+		before := c.Entries()
+		snap := c.Add(w, w.PrepareDest(d, tb))
+		switch {
+		case snap != nil && packed > 0:
+			t.Fatalf("dest %d admitted as a snapshot after %d packed admissions", d, packed)
+		case snap != nil:
 			snaps++
+		case c.Entries() > before:
+			packed++
+		}
+		if c.Bytes() > budget {
+			t.Fatalf("Bytes() = %d exceeds budget %d after Add %d", c.Bytes(), budget, d)
 		}
 	}
-	if snaps == 0 || !c.Repacked() {
-		t.Fatalf("store admitted %d snapshots, repacked %v; want snapshots, then a repack", snaps, c.Repacked())
+	if snaps == 0 || packed == 0 || !c.Repacked() {
+		t.Fatalf("store admitted %d snapshots and %d blobs, packing %v; want snapshots, then blobs", snaps, packed, c.Repacked())
 	}
-	if c.Entries() != int(n) || c.PackedEntries() != int64(n) {
-		t.Fatalf("%d of %d destinations resident, %d packed, after repack", c.Entries(), n, c.PackedEntries())
-	}
-	if c.Bytes() > budget {
-		t.Fatalf("Bytes() = %d exceeds budget %d after repack", c.Bytes(), budget)
+	if c.Entries() != snaps+packed || c.PackedEntries() != int64(packed) {
+		t.Fatalf("%d entries, %d packed; want the %d snapshots kept beside %d blobs", c.Entries(), c.PackedEntries(), snaps, packed)
 	}
 	if c.PackedBytes() == 0 || c.core.c.arena.allocated == 0 {
-		t.Fatalf("packed accounting empty after repack: bytes %d arena %d", c.PackedBytes(), c.core.c.arena.allocated)
+		t.Fatalf("packed accounting empty: bytes %d arena %d", c.PackedBytes(), c.core.c.arena.allocated)
 	}
-	for d := int32(0); d < n; d++ {
+	for d := int32(0); d < int32(snaps+packed); d++ {
 		got := c.Get(d, w)
 		if got == nil {
-			t.Fatalf("dest %d missing after repack", d)
+			t.Fatalf("dest %d missing", d)
 		}
 		if !staticsEqual(t, wRef.PrepareDest(d, tb), got, n) {
-			t.Fatalf("dest %d decodes differently after repack", d)
+			t.Fatalf("dest %d (snapshot %v) serves a different static", d, d < int32(snaps))
 		}
 	}
 
-	// A budget below the packed set keeps a subset, and the survivors
+	// A smaller budget keeps a subset, and the survivors
 	// still decode bit-exact.
 	c3 := untold(budget / 6)
 	for d := int32(0); d < n; d++ {

@@ -81,12 +81,12 @@ type Config struct {
 	Tiebreaker routing.Tiebreaker
 
 	// Workers caps the destination-parallel worker pool; 0 means
-	// GOMAXPROCS.
+	// GOMAXPROCS, and negative is an error.
 	Workers int
 
-	// MaxRounds bounds the simulation; 0 means 250. The paper's runs
-	// stabilized within 2-40 rounds; the cap exists because the
-	// incoming-utility model may oscillate forever.
+	// MaxRounds bounds the simulation; 0 means 250, and negative is an
+	// error. The paper's runs stabilized within 2-40 rounds; the cap
+	// exists because the incoming-utility model may oscillate forever.
 	MaxRounds int
 
 	// ThetaJitter models heterogeneous deployment costs and noisy
@@ -119,9 +119,11 @@ type Config struct {
 	// shards, so a shard's capacity is the same wherever it runs. 0 means
 	// routing.DefaultCacheBytes (1 GiB, enough to cache graphs of up to
 	// ~5000 ASes fully); negative is an error. A static store that
-	// overflows repacks into blobs and from then on admits only statics a
-	// later round reads; on budget exhaustion every tier keeps what it
-	// admitted first and the rest recompute each round. A budget no entry
+	// overflows keeps its snapshots and from then on admits blobs, and
+	// only of statics a later round reads; on budget exhaustion every
+	// tier keeps what it admitted first and the rest recompute each
+	// round. Record holders' statics are built in the same batches as
+	// any other destination's when the store holds none. A budget no entry
 	// fits (1 byte) leaves every tier empty: the plain engine. With
 	// SharedStatics set, CacheBytes bounds only the records.
 	//
@@ -197,23 +199,16 @@ type Config struct {
 	// themselves are always maintained; this flag only adds the
 	// per-round record.
 	RecordStats bool
-
-	// RecordMemStats additionally fills RoundStats.AllocBytes from two
-	// runtime.ReadMemStats calls per round. ReadMemStats stops the
-	// world, which at small N dominates the round and skews the recorded
-	// wall times, so memory sampling is opt-in and taken outside the
-	// timed section. Implies nothing without RecordStats.
-	RecordMemStats bool
 }
 
 func (c Config) withDefaults() Config {
 	if c.Tiebreaker == nil {
 		c.Tiebreaker = routing.HashTiebreaker{}
 	}
-	if c.Workers <= 0 {
+	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.MaxRounds <= 0 {
+	if c.MaxRounds == 0 {
 		c.MaxRounds = 250
 	}
 	return c
@@ -228,6 +223,12 @@ func (c Config) validate(n int) error {
 	}
 	if c.CacheBytes < 0 {
 		return fmt.Errorf("sim: negative cache budget %d", c.CacheBytes)
+	}
+	if c.Workers < 0 {
+		return fmt.Errorf("sim: negative worker count %d", c.Workers)
+	}
+	if c.MaxRounds < 0 {
+		return fmt.Errorf("sim: negative round cap %d", c.MaxRounds)
 	}
 	if c.ThetaJitter < 0 || c.ThetaJitter > 1 {
 		return fmt.Errorf("sim: threshold jitter %v outside [0,1]", c.ThetaJitter)

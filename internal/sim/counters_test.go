@@ -16,7 +16,7 @@ import (
 // sbgpsim's default game at N=600 in both models, with and without
 // projected stub upgrades, a cold then warm disk-store run, and a
 // one-worker run whose caller-owned static store is small enough to
-// repack (so the packed residency rule, rejected sidecars included,
+// pack (so the packed residency rule, rejected sidecars included,
 // decides what stays resident). A refactor of the serving ladder that
 // claims to change no counter must leave every digest as it is; a
 // change that moves a counter on purpose updates the constant and says
@@ -27,16 +27,16 @@ func TestRoundCountersPinned(t *testing.T) {
 	g.SetCPTrafficFraction(0.10)
 	adopters := append(g.Nodes(asgraph.ContentProvider), asgraph.TopByDegree(g, 5, asgraph.ISP)...)
 	want := map[string]string{
-		"outgoing":               "686e42bea03410a6",
-		"outgoing/project-stubs": "b21c17abfa1d60f8",
-		"outgoing/store-cold":    "ef55a9a6fea326a0",
-		"outgoing/store-warm":    "58cf8016fe7cbbbf",
-		"outgoing/repacked":      "35e169537dc1f4de",
-		"incoming":               "637a65ee1deae95c",
-		"incoming/project-stubs": "9b3fc6a9515898aa",
-		"incoming/store-cold":    "dd4e6c2ef790c195",
-		"incoming/store-warm":    "0186e0bc79022916",
-		"incoming/repacked":      "69bae960eb8e605e",
+		"outgoing":               "b0265de375106fd1",
+		"outgoing/project-stubs": "b4014d8b2dd15396",
+		"outgoing/store-cold":    "e6fdab286130c547",
+		"outgoing/store-warm":    "95156b33e093316c",
+		"outgoing/repacked":      "1043cee464c76b89",
+		"incoming":               "e778a0f7cbe197cd",
+		"incoming/project-stubs": "90f81894871a9a89",
+		"incoming/store-cold":    "b41ee47c913b34a1",
+		"incoming/store-warm":    "e3f6323ec41e4626",
+		"incoming/repacked":      "20c91f160cea596e",
 	}
 	for _, model := range []UtilityModel{Outgoing, Incoming} {
 		base := Config{Model: model, Theta: 0.05, EarlyAdopters: adopters, StubsBreakTies: true,

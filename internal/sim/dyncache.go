@@ -23,10 +23,11 @@ import "sbgp/internal/routing"
 // A record saves its destination the base resolution every round, and
 // the base accumulation whenever the advance moved no parent. In a
 // base-only round such a destination is *clean*: its contributions are
-// replayed verbatim and nothing else runs. In a candidate round every
-// record is *dirty*: its projections are recomputed against the
-// advanced tree, exactly as the record-less engine computes them, so a
-// record never changes which projections run.
+// replayed verbatim, and nothing runs but the static fetch and the
+// advance. In a candidate round every record is *dirty*: its
+// projections are recomputed against the advanced tree, exactly as the
+// record-less engine computes them, so a record never changes which
+// projections run.
 //
 // Bit-identity with the non-incremental engine holds at any budget:
 //   - The advanced tree equals a fresh resolution bit for bit
@@ -46,11 +47,10 @@ import "sbgp/internal/routing"
 
 // Record sizes. A record costs a fixed overhead, 8 bytes per parent
 // SecP moved off its winner, N/8 bytes of Secure bitset once any path to
-// its destination is secure, and 16 bytes per nonzero base contribution
-// (and per child a leaf-class filler captured), and only destinations
-// whose tree can matter hold one (wantRecord: secure destinations and
-// those a candidate can flip — insecure untouchable ones are
-// sidecar-replayed instead). The N=10,000 outgoing game's 1,915 round-1
+// its destination is secure, and 16 bytes per nonzero base
+// contribution, and only destinations whose tree can matter hold one
+// (wantRecord: secure destinations and those a candidate can flip —
+// insecure untouchable ones are sidecar-replayed instead). The N=10,000 outgoing game's 1,915 round-1
 // records take ≈4.3 KB each (8.3 MB in all), so the default budget
 // (Config.CacheBytes, split per shard) binds only far beyond the
 // paper's N=36,964; a graph that fills it keeps a pinned prefix of
@@ -75,29 +75,19 @@ type destRecord struct {
 	// then changed a parent (contributions read only parents, types and
 	// weights).
 	base []contribEntry
-	// kids is the provider's child list captured with base when this
-	// destination last accumulated as a leaf class's filler (see
-	// leafclass.go); empty otherwise. Valid exactly as long as base is.
-	kids []leafKid
 	// bytes is the record's accounted size.
 	bytes int64
 }
 
-// dynBigJumpFraction is the advancement cutover: a realized flip set
-// larger than n/dynBigJumpFraction (a Run reset, not a round) makes
-// change propagation costlier than the fresh resolution it would
-// replace, so record trees are rebuilt by ResolveInto instead.
-const dynBigJumpFraction = 3
-
 const (
-	dynEntryBytes    = 16  // contribEntry, leafKid: int32 padded beside a float64
+	dynEntryBytes    = 16  // contribEntry: int32 padded beside a float64
 	dynRecordMinimum = 256 // struct, map cell and slice headers
 )
 
 // memBytes returns the record's accounted size at its current tree diff
 // and entry counts.
 func (r *destRecord) memBytes() int64 {
-	return r.tree.Bytes() + dynEntryBytes*int64(len(r.base)+len(r.kids)) + dynRecordMinimum
+	return r.tree.Bytes() + dynEntryBytes*int64(len(r.base)) + dynRecordMinimum
 }
 
 // dynCache is a worker-private budgeted map of destRecords. Like the

@@ -459,17 +459,17 @@ func TestDynCacheFingerprintExcluded(t *testing.T) {
 		t.Error("a records-off, statics-on budget changed the fingerprint")
 	}
 	c = base
-	c.RecordMemStats = true
+	c.RecordStats, c.RecordUtilities = true, true
 	if c.Fingerprint() != base.Fingerprint() {
-		t.Error("RecordMemStats changed the fingerprint")
+		t.Error("RecordStats or RecordUtilities changed the fingerprint")
 	}
 }
 
-// TestRecordMemStatsDecisions: memory sampling is observability only —
-// decisions are identical with stats off, with RecordStats, and with
-// RecordStats+RecordMemStats; AllocBytes is recorded only when asked
-// for (the ReadMemStats pair stops the world and would skew Wall).
-func TestRecordMemStatsDecisions(t *testing.T) {
+// TestRecordStatsDecisions: per-round stats are observability only —
+// decisions are identical with them off and on — and they carry the
+// heap the round allocated: the pristine pass allocates the engine's
+// stores, so its AllocBytes cannot read 0.
+func TestRecordStatsDecisions(t *testing.T) {
 	g := topogen.MustGenerate(topogen.Default(300, 5))
 	g.SetCPTrafficFraction(0.10)
 	base := Config{
@@ -491,15 +491,9 @@ func TestRecordMemStatsDecisions(t *testing.T) {
 		if rd.Stats == nil {
 			t.Fatalf("round %d: RecordStats set but no stats recorded", r)
 		}
-		if rd.Stats.AllocBytes != 0 {
-			t.Errorf("round %d: AllocBytes=%d recorded without RecordMemStats", r, rd.Stats.AllocBytes)
-		}
 	}
-
-	cfg.RecordMemStats = true
-	memOn := MustNew(g, cfg).Run()
-	if !reflect.DeepEqual(decisionsOf(ref), decisionsOf(memOn)) {
-		t.Error("RecordMemStats changed decisions")
+	if statsOn.PristineStats.AllocBytes == 0 {
+		t.Error("pristine pass recorded AllocBytes 0")
 	}
 }
 
@@ -555,6 +549,89 @@ func TestSyncDynPurgesOnBreaksOnlyChange(t *testing.T) {
 						t.Fatalf("%s: shard %d node %d: (%v, %v) after the change, a fresh engine gives (%v, %v)",
 							label, s, i, got[s].base[i], got[s].delta[i], want[s].base[i], want[s].delta[i])
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestReusedSimMatchesFresh: a Sim reused across Runs and RoundUtilities
+// probes holds its records across state jumps far larger than a round's
+// flip set — a second Run's pristine pass, and probes between the game's
+// final state and others, each flip more than N/3 nodes — and advances
+// them by change propagation across the whole jump. A base-only probe
+// of an unchanged state then serves every record holder by replaying
+// its recorded base through processDest. Every result must be
+// bit-identical to a fresh Sim's, at the default budget and at one that
+// holds only a few records.
+func TestReusedSimMatchesFresh(t *testing.T) {
+	g := topogen.MustGenerate(topogen.Default(400, 9))
+	g.SetCPTrafficFraction(0.10)
+	n := g.N()
+	adopters := append(g.Nodes(asgraph.ContentProvider), asgraph.TopByDegree(g, 5, asgraph.ISP)...)
+	held := func(s *Sim) (records int) {
+		for _, wk := range s.local.pool {
+			records += len(wk.dyn.entries)
+		}
+		return records
+	}
+	flips := func(a, b []bool) (k int) {
+		for i := range a {
+			if a[i] != b[i] {
+				k++
+			}
+		}
+		return k
+	}
+	for _, model := range []UtilityModel{Outgoing, Incoming} {
+		for _, budget := range []int64{0, 2048} {
+			label := fmt.Sprintf("%s/budget=%d", model, budget)
+			cfg := Config{Model: model, Theta: 0.05, EarlyAdopters: adopters, StubsBreakTies: true,
+				Workers: 2, RecordUtilities: true, RecordStats: true, CacheBytes: budget}
+			fresh := MustNew(g, cfg).Run()
+			final := fresh.FinalSecure
+			pristine := make([]bool, n)
+			if k := flips(final, pristine); k <= n/3 {
+				t.Fatalf("%s: the game ends %d flips from the pristine state, want a jump of more than N/3 = %d", label, k, n/3)
+			}
+
+			s := MustNew(g, cfg)
+			requireBitIdentical(t, label+"/run 1", fresh, s.Run())
+			if held(s) == 0 {
+				t.Fatalf("%s: no record held after the first Run", label)
+			}
+			requireBitIdentical(t, label+"/run 2", fresh, s.Run())
+
+			half := randomSimplexState(rand.New(rand.NewSource(3)), g, 0.5, true).secure
+			probes := []struct {
+				name      string
+				secure    []bool
+				projected bool
+			}{
+				{"pristine", pristine, false},
+				{"final", final, false}, // a jump of more than N/3 with records held
+				{"final again", final, false},
+				{"half", half, true},
+				{"final projected", final, true},
+			}
+			for _, p := range probes {
+				before := held(s)
+				base, proj, stats, err := s.RoundUtilities(p.secure, p.projected)
+				if err != nil {
+					t.Fatal(err)
+				}
+				base, proj = append([]float64(nil), base...), append([]float64(nil), proj...)
+				wantBase, wantProj, _, err := MustNew(g, cfg).RoundUtilities(p.secure, p.projected)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !utilsBitIdentical(base, wantBase) || !utilsBitIdentical(proj, wantProj) {
+					t.Errorf("%s/%s: reused Sim's utilities differ from a fresh Sim's", label, p.name)
+				}
+				// No flip since the last probe: every record that was
+				// held is clean, served by its replay on processDest.
+				if p.name == "final again" && (before == 0 || stats.CleanDests != before) {
+					t.Errorf("%s/%s: %d clean of %d records held, want all", label, p.name, stats.CleanDests, before)
 				}
 			}
 		}

@@ -5,8 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"runtime"
-	"sync"
+	"runtime/metrics"
 	"time"
 
 	"sbgp/internal/asgraph"
@@ -299,17 +298,12 @@ func (s *Sim) computeRound(st *deployState, candidates []bool) (uBase, uProj []f
 	cfg := s.cfg
 	n := s.g.N()
 
-	// Memory sampling is a stop-the-world ReadMemStats pair; it is taken
-	// outside the timed section (before started, after Wall) and only on
-	// request, so RecordStats alone never skews the recorded wall times.
-	var memBefore uint64
-	if cfg.RecordStats && cfg.RecordMemStats {
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		memBefore = m.TotalAlloc
-	}
+	// The heap reads sit outside the timed section (before started,
+	// after Wall).
 	var started time.Time
+	var allocsBefore uint64
 	if cfg.RecordStats {
+		allocsBefore = heapAllocs()
 		started = time.Now()
 	}
 
@@ -342,43 +336,21 @@ func (s *Sim) computeRound(st *deployState, candidates []bool) (uBase, uProj []f
 		}
 	}
 
-	// Merge the per-shard partial sums, chunked by utility index across
-	// goroutines. Each index sums over shards in ascending order and
-	// then adds the base into the projection — so every float result is
-	// bit-identical regardless of chunk count, executor, or worker
-	// placement. (Shards hold per-destination *deltas* in UDelta; the
-	// merge turns them into projected utilities.)
-	nw := len(partials)
-	merge := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var base, delta float64
-			for p := range partials {
-				base += partials[p].UBase[i]
-			}
-			for p := range partials {
-				delta += partials[p].UDelta[i]
-			}
-			uBase[i] = base
-			uProj[i] = delta + base
+	// Merge the per-shard partial sums. Each index sums over shards in
+	// ascending order and then adds the base into the projection, so
+	// every float result is bit-identical regardless of executor or
+	// worker placement. (Shards hold per-destination *deltas* in UDelta;
+	// the merge turns them into projected utilities.)
+	for i := 0; i < n; i++ {
+		var base, delta float64
+		for p := range partials {
+			base += partials[p].UBase[i]
 		}
-	}
-	if nw == 1 || n < 2*nw {
-		merge(0, n)
-	} else {
-		chunk := (n + nw - 1) / nw
-		var mg sync.WaitGroup
-		for lo := 0; lo < n; lo += chunk {
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			mg.Add(1)
-			go func(lo, hi int) {
-				defer mg.Done()
-				merge(lo, hi)
-			}(lo, hi)
+		for p := range partials {
+			delta += partials[p].UDelta[i]
 		}
-		mg.Wait()
+		uBase[i] = base
+		uProj[i] = delta + base
 	}
 
 	if cfg.RecordStats {
@@ -392,13 +364,21 @@ func (s *Sim) computeRound(st *deployState, candidates []bool) (uBase, uProj []f
 		stats.Wall, stats.Destinations, stats.Candidates = wall, n, len(candList)
 		stats.ShardsReassigned, stats.WorkersLost = info.ShardsReassigned, info.WorkersLost
 		stats.ShardWallMax, stats.ShardWallMin, stats.StragglerRatio = shardTiming(partials)
-		if cfg.RecordMemStats {
-			var m runtime.MemStats
-			runtime.ReadMemStats(&m)
-			stats.AllocBytes = m.TotalAlloc - memBefore
-		}
+		stats.AllocBytes = heapAllocs() - allocsBefore
 	}
 	return uBase, uProj, stats, nil
+}
+
+// heapAllocs returns the bytes the whole process has allocated on the
+// heap so far (runtime/metrics' /gc/heap/allocs:bytes), a read that,
+// unlike runtime.ReadMemStats, does not stop the world.
+func heapAllocs() uint64 {
+	s := [1]metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s[:])
+	if s[0].Value.Kind() != metrics.KindUint64 {
+		return 0
+	}
+	return s[0].Value.Uint64()
 }
 
 // shardTiming aggregates the per-shard wall times of a round's partials
@@ -451,11 +431,6 @@ type roundCtx struct {
 	flipBreaks []bool
 	prevSecure []bool
 	prevBreaks []bool
-	// bigJump marks a flip set so large (a Run reset rather than a
-	// round) that advancing record trees by change propagation would
-	// cost more than resolving them afresh; processDest then rebuilds
-	// instead of advancing — the same bits either way.
-	bigJump bool
 }
 
 // treeStill reports whether the realized flips provably leave
@@ -534,7 +509,6 @@ type destPlan struct {
 	rec         *destRecord // the dynamic-cache record, if any
 	memo        *classMemo  // the class memo of a leaf with a sibling (leafclass.go)
 	untouchable bool        // record-less, and no surviving candidate projection can flip it
-	clean       bool        // replay rec.base: a base-only round leaves its tree as it was
 	sidecar     bool        // replay the stored sidecar
 	recordSC    bool        // record-less and insecure, its sidecar missing and wanted
 	build       bool        // serving it runs its BFS
@@ -573,30 +547,23 @@ func (wk *worker) resetRound(n int) {
 
 // plan chooses the rung of the serving ladder of every destination of
 // the worker's stripe, walking it in serving order before the first is
-// served. A record holder is clean in a base-only round whose realized
-// flips provably leave its tree as it was (roundCtx.treeStill): its
-// recorded base contributions are the current ones, and it needs no
-// static. A record-less insecure destination no candidate can flip
+// served. A record-less insecure destination no candidate can flip
 // replays its pristine sidecar; one that has none records it on the
 // path that serves it. A leaf with a sibling then takes the class rung
 // (leafclass.go): the first of its class fills the memo, and the rest
 // replay it unless they hold a record, which must be advanced every
 // round. Everything else is processDest. Serving d changes d's record
 // and d's sidecar and nobody else's, so the rung chosen here is the one
-// serving would choose inline; only whether a memo is filled waits for
-// serving, since its filler may capture nothing. build marks the
-// destinations that will run the BFS — those a sidecar or class replay
-// does not serve, holding no record (a record's static is kept
-// resident) and no stored static — for buildStatic to batch; a class
-// replay never builds.
+// serving would choose inline. build marks the destinations that will
+// run the BFS — those a sidecar or class replay does not serve, with no
+// resident or stored static, record holders included — for buildStatic
+// to batch.
 func (wk *worker) plan(rc *roundCtx) {
 	st, lc := rc.st, wk.classes
 	kind := uint8(rc.cfg.Model)
 	for d := wk.shard; int(d) < len(st.secure); d += wk.stride {
 		p := destPlan{rec: wk.dyn.get(d)}
-		if p.rec != nil {
-			p.clean = len(rc.candList) == 0 && !rc.bigJump && rc.treeStill(d)
-		} else {
+		if p.rec == nil {
 			p.untouchable = len(rc.candList) == 0 || wk.destUntouchable(d, rc)
 			// No sidecar for a secure d: its tree depends on the state.
 			if !st.secure[d] {
@@ -613,7 +580,7 @@ func (wk *worker) plan(rc *roundCtx) {
 				classReplay = p.rec == nil
 			}
 		}
-		p.build = !p.sidecar && !classReplay && p.rec == nil && !wk.statics.Has(d) && !wk.disk.Has(d)
+		p.build = !p.sidecar && !classReplay && !wk.statics.Has(d) && !wk.disk.Has(d)
 		wk.plans = append(wk.plans, p)
 	}
 	if wk.onPlan != nil {
@@ -623,9 +590,7 @@ func (wk *worker) plan(rc *roundCtx) {
 
 // serveDest serves destination d on the rung plan chose for it. A
 // sidecar that cannot be replayed after all (a decode failure drops it)
-// falls to processDest, which records a new one if none is left, and a
-// class memo its filler left unfilled is filled by the next sibling
-// instead.
+// falls to processDest, which records a new one if none is left.
 func (wk *worker) serveDest(d int32, rc *roundCtx) {
 	pl := &wk.plans[d/wk.stride]
 	switch m := pl.memo; {
@@ -638,21 +603,9 @@ func (wk *worker) serveDest(d int32, rc *roundCtx) {
 		wk.fillClass(d, rc, pl)
 	case m != nil && pl.rec == nil:
 		wk.replayClass(d, rc, pl)
-	case pl.clean:
-		wk.replayClean(pl.rec)
 	default:
 		wk.processDest(d, rc, pl)
 	}
-}
-
-// replayClean serves a clean record holder (see plan): its recorded
-// base contributions are the floats the fresh accumulation would add,
-// in the same order, and a base-only round needs nothing else.
-func (wk *worker) replayClean(rec *destRecord) {
-	for _, e := range rec.base {
-		wk.uBase[e.node] += e.val
-	}
-	wk.stats.CleanDests++
 }
 
 // processDest serves one destination from its static on the normal
@@ -663,7 +616,8 @@ func (wk *worker) replayClean(rec *destRecord) {
 // no parent has moved: the whole destination in a base-only round, and
 // everything but the projections in a candidate round. This is the
 // common case: a realized flip's Secure-only ripple reaches most trees
-// without moving a single parent edge.
+// without moving a single parent edge. A class filler accumulates even
+// then, since its siblings' fold reads the provider's children.
 func (wk *worker) processDest(d int32, rc *roundCtx, pl *destPlan) {
 	cfg, st, weights := rc.cfg, rc.st, rc.weights
 	// Static routing information is deployment-state independent
@@ -671,9 +625,7 @@ func (wk *worker) processDest(d int32, rc *roundCtx, pl *destPlan) {
 	stc, blob, fresh := wk.fetchStatic(d, rc)
 
 	// Every path resolves or advances the tree into the worker's scratch;
-	// a record keeps only its diff (see dyncache.go). Advancing across a
-	// Run reset (bigJump) would propagate more changes than a fresh
-	// resolution: the rebuild handles it, same bits either way.
+	// a record keeps only its diff (see dyncache.go).
 	tree, rec, baseValid := &wk.baseTree, pl.rec, false
 	// fill is d's class memo when d fills it (see fillClass): every
 	// addend below is recorded there too.
@@ -681,10 +633,10 @@ func (wk *worker) processDest(d int32, rc *roundCtx, pl *destPlan) {
 	if m := pl.memo; m != nil && len(m.kids) == 0 {
 		fill = m
 	}
-	if rec != nil && !rc.bigJump {
+	if rec != nil {
 		baseValid = !wk.advanceRecord(rec, tree, stc, rc)
 	} else {
-		if rec == nil && wk.wantRecord(d, rc, pl.untouchable) {
+		if wk.wantRecord(d, rc, pl.untouchable) {
 			// Admission is by need, not by arrival: the pristine pass and
 			// every insecure untouchable destination stay record-less.
 			rec = wk.dyn.admit(d)
@@ -699,14 +651,13 @@ func (wk *worker) processDest(d int32, rc *roundCtx, pl *destPlan) {
 	}
 
 	stored := false // d's pristine sidecar was just stored
-	if baseValid {
+	if baseValid && fill == nil {
 		// Contributions read only parents, types and weights, none of
 		// which moved: the recorded floats are the ones the fresh loop
 		// below would produce, added in the same order.
 		for _, e := range rec.base {
 			wk.uBase[e.node] += e.val
 		}
-		fill.addBase(rec.base)
 	} else {
 		// Base utility contributions, over the destination's memoized
 		// utility support list — the ascending subset of the ISP index
@@ -723,10 +674,8 @@ func (wk *worker) processDest(d int32, rc *roundCtx, pl *destPlan) {
 			support = stc.SupportIncoming(wk.isps)
 		}
 		accumulate(stc, tree, weights, wk.accBase, wk.incBase)
-		var kids []leafKid
 		if fill != nil {
 			fill.kids = appendKids(fill.kids, stc, tree, wk.accBase)
-			kids = fill.kids
 		}
 		wk.contribs = wk.contribs[:0]
 		for _, i := range support {
@@ -739,7 +688,6 @@ func (wk *worker) processDest(d int32, rc *roundCtx, pl *destPlan) {
 		fill.addBase(wk.contribs)
 		if rec != nil {
 			rec.base = append(rec.base[:0], wk.contribs...)
-			rec.kids = append(rec.kids[:0], kids...)
 		}
 		// d is insecure, so these are its pristine contributions: record
 		// them for sidecar replay by later rounds, Runs and processes.

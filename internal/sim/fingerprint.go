@@ -30,7 +30,7 @@ import (
 //     which is why the round memo (roundmemo.go) keys its rounds by the
 //     logical shard count: a served round carries the bits of the shard
 //     count that computed it.
-//   - RecordUtilities, RecordStats, RecordMemStats: observability only.
+//   - RecordUtilities, RecordStats: observability only.
 //     Callers that cache Results should record superset instrumentation
 //     so one entry serves every requester.
 //   - CacheBytes: a performance/memory knob. Cached statics are

@@ -135,30 +135,16 @@ func appendKids(kids []leafKid, s *routing.Static, t *routing.Tree, acc []float6
 	return kids
 }
 
-// fillClass serves d on its own rung — a clean replay or processDest,
-// which captures the provider's child list into the memo — and the rung
-// records each addend in the memo as it adds it: the nonzero base
-// contributions (ascending node) and candidate deltas (candidate order)
-// a sibling replays. Every index takes one += per destination, so the
-// memo holds the addends themselves. A path that did not accumulate
-// captured nothing: the list recorded with rec.base serves instead.
-// With neither, the memo stays unfilled and the next sibling fills it.
+// fillClass serves d through processDest, which accumulates d's base
+// tree even when d's record could replay it, captures the provider's
+// child list into the memo there, and records in the memo each addend
+// it adds: the nonzero base contributions (ascending node) and candidate
+// deltas (candidate order) a sibling replays. Every index takes one +=
+// per destination, so the memo holds the addends themselves.
 func (wk *worker) fillClass(d int32, rc *roundCtx, pl *destPlan) {
 	m := pl.memo
-	m.base, m.delta = m.base[:0], m.delta[:0]
-	if pl.clean {
-		wk.replayClean(pl.rec)
-		m.addBase(pl.rec.base)
-	} else {
-		wk.processDest(d, rc, pl)
-	}
-	// Re-read the record: processDest may have admitted or evicted it.
-	if rec := wk.dyn.get(d); len(m.kids) == 0 && rec != nil {
-		m.kids = append(m.kids, rec.kids...)
-	}
-	if len(m.kids) > 0 {
-		m.filler = d
-	}
+	m.base, m.delta, m.filler = m.base[:0], m.delta[:0], d
+	wk.processDest(d, rc, pl)
 }
 
 // replayClass serves leaf d from its class memo, and keeps the durable

@@ -326,7 +326,6 @@ func (e *ShardEngine) syncDyn(st *deployState, rc *roundCtx) {
 	rc.flipBreaks = e.dynFlipBreaks
 	rc.prevSecure = e.dynPrev.secure
 	rc.prevBreaks = e.dynPrev.breaks
-	rc.bigJump = len(rc.flipList) > n/dynBigJumpFraction
 }
 
 // saveDyn snapshots st as the state the record trees now correspond to,

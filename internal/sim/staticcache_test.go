@@ -343,3 +343,45 @@ func TestStaticBatchHintsCostNoBits(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanBuildsRecordHoldersStatics: under a budget that admits
+// records but rejects statics, a record holder's static is rebuilt every
+// round, so the plan must mark it build like any other destination's —
+// otherwise buildStatic meets it unplanned and builds it alone, at
+// width 1. Every plan entry holding a record and no resident or stored
+// static is marked build.
+func TestPlanBuildsRecordHoldersStatics(t *testing.T) {
+	g := topogen.MustGenerate(topogen.Default(400, 11))
+	adopters := append(g.Nodes(asgraph.ContentProvider), asgraph.TopByDegree(g, 3, asgraph.ISP)...)
+	for _, model := range []UtilityModel{Outgoing, Incoming} {
+		cfg := Config{Model: model, Theta: 0.05, EarlyAdopters: adopters, StubsBreakTies: true,
+			Workers: 2, CacheBytes: 40_000}
+		s := MustNew(g, cfg)
+		// Per worker: the hooks run concurrently.
+		starvedBy, unmarkedBy := make([]int, len(s.local.pool)), make([]int, len(s.local.pool))
+		for w, wk := range s.local.pool {
+			wk.onPlan = func(plans []destPlan) {
+				for k := range plans {
+					d := wk.shard + int32(k)*wk.stride
+					if p := &plans[k]; p.rec != nil && !wk.statics.Has(d) && !wk.disk.Has(d) {
+						starvedBy[w]++
+						if !p.build {
+							unmarkedBy[w]++
+						}
+					}
+				}
+			}
+		}
+		s.Run()
+		var starved, unmarked int
+		for w := range starvedBy {
+			starved, unmarked = starved+starvedBy[w], unmarked+unmarkedBy[w]
+		}
+		if starved == 0 {
+			t.Fatalf("%s: no record holder went without its static: the budget does not starve the store", model)
+		}
+		if unmarked != 0 {
+			t.Errorf("%s: %d of %d plan entries of record holders without a static not marked build", model, unmarked, starved)
+		}
+	}
+}

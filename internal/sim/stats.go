@@ -87,18 +87,22 @@ type RoundStats struct {
 	// DirtyDests and CleanDests split the *recorded* destinations by
 	// cross-round dynamic-cache outcome. Clean destinations occur only in
 	// base-only rounds: the realized flips moved no parent of the
-	// record's tree, so its memoized base contributions were replayed and
-	// nothing else ran. Every other recorded destination is dirty and
-	// computed against its record's tree — in a candidate round that is
-	// every record, since projections are always recomputed — and, when
-	// a parent moved or the record was admitted this round, its base
-	// contributions are re-recorded too. Clean + dirty counts recorded
-	// destinations only, so it is below Destinations whenever some hold
-	// no record: insecure destinations no candidate can flip are never
-	// admitted (PristineReplays serve them once their sidecar is
-	// recorded), nor are class-replayed leaves (ClassReplays), nor is
-	// anything once the budget is spent. Both stay zero when the budget
-	// holds no record (Config.CacheBytes 1).
+	// record's tree, so its memoized base contributions were replayed
+	// (or, for a leaf class's filler, re-accumulated) against the
+	// advanced tree. Only a base-only round that finds records counts
+	// any: a reused Sim's (RoundUtilities, a second Run), or an outgoing
+	// round with no insecure ISP left. Every other
+	// recorded destination is dirty and computed against its record's
+	// tree — in a candidate round that is every record, since
+	// projections are always recomputed — and, when a parent moved or
+	// the record was admitted this round, its base contributions are
+	// re-recorded too. Clean + dirty counts recorded destinations only,
+	// so it is below Destinations whenever some hold no record: insecure
+	// destinations no candidate can flip are never admitted
+	// (PristineReplays serve them once their sidecar is recorded), nor
+	// are class-replayed leaves (ClassReplays), nor is anything once the
+	// budget is spent. Both stay zero when the budget holds no record
+	// (Config.CacheBytes 1).
 	DirtyDests int
 	CleanDests int
 	// DynCacheBytes and DynCacheEntries snapshot the dynamic cache's
@@ -139,8 +143,8 @@ type RoundStats struct {
 	// StaticPackedEntries/StaticPackedBytes count the store entries held
 	// in packed form and the blob bytes they occupy (a subset of
 	// StaticCacheEntries/StaticCacheBytes; see routing/packed.go). Both
-	// stay zero until a store overflows its budget and repacks, or admits
-	// a disk blob.
+	// stay zero until a store overflows its budget and packs its later
+	// admissions, or admits a disk blob.
 	StaticPackedEntries int64
 	StaticPackedBytes   int64
 	// ShardWallMax and ShardWallMin are the slowest and fastest logical
@@ -159,9 +163,11 @@ type RoundStats struct {
 	// dead. Always zero in-process.
 	ShardsReassigned int
 	WorkersLost      int
-	// AllocBytes is the heap allocated during the round (runtime
-	// TotalAlloc delta; recorded only under Config.RecordMemStats, since
-	// the ReadMemStats pair stops the world).
+	// AllocBytes is the heap the whole process allocated during the
+	// round: the runtime/metrics /gc/heap/allocs:bytes delta, a read
+	// that does not stop the world and counts small objects a span at a
+	// time. Concurrent simulations in one process count each other's
+	// allocations, and in distributed mode it is the coordinator's alone.
 	AllocBytes uint64
 }
 
